@@ -36,3 +36,11 @@ class FitFailure(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         self.diagnostics = diagnostics or {}
         super().__init__(message)
+
+
+class SolverNonTermination(ArithmeticError):
+    """An exact iterative solver exceeded its iteration limit.
+
+    Signals an internal failure (for the transport simplex: rounding
+    defeating the anti-cycling rule), never a property of valid input.
+    """

@@ -46,7 +46,11 @@ def validate_simplex_weight(entries: np.ndarray, tol: float = WEIGHT_SUM_TOL) ->
 
 
 def _merge_rows(atoms: np.ndarray, weights: np.ndarray):
-    """Sum weights of exactly-equal rows; rows ordered lexicographically."""
+    """Sum weights of exactly-equal rows; rows ordered lexicographically.
+
+    ``weights`` is a vector or a matrix with one column per weight vector;
+    each column is summed in row order within a group.
+    """
     order = np.lexsort(atoms.T[::-1])
     atoms = atoms[order]
     weights = weights[order]
@@ -58,7 +62,7 @@ def _merge_rows(atoms: np.ndarray, weights: np.ndarray):
     n_groups = int(group[-1]) + 1 if len(atoms) else 0
     firsts = np.searchsorted(group, np.arange(n_groups), side="left")
     out_atoms = atoms[firsts]
-    out_weights = np.zeros(n_groups)
+    out_weights = np.zeros((n_groups,) + weights.shape[1:])
     np.add.at(out_weights, group, weights)
     return out_atoms, out_weights
 

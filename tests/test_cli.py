@@ -88,6 +88,17 @@ class TestMetric:
                         name="tolerant.json")
         assert code == 0
 
+    def test_transport_non_termination_exits_3(self, tmp_path, monkeypatch, capsys):
+        from qasnets import metrics
+
+        rng = np.random.default_rng(8)
+        measures = [{"dim": 2, "atoms": rng.normal(size=(10, 2)).tolist(),
+                     "weights": rng.dirichlet(np.ones(10)).tolist()} for _ in range(2)]
+        monkeypatch.setattr(metrics, "_pivot_limit", lambda m, n: 0)
+        code, _ = run(tmp_path, "metric", {"inputs": measures})
+        assert code == 3
+        assert "did not terminate" in capsys.readouterr().err
+
     def test_rerun_is_bitwise_identical(self, tmp_path):
         cfg = {"seed": 3, "inputs": [dirac_json(0.0), dirac_json(1.0), dirac_json(2.5)]}
         _, out1 = run(tmp_path, "metric", cfg)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from qasnets.errors import DomainError, UnsupportedError
+from qasnets import metrics
+from qasnets.errors import DomainError, SolverNonTermination, UnsupportedError
 from qasnets.measures import DiscreteMeasure, GaussianMeasure, PathMeasure, mixture
 from qasnets.metrics import (
     adapted_wasserstein_p,
@@ -13,6 +15,7 @@ from qasnets.metrics import (
     project_simplex,
     spd_distance,
     total_variation,
+    transport_cost,
     wasserstein2_barycenter_1d,
     wasserstein_p,
 )
@@ -20,6 +23,7 @@ from qasnets.metrics import (
 from oracles import (
     bicausal_oracle_two_steps,
     qp_simplex_oracle,
+    transport_vertices,
     wasserstein_oracle,
 )
 
@@ -130,6 +134,116 @@ class TestWasserstein:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             wasserstein_p(DiscreteMeasure.dirac([0.0, 0.0]), DiscreteMeasure.dirac(0.0), 1)
+
+
+def rounding_bound(cost, u, v):
+    """The certificate bound documented on ``Transport``."""
+    m, n = cost.shape
+    scale = max(np.abs(cost).max(), np.abs(u).max(), np.abs(v).max())
+    return (m + n + 3) * np.finfo(float).eps * scale
+
+
+def random_transport(rng, m, n, zeros=False, ties=False):
+    a = rng.dirichlet(np.ones(m))
+    b = rng.dirichlet(np.ones(n))
+    if zeros and m > 1:
+        a[rng.integers(m)] = 0.0
+        a /= a.sum()
+    if zeros and n > 1:
+        b[rng.integers(n)] = 0.0
+        b /= b.sum()
+    cost = rng.integers(0, 3, size=(m, n)).astype(float) if ties else rng.random((m, n))
+    return a, b, cost
+
+
+def assert_certified(a, b, cost, sol):
+    bound = rounding_bound(cost, sol.u, sol.v)
+    reduced = cost - sol.u[:, None] - sol.v[None, :]
+    assert reduced.min() >= -bound
+    assert np.abs(reduced[sol.plan > 0.0]).max() <= bound
+    assert sol.plan.min() >= 0.0
+    np.testing.assert_allclose(sol.plan.sum(axis=1), a, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sol.plan.sum(axis=0), b, rtol=0, atol=1e-15)
+    assert sol.value == pytest.approx(float(np.sum(sol.plan * cost)), rel=1e-15, abs=1e-300)
+
+
+class TestTransportCost:
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_value_matches_vertex_enumeration(self, zeros, ties):
+        rng = np.random.default_rng(101 + 2 * zeros + ties)
+        for _ in range(60):
+            m, n = (int(k) for k in rng.integers(1, 5, size=2))
+            a, b, cost = random_transport(rng, m, n, zeros, ties)
+            want = min(float(np.sum(pi * cost)) for pi in transport_vertices(a, b))
+            assert transport_cost(a, b, cost).value == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_plan_and_certificate(self, zeros, ties):
+        rng = np.random.default_rng(211 + 2 * zeros + ties)
+        for m, n in [(1, 1), (1, 5), (5, 1), (3, 4), (8, 8), (20, 30), (60, 45)]:
+            a, b, cost = random_transport(rng, m, n, zeros, ties)
+            assert_certified(a, b, cost, transport_cost(a, b, cost))
+
+    def test_uniform_equal_size_matches_assignment(self):
+        # equal-size uniform marginals are assignment problems: every vertex
+        # is maximally degenerate.  The grid instance's sqrt distances also
+        # tie up to rounding.
+        def grid(digits):
+            return np.array([int(d) for d in digits], dtype=float).reshape(-1, 2)
+
+        rng = np.random.default_rng(307)
+        pairs = [(rng.normal(size=(n, 2)), rng.normal(size=(n, 2))) for n in (2, 7, 40)]
+        pairs.append((grid("023130211111210120233130111020321020132122002012112020"),
+                      grid("320321023101002123210031200311100222203103331333030011")))
+        for x, y in pairs:
+            cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+            a = np.full(len(x), 1.0 / len(x))
+            sol = transport_cost(a, a, cost)
+            assert_certified(a, a, cost, sol)
+            rows, cols = linear_sum_assignment(cost)
+            assert sol.value == pytest.approx(cost[rows, cols].sum() / len(x), rel=1e-13)
+
+    def test_collinear_tiny_weights_match_quantile_coupling(self):
+        # atoms on one line in the plane with weights down to 1e-10: the 2-D
+        # problem must give the exact 1-D (monotone coupling) value
+        direction = np.array([0.6, 0.8])
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            line = []
+            for n in (12, 15):
+                t = rng.normal(size=n)
+                w = rng.dirichlet(np.ones(n))
+                w[rng.choice(n, size=n // 3, replace=False)] = 1e-10
+                line.append((t[:, None], w / w.sum()))
+            (ta, wa), (tb, wb) = line
+            for p in (1.0, 2.0):
+                flat = wasserstein_p(DiscreteMeasure(ta, wa), DiscreteMeasure(tb, wb), p)
+                plane = wasserstein_p(DiscreteMeasure(ta * direction, wa),
+                                      DiscreteMeasure(tb * direction, wb), p)
+                assert plane == pytest.approx(flat, rel=1e-14)
+
+    @pytest.mark.parametrize("a, b, cost", [
+        ([0.5, 0.5], [1.0], np.zeros((2, 2))),            # cost shape
+        ([[0.5, 0.5]], [0.5, 0.5], np.zeros((2, 2))),      # marginal not a vector
+        ([0.5, 0.5], [0.5, 0.6], np.zeros((2, 2))),        # mass mismatch
+        ([1.5, -0.5], [0.5, 0.5], np.zeros((2, 2))),       # negative weight
+        ([0.5, 0.5], [0.5, 0.5], [[0.0, np.inf], [1.0, 0.0]]),
+    ])
+    def test_rejects_bad_input(self, a, b, cost):
+        with pytest.raises(DomainError):
+            transport_cost(a, b, np.asarray(cost, dtype=float))
+
+    def test_pivot_limit_raises_arithmetic_error(self, monkeypatch):
+        # the least-cost tree of this instance is not optimal, so it needs a pivot
+        a, b = np.array([0.4, 0.6]), np.array([0.5, 0.5])
+        cost = np.array([[0.0, 1.0], [1.0, 3.0]])
+        assert transport_cost(a, b, cost).value == pytest.approx(1.2)
+        monkeypatch.setattr(metrics, "_pivot_limit", lambda m, n: 0)
+        with pytest.raises(SolverNonTermination) as info:
+            transport_cost(a, b, cost)
+        assert isinstance(info.value, ArithmeticError)
 
 
 def binary_tree_measure(root, branches, probs):
