@@ -3,8 +3,10 @@
 Subcommands: metric | complexity | static-fit | dynamic-fit | paths.
 Every run reads a JSON config (unknown keys rejected), writes CSV/JSON
 outputs plus a manifest, and is bitwise reproducible for a fixed config
-and seed, independent of the worker-thread count (pairwise computations
-are scheduled in a fixed order and reduced in that order).
+and seed.  Runs are serial: the ``threads`` key is still accepted, and
+``metric`` checks that it is a positive integer, but it does not change
+how a command runs (the transport kernel is pure Python and holds the
+interpreter lock, so a thread pool only added overhead).
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
@@ -17,7 +19,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +158,9 @@ def cmd_metric(runner: Runner, base: Path):
     if len(kinds) != 1:
         raise ConfigError(f"all measures must share one kind, got {sorted(kinds)}")
     p = float(cfg.get("p", 1.0))
-    threads = int(cfg.get("threads", 1))
+    threads = cfg.get("threads", 1)
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     pairs = [(i, j) for i in range(len(measures)) for j in range(i + 1, len(measures))]
 
     kind = kinds.pop()
@@ -184,11 +187,7 @@ def cmd_metric(runner: Runner, base: Path):
             return [i, j, gaussian_distance(measures[i], measures[j])]
 
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, pairs))
-    else:
-        rows = [work(pr) for pr in pairs]
+    rows = [work(pr) for pr in pairs]
     runner.wall["metric"] = time.perf_counter() - t0
     runner.emit_csv(cfg.get("output", "distances.csv"), header, rows)
 

@@ -391,7 +391,7 @@ def sde_kernel_map(mu: Callable, sigma: Callable, delta: float, nu: DiscreteMeas
         cloud = gaussian_quantile_cloud(mean, scale, k)
         atoms = (cloud[:, None, :] + nu.atoms[None, :, :]).reshape(-1, d)
         weights = (np.full(len(cloud), 1.0 / len(cloud))[:, None] * nu.weights[None, :]).reshape(-1)
-        return DiscreteMeasure(atoms, weights).merged()
+        return DiscreteMeasure(atoms, weights)
 
     return FiniteComplexityMap(
         memory=0, latent_dim=d + d * d, alpha=1.0, encoder=encoder, decoder=decoder,
@@ -489,7 +489,7 @@ def infinite_memory_truncation(M: Callable, Sigma: Callable, kernel: Callable[[i
         mean = latent[:d]
         scale = latent[d:].reshape(d, d)
         cloud = gaussian_quantile_cloud(mean, scale, k)
-        return DiscreteMeasure.uniform(cloud).merged()
+        return DiscreteMeasure.uniform(cloud)
 
     return FiniteComplexityMap(
         memory=memory, latent_dim=d + d * d, alpha=1.0, encoder=encoder, decoder=decoder,

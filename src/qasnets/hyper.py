@@ -64,8 +64,12 @@ def constant_compression(n: int, eps: float) -> float:
 # the model and its schedule
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Ght:
+    """The dynamic model.  Frozen, so the memoized schedule of
+    ``theta_unroll`` can never go stale: its parameter arrays are
+    read-only copies and no field can be reassigned."""
+
     decoder: GeometricTransformer
     encoder_md: MultiIndex
     encoder_spec: ActivationSpec
@@ -75,10 +79,13 @@ class Ght:
     horizon: int
     memory: int
     stored_thetas: dict = field(default_factory=dict, repr=False)  # testing only
-    _schedule_cache: dict = field(default_factory=dict, repr=False)
+    _schedule_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.theta_init = np.asarray(self.theta_init, dtype=float)
+        for name in ("theta_init", "hyper_theta"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         P = param_count(self.encoder_md)
         if self.theta_init.shape != (P,):
             raise DomainError("theta_init length differs from the encoder parameter count")
@@ -122,17 +129,22 @@ def theta_unroll(ght: Ght, n: int) -> np.ndarray:
     """Schedule value at index n, replayed through the hypernetwork.
 
     Clamps to theta_init for n <= -N and to theta_N for n >= N; the value
-    at -N < n <= N applies h exactly (n + N) times.  Memoized.
+    at -N < n <= N applies h exactly (n + N) times.  Memoized; the replay
+    is a loop, so any horizon works.
     """
     N = ght.horizon
     if n <= -N:
         return ght.theta_init
     n_eff = min(n, N)
-    if n_eff in ght._schedule_cache:
-        return ght._schedule_cache[n_eff]
-    prev = theta_unroll(ght, n_eff - 1)
-    value = ght.hyper_apply(prev)
-    ght._schedule_cache[n_eff] = value
+    cache = ght._schedule_cache
+    k = n_eff
+    while k > -N and k not in cache:
+        k -= 1
+    value = ght.theta_init if k == -N else cache[k]
+    for step in range(k + 1, n_eff + 1):
+        value = ght.hyper_apply(value)
+        value.setflags(write=False)
+        cache[step] = value
     return value
 
 

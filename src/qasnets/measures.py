@@ -9,9 +9,12 @@ Three value types live here:
 * ``GaussianMeasure`` -- a nondegenerate Gaussian N(m, S) on R^d.
 
 All values are immutable after construction and safe to share across
-threads.  Duplicate atoms are merged (weights summed) with exact
-coordinate equality as the merge criterion, which makes "distance zero
-iff equal" a testable statement.
+threads.  A ``DiscreteMeasure`` is canonical from construction on: its
+atoms are sorted lexicographically and duplicates are merged once, with
+exact coordinate equality as the merge criterion and their weights summed
+in input order.  So two measures are equal exactly when their arrays are,
+``len`` counts distinct atoms, and "distance zero iff equal" is a
+testable statement.
 """
 
 from __future__ import annotations
@@ -69,7 +72,12 @@ def _merge_rows(atoms: np.ndarray, weights: np.ndarray):
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """A finitely supported probability measure on R^d."""
+    """A finitely supported probability measure on R^d, in canonical form.
+
+    The constructor validates its input, then merges duplicate atoms and
+    sorts the support (``_merge_rows``); every later use reads the
+    canonical arrays.
+    """
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -87,6 +95,7 @@ class DiscreteMeasure:
         dim = atoms.shape[1]
         if self.dim >= 0 and self.dim != dim:
             raise DomainError(f"declared dim {self.dim} != atom dim {dim}")
+        atoms, weights = _merge_rows(atoms, weights)
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -97,20 +106,15 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
     def merged(self) -> "DiscreteMeasure":
-        """Canonical form: duplicate atoms merged, support sorted."""
-        a, w = _merge_rows(np.array(self.atoms), np.array(self.weights))
-        return DiscreteMeasure(a, w)
+        """Canonical form: the measure itself, merged at construction."""
+        return self
 
     def equal_as_measure(self, other: "DiscreteMeasure") -> bool:
-        """Exact equality as weighted atom sets after merging duplicates."""
-        if self.dim != other.dim:
-            return False
-        a = self.merged()
-        b = other.merged()
+        """Exact equality as weighted atom sets (both sides are canonical)."""
         return (
-            a.atoms.shape == b.atoms.shape
-            and np.array_equal(a.atoms, b.atoms)
-            and np.array_equal(a.weights, b.weights)
+            self.atoms.shape == other.atoms.shape
+            and np.array_equal(self.atoms, other.atoms)
+            and np.array_equal(self.weights, other.weights)
         )
 
     @staticmethod
@@ -141,7 +145,8 @@ class DiscreteMeasure:
 
 
 def mixture(components: list[DiscreteMeasure], mix_weights) -> DiscreteMeasure:
-    """Convex combination sum_n w_n mu_n, duplicates merged."""
+    """Convex combination sum_n w_n mu_n; zero-weight atoms are dropped and
+    the constructor merges duplicates."""
     w = validate_simplex_weight(np.asarray(mix_weights, dtype=float))
     if len(components) != w.size:
         raise DomainError("component count != mixing weight count")
@@ -153,8 +158,7 @@ def mixture(components: list[DiscreteMeasure], mix_weights) -> DiscreteMeasure:
     keep = weights > 0.0
     if not keep.all():
         atoms, weights = atoms[keep], weights[keep]
-    a, ww = _merge_rows(atoms, weights)
-    return DiscreteMeasure(a, ww)
+    return DiscreteMeasure(atoms, weights)
 
 
 class PathMeasure:
@@ -174,7 +178,7 @@ class PathMeasure:
             raise DomainError(
                 f"base dim {base.dim} != horizon*step_dim = {horizon * step_dim}"
             )
-        self.base = base.merged()
+        self.base = base
         self.horizon = int(horizon)
         self.step_dim = int(step_dim)
         # paths[i, t, :] is the time-(t+1) location of atom i

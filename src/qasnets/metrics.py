@@ -76,34 +76,70 @@ def project_cube(u, lower, upper) -> np.ndarray:
 # Wasserstein-p
 # ---------------------------------------------------------------------------
 
-def _wasserstein_1d_pow(x, wx, y, wy, p: float) -> float:
-    """Exact transport cost sum |x-y|^p under the monotone quantile coupling.
+def _quantile_coupling(x: list, wx: list, y: list, wy: list, p: float) -> tuple[float, list]:
+    """The monotone quantile coupling of two sorted one-dimensional supports.
 
-    Optimal on the line for every p >= 1 because |x-y|^p is convex.
+    North-west corner rule on the weight lists.  Returns the transport cost
+    sum of mass * |x_i - y_j|^p, added in arc order, and the arcs (i, j) in
+    order.  Each arc shares its row or its column with the one before,
+    except where both lines run out together; a line counts as used up
+    once at most 1e-17 of its mass is left.  Optimal on the line for every
+    p >= 1, because |x - y|^p is convex in x - y.
     """
-    ox = np.argsort(x, kind="stable")
-    oy = np.argsort(y, kind="stable")
-    x, wx = x[ox], wx[ox]
-    y, wy = y[oy], wy[oy]
+    arcs = []
+    cost = 0.0
     i = j = 0
     ai, bj = wx[0], wy[0]
-    cost = 0.0
     while True:
         m = min(ai, bj)
         cost += m * abs(x[i] - y[j]) ** p
+        arcs.append((i, j))
         ai -= m
         bj -= m
         if ai <= 1e-17:
             i += 1
-            if i == len(x):
+            if i == len(wx):
                 break
             ai = wx[i]
         if bj <= 1e-17:
             j += 1
-            if j == len(y):
+            if j == len(wy):
                 break
             bj = wy[j]
-    return cost
+    return cost, arcs
+
+
+def _staircase_potentials(x: list, y: list, arcs: list, p: float) -> list:
+    """Potentials u on the rows of the quantile coupling's spanning tree.
+
+    The staircase is completed to a spanning tree by zero-mass arcs: one
+    at (i, j_prev) wherever both indices advance together, and the rows or
+    columns left after the coupling stopped hang from the last column or
+    row.  Along the tree, u_i + v_j = |x_i - y_j|^p on every arc, the rule
+    ``transport_cost`` applies to its final tree, rooted here at u_0 = 0.
+    A staircase is a north-west corner basis and |x - y|^p is a Monge
+    cost, so these potentials are dual feasible, hence optimal.
+    """
+    tree = []
+    pi, pj = arcs[0]
+    for i, j in arcs:
+        if i != pi and j != pj:
+            tree.append((i, pj))
+        tree.append((i, j))
+        pi, pj = i, j
+    tree += [(k, pj) for k in range(pi + 1, len(x))]
+    tree += [(len(x) - 1, k) for k in range(pj + 1, len(y))]
+    u = [0.0] * len(x)
+    v = [0.0] * len(y)
+    pi = tree[0][0]
+    for i, j in tree:
+        c = abs(x[i] - y[j]) ** p
+        if i == pi:
+            v[j] = c - u[i]
+        else:
+            u[i] = c - v[j]
+        pi = i
+    return u
 
 
 _EPS = float(np.finfo(float).eps)
@@ -400,25 +436,37 @@ def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> f
     """Exact Wasserstein-p distance between discrete measures.
 
     Returns the optimal transport cost with ground cost |x-y|^p, raised to
-    1/p.  Zero exactly when the merged weighted atom sets coincide.
+    1/p.  Zero exactly when the (canonical) weighted atom sets coincide.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     if mu.dim != nu.dim:
         raise DomainError(f"dimension mismatch {mu.dim} != {nu.dim}")
-    a = mu.merged()
-    b = nu.merged()
-    if a.equal_as_measure(b):
+    if mu.equal_as_measure(nu):
         return 0.0
+    return max(transport_potential(mu, nu, p, potential=False)[0], 0.0) ** (1.0 / p)
+
+
+def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
+                        potential: bool = True) -> tuple[float, np.ndarray | None]:
+    """Optimal cost min E|X - Y|^p over couplings of mu and nu, with an
+    optimal dual potential u on mu's atoms (None when ``potential`` is off).
+
+    In one dimension the plan is the quantile coupling and u its staircase
+    tree potential; otherwise u is ``transport_cost(...).u``.  With its
+    c-transform u^c(z) = min_i |x_i - z|^p - u_i, which equals the optimal
+    potential v on nu's support, u is an optimal dual pair; u^c is also the
+    largest potential on atoms that nu does not charge, which makes
+    <u^c, nu' - nu> the one-sided derivative of the cost in direction
+    nu' - nu wherever the optimal potentials are unique.
+    """
     if mu.dim == 1:
-        cost = _wasserstein_1d_pow(
-            a.atoms[:, 0], np.array(a.weights), b.atoms[:, 0], np.array(b.weights), p
-        )
-        return cost ** (1.0 / p)
-    diff = a.atoms[:, None, :] - b.atoms[None, :, :]
-    cost = np.linalg.norm(diff, axis=2) ** p
-    val = transport_cost(a.weights, b.weights, cost).value
-    return max(val, 0.0) ** (1.0 / p)
+        x, y = mu.atoms[:, 0].tolist(), nu.atoms[:, 0].tolist()
+        cost, arcs = _quantile_coupling(x, mu.weights.tolist(), y, nu.weights.tolist(), p)
+        return cost, np.array(_staircase_potentials(x, y, arcs, p)) if potential else None
+    diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
+    plan = transport_cost(mu.weights, nu.weights, np.linalg.norm(diff, axis=2) ** p)
+    return plan.value, plan.u if potential else None
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +526,9 @@ def adapted_wasserstein_p(mu: PathMeasure, nu: PathMeasure, p: float = 1.0) -> f
 def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """l1 distance of weight vectors after aligning on the union of supports.
 
-    One merge of both atom sets carries the two weight vectors as separate
-    columns, so each atom's weights are summed exactly as ``merged()`` sums
-    them and equal measures give exactly 0.
+    One merge of both (canonical) atom sets carries the two weight vectors
+    as separate columns, so every weight is carried over exactly and equal
+    measures give exactly 0.
     """
     if mu.dim != nu.dim:
         raise DomainError(f"dimension mismatch {mu.dim} != {nu.dim}")
@@ -605,14 +653,13 @@ def wasserstein2_barycenter_1d(measures: list[DiscreteMeasure], weights) -> Disc
     for m in measures:
         if m.dim != 1:
             raise UnsupportedError("barycenters are only supported on the real line")
-    merged = [m.merged() for m in measures]
     cuts = {0.0, 1.0}
-    for m in merged:
+    for m in measures:
         c = np.cumsum(m.weights)
         cuts.update(float(v) for v in c[:-1])
     grid = sorted(cuts)
     quantiles = []
-    for m in merged:
+    for m in measures:
         xs = m.atoms[:, 0]
         cum = np.cumsum(m.weights)
         quantiles.append((xs, cum))
@@ -627,5 +674,4 @@ def wasserstein2_barycenter_1d(measures: list[DiscreteMeasure], weights) -> Disc
             val += wn * xs[idx]
         atoms.append([val])
         masses.append(hi - lo)
-    out = DiscreteMeasure(np.array(atoms), np.array(masses) / np.sum(masses))
-    return out.merged()
+    return DiscreteMeasure(np.array(atoms), np.array(masses) / np.sum(masses))

@@ -46,6 +46,7 @@ from .metrics import (
     project_simplex,
     spd_log,
     sym_exp,
+    transport_potential,
     wasserstein2_barycenter_1d,
     wasserstein_p,
 )
@@ -151,7 +152,14 @@ class QasSpace:
         raise NotImplementedError
 
     # -- attention -----------------------------------------------------------
-    def attention(self, u, codes: Sequence[QuantizationCode]):
+    def attention(self, u, codes: Sequence[QuantizationCode], images: Sequence | None = None):
+        """eta(project_simplex(u), [quantize(c) for c in codes]).
+
+        At a simplex vertex e_i the result is the image of ``codes[i]``
+        itself, with no mixing arithmetic.  ``images``, when given, must
+        hold those images already (a model whose codes are fixed quantizes
+        them once), and is used instead of quantizing again.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.size != len(codes):
             raise DomainError(f"logit count {u.size} != code count {len(codes)}")
@@ -161,8 +169,35 @@ class QasSpace:
         w = project_simplex(u)
         i = _is_basis_vector(w)
         if i is not None:
-            return self.quantize(codes[i])
-        return self.mix(w, [self.quantize(c) for c in codes])
+            return self.quantize(codes[i]) if images is None else images[i]
+        if images is None:
+            images = [self.quantize(c) for c in codes]
+        return self.mix(w, images)
+
+    def mixing_loss_grad(self, y, w, points, exponent: float,
+                         fd_step: float = 1e-5) -> tuple[float, np.ndarray]:
+        """The loss d(y, eta(w, points))^exponent and its weight gradient.
+
+        A weight vector is renormalized before it is mixed, so entry i of
+        the gradient is the derivative along e_i - w.  This default takes
+        central finite differences of step ``fd_step``, one-sided where
+        the step would leave the simplex: 2K + 1 mixes and distances for
+        K points.  Variants with a closed form override it.
+        """
+
+        def dist_of_w(wv):
+            mixed = self.mix(wv / wv.sum(), points)
+            return self.distance(y, mixed) ** exponent
+
+        base = dist_of_w(w)
+        gw = np.zeros(w.size)
+        for i in range(w.size):
+            wp = w.copy()
+            wp[i] += fd_step
+            wm = np.maximum(w.copy(), 0.0)
+            wm[i] = max(wm[i] - fd_step, 0.0)
+            gw[i] = (dist_of_w(wp) - dist_of_w(wm)) / (fd_step + (w[i] - wm[i]))
+        return base, gw
 
     def simplicial_defect(self, w, points: list) -> float:
         """min_i [ C_eta (sum_j d(y_i,y_j)^p w_j)^(1/p) - d(eta(w,Y), y_i) ].
@@ -276,6 +311,35 @@ class WassersteinConvex(QasSpace):
             return wasserstein2_barycenter_1d(points, w)
         return mixture(points, w)
 
+    def mixing_loss_grad(self, y, w, points, exponent: float,
+                         fd_step: float = 1e-5) -> tuple[float, np.ndarray]:
+        """Envelope gradient of the loss W_p(y, m)^exponent at the convex
+        mixture m = sum_n w_n mu_n (Cuturi & Doucet, ICML 2014).
+
+        One optimal transport from y to m gives C = W_p(y, m)^p and a
+        potential u on y's atoms (``metrics.transport_potential``); its
+        c-transform phi is an optimal potential on every anchor atom, and
+        d/dt C(m + t (mu_i - m)) = <phi, mu_i - m>.  The chain rule turns
+        this into the derivative of C^(exponent/p).  At y = m the loss
+        attains its minimum 0, where zero is a subgradient.  Barycentric
+        mixing keeps the finite differences.
+        """
+        if self.barycentric_mixing:
+            return super().mixing_loss_grad(y, w, points, exponent, fd_step)
+        mixed = self.mix(w / w.sum(), points)
+        if y.equal_as_measure(mixed):
+            return 0.0, np.zeros(w.size)
+        cost, u = transport_potential(y, mixed, self.p)
+        atoms = np.concatenate([mu.atoms for mu in points])
+        ground = np.linalg.norm(atoms[:, None, :] - y.atoms[None, :, :], axis=2) ** self.p
+        phi = (ground - u).min(axis=1)
+        starts = np.cumsum([0] + [len(mu) for mu in points[:-1]])
+        weights = np.concatenate([mu.weights for mu in points])
+        per_point = np.add.reduceat(weights * phi, starts)
+        dcost = per_point - float(w @ per_point) / float(w.sum())
+        ratio = exponent / self.p
+        return (cost ** (1.0 / self.p)) ** exponent, ratio * cost ** (ratio - 1.0) * dcost
+
     def code_length(self, q: int) -> int:
         return self.d * q
 
@@ -284,7 +348,7 @@ class WassersteinConvex(QasSpace):
         if self.bounds is not None:
             lo, hi = self.bounds
             atoms = np.clip(atoms, np.asarray(lo, float), np.asarray(hi, float))
-        return DiscreteMeasure.uniform(atoms).merged()
+        return DiscreteMeasure.uniform(atoms)
 
     def _encode_impl(self, y, q: int) -> QuantizationCode:
         if self.d == 1:

@@ -10,7 +10,8 @@ Besides evaluation, this module provides two fit procedures:
   the quantization error of the target value there.
 * ``fit_static_end2end`` refines encoder logits by gradient descent on
   the output-space loss, differentiating through the simplex projection
-  on its active set (ties resolved to the sorted-threshold branch).
+  on its active set (ties resolved to the sorted-threshold branch) and
+  through the mixing distance by the space's ``mixing_loss_grad``.
 
 The complexity calculators evaluate the model-size bound formulas row by
 row; they are pure formula evaluations and bitwise reproducible.  The
@@ -47,16 +48,26 @@ from .spaces import QasSpace, QuantizationCode
 # the model
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GeometricTransformer:
+    """Encoder network plus geometric attention over fixed codes.
+
+    Frozen: the codes are quantized once, at construction, into
+    ``images``, and every evaluation attends over those images.
+    """
+
     space: QasSpace
     md: MultiIndex
     activation: ActivationSpec
     theta: np.ndarray
-    codes: list[QuantizationCode]
+    codes: tuple[QuantizationCode, ...]
+    images: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
+        theta = np.array(self.theta, dtype=float)
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "codes", tuple(self.codes))
         if self.md.out_dim != len(self.codes):
             raise DomainError(
                 f"encoder output width {self.md.out_dim} != code count {len(self.codes)}"
@@ -67,6 +78,7 @@ class GeometricTransformer:
         for c in self.codes:
             if c.z.size != self.space.code_length(c.q):
                 raise DomainError("invalid code length for the space")
+        object.__setattr__(self, "images", tuple(self.space.quantize(c) for c in self.codes))
 
     @property
     def n_anchors(self) -> int:
@@ -80,7 +92,7 @@ class GeometricTransformer:
         return forward(self.md, self.activation, self.theta, x)
 
     def __call__(self, x):
-        return self.space.attention(self.logits(x), self.codes)
+        return self.space.attention(self.logits(x), self.codes, self.images)
 
     def to_json(self) -> dict:
         return {
@@ -359,8 +371,11 @@ def fit_static_end2end(
 
     The loss is sum_x d_Y(f(x), gt(x))^p.  Gradients flow analytically
     through the network, analytically through the simplex projection on
-    its active set, and by central finite differences through the mixing
-    distance as a function of the simplex weights.  Requires a smooth or
+    its active set, and through the mixing distance as a function of the
+    simplex weights by the space's ``mixing_loss_grad``: for the
+    Wasserstein space with convex mixing that is the envelope gradient
+    from one optimal transport's dual potentials, elsewhere central
+    finite differences (config["fd_step"]).  Requires a smooth or
     classical activation; codes stay fixed (they come from the
     constructive stage or from config["codes"]).
     """
@@ -389,10 +404,11 @@ def fit_static_end2end(
             "warm_train", {"lr": 0.3, "epochs": 2000, "seed": tc.seed, "train_alpha": False}
         )
         gt0, _ = fit_static_constructive(f, xs, space, budget, base_cfg)
-        codes = gt0.codes
+        codes, points = gt0.codes, gt0.images
         if config.get("warm_start", True):
             warm_theta, warm_md = gt0.theta, gt0.md
-    points = [space.quantize(c) for c in codes]
+    else:
+        points = tuple(space.quantize(c) for c in codes)
     targets = [f(x) for x in xs]
     n_logits = len(codes)
 
@@ -416,20 +432,7 @@ def fit_static_end2end(
 
     def sample_loss_and_logit_grad(x, y):
         u = forward(md, spec, theta, x)
-        w = project_simplex(u)
-
-        def dist_of_w(wv):
-            mixed = space.mix(wv / wv.sum(), points)
-            return space.distance(y, mixed) ** p
-
-        base = dist_of_w(w)
-        gw = np.zeros(n_logits)
-        for i in range(n_logits):
-            wp = w.copy()
-            wp[i] += h_fd
-            wm = np.maximum(w.copy(), 0.0)
-            wm[i] = max(wm[i] - h_fd, 0.0)
-            gw[i] = (dist_of_w(wp) - dist_of_w(wm)) / (h_fd + (w[i] - wm[i]))
+        base, gw = space.mixing_loss_grad(y, project_simplex(u), points, p, h_fd)
         gu = _simplex_projection_jacobian(u).T @ gw
         return base, u, gu
 

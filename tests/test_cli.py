@@ -123,6 +123,12 @@ class TestMetric:
         _, out8 = run(tmp_path, "metric", cfg8, name="c8.json")
         assert (out8 / "distances.csv").read_bytes() == data1
 
+    @pytest.mark.parametrize("threads", [0, -1, "2", 1.5, True])
+    def test_threads_must_be_a_positive_integer(self, tmp_path, threads):
+        cfg = {"inputs": [dirac_json(0.0), dirac_json(1.0)], "threads": threads}
+        code, _ = run(tmp_path, "metric", cfg)
+        assert code == 2
+
 
 class TestComplexity:
     BASE = {"n": 2, "alpha": 1.0, "L_f": 1.0, "diam": 1.0, "kappa": 2.0,

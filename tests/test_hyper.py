@@ -1,5 +1,7 @@
 """Tests for the dynamic model: schedule, evaluation, and the fit pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,26 @@ class TestSchedule:
         assert np.array_equal(theta_unroll(ght, -2), t_m2)
         assert np.array_equal(theta_unroll(ght, -1), t_m1)
         assert np.array_equal(theta_unroll(ght, 0), t_0)
+
+    def test_long_horizon_unrolls_without_recursion(self):
+        # 4000 replay steps; a replay that recursed once per step would hit
+        # the interpreter's recursion limit
+        ght = toy_ght(horizon=2000, hyper="shift", delta=2.0**-12)
+        theta = theta_unroll(ght, 2000)
+        assert np.array_equal(theta, ght.theta_init + 4000 * 2.0**-12)
+        assert np.array_equal(theta_unroll(ght, 1999), ght.theta_init + 3999 * 2.0**-12)
+
+    def test_model_is_frozen(self):
+        ght = toy_ght(horizon=2, hyper="shift", delta=0.5)
+        before = theta_unroll(ght, 2)
+        P = param_count(ght.encoder_md)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ght.hyper_theta = shift_hyper(P, 1.0)[1]
+        with pytest.raises(ValueError):
+            ght.hyper_theta[-1] = 1.0
+        with pytest.raises(ValueError):
+            ght.theta_init[0] = 1.0
+        assert np.array_equal(theta_unroll(ght, 2), before)
 
 
 class TestGhtEval:

@@ -16,6 +16,7 @@ from qasnets.metrics import (
     spd_distance,
     total_variation,
     transport_cost,
+    transport_potential,
     wasserstein2_barycenter_1d,
     wasserstein_p,
 )
@@ -250,6 +251,48 @@ def binary_tree_measure(root, branches, probs):
     """Two-step paths (root fixed, one branch step)."""
     paths = [[root, b] for b in branches]
     return PathMeasure.from_paths(np.array(paths), np.array(probs))
+
+
+class TestTransportPotential:
+    """The potential u and its c-transform close the duality gap."""
+
+    @staticmethod
+    def dual_gap(mu, nu, p):
+        cost, u = transport_potential(mu, nu, p)
+        ground = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2) ** p
+        phi = (ground - u[:, None]).min(axis=0)  # the c-transform: feasible by construction
+        return cost, cost - (mu.weights @ u + nu.weights @ phi)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_random_measures(self, dim, p):
+        rng = np.random.default_rng(80 + dim)
+        for _ in range(25):
+            mu = random_measure(rng, 3, dim)
+            nu = random_measure(rng, 3, dim)
+            cost, gap = self.dual_gap(mu, nu, p)
+            want = wasserstein_oracle(mu.atoms, mu.weights, nu.atoms, nu.weights, p) ** p
+            assert cost == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert abs(gap) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(5, 5), (2, 4), (4, 2), (1, 3), (3, 1)])
+    def test_degenerate_staircases(self, sizes):
+        # uniform weights whose cumulative sums meet: both lines of the
+        # coupling run out together, so the staircase needs joining arcs
+        rng = np.random.default_rng(sum(sizes))
+        for p in (1.0, 2.0):
+            mu = DiscreteMeasure.uniform(rng.normal(size=(sizes[0], 1)))
+            nu = DiscreteMeasure.uniform(rng.normal(size=(sizes[1], 1)))
+            _, gap = self.dual_gap(mu, nu, p)
+            assert abs(gap) <= 1e-12
+
+    def test_value_matches_wasserstein_p(self):
+        rng = np.random.default_rng(9)
+        for dim in (1, 2):
+            mu, nu = random_measure(rng, 5, dim), random_measure(rng, 5, dim)
+            cost, u = transport_potential(mu, nu, 2.0, potential=False)
+            assert u is None
+            assert cost ** 0.5 == wasserstein_p(mu, nu, 2.0)
 
 
 class TestAdaptedWasserstein:

@@ -8,6 +8,7 @@ from qasnets.measures import DiscreteMeasure, GaussianMeasure, PathMeasure
 from qasnets.metrics import wasserstein_p
 from qasnets.spaces import (
     AdaptedEmpirical,
+    QasSpace,
     ExponentialFamily,
     ForwardRateRkhs,
     GaussianSpd,
@@ -120,6 +121,59 @@ class TestAttentionIdentity:
             codes = [QuantizationCode(rng.normal(scale=3, size=3), 1) for _ in range(4)]
             out = space.attention(rng.normal(size=4), codes)
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+
+class TestMixingLossGrad:
+    """The envelope gradient of the Wasserstein space against the central
+    finite differences of the base class (one-sided at zero weights).
+
+    Continuous random draws put the weight points off the kinks of the
+    loss almost surely; the finite-difference step is small so that the
+    one-sided differences at zero weights are accurate to about 1e-7.
+    """
+
+    @staticmethod
+    def problem(rng, d, anchors=5, atoms=4):
+        points = [DiscreteMeasure(rng.normal(size=(atoms, d)), rng.dirichlet(np.ones(atoms)))
+                  for _ in range(anchors)]
+        y = DiscreteMeasure(rng.normal(size=(3, d)), rng.dirichlet(np.ones(3)))
+        w = rng.dirichlet(np.ones(anchors))
+        w[[1, anchors - 1]] = 0.0  # inactive coordinates
+        return y, w / w.sum(), points
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("exponent", [1.0, 2.0])
+    def test_matches_finite_differences(self, d, p, exponent):
+        rng = RNG(int(70 + 10 * d + 3 * p + exponent))
+        space = w_space(d, p)
+        for _ in range(3):
+            y, w, points = self.problem(rng, d)
+            loss, grad = space.mixing_loss_grad(y, w, points, exponent)
+            fd_loss, fd_grad = QasSpace.mixing_loss_grad(space, y, w, points, exponent, 1e-7)
+            assert loss == fd_loss
+            np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-6)
+            assert np.abs(grad).max() > 1e-3
+
+    def test_barycentric_mixing_keeps_finite_differences(self):
+        rng = RNG(6)
+        space = WassersteinConvex(d=1, p=2.0, q_exponent=3.0, barycentric_mixing=True)
+        y, w, points = self.problem(rng, 1)
+        got = space.mixing_loss_grad(y, w, points, 2.0)
+        want = QasSpace.mixing_loss_grad(space, y, w, points, 2.0)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    def test_zero_subgradient_where_target_equals_mixture(self):
+        # the loss is 0 at w and nonnegative everywhere: a minimum
+        space = w_space(1, 1.0)
+        points = [DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0),
+                  DiscreteMeasure.dirac(3.0)]
+        y = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
+        w = np.array([0.5, 0.5, 0.0])
+        loss, grad = space.mixing_loss_grad(y, w, points, 1.0)
+        assert loss == 0.0 and np.array_equal(grad, np.zeros(3))
+        _, fd = QasSpace.mixing_loss_grad(space, y, w, points, 1.0)
+        assert fd[2] > 0.0  # moving mass to the unused anchor only adds loss
 
 
 class TestMixing:

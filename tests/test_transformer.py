@@ -1,5 +1,6 @@
 """Tests for the static model, its fit procedures, and the calculators."""
 
+import dataclasses
 import json
 import math
 
@@ -73,6 +74,27 @@ class TestGtEval:
         for _ in range(100):
             x = rng.normal(size=2)
             assert space.distance(gt(x), gt2(x)) == 0.0
+
+    def test_codes_are_quantized_once(self, monkeypatch):
+        calls = []
+        real = WassersteinConvex._quantize_impl
+        monkeypatch.setattr(WassersteinConvex, "_quantize_impl",
+                            lambda self, code: calls.append(code) or real(self, code))
+        space = w1_space()
+        codes = [QuantizationCode([float(i), float(i) + 0.5], 2) for i in range(3)]
+        md = MultiIndex((1, 3))
+        theta = np.zeros(6)
+        theta[5] = 1.0  # logits (0, 0, 1): the vertex e_3
+        gt = GeometricTransformer(space, md, SINGULAR, theta, codes)
+        assert len(calls) == 3
+        assert gt([0.7]) is gt.images[2]
+        mixed = GeometricTransformer(space, md, SINGULAR, zero_theta(md), codes)
+        assert len(calls) == 6
+        out = mixed([0.3])
+        assert len(calls) == 6
+        assert out.equal_as_measure(space.attention(np.zeros(3), codes))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gt.theta = zero_theta(md)
 
     def test_code_count_mismatch(self):
         space = w1_space()
@@ -213,6 +235,32 @@ class TestFitEnd2End:
         with pytest.raises(UnsupportedError):
             fit_static_end2end(symmetric_pair_target, np.zeros((2, 1)), w1_space(),
                                {"N": 2, "q": 1}, {"activation": "singular"})
+
+    def test_one_transport_per_sample_and_epoch(self, monkeypatch):
+        from qasnets import spaces
+
+        counts = {"transport": 0, "distance": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spaces, "transport_potential",
+                            counting("transport", spaces.transport_potential))
+        monkeypatch.setattr(spaces, "wasserstein_p", counting("distance", spaces.wasserstein_p))
+        xs = np.linspace(0.1, 1, 7).reshape(-1, 1)
+        codes = [QuantizationCode([-v, v], 2) for v in (0.2, 0.5, 0.9)]
+        gt, rep = fit_static_end2end(
+            symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
+            {"codes": codes, "activation": "smooth", "hidden": 4,
+             "train": {"lr": 0.1, "epochs": 4, "seed": 0}},
+        )
+        # one transport per sample and epoch for the gradient; the only
+        # distances are the final sup-error evaluations
+        assert counts["transport"] == rep.extras["epochs_run"] * len(xs)
+        assert counts["distance"] == len(xs)
 
     def test_toy_reaches_moderate_error(self):
         space = w1_space()
