@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, FitFailure, UnsupportedError
+from .errors import DomainError, FitFailure, QuantizationSearchError, UnsupportedError
 from .measures import DiscreteMeasure, measure_from_json
 from .metrics import adapted_wasserstein_p, gaussian_distance, total_variation, wasserstein_p
 from .dynamics import (
@@ -441,10 +441,13 @@ def cmd_paths(runner: Runner, base: Path):
 
     t0 = time.perf_counter()
     paths = euler_simulate(alpha_fn, beta_fn, np.asarray(x0, float), grid, n_paths, seed)
+    t1 = time.perf_counter()
     envelope = fit_exponential_envelope(paths, eps)
+    t2 = time.perf_counter()
     reports = [path_membership(envelope, p) for p in paths]
     inside = sum(r.member for r in reports)
-    runner.wall["simulate_and_fit"] = time.perf_counter() - t0
+    runner.wall.update(simulate=t1 - t0, envelope_fit=t2 - t1,
+                       membership=time.perf_counter() - t2)
 
     summary = {
         "n_paths": n_paths,
@@ -517,7 +520,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FitFailure, UnsupportedError, ArithmeticError) as exc:
+    except (FitFailure, QuantizationSearchError, UnsupportedError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

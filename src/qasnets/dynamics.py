@@ -17,15 +17,16 @@ Beyond the data types, this module provides
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
 
 from .errors import DomainError, OutOfWindowError, UnsupportedError
-from .measures import DiscreteMeasure, PathMeasure
+from .measures import DiscreteMeasure, PathMeasure, mid_quantile_levels
 from .metrics import convergent_power_sum
 
 
@@ -249,6 +250,7 @@ class KExp:
     delta_minus: float
 
     tag: str = field(default="kexp", init=False)
+    _envelopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.eps <= 1:
@@ -257,12 +259,16 @@ class KExp:
             raise DomainError("C0, Cstar, delta_minus must be positive")
 
     def envelope(self, n: int) -> float:
+        """The bound at index n, memoized: a membership sweep over many
+        paths computes it once per index."""
         if n == 0:
             return self.C0
-        cn = float(self.Cn(n))
-        return (self.Cstar / math.sqrt(self.eps)) * math.sqrt(cn) * math.exp(
-            -n * cn * self.delta_minus / 2.0
-        )
+        if n not in self._envelopes:
+            cn = float(self.Cn(n))
+            self._envelopes[n] = (self.Cstar / math.sqrt(self.eps)) * math.sqrt(cn) * math.exp(
+                -n * cn * self.delta_minus / 2.0
+            )
+        return self._envelopes[n]
 
 
 @dataclass
@@ -276,6 +282,16 @@ class MembershipReport:
         return [(int(i), float(s)) for i, s in self.slacks]
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, bit for bit ``np.linalg.norm(row)``.
+
+    ``norm`` of a vector is sqrt(x . x); the stacked (1, d) @ (d, 1)
+    product runs the same dot kernel on each row, where an elementwise
+    sum of squares could round differently for d > 1.
+    """
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+
+
 def path_membership(spec, path: PathWindow) -> MembershipReport:
     """Evaluate the class-defining inequalities over the stored window.
 
@@ -286,27 +302,28 @@ def path_membership(spec, path: PathWindow) -> MembershipReport:
     if isinstance(spec, KZ):
         for n in range(path.first_index, path.last_index + 1):
             slacks.append((n, -spec.K.distance(path.at(n))))
-    elif isinstance(spec, KInf):
+    elif isinstance(spec, (KInf, KAlpha)):
         slacks.append((0, -spec.K.distance(path.at(0))))
-        for n in range(path.first_index + 1, path.last_index + 1):
-            dx = float(np.linalg.norm(path.at(n) - path.at(n - 1)))
-            dt = path.grid.time_at(n) - path.grid.time_at(n - 1)
-            slacks.append((n, spec.C * abs(dt) - dx**spec.p))
-    elif isinstance(spec, KAlpha):
-        slacks.append((0, -spec.K.distance(path.at(0))))
-        total = 0.0
-        for n in range(path.first_index + 1, path.last_index + 1):
-            dx = float(np.linalg.norm(path.at(n) - path.at(n - 1)))
-            dt = path.grid.time_at(n) - path.grid.time_at(n - 1)
-            total += dx**spec.p / (abs(dt) * max(1.0, abs(n)) ** spec.alpha)
-        slacks.append((path.last_index, spec.C - total))
+        steps = range(path.first_index + 1, path.last_index + 1)
+        zero = path.grid.zero_index
+        dxs = _row_norms(np.diff(path.values, axis=0)).tolist()
+        dts = np.diff(path.grid.times[path.first_index + zero : path.last_index + zero + 1])
+        if isinstance(spec, KInf):
+            slacks.extend((n, spec.C * abs(dt) - dx**spec.p)
+                          for n, dx, dt in zip(steps, dxs, dts.tolist()))
+        else:
+            total = 0.0
+            for n, dx, dt in zip(steps, dxs, dts.tolist()):
+                total += dx**spec.p / (abs(dt) * max(1.0, abs(n)) ** spec.alpha)
+            slacks.append((path.last_index, spec.C - total))
     elif isinstance(spec, KW):
         for n in range(path.first_index, path.last_index + 1):
             slacks.append((n, spec.w(abs(n)) - spec.K.distance(path.at(n))))
     elif isinstance(spec, KExp):
-        for n in range(max(path.first_index, 0), path.last_index + 1):
-            bound = spec.envelope(n)
-            slacks.append((n, bound - float(np.linalg.norm(path.at(n)))))
+        first = max(path.first_index, 0)
+        norms = _row_norms(path.segment(first, path.last_index)).tolist()
+        slacks = [(n, spec.envelope(n) - r)
+                  for n, r in zip(range(first, path.last_index + 1), norms)]
     else:
         raise DomainError(f"unknown path class {type(spec).__name__}")
     worst_index, worst = min(slacks, key=lambda t: t[1])
@@ -352,6 +369,23 @@ def eval_finite_complexity(fc_map: FiniteComplexityMap, path: PathWindow, n: int
     return fc_map.evaluate(path, n)
 
 
+@functools.lru_cache(maxsize=64)
+def _normal_axis(k: int) -> np.ndarray:
+    """Read-only standard normal quantiles at the k mid-quantile levels."""
+    axis = norm.ppf(mid_quantile_levels(k))
+    axis.setflags(write=False)
+    return axis
+
+
+@functools.lru_cache(maxsize=64)
+def _normal_grid(k: int, d: int) -> np.ndarray:
+    """Read-only (k^d, d) product grid of ``_normal_axis(k)``."""
+    grids = np.meshgrid(*([_normal_axis(k)] * d), indexing="ij")
+    u = np.stack([g.reshape(-1) for g in grids], axis=1)
+    u.setflags(write=False)
+    return u
+
+
 def gaussian_quantile_cloud(mean: np.ndarray, scale: np.ndarray, k: int) -> np.ndarray:
     """Push the k-per-dimension standard normal mid-quantile grid through
     the affine map u -> mean + scale @ u.
@@ -359,12 +393,7 @@ def gaussian_quantile_cloud(mean: np.ndarray, scale: np.ndarray, k: int) -> np.n
     Degenerate scale directions collapse the grid, so singular diffusion
     yields a lower-dimensional (possibly single-atom) cloud.
     """
-    d = mean.shape[0]
-    probs = (2.0 * np.arange(1, k + 1) - 1.0) / (2.0 * k)
-    axis = norm.ppf(probs)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    u = np.stack([g.reshape(-1) for g in grids], axis=1)  # (k^d, d)
-    return mean + u @ scale.T
+    return mean + _normal_grid(k, mean.shape[0]) @ scale.T
 
 
 def sde_kernel_map(mu: Callable, sigma: Callable, delta: float, nu: DiscreteMeasure,
@@ -435,8 +464,7 @@ def sde_two_step_adapted(mu: Callable, sigma: Callable, m: int, first_points: in
         if abs(s0) < 1e-300:
             first = np.array([mu0])
         else:
-            probs = (2.0 * np.arange(1, first_points + 1) - 1.0) / (2.0 * first_points)
-            first = mu0 + s0 * norm.ppf(probs)
+            first = mu0 + s0 * _normal_axis(first_points)
         paths = []
         weights = []
         w1 = 1.0 / len(first)
@@ -450,8 +478,7 @@ def sde_two_step_adapted(mu: Callable, sigma: Callable, m: int, first_points: in
             if abs(s2) < 1e-300:
                 second = np.array([m2])
             else:
-                pr = (2.0 * np.arange(1, cond_points + 1) - 1.0) / (2.0 * cond_points)
-                second = m2 + s2 * norm.ppf(pr)
+                second = m2 + s2 * _normal_axis(cond_points)
             for x2 in second:
                 paths.append([x1, x2])
                 weights.append(w1 / len(second))
@@ -502,11 +529,6 @@ def infinite_memory_truncation(M: Callable, Sigma: Callable, kernel: Callable[[i
 # compression rates
 # ---------------------------------------------------------------------------
 
-def holder_composition(L_rho: float, L_f: float, alpha: float, u: float) -> float:
-    """omega_rho(omega_f(u)) with both moduli in Holder form L * x^alpha."""
-    return L_rho * (L_f * u**alpha) ** alpha
-
-
 def compression_rate(spec, n: int, eps: float, L_rho: float, L_f: float, alpha: float,
                      m_eps4: int, d: int, delta_plus: float, N_T: int,
                      diam_K: float | None = None, time_homogeneous: bool = False) -> float:
@@ -549,48 +571,80 @@ def compression_rate(spec, n: int, eps: float, L_rho: float, L_f: float, alpha: 
     return max(1.0, (4.0 / eps) * L_rho * L_f**alpha * arg ** (alpha * alpha))
 
 
-def compression_rate_table(spec, params: dict, indices: Sequence[int]) -> list[tuple[int, float]]:
-    return [(int(n), compression_rate(spec, int(n), **params)) for n in indices]
-
-
 # ---------------------------------------------------------------------------
 # Euler-Maruyama simulation
 # ---------------------------------------------------------------------------
+
+def _stacked_diffusion(diff, n_paths: int, dim: int) -> np.ndarray:
+    """Diffusion as a shared (dim, r) matrix or an (n_paths, dim, r) stack.
+
+    A (1, 1) matrix with dim > 1 stands for that multiple of the identity.
+    """
+    diff = np.atleast_2d(np.asarray(diff, float))
+    if diff.shape[-2:] == (1, 1) and dim > 1:
+        diff = np.eye(dim) * diff[..., :1, :1]
+    if diff.shape[:-1] not in ((dim,), (n_paths, dim)):
+        raise DomainError(
+            f"diffusion has shape {diff.shape}; expected ({dim}, r) or ({n_paths}, {dim}, r)"
+        )
+    return diff
+
 
 def euler_simulate(alpha_fn: Callable, beta_fn: Callable, x0_spec, grid: TimeGrid,
                    n_paths: int, seed: int, dim: int = 1) -> list[PathWindow]:
     """Seeded Euler-Maruyama paths over the full grid window.
 
+    All paths advance together: at each step the coefficients are called
+    once, as alpha_fn(t, X) and beta_fn(t, X), on the stacked states X of
+    shape (n_paths, dim).  The drift must broadcast to (n_paths, dim), one
+    row per path.  The diffusion is one (dim, r) matrix shared by every
+    path, or an (n_paths, dim, r) stack of per-path matrices; a (1, 1)
+    matrix stands for that multiple of the identity, and r must not change
+    between steps.
+
     Each path uses an independent substream derived from (seed, path
-    index), so results do not depend on scheduling order.  The initial
-    state is placed at the leftmost grid time; x0_spec is a constant
-    vector or {"kind": "gaussian", "mean": ..., "std": ...}.
+    index), so path i does not depend on n_paths or on evaluation order:
+    it draws its initial state first (for a Gaussian start), then its
+    whole (steps, r) noise block.  The initial state is placed at the
+    leftmost grid time; x0_spec is a constant vector or
+    {"kind": "gaussian", "mean": ..., "std": ...}.
     """
-    lo, hi = grid.index_range
+    if n_paths <= 0:
+        return []
     times = grid.times
-    out = []
-    for i in range(n_paths):
-        rng = np.random.default_rng([seed, i])
-        if isinstance(x0_spec, dict):
-            if x0_spec.get("kind") == "gaussian":
-                x = np.asarray(x0_spec["mean"], float) + float(x0_spec["std"]) * rng.normal(size=dim)
-            else:
-                raise DomainError(f"unknown initial-state spec {x0_spec.get('kind')!r}")
-        else:
-            x = np.broadcast_to(np.asarray(x0_spec, float), (dim,)).copy()
-        values = np.empty((len(times), dim))
-        values[0] = x
-        for j in range(1, len(times)):
-            t_prev = times[j - 1]
-            dt = times[j] - times[j - 1]
-            drift = np.atleast_1d(np.asarray(alpha_fn(t_prev, values[j - 1]), float))
-            diff = np.atleast_2d(np.asarray(beta_fn(t_prev, values[j - 1]), float))
-            if diff.shape == (1, 1) and dim > 1:
-                diff = np.eye(dim) * diff[0, 0]
-            noise = rng.normal(size=diff.shape[1])
-            values[j] = values[j - 1] + drift * dt + math.sqrt(dt) * diff @ noise
-        out.append(PathWindow(grid, values, lo))
-    return out
+    steps = len(times) - 1
+    streams = (np.random.default_rng([seed, i]) for i in range(n_paths))
+    if isinstance(x0_spec, dict):
+        if x0_spec.get("kind") != "gaussian":
+            raise DomainError(f"unknown initial-state spec {x0_spec.get('kind')!r}")
+        streams = list(streams)  # each stream draws its start before its noise
+        draws = np.array([rng.normal(size=dim) for rng in streams])
+        state = np.asarray(x0_spec["mean"], float) + float(x0_spec["std"]) * draws
+    else:
+        state = np.broadcast_to(np.asarray(x0_spec, float), (n_paths, dim)).copy()
+    values = np.empty((n_paths, steps + 1, dim))
+    values[:, 0] = state
+    noise = None
+    for j in range(1, steps + 1):
+        t_prev = times[j - 1]
+        dt = times[j] - times[j - 1]
+        drift = np.asarray(alpha_fn(t_prev, state), float)
+        diff = _stacked_diffusion(beta_fn(t_prev, state), n_paths, dim)
+        if noise is None:
+            noise = np.empty((steps, n_paths, diff.shape[-1]))
+            for i, rng in enumerate(streams):
+                noise[:, i] = rng.normal(size=(steps, diff.shape[-1]))
+        elif diff.shape[-1] != noise.shape[-1]:
+            raise DomainError("the diffusion's column count must not change between steps")
+        # (sqrt(dt) S) @ z per path, the same matrix-vector kernel call as
+        # for a single path, so each path's values match it bit for bit
+        kick = np.matmul(math.sqrt(dt) * diff, noise[j - 1][:, :, None])[:, :, 0]
+        state = state + drift * dt + kick
+        if state.shape != (n_paths, dim):
+            raise DomainError(f"drift of shape {drift.shape} does not give one state per path")
+        values[:, j] = state
+    lo = grid.index_range[0]
+    return [PathWindow(grid, v, lo) for v in values]
 
 
 def fit_exponential_envelope(paths: list[PathWindow], eps: float,
@@ -610,9 +664,7 @@ def fit_exponential_envelope(paths: list[PathWindow], eps: float,
     delta_minus = grid.delta_minus
     n_max = min(p.last_index for p in paths)
     steps = n_max + 1
-    norms = np.array([
-        [float(np.linalg.norm(p.at(n))) for n in range(0, n_max + 1)] for p in paths
-    ])
+    norms = _row_norms(np.stack([p.segment(0, n_max) for p in paths]))
     m2 = np.mean(norms**2, axis=0)
     # a tiny floor keeps the constants solvable for degenerate (all-zero) data
     targets = np.maximum(np.sqrt(m2 * steps / eps), 1e-9)

@@ -188,15 +188,12 @@ def normalized_error(
     are plain sup distances whenever the other factors are 1 there).
     """
     lam = 8.0 / eps if lam is None else lam
-    space = ght.decoder.space
     n_lo = max(p.first_index for p in paths) + ght.memory
     n_hi = min(p.last_index for p in paths)
     rows = []
     worst = 0.0
     for n in range(n_lo, n_hi + 1):
-        raw = 0.0
-        for p in paths:
-            raw = max(raw, space.distance(target_eval(target, p, n, eps), ght_eval(ght, p, n)))
+        raw = _sup_distance(target, ght, paths, n, eps)
         denom = max(float(c_ac(n, eps)), float(c_rate(n)))
         if abs(n) > N_T:
             denom = max(denom, self_compression(ght, paths, N_T, lam, n))
@@ -210,6 +207,15 @@ def target_eval(target, path: PathWindow, n: int, eps: float):
     if isinstance(target, AcMapSpec):
         return target.at(eps).evaluate(path, n)
     return target.evaluate(path, n)
+
+
+def _sup_distance(target, ght: Ght, paths: Sequence[PathWindow], n: int, eps: float) -> float:
+    """sup over paths of d_Y(target at n, model at n)."""
+    space = ght.decoder.space
+    raw = 0.0
+    for p in paths:
+        raw = max(raw, space.distance(target_eval(target, p, n, eps), ght_eval(ght, p, n)))
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +457,18 @@ def fit_dynamic(
         stored_thetas={n: t for n, t in zip(steps, thetas)},
     )
 
-    per_step = []
-    worst = 0.0
-    for n in steps:
-        raw = 0.0
-        for p in paths:
-            raw = max(raw, space.distance(target_eval(target, p, n, eps), ght_eval(ght, p, n)))
-        per_step.append((n, raw))
-        worst = max(worst, raw)
-
     normalized = None
     if "c_rate" in config:
         c_ac = target.c_ac if isinstance(target, AcMapSpec) else constant_compression
         normalized = normalized_error(target, ght, paths, c_ac, config["c_rate"],
                                       N_T, eps)
+        # the coverage check puts every step inside the normalized window,
+        # so its rows already hold the per-step sup distances
+        raw_at = {row["n"]: row["raw_error"] for row in normalized["rows"]}
+        per_step = [(n, raw_at[n]) for n in steps]
+    else:
+        per_step = [(n, _sup_distance(target, ght, paths, n, eps)) for n in steps]
+    worst = max(raw for _, raw in per_step)
 
     report = DynamicFitReport(
         within_window_error=worst,

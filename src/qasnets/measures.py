@@ -29,6 +29,11 @@ from .errors import DomainError
 WEIGHT_SUM_TOL = 1e-12
 
 
+def mid_quantile_levels(k: int) -> np.ndarray:
+    """The k mid-quantile probabilities (2i - 1) / (2k), i = 1..k."""
+    return (2.0 * np.arange(1, k + 1) - 1.0) / (2.0 * k)
+
+
 def validate_simplex_weight(entries: np.ndarray, tol: float = WEIGHT_SUM_TOL) -> np.ndarray:
     """Check that ``entries`` is a point of the simplex and return it as an array.
 

@@ -36,6 +36,7 @@ from .measures import (
     DiscreteMeasure,
     GaussianMeasure,
     PathMeasure,
+    mid_quantile_levels,
     mixture,
     validate_simplex_weight,
 )
@@ -357,8 +358,7 @@ class WassersteinConvex(QasSpace):
             order = np.argsort(xs, kind="stable")
             xs = xs[order]
             cum = np.cumsum(y.weights[order])
-            probs = (2.0 * np.arange(1, q + 1) - 1.0) / (2.0 * q)
-            idx = np.searchsorted(cum, probs, side="left")
+            idx = np.searchsorted(cum, mid_quantile_levels(q), side="left")
             idx = np.minimum(idx, len(xs) - 1)
             z = xs[idx]
             return QuantizationCode(z, q)

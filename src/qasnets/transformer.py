@@ -116,10 +116,6 @@ class GeometricTransformer:
         )
 
 
-def gt_eval(gt: GeometricTransformer, x):
-    return gt(x)
-
-
 # ---------------------------------------------------------------------------
 # farthest-point nets
 # ---------------------------------------------------------------------------
@@ -227,10 +223,10 @@ class FitReport:
         }
 
 
-def _sup_error(space, f, xs, gt):
+def _sup_error(space, targets, xs, gt):
     worst = 0.0
-    for x in xs:
-        worst = max(worst, space.distance(f(x), gt(x)))
+    for y, x in zip(targets, xs):
+        worst = max(worst, space.distance(y, gt(x)))
     return worst
 
 
@@ -265,11 +261,11 @@ def fit_static_constructive(
 
     idx, radius = farthest_point_net(xs, n_budget)
     centers = xs[idx]
-    values = [f(x) for x in centers]
+    targets = [f(x) for x in xs]
     codes = []
     qerrs = []
-    for y in values:
-        code, err = space.encode_point(y, q)
+    for i in idx:
+        code, err = space.encode_point(targets[i], q)
         codes.append(code)
         qerrs.append(err)
 
@@ -295,17 +291,19 @@ def fit_static_constructive(
     gt = GeometricTransformer(space, md, spec, theta, codes)
 
     # classification defect: distance between the model output and the
-    # nearest-center code image it should have selected
+    # nearest-center code image it should have selected; the same output
+    # gives the sup error
     labels = nearest_center_labels(xs, centers)
     defect = 0.0
-    for x, lab in zip(xs, labels):
-        defect = max(defect, space.distance(gt(x), space.quantize(codes[lab])))
-
-    sup = _sup_error(space, f, xs, gt)
+    sup = 0.0
+    for x, y, lab in zip(xs, targets, labels):
+        out = gt(x)
+        defect = max(defect, space.distance(out, gt.images[lab]))
+        sup = max(sup, space.distance(y, out))
     alpha = float(config.get("holder_exponent", 1.0))
     lip = config.get("lipschitz")
     if lip is None:
-        lip = _estimate_lipschitz(space, f, xs, alpha)
+        lip = _estimate_lipschitz(space, targets, xs, alpha)
     bound = lip * radius**alpha + max(qerrs) + defect
     report = FitReport(
         sup_error=sup,
@@ -321,7 +319,7 @@ def fit_static_constructive(
     return gt, report
 
 
-def _estimate_lipschitz(space, f, xs, alpha, max_pairs=200):
+def _estimate_lipschitz(space, targets, xs, alpha, max_pairs=200):
     rng = np.random.default_rng(0)
     n = len(xs)
     if n < 2:
@@ -334,7 +332,7 @@ def _estimate_lipschitz(space, f, xs, alpha, max_pairs=200):
             continue
         dx = float(np.linalg.norm(xs[i] - xs[j])) ** alpha
         if dx > 1e-12:
-            best = max(best, space.distance(f(xs[i]), f(xs[j])) / dx)
+            best = max(best, space.distance(targets[i], targets[j]) / dx)
     return best
 
 
@@ -460,7 +458,7 @@ def fit_static_end2end(
     theta = best_theta
 
     gt = GeometricTransformer(space, md, spec, theta, list(codes))
-    sup = _sup_error(space, f, xs, gt)
+    sup = _sup_error(space, targets, xs, gt)
     report = FitReport(
         sup_error=sup,
         center_indices=[],

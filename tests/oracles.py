@@ -212,3 +212,36 @@ def relu_reference_forward(x, layers):
         h = np.maximum(W @ h + b, 0.0)
     A, c = layers[-1]
     return A @ h + c
+
+
+def euler_reference(alpha_fn, beta_fn, x0_spec, times, n_paths: int, seed: int,
+                    dim: int = 1) -> list[np.ndarray]:
+    """Euler-Maruyama one path at a time, one noise draw per step.
+
+    Path i uses the substream default_rng([seed, i]) and calls the
+    coefficients on its own (dim,) state; a (1, 1) diffusion with dim > 1
+    stands for that multiple of the identity.  Returns each path's
+    (len(times), dim) values.
+    """
+    import math
+
+    out = []
+    for i in range(n_paths):
+        rng = np.random.default_rng([seed, i])
+        if isinstance(x0_spec, dict):
+            x = np.asarray(x0_spec["mean"], float) + float(x0_spec["std"]) * rng.normal(size=dim)
+        else:
+            x = np.broadcast_to(np.asarray(x0_spec, float), (dim,)).copy()
+        values = np.empty((len(times), dim))
+        values[0] = x
+        for j in range(1, len(times)):
+            t_prev = times[j - 1]
+            dt = times[j] - times[j - 1]
+            drift = np.atleast_1d(np.asarray(alpha_fn(t_prev, values[j - 1]), float))
+            diff = np.atleast_2d(np.asarray(beta_fn(t_prev, values[j - 1]), float))
+            if diff.shape == (1, 1) and dim > 1:
+                diff = np.eye(dim) * diff[0, 0]
+            noise = rng.normal(size=diff.shape[1])
+            values[j] = values[j - 1] + drift * dt + math.sqrt(dt) * diff @ noise
+        out.append(values)
+    return out

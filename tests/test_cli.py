@@ -99,6 +99,19 @@ class TestMetric:
         assert code == 3
         assert "did not terminate" in capsys.readouterr().err
 
+    def test_quantization_search_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        from qasnets import cli
+        from qasnets.errors import QuantizationSearchError
+
+        def capped(runner, base):
+            raise QuantizationSearchError(7, 0.25, 8)
+
+        monkeypatch.setitem(cli.COMMANDS, "metric", capped)
+        code, _ = run(tmp_path, "metric", {"inputs": [dirac_json(0.0), dirac_json(1.0)]})
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "capped at q=8" in err
+
     def test_rerun_is_bitwise_identical(self, tmp_path):
         cfg = {"seed": 3, "inputs": [dirac_json(0.0), dirac_json(1.0), dirac_json(2.5)]}
         _, out1 = run(tmp_path, "metric", cfg)
@@ -246,6 +259,13 @@ class TestPaths:
         assert len(rows) == 1 + 200 * 16
         cls = read_csv(out / "class_membership.csv")
         assert cls[0][0] == "class"
+
+    def test_manifest_times_each_stage(self, tmp_path):
+        cfg = {"seed": 2, "sde": {"kind": "ou"}, "n_paths": 10, "steps": 4, "eps": 0.2}
+        code, out = run(tmp_path, "paths", cfg)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["wall_times_s"]) == ["envelope_fit", "membership", "simulate"]
 
     def test_paths_reproducible(self, tmp_path):
         cfg = {"seed": 3, "sde": {"kind": "ou"}, "n_paths": 20, "steps": 8, "eps": 0.2}

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from oracles import euler_reference
+from qasnets import dynamics
 from qasnets.errors import DomainError, OutOfWindowError
 from qasnets.measures import DiscreteMeasure
 from qasnets.metrics import convergent_power_sum, wasserstein_p
@@ -109,6 +111,40 @@ class TestMembership:
         want = (2.0 / 0.5) * math.sqrt(0.5) * math.exp(-1 * 0.5 * 1.0 / 2)
         assert spec.envelope(1) == pytest.approx(want)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_rowwise_formulas_bitwise(self, dim):
+        # the window-wide norms must reproduce the per-index formulas exactly
+        g = grid_validate([-1.5, -0.4, 0.0, 0.3, 1.1, 2.0, 3.7])
+        vals = np.random.default_rng(dim).normal(size=(7, dim))
+        path = PathWindow(g, vals, -2)
+        box = BoxSet(-np.ones(dim), np.ones(dim))
+        dxs = {n: float(np.linalg.norm(path.at(n) - path.at(n - 1))) for n in range(-1, 5)}
+        dts = {n: g.time_at(n) - g.time_at(n - 1) for n in range(-1, 5)}
+
+        kinf = KInf(box, 0.7, 1.5)
+        want = [(0, -box.distance(path.at(0)))]
+        want += [(n, 0.7 * abs(dts[n]) - dxs[n] ** 1.5) for n in range(-1, 5)]
+        assert path_membership(kinf, path).slacks == want
+
+        kalpha = KAlpha(box, 3.0, 2.0, -1.5)
+        total = 0.0
+        for n in range(-1, 5):
+            total += dxs[n] ** 2.0 / (abs(dts[n]) * max(1.0, abs(n)) ** -1.5)
+        want = [(0, -box.distance(path.at(0))), (4, 3.0 - total)]
+        assert path_membership(kalpha, path).slacks == want
+
+        kexp = KExp(C0=1.0, Cstar=2.0, Cn=lambda n: 0.5 / n, eps=0.25, delta_minus=0.3)
+        want = [(n, kexp.envelope(n) - float(np.linalg.norm(path.at(n)))) for n in range(0, 5)]
+        assert path_membership(kexp, path).slacks == want
+
+    def test_kexp_bound_computed_once_per_index(self):
+        calls = []
+        spec = KExp(C0=1.0, Cstar=2.0, Cn=lambda n: calls.append(n) or 0.5, eps=0.25,
+                    delta_minus=1.0)
+        for v in (0.1, -0.2, 0.3):
+            path_membership(spec, constant_path(v, n_past=2, n_future=4))
+        assert sorted(calls) == [1, 2, 3, 4]
+
     def test_kalpha_requires_convergent_weighting(self):
         box = BoxSet([-1.0], [1.0])
         with pytest.raises(DomainError):
@@ -187,6 +223,23 @@ class TestFiniteComplexityMaps:
         outs = [fc.evaluate(path, n) for n in range(-3, 4)]
         for o in outs[1:]:
             assert wasserstein_p(outs[0], o, 1) == 0.0
+
+    def test_two_step_decoder_reads_cached_quantiles(self, monkeypatch):
+        fc = sde_two_step_adapted(lambda t, x: -0.5 * x, lambda t, x: 0.4, m=3,
+                                  first_points=5, cond_points=7)
+        path = constant_path(0.3)
+        first = fc.evaluate(path, 0)
+        axis = norm.ppf((2 * np.arange(1, 8) - 1) / 14.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("norm.ppf called again for a cached level count")
+
+        monkeypatch.setattr(dynamics.norm, "ppf", refuse)
+        again = fc.evaluate(path, 0)
+        np.testing.assert_array_equal(again.base.atoms, first.base.atoms)
+        cloud = dynamics.gaussian_quantile_cloud(np.zeros(1), np.eye(1), 7)
+        np.testing.assert_array_equal(cloud[:, 0], axis)
+        assert not dynamics._normal_axis(7).flags.writeable
 
     def test_insufficient_history(self):
         fc = infinite_memory_truncation(
@@ -360,6 +413,67 @@ class TestEuler:
             incs = np.diff(p.values[:, 0])
             want = np.array([rng.normal(size=1)[0] for _ in range(5)])
             np.testing.assert_allclose(incs, want, atol=1e-12)
+
+    COEFFICIENTS = {
+        # name: (drift on stacked states, diffusion on stacked states,
+        #        the same diffusion for one path, x0, dim)
+        "constant_x0": (lambda t, x: -x, lambda t, x: 0.5 * np.eye(1), None, np.ones(1), 1),
+        "gaussian_x0": (lambda t, x: 0.1 * np.sin(t + x), lambda t, x: np.full((1, 1), 0.3),
+                        None, {"kind": "gaussian", "mean": [0.2], "std": 0.7}, 1),
+        "zero_sde": (lambda t, x: 0.0 * x, lambda t, x: 0.0 * np.eye(1), None, np.zeros(1), 1),
+        "dim2_broadcast": (lambda t, x: -0.5 * x, lambda t, x: 0.3 * np.eye(1), None,
+                           np.array([1.0, -2.0]), 2),
+        "dim2_gaussian_full": (lambda t, x: 0.3 - x, lambda t, x: np.array([[0.3, -0.2],
+                                                                           [0.1, 0.45]]),
+                               None, {"kind": "gaussian", "mean": [0.1, 0.2], "std": 1.3}, 2),
+        "dim2_three_noises": (lambda t, x: -x, lambda t, x: np.array([[0.7, 0.2, -0.3],
+                                                                      [0.05, 0.4, 0.6]]),
+                              None, np.array([0.5, 0.5]), 2),
+        "per_path_stack": (lambda t, x: -x, lambda t, x: 0.2 * np.abs(x)[:, :, None] + 0.1,
+                           lambda t, x: 0.2 * np.abs(x)[:, None] + 0.1, np.ones(1), 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COEFFICIENTS))
+    def test_matches_per_path_reference_bitwise(self, case):
+        alpha, beta, beta_one, x0, dim = self.COEFFICIENTS[case]
+        g = grid_validate([-0.6, -0.25, 0.0, 0.37, 0.74, 1.5, 2.0, 3.25])
+        got = euler_simulate(alpha, beta, x0, g, 23, seed=5, dim=dim)
+        want = euler_reference(alpha, beta_one or beta, x0, g.times, 23, seed=5, dim=dim)
+        assert len(got) == len(want)
+        for p, w in zip(got, want):
+            assert p.offset == -2 and p.values.shape == w.shape
+            assert p.values.tobytes() == w.tobytes()  # signed zeros included
+
+    def test_path_prefix_independent_of_n_paths(self):
+        g = uniform_grid(0, 6)
+        x0 = {"kind": "gaussian", "mean": [0.0], "std": 1.0}
+        few = euler_simulate(lambda t, x: -x, lambda t, x: 0.5 * np.eye(1), x0, g, 4, seed=9)
+        many = euler_simulate(lambda t, x: -x, lambda t, x: 0.5 * np.eye(1), x0, g, 31, seed=9)
+        for a, b in zip(few, many):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_coefficients_called_once_per_step_on_stacked_states(self):
+        shapes = []
+
+        def drift(t, x):
+            shapes.append(x.shape)
+            return -x
+
+        g = uniform_grid(0, 5)
+        euler_simulate(drift, lambda t, x: np.eye(2), np.zeros(2), g, 7, seed=0, dim=2)
+        assert shapes == [(7, 2)] * 5
+
+    def test_bad_coefficient_shapes_rejected(self):
+        g = uniform_grid(0, 3)
+        with pytest.raises(DomainError):  # a (3, 3) diffusion for 2-D states
+            euler_simulate(lambda t, x: -x, lambda t, x: np.eye(3), np.zeros(2), g, 4, 0, dim=2)
+        with pytest.raises(DomainError):  # one drift per path, not per state row
+            euler_simulate(lambda t, x: -x[:, 0], lambda t, x: np.eye(1), np.zeros(1), g, 4, 0)
+        widths = iter([1, 2, 2])
+        with pytest.raises(DomainError):  # the noise width changes between steps
+            euler_simulate(lambda t, x: -x, lambda t, x: np.ones((1, next(widths))),
+                           np.zeros(1), g, 4, 0)
+        assert euler_simulate(lambda t, x: -x, lambda t, x: np.eye(1), np.zeros(1), g, 0, 0) == []
 
     def test_deterministic_per_seed(self):
         g = uniform_grid(0, 4)

@@ -8,8 +8,10 @@ import pytest
 from qasnets.errors import DomainError
 from qasnets.measures import DiscreteMeasure
 from qasnets.metrics import wasserstein_p
+from qasnets import hyper
 from qasnets.dynamics import (
     BoxSet,
+    FiniteComplexityMap,
     KZ,
     PathWindow,
     compression_rate,
@@ -323,6 +325,41 @@ class TestFitDynamic:
         for row in report.normalized["rows"]:
             assert row["denominator"] >= 1.0
             assert row["normalized"] <= row["raw_error"] + 1e-15
+
+    @pytest.mark.parametrize("with_c_rate", [False, True])
+    def test_each_distance_evaluated_once(self, monkeypatch, with_c_rate):
+        space = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)
+        target = sin_drift_target(k=16)
+        paths = self.make_paths(n_vals=5, N_T=3)
+        config = {"grid_points": 9, "domain_lo": -1.0, "domain_hi": 1.0,
+                  "decoder_anchors": 16, "decoder_level": 16}
+        if with_c_rate:
+            box = BoxSet([-1.0], [1.0])
+            config["c_rate"] = lambda n: compression_rate(
+                KZ(box), n, eps=0.4, L_rho=1.0, L_f=1.1, alpha=1.0,
+                m_eps4=0, d=1, delta_plus=1.0, N_T=3,
+            )
+        target_calls, model_calls = [], []
+        real_evaluate, real_ght_eval = FiniteComplexityMap.evaluate, hyper.ght_eval
+
+        def evaluate(self, path, n):
+            target_calls.append((id(path), n))
+            return real_evaluate(self, path, n)
+
+        def ght_eval(ght, path, n):
+            model_calls.append((id(path), n))
+            return real_ght_eval(ght, path, n)
+
+        monkeypatch.setattr(FiniteComplexityMap, "evaluate", evaluate)
+        monkeypatch.setattr(hyper, "ght_eval", ght_eval)
+        _, report = fit_dynamic(target, paths, N_T=3, space=space, eps=0.4, config=config)
+        want = sorted((id(p), n) for p in paths for n in range(-3, 4))
+        assert sorted(target_calls) == want
+        assert sorted(model_calls) == want
+        assert [n for n, _ in report.per_step_errors] == list(range(-3, 4))
+        if with_c_rate:
+            raw = {row["n"]: row["raw_error"] for row in report.normalized["rows"]}
+            assert report.per_step_errors == [(n, raw[n]) for n in range(-3, 4)]
 
     def test_constant_target_needs_perturbation(self):
         space = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)

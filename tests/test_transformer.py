@@ -176,6 +176,26 @@ class TestFitConstructive:
             err = space.distance(symmetric_pair_target(xs[i]), gt(xs[i]))
             assert err == pytest.approx(rep.quantization_errors[rank], abs=1e-12)
 
+    def test_quantizes_only_the_code_images(self, monkeypatch):
+        space = w1_space()
+        xs = np.linspace(0.0, 1.0, 65).reshape(-1, 1)
+        calls, evaluated = [], []
+        real = WassersteinConvex.quantize
+        monkeypatch.setattr(WassersteinConvex, "quantize",
+                            lambda self, code: calls.append(code) or real(self, code))
+
+        def target(x):
+            evaluated.append(float(x[0]))
+            return symmetric_pair_target(x)
+
+        gt, rep = fit_static_constructive(target, xs, space, {"N": 6, "q": 2})
+        # one quantization per code when encoding it, one for the model's images
+        assert len(calls) == 2 * len(gt.codes)
+        assert all(any(c is code for code in gt.codes) for c in calls)
+        # the target is evaluated once per training input, Lipschitz pairs included
+        assert sorted(evaluated) == sorted(xs[:, 0].tolist())
+        assert rep.sup_error <= rep.error_bound
+
     def test_net_separation(self):
         rng = np.random.default_rng(10)
         xs = rng.normal(size=(80, 2))
