@@ -4,9 +4,9 @@ Subcommands: metric | complexity | static-fit | dynamic-fit | paths.
 Every run reads a JSON config (unknown keys rejected), writes CSV/JSON
 outputs plus a manifest, and is bitwise reproducible for a fixed config
 and seed.  Runs are serial: the ``threads`` key is still accepted, and
-``metric`` checks that it is a positive integer, but it does not change
-how a command runs (the transport kernel is pure Python and holds the
-interpreter lock, so a thread pool only added overhead).
+every command checks that it is a positive integer, but it does not
+change how a command runs (the transport kernel is pure Python and holds
+the interpreter lock, so a thread pool only added overhead).
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -42,6 +43,7 @@ from .dynamics import (
     uniform_grid,
 )
 from .hyper import fit_dynamic
+from .networks import TrainConfig
 from .spaces import WassersteinConvex, space_from_json
 from .transformer import (
     ComplexityReport,
@@ -56,7 +58,12 @@ class ConfigError(ValueError):
     pass
 
 
+TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+
+
 def _require_keys(obj: dict, allowed: set, context: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys in {context}: {sorted(unknown)}")
@@ -158,9 +165,6 @@ def cmd_metric(runner: Runner, base: Path):
     if len(kinds) != 1:
         raise ConfigError(f"all measures must share one kind, got {sorted(kinds)}")
     p = float(cfg.get("p", 1.0))
-    threads = cfg.get("threads", 1)
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     pairs = [(i, j) for i in range(len(measures)) for j in range(i + 1, len(measures))]
 
     kind = kinds.pop()
@@ -280,6 +284,8 @@ def cmd_static_fit(runner: Runner, base: Path):
     xs = fixed_xs if fixed_xs is not None else np.linspace(0.0, 1.0, n_pts).reshape(-1, 1)
     fit_cfg = dict(cfg.get("fit", {}))
     _require_keys(fit_cfg, STATIC_FIT_KEYS, "static-fit.fit")
+    _require_keys(fit_cfg.get("train", {}), TRAIN_KEYS, "static-fit.fit.train")
+    _require_keys(fit_cfg.get("warm_train", {}), TRAIN_KEYS, "static-fit.fit.warm_train")
     uses_rng = mode == "end2end" or fit_cfg.get("activation", "singular") != "singular"
     if uses_rng and "seed" not in cfg:
         raise ConfigError("randomized fits require an explicit seed")
@@ -354,6 +360,7 @@ def cmd_dynamic_fit(runner: Runner, base: Path):
     n_eval = int(cfg.get("eval_points", 9))
     fit_cfg = dict(cfg.get("fit", {}))
     _require_keys(fit_cfg, DYNAMIC_FIT_KEYS, "dynamic-fit.fit")
+    _require_keys(fit_cfg.get("train", {}), TRAIN_KEYS, "dynamic-fit.fit.train")
     if "seed" not in cfg:
         raise ConfigError("dynamic fits use seeded projections; an explicit seed is required")
     fit_cfg.setdefault("seed", int(cfg["seed"]))
@@ -514,6 +521,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
             raw = json.dumps(config, sort_keys=True).encode()
+        threads = config.get("threads", 1)
+        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+            raise ConfigError(f"threads must be a positive integer, got {threads!r}")
         runner = Runner(config, Path(args.out), args.strict, raw)
         COMMANDS[args.command](runner, config_path.parent)
         runner.finish()

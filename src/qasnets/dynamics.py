@@ -347,22 +347,19 @@ class FiniteComplexityMap:
     alpha: float
     encoder: Callable[[float, np.ndarray], np.ndarray]
     decoder: Callable[[np.ndarray], object]
-    time_homogeneous: bool = False
     meta: dict = field(default_factory=dict)
 
     def evaluate(self, path: PathWindow, n: int):
+        return self.decoder(self.latent(path, n))
+
+    def latent(self, path: PathWindow, n: int) -> np.ndarray:
         window = path.segment(n - self.memory, n)
-        t = path.grid.time_at(n)
-        latent = np.atleast_1d(np.asarray(self.encoder(t, window), float))
+        latent = np.atleast_1d(np.asarray(self.encoder(path.grid.time_at(n), window), float))
         if latent.shape != (self.latent_dim,):
             raise DomainError(
                 f"encoder produced shape {latent.shape}, expected ({self.latent_dim},)"
             )
-        return self.decoder(latent)
-
-    def latent(self, path: PathWindow, n: int) -> np.ndarray:
-        window = path.segment(n - self.memory, n)
-        return np.atleast_1d(np.asarray(self.encoder(path.grid.time_at(n), window), float))
+        return latent
 
 
 def eval_finite_complexity(fc_map: FiniteComplexityMap, path: PathWindow, n: int):
@@ -424,7 +421,7 @@ def sde_kernel_map(mu: Callable, sigma: Callable, delta: float, nu: DiscreteMeas
 
     return FiniteComplexityMap(
         memory=0, latent_dim=d + d * d, alpha=1.0, encoder=encoder, decoder=decoder,
-        time_homogeneous=False, meta={"kind": "sde_kernel", "delta": delta, "k": k},
+        meta={"kind": "sde_kernel", "delta": delta, "k": k},
     )
 
 

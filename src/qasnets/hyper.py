@@ -39,6 +39,7 @@ from .networks import (
     forward,
     memorize_sequence,
     param_count,
+    slope_increments,
 )
 from .spaces import QasSpace
 from .transformer import GeometricTransformer, fit_static_constructive
@@ -244,10 +245,7 @@ def grid_interpolation_encoder(knots: np.ndarray, values: np.ndarray) -> tuple[M
     n_hidden = G - 1
     w1 = np.ones((n_hidden, 1))
     b1 = -knots[:-1]
-    gaps = np.diff(knots)
-    slopes = (values[1:] - values[:-1]) / gaps[:, None]  # (G-1, L)
-    betas = np.vstack([slopes[:1], slopes[1:] - slopes[:-1]])  # (G-1, L)
-    w_out = betas.T  # (L, G-1)
+    w_out = slope_increments(knots, values).T  # (L, G-1)
     c_out = values[0].copy()
     md = MultiIndex((1, n_hidden, L))
     layers = [

@@ -2,7 +2,8 @@
 
 Everything here is a pure function of immutable values:
 
-* Euclidean projections onto the probability simplex and onto boxes.
+* Euclidean projections onto the probability simplex and onto boxes, and
+  greedy farthest-point traversal of a point cloud.
 * Wasserstein-p between discrete measures, solved exactly -- in one
   dimension by the sorted quantile coupling, in general by one
   transportation (network) simplex that returns a vertex plan together
@@ -70,6 +71,24 @@ def project_cube(u, lower, upper) -> np.ndarray:
     if np.any(lo > hi):
         raise DomainError("lower bound exceeds upper bound")
     return np.minimum(np.maximum(lo, u), hi)
+
+
+def farthest_point_order(points: np.ndarray, first: int, count: int) -> tuple[list[int], np.ndarray]:
+    """Greedy farthest-point traversal of the rows of ``points`` from row
+    ``first``: each next index is the point farthest from those chosen
+    (lowest index on ties).  Stops after ``count`` indices, or earlier
+    once every point is at distance 0 from a chosen one.
+
+    Returns (chosen indices, each point's distance to its nearest chosen
+    point).
+    """
+    chosen = [first]
+    dist = np.linalg.norm(points - points[first], axis=1)
+    while len(chosen) < count and dist.max() > 0.0:
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    return chosen, dist
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +578,6 @@ def _sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if evals.min() <= 0.0:
         raise DomainError(f"matrix is not positive definite (min eig {evals.min():.3g})")
     return np.maximum(evals, floor), evecs
-
-
-def spd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = _sym_eig(mat)
-    return (evecs * np.sqrt(evals)) @ evecs.T
 
 
 def spd_log(mat: np.ndarray) -> np.ndarray:

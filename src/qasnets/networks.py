@@ -345,12 +345,9 @@ def _forward_with_cache(md, spec, layers, X):
     return hs, zs, out
 
 
-def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y, loss: str = "squared"):
-    """Mean loss over the batch and its analytic gradient in theta.
-
-    ``squared`` is 0.5 * mean |out - y|^2; ``cross_entropy`` treats the
-    outputs as logits against one-hot (or soft) targets.
-    """
+def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y):
+    """Mean squared loss 0.5 * mean |out - y|^2 over the batch and its
+    analytic gradient in theta."""
     if not spec.gradient_trainable:
         raise UnsupportedError(
             "singular activations are not gradient-trainable; use the "
@@ -361,18 +358,9 @@ def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y, loss: str =
     n = X.shape[0]
     layers = decode_params(md, theta)
     hs, zs, out = _forward_with_cache(md, spec, layers, X)
-    if loss == "squared":
-        diff = out - Y
-        value = 0.5 * float(np.mean(np.sum(diff**2, axis=1)))
-        dout = diff / n
-    elif loss == "cross_entropy":
-        shifted = out - out.max(axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-        logp = shifted - logz
-        value = -float(np.mean(np.sum(Y * logp, axis=1)))
-        dout = (np.exp(logp) * Y.sum(axis=1, keepdims=True) - Y) / n
-    else:
-        raise DomainError(f"unknown loss {loss!r}")
+    diff = out - Y
+    value = 0.5 * float(np.mean(np.sum(diff**2, axis=1)))
+    dout = diff / n
 
     grads = [None] * len(layers)
     delta = dout  # n x d_out
@@ -394,12 +382,9 @@ def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y, loss: str =
 class TrainConfig:
     lr: float = 0.05
     epochs: int = 2000
-    batch_size: int = 0      # 0 = full batch
     seed: int = 0
     target_loss: float = 0.0
-    lr_decay: float = 1.0    # multiplicative per epoch (fixed schedule)
     init_scale: float = 0.5
-    loss: str = "squared"
     train_alpha: bool = True
 
 
@@ -435,11 +420,13 @@ def _alpha_mask(md: MultiIndex) -> np.ndarray:
 
 def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: TrainConfig | None = None,
                      theta0=None):
-    """Plain mini-batch gradient descent with a fixed step schedule.
+    """Plain full-batch gradient descent with a fixed step.
 
     Deterministic given the seed.  Returns (theta, history of epoch losses).
     No adaptive optimizers: determinism and a minimal surface matter more
-    here than convergence speed.
+    here than convergence speed.  One ``loss_and_grad`` call per epoch
+    gives both the loss recorded after a step and the gradient of the
+    next step.
     """
     config = config or TrainConfig()
     if not spec.gradient_trainable:
@@ -454,20 +441,13 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
     rng = np.random.default_rng(config.seed)
     theta = init_theta(md, spec, rng, config.init_scale) if theta0 is None else np.array(theta0, float)
     freeze = ~_alpha_mask(md) if not config.train_alpha else None
-    lr = config.lr
     history = []
-    n = len(X)
-    bs = config.batch_size if config.batch_size > 0 else n
-    for epoch in range(config.epochs):
-        order = rng.permutation(n) if bs < n else np.arange(n)
-        for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            _, g = loss_and_grad(md, spec, theta, X[idx], Y[idx], config.loss)
-            if freeze is not None:
-                g = np.where(freeze, g, 0.0)
-            theta = theta - lr * g
-        lr *= config.lr_decay
-        value, _ = loss_and_grad(md, spec, theta, X, Y, config.loss)
+    _, g = loss_and_grad(md, spec, theta, X, Y)
+    for _ in range(config.epochs):
+        if freeze is not None:
+            g = np.where(freeze, g, 0.0)
+        theta = theta - config.lr * g
+        value, g = loss_and_grad(md, spec, theta, X, Y)
         history.append(value)
         if value <= config.target_loss:
             break
@@ -486,6 +466,18 @@ def hypernetwork_size(P: int, n_horizon: int) -> int:
     while 2 * (m // 2) * (m // (4 * P)) < n_horizon:
         m += 1
     return m
+
+
+def slope_increments(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Output weights of the ReLU-bump interpolant through (knots, values).
+
+    ``knots`` is strictly increasing with one row of ``values`` each.  Row
+    0 is the first segment's slope and row k the slope change at knot k,
+    so sum_k row_k relu(x - knot_k) plus ``values[0]`` interpolates
+    exactly from the first knot on.  Shape (len(knots) - 1, value dim).
+    """
+    slopes = (values[1:] - values[:-1]) / np.diff(knots)[:, None]
+    return np.vstack([slopes[:1], slopes[1:] - slopes[:-1]])
 
 
 def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_horizon: int,
@@ -540,9 +532,7 @@ def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_hori
         w_out = np.zeros((P, M))
         c_out = v_sorted[0].copy()
         if n > 1:
-            slopes = (v_sorted[1:] - v_sorted[:-1]) / gaps[:, None]  # (n-1, P)
-            betas = np.vstack([slopes[:1], slopes[1:] - slopes[:-1]])  # (n-1, P)
-            w_out[:, : n - 1] = betas.T
+            w_out[:, : n - 1] = slope_increments(s_sorted, v_sorted).T
 
         md = MultiIndex((P, M, M, P))
         layers = [

@@ -42,6 +42,7 @@ from .measures import (
 )
 from .metrics import (
     adapted_wasserstein_p,
+    farthest_point_order,
     gaussian_distance,
     project_cube,
     project_simplex,
@@ -59,6 +60,16 @@ def _is_basis_vector(w: np.ndarray) -> int | None:
     if hits.size == 1 and np.count_nonzero(w) == 1:
         return int(hits[0])
     return None
+
+
+def _replicate(rows: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
+    """q rows, row i repeated floor(weights[i] q) times plus one for the
+    largest remainders (ties to the lower index), in row order."""
+    counts = np.floor(weights * q).astype(int)
+    rem = weights * q - counts
+    for i in np.argsort(-rem, kind="stable")[: q - counts.sum()]:
+        counts[i] += 1
+    return np.repeat(rows, counts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -353,36 +364,20 @@ class WassersteinConvex(QasSpace):
 
     def _encode_impl(self, y, q: int) -> QuantizationCode:
         if self.d == 1:
-            # q mid-quantile atoms of the empirical quantile function
+            # q mid-quantile atoms of the empirical quantile function (the
+            # atoms are sorted at construction)
             xs = y.atoms[:, 0]
-            order = np.argsort(xs, kind="stable")
-            xs = xs[order]
-            cum = np.cumsum(y.weights[order])
+            cum = np.cumsum(y.weights)
             idx = np.searchsorted(cum, mid_quantile_levels(q), side="left")
             idx = np.minimum(idx, len(xs) - 1)
             z = xs[idx]
             return QuantizationCode(z, q)
         # d >= 2: proportional atom replication when the budget allows it,
-        # greedy k-center snapping otherwise
-        atoms = np.array(y.atoms)
-        if len(atoms) <= q:
-            w = np.array(y.weights)
-            counts = np.floor(w * q).astype(int)
-            rem = w * q - counts
-            for i in np.argsort(-rem, kind="stable")[: q - counts.sum()]:
-                counts[i] += 1
-            reps = np.concatenate(
-                [np.repeat(atoms[i][None], c, axis=0) for i, c in enumerate(counts) if c > 0],
-                axis=0,
-            )
-            return QuantizationCode(reps.reshape(-1), q)
-        chosen = [int(np.argmax(y.weights))]
-        dist = np.linalg.norm(atoms - atoms[chosen[0]], axis=1)
-        while len(chosen) < q:
-            nxt = int(np.argmax(dist))
-            chosen.append(nxt)
-            dist = np.minimum(dist, np.linalg.norm(atoms - atoms[nxt], axis=1))
-        return QuantizationCode(atoms[chosen].reshape(-1), q)
+        # greedy k-center snapping from the heaviest atom otherwise
+        if len(y.atoms) <= q:
+            return QuantizationCode(_replicate(y.atoms, y.weights, q).reshape(-1), q)
+        chosen, _ = farthest_point_order(y.atoms, int(np.argmax(y.weights)), q)
+        return QuantizationCode(y.atoms[chosen].reshape(-1), q)
 
     def nest_code(self, code: QuantizationCode) -> QuantizationCode:
         # duplicate every atom: level 2q, identical uniform measure
@@ -479,22 +474,10 @@ class AdaptedEmpirical(QasSpace):
         return PathMeasure.from_paths(snapped)
 
     def _encode_impl(self, y, q: int) -> QuantizationCode:
-        # replicate stored paths proportionally to weight (largest remainder),
-        # then snap; the snap happens inside quantize as well, so the code
-        # stores the pre-snap representatives
-        paths = np.array(y.paths)
-        w = np.array(y.weights)
-        counts = np.floor(w * q).astype(int)
-        rem = w * q - counts
-        short = q - counts.sum()
-        if short > 0:
-            for i in np.argsort(-rem, kind="stable")[:short]:
-                counts[i] += 1
-        reps = np.concatenate(
-            [np.repeat(paths[i][None], c, axis=0) for i, c in enumerate(counts) if c > 0],
-            axis=0,
-        )
-        return QuantizationCode(reps.reshape(-1), q)
+        # replicate stored paths proportionally to weight, then snap; the
+        # snap happens inside quantize as well, so the code stores the
+        # pre-snap representatives
+        return QuantizationCode(_replicate(y.paths, y.weights, q).reshape(-1), q)
 
     def nest_code(self, code: QuantizationCode) -> QuantizationCode:
         # a refining level q' must (a) be a multiple k*q so uniform weights
@@ -767,15 +750,12 @@ class ExponentialFamily(QasSpace):
     """
 
     d: int
-    statistics: tuple = ()  # optional path functionals F_1..F_d
 
     kind: str = field(default="exponential_family", init=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise DomainError("d must be >= 1")
-        if self.statistics and len(self.statistics) != self.d:
-            raise DomainError("need exactly d statistics when provided")
 
     def distance(self, a, b) -> float:
         a = np.atleast_1d(np.asarray(a, float))
@@ -809,12 +789,6 @@ class ExponentialFamily(QasSpace):
     def nest_code(self, code: QuantizationCode) -> QuantizationCode:
         return QuantizationCode(np.array(code.z), code.q + 1)
 
-    def log_density_shape(self, theta, x) -> float:
-        """Unnormalized log density -sum_k theta_k F_k(x); requires statistics."""
-        if not self.statistics:
-            raise DomainError("no sufficient statistics attached to this family")
-        return -float(sum(t * f(x) for t, f in zip(np.asarray(theta, float), self.statistics)))
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "d": self.d}
 
@@ -830,24 +804,38 @@ class ExponentialFamily(QasSpace):
 # ---------------------------------------------------------------------------
 
 def space_from_json(obj: dict) -> QasSpace:
-    kind = obj.get("kind")
-    if kind == "wasserstein_convex":
-        bounds = obj.get("bounds")
-        if bounds is not None:
-            bounds = (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
-        return WassersteinConvex(
-            d=int(obj["d"]), p=float(obj["p"]), q_exponent=float(obj["q_exponent"]),
-            bounds=bounds, barycentric_mixing=bool(obj.get("barycentric_mixing", False)),
-        )
-    if kind == "adapted_empirical":
-        return AdaptedEmpirical(d=int(obj["d"]), T=int(obj["T"]), p=float(obj["p"]))
-    if kind == "linear_schauder":
-        return LinearSchauder()
-    if kind == "forward_rate_rkhs":
-        return ForwardRateRkhs(alpha=float(obj["alpha"]), knots=obj.get("knots"),
-                               eval_grid=obj.get("eval_grid"))
-    if kind == "gaussian_spd":
-        return GaussianSpd(d=int(obj["d"]))
-    if kind == "exponential_family":
-        return ExponentialFamily(d=int(obj["d"]))
-    raise DomainError(f"unknown space kind {kind!r}")
+    """The space a ``to_json`` object describes.
+
+    A missing key, a value that does not convert to the field's type,
+    or a key the space's ``to_json`` does not write raises ``DomainError``.
+    """
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    space = None
+    try:
+        if kind == "wasserstein_convex":
+            bounds = obj.get("bounds")
+            if bounds is not None:
+                bounds = (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
+            space = WassersteinConvex(
+                d=int(obj["d"]), p=float(obj["p"]), q_exponent=float(obj["q_exponent"]),
+                bounds=bounds, barycentric_mixing=bool(obj.get("barycentric_mixing", False)),
+            )
+        elif kind == "adapted_empirical":
+            space = AdaptedEmpirical(d=int(obj["d"]), T=int(obj["T"]), p=float(obj["p"]))
+        elif kind == "linear_schauder":
+            space = LinearSchauder()
+        elif kind == "forward_rate_rkhs":
+            space = ForwardRateRkhs(alpha=float(obj["alpha"]), knots=obj.get("knots"),
+                                    eval_grid=obj.get("eval_grid"))
+        elif kind == "gaussian_spd":
+            space = GaussianSpd(d=int(obj["d"]))
+        elif kind == "exponential_family":
+            space = ExponentialFamily(d=int(obj["d"]))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DomainError(f"malformed {kind} space: {exc!r}") from exc
+    if space is None:
+        raise DomainError(f"unknown space kind {kind!r}")
+    unknown = set(obj) - set(space.to_json())
+    if unknown:
+        raise DomainError(f"unknown keys in the {kind} space: {sorted(unknown)}")
+    return space

@@ -40,7 +40,7 @@ from .networks import (
     loss_and_grad,
     train_regression,
 )
-from .metrics import project_simplex
+from .metrics import farthest_point_order, project_simplex
 from .spaces import QasSpace, QuantizationCode
 
 
@@ -129,14 +129,8 @@ def farthest_point_net(points: np.ndarray, n_max: int) -> tuple[list[int], float
     keeps the separation >= radius/2 required of a proper net.
     """
     points = np.atleast_2d(np.asarray(points, float))
-    n = len(points)
     seed = int(np.lexsort(points.T[::-1])[0])
-    chosen = [seed]
-    dist = np.linalg.norm(points - points[seed], axis=1)
-    while len(chosen) < min(n_max, n) and dist.max() > 0.0:
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    chosen, dist = farthest_point_order(points, seed, min(n_max, len(points)))
     return chosen, float(dist.max())
 
 
@@ -382,7 +376,7 @@ def fit_static_end2end(
     act_kind = config.get("activation", "smooth")
     if act_kind == "singular":
         raise UnsupportedError("end-to-end gradient fitting needs a smooth or classical activation")
-    spec = config.get("activation_spec") or ActivationSpec(act_kind)
+    spec = ActivationSpec(act_kind)
     xs = np.atleast_2d(np.asarray(train_x, float))
     n_budget = int(budget["N"])
     q = int(budget["q"])
@@ -425,7 +419,6 @@ def fit_static_end2end(
 
     p = float(config.get("loss_exponent", getattr(space, "p", 2.0)))
     h_fd = float(config.get("fd_step", 1e-5))
-    lr = tc.lr
     history = []
 
     def sample_loss_and_logit_grad(x, y):
@@ -452,8 +445,7 @@ def fit_static_end2end(
             best_loss, best_theta = history[-1], np.array(theta)
         if best_loss <= tc.target_loss:
             break
-        theta = theta - lr * grad / n
-        lr *= tc.lr_decay
+        theta = theta - tc.lr * grad / n
     # the final update can overshoot; keep the best-loss iterate
     theta = best_theta
 
@@ -556,6 +548,33 @@ def ln_anchor_count(alpha, L_f, diam, kappa, C_eta, c, eps_A) -> float:
     return math.log(kappa) * math.ceil(inner / alpha)
 
 
+def _complexity_rows(activation: str, n: int, m: float, inputs: dict, D) -> tuple[float, float, float]:
+    """(depth, width, parameter count) of the feedforward bounds with m
+    blocks; the static transformer's rows are these at m = N - 1.  ``D``
+    is the singular row's depth parameter."""
+    if activation == "singular":
+        W = float(inputs["W"])
+        depth = m * (1 + (2**6 * n * D + 3))
+        width = n * (m - 1) + max(n, 5 * W + 13)
+        params = ((11.0 / 4.0) * n**2 * m**2 - 1) * m \
+            * max(n + 3, 5 * W + 16) ** 2 * (2**6 * n * D + 4)
+    elif activation == "smooth":
+        et = float(inputs["eps_tilde"])
+        L_f = float(inputs["L_f"])
+        alpha = float(inputs["alpha"])
+        grow = et ** (-2 * n / alpha) * L_f ** (2 * n / alpha) * (1 + n / 4) ** (2 * n / alpha)
+        depth = m * (1 + grow)
+        width = n * m + 3
+        params = ((11.0 / 4.0) * n**2 * m**2 - 1) * m * (n + 6) ** 2 * (grow**2 + 1)
+    elif activation == "classical":
+        depth = float(inputs["depth"])
+        width = n + m + 2
+        params = (n + m + 2) ** 2 * (depth + 1)
+    else:
+        raise DomainError(f"unknown activation kind {activation!r}")
+    return float(depth), float(width), float(params)
+
+
 def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
     """Model-size bounds of the static transformer, row by row.
 
@@ -569,36 +588,20 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
                            inputs["C_eta"], inputs["c"], inputs["eps_A"])
     N = max(1.0, math.ceil(math.exp(ln_n) - 1e-12))
     implicit = {}
+    D = None
     if activation == "singular":
-        W = float(inputs["W"])
         D = inputs.get("D")
         if D is None:
-            D = _solve_implicit_depth_parameter(inputs["eps_A"], W, n, alpha, n_anchors=N)
+            D = _solve_implicit_depth_parameter(inputs["eps_A"], float(inputs["W"]), n, alpha,
+                                                n_anchors=N)
         implicit["D"] = D
-        depth = (N - 1) * (1 + (2**6 * n * D + 3))
-        width = n * (N - 2) + max(n, 5 * W + 13)
-        params = ((11.0 / 4.0) * n**2 * (N - 1) ** 2 - 1) * (N - 1) \
-            * max(n + 3, 5 * W + 16) ** 2 * (2**6 * n * D + 4)
-    elif activation == "smooth":
-        et = float(inputs["eps_tilde"])
-        L_f = float(inputs["L_f"])
-        grow = et ** (-2 * n / alpha) * L_f ** (2 * n / alpha) * (1 + n / 4) ** (2 * n / alpha)
-        depth = (N - 1) * (1 + grow)
-        width = n * (N - 1) + 3
-        params = ((11.0 / 4.0) * n**2 * (N - 1) ** 2 - 1) * (N - 1) * (n + 6) ** 2 \
-            * (grow**2 + 1)
-    elif activation == "classical":
-        depth = float(inputs["depth"])
-        width = n + N + 1
-        params = (N + n + 1) ** 2 * (depth + 1)
-    else:
-        raise DomainError(f"unknown activation kind {activation!r}")
+    depth, width, params = _complexity_rows(activation, n, N - 1, inputs, D)
     q = inputs.get("q")
     if q is None and "modulus" in inputs and "eps_Q" in inputs:
         q = inputs["modulus"](inputs["eps_Q"])
     return ComplexityReport(
-        activation=activation, depth=float(depth), width=float(width),
-        n_params=float(params), ln_n_anchors=ln_n, n_anchors=N,
+        activation=activation, depth=depth, width=width,
+        n_params=params, ln_n_anchors=ln_n, n_anchors=N,
         level_q=int(q) if q is not None else None, implicit=implicit,
         inputs={k: v for k, v in inputs.items() if not callable(v)},
     )
@@ -617,34 +620,18 @@ def complexity_ffnn(activation: str, inputs: dict) -> ComplexityReport:
     m = int(inputs["m"])
     alpha = float(inputs["alpha"])
     implicit = {}
+    D = None
     if activation == "singular":
-        W = float(inputs["W"])
         D = inputs.get("D")
         if D is None:
-            D = _solve_implicit_depth_parameter(inputs["eps"], W, n, alpha)
+            D = _solve_implicit_depth_parameter(inputs["eps"], float(inputs["W"]), n, alpha)
         implicit["D"] = D
-        depth = m * (1 + (2**6 * n * D + 3))
-        width = n * (m - 1) + max(n, 5 * W + 13)
-        params = ((11.0 / 4.0) * n**2 * m**2 - 1) * m \
-            * max(n + 3, 5 * W + 16) ** 2 * (2**6 * n * D + 4)
-    elif activation == "smooth":
-        et = float(inputs["eps_tilde"])
-        L_f = float(inputs["L_f"])
-        grow = et ** (-2 * n / alpha) * L_f ** (2 * n / alpha) * (1 + n / 4) ** (2 * n / alpha)
-        depth = m * (1 + grow)
-        width = n * m + 3
-        params = ((11.0 / 4.0) * n**2 * m**2 - 1) * m * (n + 6) ** 2 * (grow**2 + 1)
-    elif activation == "classical":
-        depth = float(inputs["depth"])
-        width = n + m + 2
-        params = (n + m + 2) ** 2 * (depth + 1)
-    else:
-        raise DomainError(f"unknown activation kind {activation!r}")
+    depth, width, params = _complexity_rows(activation, n, m, inputs, D)
     if all(k in inputs for k in ("c", "kappa", "diam")):
         implicit["C_K"] = encoder_constant(inputs["c"], m, alpha, inputs["kappa"], inputs["diam"])
     return ComplexityReport(
-        activation=activation, depth=float(depth), width=float(width),
-        n_params=float(params), implicit=implicit,
+        activation=activation, depth=depth, width=width,
+        n_params=params, implicit=implicit,
         inputs={k: v for k, v in inputs.items() if not callable(v)},
     )
 

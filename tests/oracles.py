@@ -245,3 +245,45 @@ def euler_reference(alpha_fn, beta_fn, x0_spec, times, n_paths: int, seed: int,
             values[j] = values[j - 1] + drift * dt + math.sqrt(dt) * diff @ noise
         out.append(values)
     return out
+
+
+def kcenter_code_reference(atoms, weights, q: int) -> np.ndarray:
+    """Greedy k-center snapping of a d >= 2 measure with more than q atoms.
+
+    Starts at the heaviest atom (first on ties) and adds, q - 1 times, the
+    atom farthest from those chosen.  Returns the chosen atoms flattened,
+    the code of ``WassersteinConvex``'s k-center encoder.
+    """
+    atoms = np.array(atoms, float)
+    chosen = [int(np.argmax(weights))]
+    dist = np.linalg.norm(atoms - atoms[chosen[0]], axis=1)
+    while len(chosen) < q:
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(atoms - atoms[nxt], axis=1))
+    return atoms[chosen].reshape(-1)
+
+
+def train_regression_reference(md, spec, X, Y, theta0, lr: float, epochs: int,
+                               target_loss: float = 0.0, frozen=None):
+    """Full-batch gradient descent with two network passes per epoch.
+
+    Each epoch takes the gradient at the current theta (entries where
+    ``frozen`` is set get none), steps, then evaluates the loss at the new
+    theta.  The library's ``loss_and_grad`` supplies both values; what
+    this checks is the loop around it.  Returns (theta, epoch losses).
+    """
+    from qasnets.networks import loss_and_grad
+
+    theta = np.array(theta0, float)
+    history = []
+    for _ in range(epochs):
+        _, g = loss_and_grad(md, spec, theta, X, Y)
+        if frozen is not None:
+            g = np.where(frozen, 0.0, g)
+        theta = theta - lr * g
+        value, _ = loss_and_grad(md, spec, theta, X, Y)
+        history.append(value)
+        if value <= target_loss:
+            break
+    return theta, history

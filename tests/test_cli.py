@@ -1,7 +1,10 @@
 """End-to-end tests of the experiment harness."""
 
 import csv
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +144,44 @@ class TestMetric:
         cfg = {"inputs": [dirac_json(0.0), dirac_json(1.0)], "threads": threads}
         code, _ = run(tmp_path, "metric", cfg)
         assert code == 2
+
+
+class TestMalformedBlocks:
+    """Malformed nested blocks are config errors (exit 2), never tracebacks."""
+
+    STATIC = {"seed": 0, "budgets": {"N": [2], "q": [1]}, "train_points": 9}
+
+    @pytest.mark.parametrize("space, message", [
+        ({"kind": "gaussian_spd"}, "malformed gaussian_spd space: KeyError('d')"),
+        ({"kind": "exponential_family", "d": "x"}, "malformed exponential_family space"),
+        ({"kind": "wasserstein_convex", "d": 1, "p": 1.0, "q_exponent": 2.0, "bogus": 3},
+         "unknown keys in the wasserstein_convex space: ['bogus']"),
+    ])
+    def test_space_block(self, tmp_path, capsys, space, message):
+        code, _ = run(tmp_path, "static-fit", dict(self.STATIC, space=space))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["bogus", "loss", "batch_size", "lr_decay"])
+    def test_static_train_block(self, tmp_path, capsys, key):
+        cfg = dict(self.STATIC, mode="end2end", fit={"train": {key: 1}})
+        code, _ = run(tmp_path, "static-fit", cfg)
+        assert code == 2
+        assert f"unknown config keys in static-fit.fit.train: ['{key}']" in capsys.readouterr().err
+
+    def test_dynamic_train_block(self, tmp_path, capsys):
+        cfg = {"seed": 0, "fit": {"encoder": "gradient", "train": {"nope": 1}}}
+        code, _ = run(tmp_path, "dynamic-fit", cfg)
+        assert code == 2
+        assert "dynamic-fit.fit.train" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["metric", "complexity", "static-fit", "dynamic-fit",
+                                     "paths"])
+def test_every_command_checks_threads(tmp_path, capsys, command):
+    code, _ = run(tmp_path, command, {"seed": 0, "threads": "many"})
+    assert code == 2
+    assert "threads must be a positive integer" in capsys.readouterr().err
 
 
 class TestComplexity:
@@ -303,3 +344,64 @@ class TestSeedOverride:
         h2 = json.loads((out2 / "manifest.json").read_text())["config_sha256"]
         assert code == 0
         assert h1 != h2
+
+
+README_RUN = re.compile(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\nqasnets (\S+) --config \1 --out (\S+)",
+                        re.S)
+WALL_KEYS = {"wall_time", "wall_times_s"}
+
+# SHA-256 of every README example output, wall-time keys removed, recorded
+# at commit 41a7266, before the repeated-construction folds; refactors must
+# not change one byte.
+README_DIGESTS = {
+    "out_metric/distances.csv": "02d7935bf0689836b4c136bc9b5f03a5bb58dce228f4c60222ac54e3f4238e78",
+    "out_metric/manifest.json": "81f533837932725121b41a636a084951899246c809a83f2a142ba2bfefdb186d",
+    "out_complexity/complexity.csv": "8a8645625895eb7d4ac5354357c555d29cc2f57bf576e89953f7733f0f350bac",
+    "out_complexity/manifest.json": "ecba2e4ef2ba909b702d03d46d3f3394e98fba1ae67708fa1983195a25750dca",
+    "out_static/error_curve.csv": "be48350c7b48982bf12d4e2efdc6ceb2808836e5b480f18e4a30ce4d379a2885",
+    "out_static/fit_report.json": "ad4572efa8725fab50e741ac928dce609f14eede208fe35aa42cb00bcca12df4",
+    "out_static/manifest.json": "64d677434bdf2c36765e5cf57eac95de4fbb20cc9c0d93f5285299ce1dc7334f",
+    "out_dynamic/dynamic_report.json": "fd74a83690610fcb952cf60cf3307ef9fd80b937011d13bfaaa514660b7ad486",
+    "out_dynamic/manifest.json": "41815ac01b7ddeeaae6af34df64df0f68aebdfa29e7f89563275934a091b6186",
+    "out_dynamic/normalized_errors.csv": "56e5539d610af8f0594e9c8ea5efb8209dd063bb79b7d5e9752c91c0a6db5df5",
+    "out_dynamic/per_step_errors.csv": "1760e8398795117fd659422f2c3f4cb580a9cd5f54f48b3eeafe43b4d9bc9a26",
+    "out_paths/containment.json": "d9d4dec6f1729a597d0971e22683d90063bc131d5cf897456a8b610e1e2c76e7",
+    "out_paths/manifest.json": "9bc609bfa9111c0697404ce26ad41c2e83231f2df25fa82e2b7b7cb2c2096ed3",
+    "out_paths/membership.csv": "186e472259a3fcd56c2af8ea1e64b1b996b290d39fb9bbafdbe5822373cb7f8d",
+}
+
+
+def _without_wall_times(obj):
+    if isinstance(obj, dict):
+        return {k: _without_wall_times(v) for k, v in obj.items() if k not in WALL_KEYS}
+    if isinstance(obj, list):
+        return [_without_wall_times(v) for v in obj]
+    return obj
+
+
+def readme_output_digests(tmp_path):
+    """Run each README CLI example in-process; digest its outputs by file.
+
+    Printing this dict re-records ``README_DIGESTS`` when an output is
+    meant to change.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    runs = README_RUN.findall(readme)
+    assert [r[2] for r in runs] == ["metric", "complexity", "static-fit", "dynamic-fit",
+                                    "paths"]
+    digests = {}
+    for name, body, command, out_name in runs:
+        (tmp_path / name).write_text(body + "\n")
+        out = tmp_path / out_name
+        assert main([command, "--config", str(tmp_path / name), "--out", str(out)]) == 0
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                data = (json.dumps(_without_wall_times(json.loads(data)), indent=2,
+                                   sort_keys=True) + "\n").encode()
+            digests[f"{out_name}/{path.name}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_readme_examples_are_byte_pinned(tmp_path):
+    assert readme_output_digests(tmp_path) == README_DIGESTS

@@ -28,7 +28,7 @@ from qasnets.networks import (
     zero_theta,
 )
 
-from oracles import relu_reference_forward
+from oracles import relu_reference_forward, train_regression_reference
 
 
 class TestParamCount:
@@ -239,6 +239,48 @@ class TestTraining:
         t1, _ = train_regression(md, SMOOTH_SIGMOID, data, cfg)
         t2, _ = train_regression(md, SMOOTH_SIGMOID, data, cfg)
         assert np.array_equal(t1, t2)
+
+    def test_one_network_pass_per_epoch(self, monkeypatch):
+        from qasnets import networks
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return loss_and_grad(*args)
+
+        monkeypatch.setattr(networks, "loss_and_grad", counted)
+        data = [([0.1], [0.2]), ([0.5], [0.9])]
+        _, hist = train_regression(MultiIndex((1, 3, 1)), SMOOTH_SIGMOID, data,
+                                   TrainConfig(lr=0.2, epochs=50, seed=4))
+        assert len(hist) == 50
+        assert len(calls) == 51
+
+    @pytest.mark.parametrize("spec, train_alpha, target_loss", [
+        (SMOOTH_SIGMOID, True, 0.0),
+        (SMOOTH_SIGMOID, False, 0.0),
+        (CLASSICAL_LEAKY, True, 0.0),
+        (SMOOTH_SIGMOID, True, 0.05),
+    ])
+    def test_bitwise_equal_to_two_pass_loop(self, spec, train_alpha, target_loss):
+        from qasnets.networks import _alpha_mask
+
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-1.0, 1.0, size=(12, 2))
+        Y = np.stack([np.sin(X[:, 0]) + X[:, 1], X[:, 0] * X[:, 1]], axis=1)
+        md = MultiIndex((2, 5, 2))
+        theta0 = init_theta(md, spec, np.random.default_rng(3))
+        theta, hist = train_regression(
+            md, spec, list(zip(X, Y)),
+            TrainConfig(lr=0.3, epochs=120, target_loss=target_loss, train_alpha=train_alpha),
+            theta0=theta0,
+        )
+        frozen = None if train_alpha else _alpha_mask(md)
+        ref_theta, ref_hist = train_regression_reference(md, spec, X, Y, theta0, 0.3, 120,
+                                                         target_loss, frozen)
+        assert np.array_equal(theta, ref_theta)
+        assert hist == ref_hist
+        assert (len(hist) < 120) == (target_loss > 0)
 
 
 class TestBundleSerialization:

@@ -20,6 +20,8 @@ from qasnets.spaces import (
     space_from_json,
 )
 
+from oracles import kcenter_code_reference
+
 RNG = np.random.default_rng
 
 
@@ -340,6 +342,28 @@ class TestEncode:
         # mid-quantile atoms: the first one sits near the 1/16 quantile,
         # up to the fine discretization's own quantile granularity
         assert code.z[0] == pytest.approx(truncnorm.ppf(1 / 16, -3, 3), abs=5e-3)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wasserstein_replication_exact(self, d):
+        # at most q atoms with weights in (1/q)Z: the code replicates them exactly
+        space = w_space(d)
+        rng = RNG(d)
+        y = DiscreteMeasure(rng.normal(size=(3, d)), [0.5, 0.125, 0.375])
+        for q in (8, 16):
+            code, err = space.encode_point(y, q)
+            assert err == 0.0
+            assert code.z.size == d * q
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wasserstein_kcenter_code(self, d):
+        space = w_space(d)
+        rng = RNG(40 + d)
+        for _ in range(25):
+            n = int(rng.integers(3, 30))
+            q = int(rng.integers(1, n))
+            y = DiscreteMeasure(rng.normal(size=(n, d)), rng.dirichlet(np.ones(n)))
+            code, _ = space.encode_point(y, q)
+            assert np.array_equal(code.z, kcenter_code_reference(y.atoms, y.weights, q))
 
     def test_adapted_replication_weights(self):
         space = AdaptedEmpirical(d=1, T=1, p=1.0)

@@ -351,6 +351,14 @@ class TestComplexityCalculators:
         r2 = complexity_ffnn("classical", dict(n=2, m=1, alpha=0.5, depth=4))
         assert r2.width == 2 + 1 + 2
 
+    @pytest.mark.parametrize("activation", ["singular", "smooth", "classical"])
+    def test_static_rows_are_ffnn_rows_at_n_minus_one(self, activation):
+        row_inputs = dict(n=2, alpha=1.0, L_f=1.0, W=3.0, D=0.7, eps_tilde=0.9, depth=5.0)
+        for eps_A in (6.0, 3.0, 0.5, 0.1, 0.01):  # N = 1, 2, 16, 64, 1024
+            s = complexity_static(activation, dict(self.BASE, **row_inputs, eps_A=eps_A))
+            f = complexity_ffnn(activation, dict(row_inputs, m=int(s.n_anchors) - 1))
+            assert (s.depth, s.width, s.n_params) == (f.depth, f.width, f.n_params)
+
     def test_csv_row_shape(self):
         r = complexity_static("smooth", dict(self.BASE, eps_tilde=0.9))
         assert len(r.csv_row()) == len(ComplexityReport.CSV_COLUMNS)
