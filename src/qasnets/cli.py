@@ -1,12 +1,14 @@
 """Reproducible experiment harness.
 
 Subcommands: metric | complexity | static-fit | dynamic-fit | paths.
-Every run reads a JSON config (unknown keys rejected), writes CSV/JSON
-outputs plus a manifest, and is bitwise reproducible for a fixed config
-and seed.  Runs are serial: the ``threads`` key is still accepted, and
-every command checks that it is a positive integer, but it does not
-change how a command runs (the transport kernel is pure Python and holds
-the interpreter lock, so a thread pool only added overhead).
+Every run reads a JSON config, writes CSV/JSON outputs plus a manifest,
+and is bitwise reproducible for a fixed config and seed.  Each config
+block is one dataclass, read by ``config.from_json`` under its typing
+rules at every nesting level; a bad key or value is a config error that
+names the block and the key.  Runs are serial: ``threads`` must be a
+positive integer, but it does not change how a command runs (the
+transport kernel is pure Python and holds the interpreter lock, so a
+thread pool only added overhead).
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
@@ -15,16 +17,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .config import Config, PositiveInt, from_json
 from .errors import DomainError, FitFailure, QuantizationSearchError, UnsupportedError
 from .measures import DiscreteMeasure, measure_from_json
 from .metrics import adapted_wasserstein_p, gaussian_distance, total_variation, wasserstein_p
@@ -42,11 +45,12 @@ from .dynamics import (
     sde_kernel_map,
     uniform_grid,
 )
-from .hyper import fit_dynamic
-from .networks import TrainConfig
+from .hyper import DynamicFitConfig, fit_dynamic
 from .spaces import WassersteinConvex, space_from_json
 from .transformer import (
     ComplexityReport,
+    End2EndFitConfig,
+    StaticFitConfig,
     complexity_ffnn,
     complexity_static,
     fit_static_constructive,
@@ -54,19 +58,15 @@ from .transformer import (
 )
 
 
-class ConfigError(ValueError):
-    pass
+@dataclass(frozen=True)
+class CommandConfig(Config):
+    """The keys every command takes."""
+
+    seed: int | None = None
+    threads: PositiveInt = 1
 
 
-TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-
-
-def _require_keys(obj: dict, allowed: set, context: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys in {context}: {sorted(unknown)}")
+W1_SPACE = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)  # used when no space is given
 
 
 def _fmt(value) -> str:
@@ -128,7 +128,17 @@ class Runner:
 # metric subcommand
 # ---------------------------------------------------------------------------
 
-METRIC_KEYS = {"seed", "threads", "inputs", "p", "output", "tolerances"}
+@dataclass(frozen=True)
+class Tolerances(Config):
+    weight_sum: float = 0.0
+
+
+@dataclass(frozen=True)
+class MetricCommand(CommandConfig):
+    inputs: tuple[str | dict, ...] = ()  # measure file paths or inline measures
+    p: float = 1.0
+    tolerances: Tolerances = Tolerances()
+    output: str = "distances.csv"
 
 
 def load_measure(entry, base: Path, weight_sum_tol: float = 0.0):
@@ -142,7 +152,7 @@ def load_measure(entry, base: Path, weight_sum_tol: float = 0.0):
         with open(base / entry) as fh:
             entry = json.load(fh)
     if not isinstance(entry, dict):
-        raise ConfigError("measure entries must be file paths or JSON objects")
+        raise DomainError("measure entries must be file paths or JSON objects")
     if weight_sum_tol > 0 and "weights" in entry:
         w = np.asarray(entry["weights"], dtype=float)
         s = float(w.sum())
@@ -151,20 +161,18 @@ def load_measure(entry, base: Path, weight_sum_tol: float = 0.0):
     try:
         return measure_from_json(entry)
     except (KeyError, DomainError) as exc:
-        raise ConfigError(f"malformed measure entry: {exc}") from exc
+        raise DomainError(f"malformed measure entry: {exc}") from exc
 
 
 def cmd_metric(runner: Runner, base: Path):
-    cfg = runner.config
-    _require_keys(cfg, METRIC_KEYS, "metric")
-    tol = float(cfg.get("tolerances", {}).get("weight_sum", 0.0))
-    measures = [load_measure(e, base, tol) for e in cfg.get("inputs", [])]
+    cfg = from_json(MetricCommand, runner.config, "metric")
+    measures = [load_measure(e, base, cfg.tolerances.weight_sum) for e in cfg.inputs]
     if len(measures) < 2:
-        raise ConfigError("need at least two measures")
+        raise DomainError("need at least two measures")
     kinds = {type(m).__name__ for m in measures}
     if len(kinds) != 1:
-        raise ConfigError(f"all measures must share one kind, got {sorted(kinds)}")
-    p = float(cfg.get("p", 1.0))
+        raise DomainError(f"all measures must share one kind, got {sorted(kinds)}")
+    p = cfg.p
     pairs = [(i, j) for i in range(len(measures)) for j in range(i + 1, len(measures))]
 
     kind = kinds.pop()
@@ -193,28 +201,31 @@ def cmd_metric(runner: Runner, base: Path):
     t0 = time.perf_counter()
     rows = [work(pr) for pr in pairs]
     runner.wall["metric"] = time.perf_counter() - t0
-    runner.emit_csv(cfg.get("output", "distances.csv"), header, rows)
+    runner.emit_csv(cfg.output, header, rows)
 
 
 # ---------------------------------------------------------------------------
 # complexity subcommand
 # ---------------------------------------------------------------------------
 
-COMPLEXITY_KEYS = {"seed", "threads", "table", "activation", "inputs", "batch", "output"}
+@dataclass(frozen=True)
+class ComplexityCommand(CommandConfig):
+    table: str = "transformer"
+    activation: str = "singular"
+    inputs: dict = field(default_factory=dict)  # echoed into the output unchanged
+    batch: tuple[dict, ...] | None = None  # one row per entry, laid over ``inputs``
+    output: str = "complexity.csv"
 
 
 def cmd_complexity(runner: Runner, base: Path):
-    cfg = runner.config
-    _require_keys(cfg, COMPLEXITY_KEYS, "complexity")
-    table = cfg.get("table", "transformer")
-    if table not in ("transformer", "ffnn"):
-        raise ConfigError("table must be 'transformer' or 'ffnn'")
-    activation = cfg.get("activation", "singular")
-    base_inputs = dict(cfg.get("inputs", {}))
-    batch = cfg.get("batch") or [{}]
-    if table == "transformer" and "c" not in base_inputs and not any("c" in b for b in batch):
+    cfg = from_json(ComplexityCommand, runner.config, "complexity")
+    if cfg.table not in ("transformer", "ffnn"):
+        raise DomainError("table must be 'transformer' or 'ffnn'")
+    base_inputs = dict(cfg.inputs)
+    batch = cfg.batch or ({},)
+    if cfg.table == "transformer" and "c" not in base_inputs and not any("c" in b for b in batch):
         if runner.strict:
-            raise ConfigError(
+            raise DomainError(
                 "the absolute constant c is unspecified; strict mode refuses to default it"
             )
         base_inputs["c"] = 1.0
@@ -222,42 +233,54 @@ def cmd_complexity(runner: Runner, base: Path):
     t0 = time.perf_counter()
     rows = []
     for override in batch:
-        if not isinstance(override, dict):
-            raise ConfigError("batch entries must be objects")
         inputs = dict(base_inputs, **override)
-        calc = complexity_static if table == "transformer" else complexity_ffnn
-        rep = calc(activation, inputs)
+        calc = complexity_static if cfg.table == "transformer" else complexity_ffnn
+        rep = calc(cfg.activation, inputs)
         rows.append(rep.csv_row() + [json.dumps(rep.implicit, sort_keys=True)])
     runner.wall["complexity"] = time.perf_counter() - t0
-    runner.emit_csv(cfg.get("output", "complexity.csv"),
-                    ComplexityReport.CSV_COLUMNS + ["implicit"], rows)
+    runner.emit_csv(cfg.output, ComplexityReport.CSV_COLUMNS + ["implicit"], rows)
 
 
 # ---------------------------------------------------------------------------
 # static-fit subcommand
 # ---------------------------------------------------------------------------
 
-STATIC_KEYS = {"seed", "threads", "target", "space", "mode", "budgets", "train_points",
-               "fit", "output"}
-STATIC_FIT_KEYS = {"activation", "hidden", "label_amplitude", "train", "warm_train",
-                   "warm_start", "holder_exponent", "lipschitz", "codes", "md",
-                   "theta0", "loss_exponent", "fd_step"}
+@dataclass(frozen=True)
+class StaticTarget(Config):
+    kind: str  # "symmetric_pair", or "measure_files": files[i] is the measure at points[i]
+    points: tuple[float | tuple[float, ...], ...] = ()
+    files: tuple[str | dict, ...] = ()
 
 
-def build_static_target(spec: dict, base: Path):
-    kind = spec.get("kind")
-    if kind == "symmetric_pair":
+@dataclass(frozen=True)
+class Budgets(Config):
+    N: tuple[int, ...] = (32,)
+    q: tuple[int, ...] = (2,)
+
+
+@dataclass(frozen=True)
+class StaticFitCommand(CommandConfig):
+    target: StaticTarget = StaticTarget(kind="symmetric_pair")
+    space: dict | None = None  # read by ``space_from_json``
+    mode: str = "constructive"
+    budgets: Budgets = Budgets(N=(4, 8, 16, 32))
+    train_points: int = 257
+    fit: dict = field(default_factory=dict)  # read by the mode's fit config
+    output: str = "error_curve.csv"
+
+
+def build_static_target(spec: StaticTarget, base: Path):
+    if spec.kind == "symmetric_pair":
         def target(x):
             v = float(np.atleast_1d(x)[0])
             if v == 0.0:
                 return DiscreteMeasure.dirac(0.0)
             return DiscreteMeasure(np.array([[-v], [v]]), [0.5, 0.5])
         return target, None
-    if kind == "measure_files":
-        points = spec.get("points")
-        files = spec.get("files")
+    if spec.kind == "measure_files":
+        points, files = spec.points, spec.files
         if not points or not files or len(points) != len(files):
-            raise ConfigError("measure-file datasets need 'points' and 'files' of equal length")
+            raise DomainError("measure-file datasets need 'points' and 'files' of equal length")
         table = {}
         for pt, entry in zip(points, files):
             key = tuple(np.atleast_1d(np.asarray(pt, float)))
@@ -269,49 +292,42 @@ def build_static_target(spec: dict, base: Path):
                 raise DomainError(f"no measure attached to training point {key}")
             return table[key]
         return target, np.asarray(points, float).reshape(len(points), -1)
-    raise ConfigError(f"unknown static target kind {kind!r}")
+    raise DomainError(f"unknown static target kind {spec.kind!r}")
 
 
 def cmd_static_fit(runner: Runner, base: Path):
-    cfg = runner.config
-    _require_keys(cfg, STATIC_KEYS, "static-fit")
-    target, fixed_xs = build_static_target(cfg.get("target", {"kind": "symmetric_pair"}), base)
-    space = space_from_json(cfg["space"]) if "space" in cfg else WassersteinConvex(
-        d=1, p=1.0, q_exponent=2.0)
-    mode = cfg.get("mode", "constructive")
-    budgets = cfg.get("budgets", {"N": [4, 8, 16, 32], "q": [2]})
-    n_pts = int(cfg.get("train_points", 257))
-    xs = fixed_xs if fixed_xs is not None else np.linspace(0.0, 1.0, n_pts).reshape(-1, 1)
-    fit_cfg = dict(cfg.get("fit", {}))
-    _require_keys(fit_cfg, STATIC_FIT_KEYS, "static-fit.fit")
-    _require_keys(fit_cfg.get("train", {}), TRAIN_KEYS, "static-fit.fit.train")
-    _require_keys(fit_cfg.get("warm_train", {}), TRAIN_KEYS, "static-fit.fit.warm_train")
-    uses_rng = mode == "end2end" or fit_cfg.get("activation", "singular") != "singular"
-    if uses_rng and "seed" not in cfg:
-        raise ConfigError("randomized fits require an explicit seed")
-    if "seed" in cfg:
-        fit_cfg.setdefault("train", {})["seed"] = int(cfg["seed"])
+    cfg = from_json(StaticFitCommand, runner.config, "static-fit")
+    if cfg.mode == "constructive":
+        fit_fn, fit_cls = fit_static_constructive, StaticFitConfig
+    elif cfg.mode == "end2end":
+        fit_fn, fit_cls = fit_static_end2end, End2EndFitConfig
+    else:
+        raise DomainError("mode must be 'constructive' or 'end2end'")
+    fit = from_json(fit_cls, cfg.fit, "static-fit.fit")
+    target, fixed_xs = build_static_target(cfg.target, base)
+    space = space_from_json(cfg.space, "static-fit.space") if cfg.space is not None else W1_SPACE
+    xs = fixed_xs if fixed_xs is not None else np.linspace(
+        0.0, 1.0, cfg.train_points).reshape(-1, 1)
+    if (cfg.mode == "end2end" or fit.activation != "singular") and cfg.seed is None:
+        raise DomainError("randomized fits require an explicit seed")
+    if cfg.seed is not None:
+        fit = replace(fit, train=replace(fit.train, seed=cfg.seed))
 
     t0 = time.perf_counter()
     rows = []
     best = None
-    for n_anchor in budgets.get("N", [32]):
-        for q in budgets.get("q", [2]):
-            if mode == "constructive":
-                gt, rep = fit_static_constructive(target, xs, space,
-                                                  {"N": int(n_anchor), "q": int(q)}, fit_cfg)
-            elif mode == "end2end":
-                gt, rep = fit_static_end2end(target, xs, space,
-                                             {"N": int(n_anchor), "q": int(q)}, fit_cfg)
-            else:
-                raise ConfigError("mode must be 'constructive' or 'end2end'")
+    for n_anchor in cfg.budgets.N:
+        for q in cfg.budgets.q:
+            gt, rep = fit_fn(target, xs, space, {"N": n_anchor, "q": q}, fit)
             rows.append([n_anchor, q, rep.sup_error, rep.covering_radius,
                          max(rep.quantization_errors) if rep.quantization_errors else None,
                          rep.error_bound])
             if best is None or rep.sup_error < best[1].sup_error:
                 best = (gt, rep)
+    if best is None:
+        raise DomainError("static-fit.budgets needs at least one N and one q")
     runner.wall["static_fit"] = time.perf_counter() - t0
-    runner.emit_csv(cfg.get("output", "error_curve.csv"),
+    runner.emit_csv(cfg.output,
                     ["N", "q", "sup_error", "covering_radius", "max_quantization_error",
                      "error_bound"], rows)
     runner.emit_json("fit_report.json", best[1].to_json())
@@ -321,72 +337,86 @@ def cmd_static_fit(runner: Runner, base: Path):
 # dynamic-fit subcommand
 # ---------------------------------------------------------------------------
 
-DYNAMIC_KEYS = {"seed", "threads", "target", "space", "N_T", "eps", "fit",
-                "eval_points", "compression", "output"}
-DYNAMIC_FIT_KEYS = {"encoder", "encoder_activation", "grid_points", "domain_lo",
-                    "domain_hi", "hidden", "train", "decoder_anchors", "decoder_level",
-                    "decoder_config", "decoder_lipschitz", "holder_exponent", "seed"}
+@dataclass(frozen=True)
+class DynamicTarget(Config):
+    kind: str  # "sin_drift" or "zero_drift"
+    amplitude: float = 0.1
+    sigma: float | None = None  # 0.2 for sin_drift, 0.3 for zero_drift
+    quantiles: int | None = None  # 64 for sin_drift, 32 for zero_drift
 
 
-def build_dynamic_target(spec: dict):
-    kind = spec.get("kind")
-    if kind == "sin_drift":
-        amp = float(spec.get("amplitude", 0.1))
-        sig = float(spec.get("sigma", 0.2))
-        quantiles = int(spec.get("quantiles", 64))
+@dataclass(frozen=True)
+class Compression(Config):
+    class_: str  # only "kz", the bounded-set row, is wired
+    lo: float = -1.0
+    hi: float = 1.0
+    L_rho: float = 1.0
+    L_f: float = 1.0
+    alpha: float = 1.0
+    m_eps4: int = 0
+
+
+@dataclass(frozen=True)
+class DynamicFitCommand(CommandConfig):
+    target: DynamicTarget = DynamicTarget(kind="sin_drift")
+    space: dict | None = None  # read by ``space_from_json``
+    N_T: int = 4
+    eps: float = 0.4
+    fit: DynamicFitConfig = DynamicFitConfig()
+    eval_points: int = 9
+    compression: Compression | None = None
+    output: str = "dynamic_report.json"
+
+
+def build_dynamic_target(spec: DynamicTarget):
+    if spec.kind == "sin_drift":
+        amp = spec.amplitude
+        sig = spec.sigma if spec.sigma is not None else 0.2
+        quantiles = spec.quantiles if spec.quantiles is not None else 64
         return sde_kernel_map(
             lambda t, x: amp * np.sin(t + np.atleast_1d(x)),
             lambda t, x: np.full((1, 1), sig), 1.0,
             DiscreteMeasure.dirac(0.0), k=quantiles,
         )
-    if kind == "zero_drift":
-        sig = float(spec.get("sigma", 0.3))
-        quantiles = int(spec.get("quantiles", 32))
+    if spec.kind == "zero_drift":
+        sig = spec.sigma if spec.sigma is not None else 0.3
+        quantiles = spec.quantiles if spec.quantiles is not None else 32
         return sde_kernel_map(
             lambda t, x: np.zeros(1), lambda t, x: np.full((1, 1), sig), 1.0,
             DiscreteMeasure.dirac(0.0), k=quantiles,
         )
-    raise ConfigError(f"unknown dynamic target kind {kind!r}")
+    raise DomainError(f"unknown dynamic target kind {spec.kind!r}")
 
 
 def cmd_dynamic_fit(runner: Runner, base: Path):
-    cfg = runner.config
-    _require_keys(cfg, DYNAMIC_KEYS, "dynamic-fit")
-    target = build_dynamic_target(cfg.get("target", {"kind": "sin_drift"}))
-    space = space_from_json(cfg["space"]) if "space" in cfg else WassersteinConvex(
-        d=1, p=1.0, q_exponent=2.0)
-    n_t = int(cfg.get("N_T", 4))
-    eps = float(cfg.get("eps", 0.4))
-    n_eval = int(cfg.get("eval_points", 9))
-    fit_cfg = dict(cfg.get("fit", {}))
-    _require_keys(fit_cfg, DYNAMIC_FIT_KEYS, "dynamic-fit.fit")
-    _require_keys(fit_cfg.get("train", {}), TRAIN_KEYS, "dynamic-fit.fit.train")
-    if "seed" not in cfg:
-        raise ConfigError("dynamic fits use seeded projections; an explicit seed is required")
-    fit_cfg.setdefault("seed", int(cfg["seed"]))
+    cfg = from_json(DynamicFitCommand, runner.config, "dynamic-fit")
+    target = build_dynamic_target(cfg.target)
+    space = space_from_json(cfg.space, "dynamic-fit.space") if cfg.space is not None else W1_SPACE
+    n_t, eps = cfg.N_T, cfg.eps
+    if cfg.seed is None:
+        raise DomainError("dynamic fits use seeded projections; an explicit seed is required")
+    fit = cfg.fit if cfg.fit.seed is not None else replace(cfg.fit, seed=cfg.seed)
 
-    comp = cfg.get("compression")
+    comp = cfg.compression
     if comp is not None:
-        if comp.get("class") != "kz":
-            raise ConfigError("only the bounded-set compression row is wired to the CLI")
-        box = BoxSet([float(comp.get("lo", -1.0))], [float(comp.get("hi", 1.0))])
-        fit_cfg["c_rate"] = lambda n: compression_rate(
-            KZ(box), n, eps=eps, L_rho=float(comp.get("L_rho", 1.0)),
-            L_f=float(comp.get("L_f", 1.0)), alpha=float(comp.get("alpha", 1.0)),
-            m_eps4=int(comp.get("m_eps4", 0)), d=1,
-            delta_plus=1.0, N_T=n_t,
-        )
+        if comp.class_ != "kz":
+            raise DomainError("only the bounded-set compression row is wired to the CLI")
+        box = BoxSet([comp.lo], [comp.hi])
+        fit = replace(fit, c_rate=lambda n: compression_rate(
+            KZ(box), n, eps=eps, L_rho=comp.L_rho, L_f=comp.L_f, alpha=comp.alpha,
+            m_eps4=comp.m_eps4, d=1, delta_plus=1.0, N_T=n_t,
+        ))
 
     grid = uniform_grid(n_t, n_t)
     paths = [
         PathWindow(grid, np.full((2 * n_t + 1, 1), v), -n_t)
-        for v in np.linspace(-1.0, 1.0, n_eval)
+        for v in np.linspace(-1.0, 1.0, cfg.eval_points)
     ]
     t0 = time.perf_counter()
-    ght, report = fit_dynamic(target, paths, n_t, space, eps, fit_cfg)
+    ght, report = fit_dynamic(target, paths, n_t, space, eps, fit)
     runner.wall["dynamic_fit"] = time.perf_counter() - t0
 
-    runner.emit_json(cfg.get("output", "dynamic_report.json"), report.to_json())
+    runner.emit_json(cfg.output, report.to_json())
     rows = [[n, e] for n, e in report.per_step_errors]
     runner.emit_csv("per_step_errors.csv", ["n", "sup_error"], rows)
     if report.normalized is not None:
@@ -402,52 +432,69 @@ def cmd_dynamic_fit(runner: Runner, base: Path):
 # paths subcommand
 # ---------------------------------------------------------------------------
 
-PATHS_KEYS = {"seed", "threads", "sde", "n_paths", "steps", "eps", "classes", "output"}
+@dataclass(frozen=True)
+class Sde(Config):
+    kind: str = "ou"  # drift -rate x and volatility vol, or "zero"
+    rate: float = 1.0
+    vol: float = 0.5
+    x0: float | tuple[float] = (0.0,)
 
 
-def build_sde(spec: dict):
-    kind = spec.get("kind", "ou")
-    if kind == "ou":
-        rate = float(spec.get("rate", 1.0))
-        vol = float(spec.get("vol", 0.5))
-        return (lambda t, x: -rate * x), (lambda t, x: vol * np.eye(1)), spec.get("x0", [0.0])
-    if kind == "zero":
-        return (lambda t, x: 0.0 * x), (lambda t, x: 0.0 * np.eye(1)), spec.get("x0", [0.0])
-    raise ConfigError(f"unknown sde kind {kind!r}")
+@dataclass(frozen=True)
+class PathClass(Config):
+    kind: str  # "kexp_fitted" (the fitted envelope), or "kz", "kinf", "kalpha", "kw" on [lo, hi]
+    lo: float = -1.0
+    hi: float = 1.0
+    C: float = 1.0
+    p: float = 2.0
+    alpha: float = -1.5
+    slope: float = 0.1
 
 
-def build_class(spec: dict, fitted_envelope):
-    kind = spec.get("kind")
-    if kind == "kexp_fitted":
+@dataclass(frozen=True)
+class PathsCommand(CommandConfig):
+    sde: Sde = Sde()
+    n_paths: int = 1000
+    steps: int = 20
+    eps: float = 0.1
+    classes: tuple[PathClass, ...] = ()
+    output: str = "containment.json"
+
+
+def build_sde(spec: Sde):
+    if spec.kind == "ou":
+        rate, vol = spec.rate, spec.vol
+        return (lambda t, x: -rate * x), (lambda t, x: vol * np.eye(1)), spec.x0
+    if spec.kind == "zero":
+        return (lambda t, x: 0.0 * x), (lambda t, x: 0.0 * np.eye(1)), spec.x0
+    raise DomainError(f"unknown sde kind {spec.kind!r}")
+
+
+def build_class(spec: PathClass, fitted_envelope):
+    if spec.kind == "kexp_fitted":
         return fitted_envelope
-    box = BoxSet([float(spec.get("lo", -1.0))], [float(spec.get("hi", 1.0))])
-    if kind == "kz":
+    box = BoxSet([spec.lo], [spec.hi])
+    if spec.kind == "kz":
         return KZ(box)
-    if kind == "kinf":
-        return KInf(box, float(spec.get("C", 1.0)), float(spec.get("p", 2.0)))
-    if kind == "kalpha":
-        return KAlpha(box, float(spec.get("C", 1.0)), float(spec.get("p", 2.0)),
-                      float(spec.get("alpha", -1.5)))
-    if kind == "kw":
-        slope = float(spec.get("slope", 0.1))
-        return KW(box, lambda i: slope * i)
-    raise ConfigError(f"unknown path class {kind!r}")
+    if spec.kind == "kinf":
+        return KInf(box, spec.C, spec.p)
+    if spec.kind == "kalpha":
+        return KAlpha(box, spec.C, spec.p, spec.alpha)
+    if spec.kind == "kw":
+        return KW(box, lambda i: spec.slope * i)
+    raise DomainError(f"unknown path class {spec.kind!r}")
 
 
 def cmd_paths(runner: Runner, base: Path):
-    cfg = runner.config
-    _require_keys(cfg, PATHS_KEYS, "paths")
-    alpha_fn, beta_fn, x0 = build_sde(cfg.get("sde", {"kind": "ou"}))
-    n_paths = int(cfg.get("n_paths", 1000))
-    steps = int(cfg.get("steps", 20))
-    eps = float(cfg.get("eps", 0.1))
-    if "seed" not in cfg:
-        raise ConfigError("path simulation requires an explicit seed")
-    seed = int(cfg["seed"])
+    cfg = from_json(PathsCommand, runner.config, "paths")
+    alpha_fn, beta_fn, x0 = build_sde(cfg.sde)
+    n_paths, steps, eps = cfg.n_paths, cfg.steps, cfg.eps
+    if cfg.seed is None:
+        raise DomainError("path simulation requires an explicit seed")
     grid = uniform_grid(0, steps)
 
     t0 = time.perf_counter()
-    paths = euler_simulate(alpha_fn, beta_fn, np.asarray(x0, float), grid, n_paths, seed)
+    paths = euler_simulate(alpha_fn, beta_fn, np.asarray(x0, float), grid, n_paths, cfg.seed)
     t1 = time.perf_counter()
     envelope = fit_exponential_envelope(paths, eps)
     t2 = time.perf_counter()
@@ -467,7 +514,7 @@ def cmd_paths(runner: Runner, base: Path):
             "Cn": [envelope.Cn(n) for n in range(1, steps + 1)],
         },
     }
-    runner.emit_json(cfg.get("output", "containment.json"), summary)
+    runner.emit_json(cfg.output, summary)
 
     rows = []
     for pid, rep in enumerate(reports):
@@ -475,12 +522,11 @@ def cmd_paths(runner: Runner, base: Path):
             rows.append([pid, n, slack, int(rep.member)])
     runner.emit_csv("membership.csv", ["path", "n", "slack", "path_member"], rows)
 
-    extra = cfg.get("classes", [])
-    if extra:
+    if cfg.classes:
         rows = []
-        for spec in extra:
+        for spec in cfg.classes:
             cls = build_class(spec, envelope)
-            tag = spec.get("kind")
+            tag = spec.kind
             for pid, p in enumerate(paths[:100]):
                 rep = path_membership(cls, p)
                 rows.append([tag, pid, rep.worst_index, rep.worst_slack, int(rep.member)])
@@ -517,17 +563,14 @@ def main(argv=None) -> int:
         raw = config_path.read_bytes()
         config = json.loads(raw)
         if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
+            raise DomainError("config must be a JSON object")
         if args.seed is not None:
             config["seed"] = args.seed
             raw = json.dumps(config, sort_keys=True).encode()
-        threads = config.get("threads", 1)
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-            raise ConfigError(f"threads must be a positive integer, got {threads!r}")
         runner = Runner(config, Path(args.out), args.strict, raw)
         COMMANDS[args.command](runner, config_path.parent)
         runner.finish()
-    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FitFailure, QuantizationSearchError, UnsupportedError, ArithmeticError) as exc:

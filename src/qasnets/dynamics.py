@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri  # the standard normal quantile function
 
 from .errors import DomainError, OutOfWindowError, UnsupportedError
 from .measures import DiscreteMeasure, PathMeasure, mid_quantile_levels
@@ -369,7 +369,7 @@ def eval_finite_complexity(fc_map: FiniteComplexityMap, path: PathWindow, n: int
 @functools.lru_cache(maxsize=64)
 def _normal_axis(k: int) -> np.ndarray:
     """Read-only standard normal quantiles at the k mid-quantile levels."""
-    axis = norm.ppf(mid_quantile_levels(k))
+    axis = ndtri(mid_quantile_levels(k))
     axis.setflags(write=False)
     return axis
 
@@ -437,7 +437,7 @@ def sde_two_step_adapted(mu: Callable, sigma: Callable, m: int, first_points: in
     """
     if m < 1:
         raise DomainError("need at least one quantile cell")
-    qs = norm.ppf(np.arange(1, m + 1) / (m + 1.0))  # increasing quantiles
+    qs = ndtri(np.arange(1, m + 1) / (m + 1.0))  # increasing quantiles
 
     def encoder(t, window):
         if window.shape[1] != 1:

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import Config, fields_to_json, from_json
 from .errors import DomainError, FitFailure
 from .dynamics import FiniteComplexityMap, PathWindow
 from .networks import (
@@ -34,15 +35,17 @@ from .networks import (
     LayerParams,
     MultiIndex,
     SINGULAR,
+    TrainConfig,
     decode_params,
     encode_params,
     forward,
     memorize_sequence,
     param_count,
     slope_increments,
+    train_regression,
 )
 from .spaces import QasSpace
-from .transformer import GeometricTransformer, fit_static_constructive
+from .transformer import GeometricTransformer, StaticFitConfig, fit_static_constructive
 
 
 @dataclass(frozen=True)
@@ -305,16 +308,27 @@ class DynamicFitReport:
     sizes: dict
 
     def to_json(self) -> dict:
-        return {
-            "within_window_error": self.within_window_error,
-            "per_step_errors": [[int(n), float(e)] for n, e in self.per_step_errors],
-            "replay_residual": self.replay_residual,
-            "perturbation_applied": self.perturbation_applied,
-            "decoder_report": self.decoder_report,
-            "normalized": self.normalized,
-            "wall_time": self.wall_time,
-            "sizes": self.sizes,
-        }
+        return fields_to_json(self)
+
+
+@dataclass(frozen=True)
+class DynamicFitConfig(Config):
+    """The config of ``fit_dynamic``."""
+
+    encoder: str = "grid"  # exact interpolation (scalar windows only), or "gradient"
+    encoder_activation: str = "smooth"  # of the gradient encoder
+    grid_points: int = 17
+    domain_lo: float | None = None  # grid range; by default the range the paths visit
+    domain_hi: float | None = None
+    hidden: int = 16  # width of the gradient encoder
+    train: TrainConfig | None = None  # of the gradient encoder; lr 0.1, 1500 epochs if absent
+    decoder_anchors: int = 64
+    decoder_level: int = 64
+    decoder_config: StaticFitConfig = StaticFitConfig()
+    decoder_lipschitz: float = 1.0  # with holder_exponent, sizes the bias perturbation
+    holder_exponent: float | None = None  # by default the target's
+    seed: int | None = None  # of the memorization; 0 if absent
+    c_rate: Callable[[int], float] | None = None  # when given, adds normalized-error scoring
 
 
 def fit_dynamic(
@@ -323,7 +337,7 @@ def fit_dynamic(
     N_T: int,
     space: QasSpace,
     eps: float,
-    config: dict | None = None,
+    config: dict | DynamicFitConfig | None = None,
 ) -> tuple[Ght, DynamicFitReport]:
     """Dynamic fit: per-step encoders, shared decoder, memorized schedule.
 
@@ -338,11 +352,11 @@ def fit_dynamic(
     the horizon formula.
 
     Scalar windows ((m+1) d = 1) use an exact constructive interpolation
-    encoder; wider windows require config["encoder"] = "gradient" together
-    with a "train" block.
+    encoder; wider windows require the "gradient" encoder.  The config
+    keys are the fields of ``DynamicFitConfig``.
     """
     t0 = time.perf_counter()
-    config = dict(config or {})
+    config = from_json(DynamicFitConfig, config or {}, "config")
     if eps <= 0 or N_T < 1:
         raise DomainError("eps must be positive and N_T >= 1")
     fcm = target.at(eps / 4.0) if isinstance(target, AcMapSpec) else target
@@ -360,15 +374,15 @@ def fit_dynamic(
     steps = list(range(-N_T, N_T + 1))
 
     # -- stage (i): per-step encoder fits --------------------------------
-    if window_dim == 1 and config.get("encoder", "grid") == "grid":
+    if window_dim == 1 and config.encoder == "grid":
         flat = [
             float(p.at(n)[0]) for p in paths for n in steps
         ]
-        lo = config.get("domain_lo", min(flat))
-        hi = config.get("domain_hi", max(flat))
+        lo = config.domain_lo if config.domain_lo is not None else min(flat)
+        hi = config.domain_hi if config.domain_hi is not None else max(flat)
         if hi <= lo:
             hi = lo + 1.0
-        knots = interpolation_knots(lo, hi, int(config.get("grid_points", 17)))
+        knots = interpolation_knots(lo, hi, config.grid_points)
         thetas = []
         md_enc = None
         for n in steps:
@@ -379,14 +393,10 @@ def fit_dynamic(
             md_enc, theta_n = grid_interpolation_encoder(knots, vals)
             thetas.append(theta_n)
         spec_enc = SINGULAR
-    elif config.get("encoder") == "gradient":
-        from .networks import TrainConfig, train_regression
-
-        spec_enc = ActivationSpec(config.get("encoder_activation", "smooth"))
-        hidden = int(config.get("hidden", 16))
-        md_enc = MultiIndex((window_dim, hidden, L))
-        tc = TrainConfig(**config.get("train", {"lr": 0.1, "epochs": 1500, "seed": 0,
-                                                "train_alpha": False}))
+    elif config.encoder == "gradient":
+        spec_enc = ActivationSpec(config.encoder_activation)
+        md_enc = MultiIndex((window_dim, config.hidden, L))
+        tc = config.train or TrainConfig(lr=0.1, epochs=1500, train_alpha=False)
         thetas = []
         for n in steps:
             t_n = paths[0].grid.time_at(n)
@@ -403,9 +413,8 @@ def fit_dynamic(
         )
 
     # -- stage (iii): pairwise distinctness -------------------------------
-    L_rho = float(config.get("decoder_lipschitz", 1.0))
-    alpha = float(config.get("holder_exponent", fcm.alpha))
-    step = perturbation_step(eps, L_rho, alpha, L)
+    alpha = config.holder_exponent if config.holder_exponent is not None else float(fcm.alpha)
+    step = perturbation_step(eps, config.decoder_lipschitz, alpha, L)
     thetas, applied = make_distinct(thetas, md_enc, step)
 
     # -- stage (iv): shared decoder on the union of encoder outputs -------
@@ -416,18 +425,16 @@ def fit_dynamic(
             latent_cloud.append(forward(md_enc, spec_enc, theta_n, window.reshape(-1)))
     latent_cloud = np.array(latent_cloud)
 
-    n_dec = int(config.get("decoder_anchors", 64))
-    q_dec = int(config.get("decoder_level", 64))
+    n_dec, q_dec = config.decoder_anchors, config.decoder_level
     decoder, dec_report = fit_static_constructive(
-        fcm.decoder, latent_cloud, space, {"N": n_dec, "q": q_dec},
-        {k: v for k, v in config.get("decoder_config", {}).items()},
+        fcm.decoder, latent_cloud, space, {"N": n_dec, "q": q_dec}, config.decoder_config,
     )
 
     # -- stage (v): memorize the parameter transitions --------------------
     P = param_count(md_enc)
     pairs = [(thetas[i], thetas[i + 1]) for i in range(len(thetas) - 1)]
     hyper_md, hyper_theta, _ = memorize_sequence(
-        pairs, P, N_T, seed=int(config.get("seed", 0))
+        pairs, P, N_T, seed=config.seed if config.seed is not None else 0
     )
     replay_residual = max(
         float(np.max(np.abs(forward(hyper_md, SINGULAR, hyper_theta, a) - b)))
@@ -456,10 +463,9 @@ def fit_dynamic(
     )
 
     normalized = None
-    if "c_rate" in config:
+    if config.c_rate is not None:
         c_ac = target.c_ac if isinstance(target, AcMapSpec) else constant_compression
-        normalized = normalized_error(target, ght, paths, c_ac, config["c_rate"],
-                                      N_T, eps)
+        normalized = normalized_error(target, ght, paths, c_ac, config.c_rate, N_T, eps)
         # the coverage check puts every step inside the normalized window,
         # so its rows already hold the per-step sup distances
         raw_at = {row["n"]: row["raw_error"] for row in normalized["rows"]}

@@ -27,6 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .config import Config
 from .errors import DomainError, FitFailure, UnsupportedError
 
 
@@ -378,8 +379,10 @@ def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y):
     return value, encode_params(md, grads)
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(Config):
+    """A ``train`` block: full-batch gradient descent with a fixed step."""
+
     lr: float = 0.05
     epochs: int = 2000
     seed: int = 0

@@ -26,11 +26,12 @@ Six concrete variants are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import fields_to_json, from_json
 from .errors import DomainError, QuantizationSearchError
 from .measures import (
     DiscreteMeasure,
@@ -98,6 +99,7 @@ class QasSpace:
     """Base interface; concrete variants implement the hooks below."""
 
     kind: str = "abstract"
+    point_type: type | None = None  # the measure class of the points, if any
     mixing_constant: float = 1.0   # C_eta of the deviation inequality
     mixing_exponent: float = 1.0   # exponent p of the deviation inequality
 
@@ -106,7 +108,9 @@ class QasSpace:
         raise NotImplementedError
 
     def check_point(self, y) -> None:
-        raise NotImplementedError
+        if not isinstance(y, self.point_type):
+            raise DomainError(
+                f"{self.kind} points are {self.point_type.__name__}, got {type(y).__name__}")
 
     # -- mixing ------------------------------------------------------------
     def _mix_impl(self, w: np.ndarray, points: list):
@@ -254,13 +258,14 @@ class QasSpace:
 
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """``kind`` plus every dataclass field: the form ``space_from_json`` reads."""
+        return {"kind": self.kind, **fields_to_json(self)}
 
     def point_to_json(self, y) -> dict:
-        raise NotImplementedError
+        return y.to_json()
 
     def point_from_json(self, obj: dict):
-        raise NotImplementedError
+        return self.point_type.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +287,12 @@ class WassersteinConvex(QasSpace):
     d: int
     p: float = 1.0
     q_exponent: float = 2.0
-    bounds: tuple | None = None  # (lower, upper) arrays for a bounded base box
+    # (lower, upper) arrays for a bounded base box
+    bounds: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     barycentric_mixing: bool = False
 
-    kind: str = field(default="wasserstein_convex", init=False)
+    kind = "wasserstein_convex"
+    point_type = DiscreteMeasure
 
     def __post_init__(self):
         if self.d < 1:
@@ -313,8 +320,7 @@ class WassersteinConvex(QasSpace):
         return wasserstein_p(a, b, self.p)
 
     def check_point(self, y) -> None:
-        if not isinstance(y, DiscreteMeasure):
-            raise DomainError(f"{self.kind} points are DiscreteMeasure, got {type(y).__name__}")
+        super().check_point(y)
         if y.dim != self.d:
             raise DomainError(f"point dim {y.dim} != space dim {self.d}")
 
@@ -385,20 +391,6 @@ class WassersteinConvex(QasSpace):
         doubled = np.repeat(atoms, 2, axis=0)
         return QuantizationCode(doubled.reshape(-1), 2 * code.q)
 
-    def to_json(self) -> dict:
-        obj = {"kind": self.kind, "d": self.d, "p": self.p, "q_exponent": self.q_exponent,
-               "barycentric_mixing": self.barycentric_mixing}
-        if self.bounds is not None:
-            obj["bounds"] = [np.asarray(self.bounds[0]).tolist(),
-                             np.asarray(self.bounds[1]).tolist()]
-        return obj
-
-    def point_to_json(self, y) -> dict:
-        return y.to_json()
-
-    def point_from_json(self, obj: dict):
-        return DiscreteMeasure.from_json(obj)
-
 
 # ---------------------------------------------------------------------------
 # adapted empirical space
@@ -442,7 +434,8 @@ class AdaptedEmpirical(QasSpace):
     T: int
     p: float = 1.0
 
-    kind: str = field(default="adapted_empirical", init=False)
+    kind = "adapted_empirical"
+    point_type = PathMeasure
 
     def __post_init__(self):
         if self.d < 1 or self.T < 1:
@@ -454,8 +447,7 @@ class AdaptedEmpirical(QasSpace):
         return adapted_wasserstein_p(a, b, self.p)
 
     def check_point(self, y) -> None:
-        if not isinstance(y, PathMeasure):
-            raise DomainError(f"{self.kind} points are PathMeasure, got {type(y).__name__}")
+        super().check_point(y)
         if y.step_dim != self.d or y.horizon != self.T:
             raise DomainError(
                 f"point shape (d={y.step_dim}, T={y.horizon}) != space (d={self.d}, T={self.T})"
@@ -500,20 +492,12 @@ class AdaptedEmpirical(QasSpace):
         reps = np.repeat(snapped, k, axis=0)
         return QuantizationCode(reps.reshape(-1), q2)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "d": self.d, "T": self.T, "p": self.p}
-
-    def point_to_json(self, y) -> dict:
-        return y.to_json()
-
-    def point_from_json(self, obj: dict):
-        return PathMeasure.from_json(obj)
-
 
 # ---------------------------------------------------------------------------
 # linear spaces with a Schauder basis
 # ---------------------------------------------------------------------------
 
+@dataclass(init=False, eq=False)
 class LinearSchauder(QasSpace):
     """Coefficient sequences over a countable basis with a Gram inner product.
 
@@ -582,9 +566,6 @@ class LinearSchauder(QasSpace):
     def nest_code(self, code: QuantizationCode) -> QuantizationCode:
         return QuantizationCode(np.concatenate([code.z, [0.0]]), code.q + 1)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
-
     def point_to_json(self, y) -> dict:
         return {"coefficients": np.atleast_1d(np.asarray(y, float)).tolist()}
 
@@ -602,6 +583,7 @@ def forward_rate_kernel(alpha: float, t: float, s: float) -> float:
     return (1.0 - (m + 1.0) ** (1.0 - alpha)) / (alpha - 1.0)
 
 
+@dataclass(eq=False)
 class ForwardRateRkhs(LinearSchauder):
     """Forward-rate-curve space: kernel sections at knot times as the basis.
 
@@ -609,23 +591,28 @@ class ForwardRateRkhs(LinearSchauder):
     only a countable dense knot set is needed, and this one is explicit.
     """
 
+    alpha: float
+    knots: tuple[float, ...] | None = None
+    eval_grid: tuple[float, ...] | None = None
+    horizon: InitVar[float] = 30.0
+
     kind = "forward_rate_rkhs"
 
-    def __init__(self, alpha: float, knots: Sequence[float] | None = None,
-                 horizon: float = 30.0, eval_grid: Sequence[float] | None = None):
-        if alpha <= 3.0:
+    def __post_init__(self, horizon: float):
+        if self.alpha <= 3.0:
             raise DomainError("alpha must exceed 3")
+        knots = self.knots
         if knots is None:
             knots = []
             t = 0.1
             while t <= horizon:
                 knots.append(t)
                 t *= 2.0
-        self.alpha = float(alpha)
+        self.alpha = float(self.alpha)
         self.knots = tuple(float(t) for t in knots)
         if any(t < 0 for t in self.knots):
             raise DomainError("knot times must be >= 0")
-        self.eval_grid = tuple(eval_grid) if eval_grid is not None else tuple(
+        self.eval_grid = tuple(self.eval_grid) if self.eval_grid is not None else tuple(
             np.linspace(0.0, horizon, 61)
         )
         super().__init__(gram=lambda i, j: forward_rate_kernel(self.alpha, self.knots[i], self.knots[j]),
@@ -640,10 +627,6 @@ class ForwardRateRkhs(LinearSchauder):
             if zs != 0.0:
                 out += zs * np.array([forward_rate_kernel(self.alpha, self.knots[s], t) for t in times])
         return out
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha, "knots": list(self.knots),
-                "eval_grid": list(self.eval_grid)}
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +662,8 @@ class GaussianSpd(QasSpace):
 
     d: int
 
-    kind: str = field(default="gaussian_spd", init=False)
+    kind = "gaussian_spd"
+    point_type = GaussianMeasure
 
     def __post_init__(self):
         if self.d < 1:
@@ -697,8 +681,7 @@ class GaussianSpd(QasSpace):
         return gaussian_distance(a, b)
 
     def check_point(self, y) -> None:
-        if not isinstance(y, GaussianMeasure):
-            raise DomainError(f"{self.kind} points are GaussianMeasure, got {type(y).__name__}")
+        super().check_point(y)
         if y.dim != self.d:
             raise DomainError(f"point dim {y.dim} != space dim {self.d}")
 
@@ -725,15 +708,6 @@ class GaussianSpd(QasSpace):
     def nest_code(self, code: QuantizationCode) -> QuantizationCode:
         return QuantizationCode(np.array(code.z), code.q + 1)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "d": self.d}
-
-    def point_to_json(self, y) -> dict:
-        return y.to_json()
-
-    def point_from_json(self, obj: dict):
-        return GaussianMeasure.from_json(obj)
-
 
 # ---------------------------------------------------------------------------
 # exponential families
@@ -751,7 +725,7 @@ class ExponentialFamily(QasSpace):
 
     d: int
 
-    kind: str = field(default="exponential_family", init=False)
+    kind = "exponential_family"
 
     def __post_init__(self):
         if self.d < 1:
@@ -789,9 +763,6 @@ class ExponentialFamily(QasSpace):
     def nest_code(self, code: QuantizationCode) -> QuantizationCode:
         return QuantizationCode(np.array(code.z), code.q + 1)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "d": self.d}
-
     def point_to_json(self, y) -> dict:
         return {"theta": np.atleast_1d(np.asarray(y, float)).tolist()}
 
@@ -803,39 +774,14 @@ class ExponentialFamily(QasSpace):
 # serialization dispatch
 # ---------------------------------------------------------------------------
 
-def space_from_json(obj: dict) -> QasSpace:
-    """The space a ``to_json`` object describes.
+SPACES = {cls.kind: cls for cls in (WassersteinConvex, AdaptedEmpirical, LinearSchauder,
+                                   ForwardRateRkhs, GaussianSpd, ExponentialFamily)}
 
-    A missing key, a value that does not convert to the field's type,
-    or a key the space's ``to_json`` does not write raises ``DomainError``.
-    """
+
+def space_from_json(obj: dict, where: str = "space") -> QasSpace:
+    """The space a ``to_json`` object describes: ``kind`` picks the class,
+    the other keys are its fields, read by ``config.from_json``."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    space = None
-    try:
-        if kind == "wasserstein_convex":
-            bounds = obj.get("bounds")
-            if bounds is not None:
-                bounds = (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
-            space = WassersteinConvex(
-                d=int(obj["d"]), p=float(obj["p"]), q_exponent=float(obj["q_exponent"]),
-                bounds=bounds, barycentric_mixing=bool(obj.get("barycentric_mixing", False)),
-            )
-        elif kind == "adapted_empirical":
-            space = AdaptedEmpirical(d=int(obj["d"]), T=int(obj["T"]), p=float(obj["p"]))
-        elif kind == "linear_schauder":
-            space = LinearSchauder()
-        elif kind == "forward_rate_rkhs":
-            space = ForwardRateRkhs(alpha=float(obj["alpha"]), knots=obj.get("knots"),
-                                    eval_grid=obj.get("eval_grid"))
-        elif kind == "gaussian_spd":
-            space = GaussianSpd(d=int(obj["d"]))
-        elif kind == "exponential_family":
-            space = ExponentialFamily(d=int(obj["d"]))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise DomainError(f"malformed {kind} space: {exc!r}") from exc
-    if space is None:
-        raise DomainError(f"unknown space kind {kind!r}")
-    unknown = set(obj) - set(space.to_json())
-    if unknown:
-        raise DomainError(f"unknown keys in the {kind} space: {sorted(unknown)}")
-    return space
+    if not isinstance(kind, str) or kind not in SPACES:
+        raise DomainError(f"unknown space kind {kind!r} in {where}")
+    return from_json(SPACES[kind], {k: v for k, v in obj.items() if k != "kind"}, where)

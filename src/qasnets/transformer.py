@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import Config, fields_to_json, from_json
 from .errors import DomainError, UnsupportedError
 from .networks import (
     ActivationSpec,
@@ -203,18 +204,49 @@ class FitReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "sup_error": self.sup_error,
-            "center_indices": list(map(int, self.center_indices)),
-            "covering_radius": self.covering_radius,
-            "quantization_errors": [float(e) for e in self.quantization_errors],
-            "classification_defect": self.classification_defect,
-            "budget": self.budget,
-            "wall_time": self.wall_time,
-            "error_bound": self.error_bound,
-            "final_loss": self.final_loss,
-            **({"extras": self.extras} if self.extras else {}),
-        }
+        obj = fields_to_json(self)
+        if not self.extras:
+            del obj["extras"]
+        return obj
+
+
+@dataclass(frozen=True)
+class ClassifierTrainConfig(TrainConfig):
+    """``train`` of the constructive stage's classifier, with its own defaults."""
+
+    lr: float = 0.2
+    epochs: int = 1500
+    train_alpha: bool = False
+
+
+@dataclass(frozen=True)
+class StaticFitConfig(Config):
+    """The config of ``fit_static_constructive``; the keys from ``warm_train``
+    on are read by ``fit_static_end2end`` only."""
+
+    activation: str = "singular"  # exact classifier; "smooth"/"classical" are trained
+    hidden: int | None = None  # width of a trained classifier
+    label_amplitude: float = 3.0  # scale of its one-hot labels
+    train: ClassifierTrainConfig = ClassifierTrainConfig()
+    holder_exponent: float = 1.0  # with lipschitz, enters the reported bound
+    lipschitz: float | None = None  # estimated from data when absent
+    warm_train: ClassifierTrainConfig | None = None
+    warm_start: bool = True
+    codes: tuple[QuantizationCode, ...] | None = None
+    md: MultiIndex | None = None
+    theta0: tuple[float, ...] | None = None
+    loss_exponent: float | None = None
+    fd_step: float = 1e-5
+
+
+@dataclass(frozen=True)
+class End2EndFitConfig(StaticFitConfig):
+    """The same block as ``fit_static_end2end`` reads it: the activation
+    defaults to "smooth", and ``train`` drives the refinement with plain
+    ``TrainConfig`` defaults."""
+
+    activation: str = "smooth"
+    train: TrainConfig = TrainConfig()
 
 
 def _sup_error(space, targets, xs, gt):
@@ -229,7 +261,7 @@ def fit_static_constructive(
     train_x,
     space: QasSpace,
     budget: dict,
-    config: dict | None = None,
+    config: dict | StaticFitConfig | None = None,
 ) -> tuple[GeometricTransformer, FitReport]:
     """Net-and-quantize fit of x -> f(x) in the output space.
 
@@ -237,14 +269,11 @@ def fit_static_constructive(
     at most N; (ii) codes for the target values at the net points at
     level q; (iii) an encoder that classifies inputs to the one-hot of
     their nearest center, built exactly for singular activations and
-    trained on soft one-hot labels with squared loss otherwise.
-
-    Config keys: activation ("singular"|"smooth"|"classical"), lipschitz
-    and holder estimates for the reported bound (estimated from data when
-    absent), train (TrainConfig fields) for the gradient path.
+    trained on soft one-hot labels with squared loss otherwise.  The
+    config keys are the fields of ``StaticFitConfig``.
     """
     t0 = time.perf_counter()
-    config = dict(config or {})
+    config = from_json(StaticFitConfig, config or {}, "config")
     xs = np.atleast_2d(np.asarray(train_x, float))
     if len(xs) == 0:
         raise DomainError("train_x must be nonempty")
@@ -263,24 +292,19 @@ def fit_static_constructive(
         codes.append(code)
         qerrs.append(err)
 
-    act_kind = config.get("activation", "singular")
-    if act_kind == "singular":
+    if config.activation == "singular":
         spec = SINGULAR
         md, theta = exact_assignment_network(centers, xs)
     else:
-        spec = ActivationSpec(act_kind)
+        spec = ActivationSpec(config.activation)
         labels = nearest_center_labels(xs, centers)
         # amplified one-hot targets push the achieved logit gaps past the
         # simplex projection's saturation point, so the decoded weight sits
         # on (or near) the intended vertex
-        amp = float(config.get("label_amplitude", 3.0))
-        onehot = amp * np.eye(len(centers))[labels]
-        hidden = int(config.get("hidden", max(8, 2 * len(centers))))
+        onehot = config.label_amplitude * np.eye(len(centers))[labels]
+        hidden = config.hidden if config.hidden is not None else max(8, 2 * len(centers))
         md = MultiIndex((xs.shape[1], hidden, len(centers)))
-        tcfg = {"lr": 0.2, "epochs": 1500, "seed": 0, "train_alpha": False}
-        tcfg.update(config.get("train", {}))
-        tc = TrainConfig(**tcfg)
-        theta, _ = train_regression(md, spec, list(zip(xs, onehot)), tc)
+        theta, _ = train_regression(md, spec, list(zip(xs, onehot)), config.train)
 
     gt = GeometricTransformer(space, md, spec, theta, codes)
 
@@ -294,8 +318,8 @@ def fit_static_constructive(
         out = gt(x)
         defect = max(defect, space.distance(out, gt.images[lab]))
         sup = max(sup, space.distance(y, out))
-    alpha = float(config.get("holder_exponent", 1.0))
-    lip = config.get("lipschitz")
+    alpha = config.holder_exponent
+    lip = config.lipschitz
     if lip is None:
         lip = _estimate_lipschitz(space, targets, xs, alpha)
     bound = lip * radius**alpha + max(qerrs) + defect
@@ -357,7 +381,7 @@ def fit_static_end2end(
     train_x,
     space: QasSpace,
     budget: dict,
-    config: dict | None = None,
+    config: dict | StaticFitConfig | None = None,
 ) -> tuple[GeometricTransformer, FitReport]:
     """Gradient refinement of the encoder against the output-space loss.
 
@@ -367,49 +391,46 @@ def fit_static_end2end(
     simplex weights by the space's ``mixing_loss_grad``: for the
     Wasserstein space with convex mixing that is the envelope gradient
     from one optimal transport's dual potentials, elsewhere central
-    finite differences (config["fd_step"]).  Requires a smooth or
-    classical activation; codes stay fixed (they come from the
-    constructive stage or from config["codes"]).
+    finite differences (``fd_step``).  Requires a smooth or classical
+    activation; codes stay fixed (they come from the constructive stage
+    or from ``codes``).  The config keys are the fields of
+    ``End2EndFitConfig``.
     """
     t0 = time.perf_counter()
-    config = dict(config or {})
-    act_kind = config.get("activation", "smooth")
-    if act_kind == "singular":
+    config = from_json(End2EndFitConfig, config or {}, "config")
+    if config.activation == "singular":
         raise UnsupportedError("end-to-end gradient fitting needs a smooth or classical activation")
-    spec = ActivationSpec(act_kind)
+    spec = ActivationSpec(config.activation)
     xs = np.atleast_2d(np.asarray(train_x, float))
     n_budget = int(budget["N"])
     q = int(budget["q"])
 
-    codes = config.get("codes")
-    tc = TrainConfig(**config.get("train", {}))
+    codes = config.codes
+    tc = config.train
     warm_theta = None
     warm_md = None
     if codes is None:
         # constructive warm start: same activation kind, so the returned
         # classifier doubles as the initial encoder; the classifier gets its
         # own training budget, the "train" block only drives the refinement
-        base_cfg = {k: v for k, v in config.items()
-                    if k in ("holder_exponent", "lipschitz", "hidden", "label_amplitude")}
-        base_cfg["activation"] = act_kind
-        base_cfg["train"] = config.get(
-            "warm_train", {"lr": 0.3, "epochs": 2000, "seed": tc.seed, "train_alpha": False}
-        )
-        gt0, _ = fit_static_constructive(f, xs, space, budget, base_cfg)
+        warm_train = config.warm_train or ClassifierTrainConfig(lr=0.3, epochs=2000, seed=tc.seed)
+        gt0, _ = fit_static_constructive(f, xs, space, budget, StaticFitConfig(
+            activation=config.activation, hidden=config.hidden,
+            label_amplitude=config.label_amplitude, train=warm_train,
+            holder_exponent=config.holder_exponent, lipschitz=config.lipschitz))
         codes, points = gt0.codes, gt0.images
-        if config.get("warm_start", True):
+        if config.warm_start:
             warm_theta, warm_md = gt0.theta, gt0.md
     else:
         points = tuple(space.quantize(c) for c in codes)
     targets = [f(x) for x in xs]
     n_logits = len(codes)
 
-    md = config.get("md") or warm_md or MultiIndex(
-        (xs.shape[1], int(config.get("hidden", max(8, 2 * n_logits))), n_logits)
-    )
+    hidden = config.hidden if config.hidden is not None else max(8, 2 * n_logits)
+    md = config.md or warm_md or MultiIndex((xs.shape[1], hidden, n_logits))
     rng = np.random.default_rng(tc.seed)
-    if config.get("theta0") is not None:
-        theta = np.asarray(config["theta0"], float)
+    if config.theta0 is not None:
+        theta = np.asarray(config.theta0, float)
     elif warm_theta is not None and md.dims == (warm_md.dims if warm_md else None):
         theta = np.array(warm_theta)
     else:
@@ -417,8 +438,9 @@ def fit_static_end2end(
 
         theta = init_theta(md, spec, rng, tc.init_scale)
 
-    p = float(config.get("loss_exponent", getattr(space, "p", 2.0)))
-    h_fd = float(config.get("fd_step", 1e-5))
+    p = config.loss_exponent if config.loss_exponent is not None else float(
+        getattr(space, "p", 2.0))
+    h_fd = config.fd_step
     history = []
 
     def sample_loss_and_logit_grad(x, y):
@@ -499,6 +521,14 @@ class ComplexityReport:
     def csv_row(self) -> list:
         return [self.activation, self.depth, self.width, self.n_params,
                 self.ln_n_anchors, self.n_anchors, self.level_q]
+
+
+class _Inputs(dict):
+    """A complexity calculator's inputs; reading a missing one raises
+    ``DomainError`` naming it."""
+
+    def __missing__(self, key):
+        raise DomainError(f"complexity input {key!r} is missing")
 
 
 def _plus_plus(x: float) -> float:
@@ -582,6 +612,7 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
     (singular), eps_tilde (smooth), or depth (classical).  ``q`` comes
     from a "modulus" callable applied to eps_Q, or directly.
     """
+    inputs = _Inputs(inputs)
     n = int(inputs["n"])
     alpha = float(inputs["alpha"])
     ln_n = ln_anchor_count(alpha, inputs["L_f"], inputs["diam"], inputs["kappa"],
@@ -616,6 +647,7 @@ def encoder_constant(c: float, m: int, alpha: float, kappa: float, diam: float) 
 
 def complexity_ffnn(activation: str, inputs: dict) -> ComplexityReport:
     """Model-size bounds for the feedforward encoder, plus the constant C_K."""
+    inputs = _Inputs(inputs)
     n = int(inputs["n"])
     m = int(inputs["m"])
     alpha = float(inputs["alpha"])

@@ -152,10 +152,10 @@ class TestMalformedBlocks:
     STATIC = {"seed": 0, "budgets": {"N": [2], "q": [1]}, "train_points": 9}
 
     @pytest.mark.parametrize("space, message", [
-        ({"kind": "gaussian_spd"}, "malformed gaussian_spd space: KeyError('d')"),
-        ({"kind": "exponential_family", "d": "x"}, "malformed exponential_family space"),
+        ({"kind": "gaussian_spd"}, "static-fit.space is missing the key 'd'"),
+        ({"kind": "exponential_family", "d": "x"}, "static-fit.space.d must be an integer"),
         ({"kind": "wasserstein_convex", "d": 1, "p": 1.0, "q_exponent": 2.0, "bogus": 3},
-         "unknown keys in the wasserstein_convex space: ['bogus']"),
+         "static-fit.space: ['bogus']"),
     ])
     def test_space_block(self, tmp_path, capsys, space, message):
         code, _ = run(tmp_path, "static-fit", dict(self.STATIC, space=space))
@@ -167,13 +167,93 @@ class TestMalformedBlocks:
         cfg = dict(self.STATIC, mode="end2end", fit={"train": {key: 1}})
         code, _ = run(tmp_path, "static-fit", cfg)
         assert code == 2
-        assert f"unknown config keys in static-fit.fit.train: ['{key}']" in capsys.readouterr().err
+        assert f"unknown keys in static-fit.fit.train: ['{key}']" in capsys.readouterr().err
 
     def test_dynamic_train_block(self, tmp_path, capsys):
         cfg = {"seed": 0, "fit": {"encoder": "gradient", "train": {"nope": 1}}}
         code, _ = run(tmp_path, "dynamic-fit", cfg)
         assert code == 2
         assert "dynamic-fit.fit.train" in capsys.readouterr().err
+
+
+class TestTypedValues:
+    """Every config value has one declared type; a value that does not fit it,
+    a misspelled key or a block of the wrong shape is a config error (exit
+    2) naming the block and the key, at any nesting level."""
+
+    BASE = {
+        "metric": {"inputs": [dirac_json(0.0), dirac_json(1.0)]},
+        "complexity": {"activation": "classical", "inputs": {
+            "n": 2, "alpha": 1.0, "L_f": 1.0, "diam": 1.0, "kappa": 2.0, "C_eta": 1.0,
+            "c": 1.0, "eps_A": 0.5, "depth": 3.0}},
+        "static-fit": {"seed": 0, "budgets": {"N": [2], "q": [1]}, "train_points": 9},
+        "dynamic-fit": {"seed": 0, "N_T": 1, "eval_points": 3,
+                        "target": {"kind": "zero_drift", "quantiles": 4},
+                        "fit": {"grid_points": 3, "decoder_anchors": 2, "decoder_level": 2}},
+        "paths": {"seed": 1, "sde": {"kind": "zero"}, "n_paths": 2, "steps": 3, "eps": 0.5},
+    }
+    W = {"kind": "wasserstein_convex", "d": 1, "p": 2.0, "q_exponent": 3.0}
+
+    @pytest.mark.parametrize("command, override, message", [
+        ("static-fit", {"space": dict(W, d=1.7)}, "static-fit.space.d must be an integer"),
+        ("static-fit", {"space": dict(W, barycentric_mixing="no")},
+         "static-fit.space.barycentric_mixing must be true or false"),
+        ("paths", {"sde": {"rat": 5}}, "unknown keys in paths.sde: ['rat']"),
+        ("paths", {"classes": [{"kind": "kz", "low": -2}]},
+         "unknown keys in paths.classes[0]: ['low']"),
+        ("dynamic-fit", {"compression": {"class": "kz", "Lf": 9}},
+         "unknown keys in dynamic-fit.compression: ['Lf']"),
+        ("dynamic-fit", {"target": {"kind": "sin_drift", "sigmaa": 3}},
+         "unknown keys in dynamic-fit.target: ['sigmaa']"),
+        ("dynamic-fit", {"fit": {"decoder_config": {"bogus": 1}}},
+         "unknown keys in dynamic-fit.fit.decoder_config: ['bogus']"),
+        ("static-fit", {"budgets": {"Q": [9]}}, "unknown keys in static-fit.budgets: ['Q']"),
+        ("paths", {"n_paths": 2.9}, "paths.n_paths must be an integer, got 2.9"),
+        ("paths", {"seed": 7.5}, "paths.seed must be an integer, got 7.5"),
+        ("paths", {"seed": "7"}, "paths.seed must be an integer, got '7'"),
+        ("static-fit", {"fit": 5}, "static-fit.fit must be an object, got 5"),
+        ("static-fit", {"fit": {"train": {"lr": "x"}}},
+         "static-fit.fit.train.lr must be a finite number, got 'x'"),
+        ("static-fit", {"budgets": {"N": "x"}}, "static-fit.budgets.N must be an array, got 'x'"),
+        ("static-fit", {"budgets": {"N": []}}, "static-fit.budgets needs at least one N and one q"),
+        ("static-fit", {"fit": {"md": [1, 4, 2]}},
+         "static-fit.fit.md must be a MultiIndex, got [1, 4, 2]"),
+        ("static-fit", {"fit": {"codes": [[0.0], [1.0]]}},
+         "static-fit.fit.codes[0] must be a QuantizationCode, got [0.0]"),
+        ("paths", {"sde": [1]}, "paths.sde must be an object, got [1]"),
+        ("dynamic-fit", {"compression": 5}, "dynamic-fit.compression must be an object, got 5"),
+        ("metric", {"tolerances": 5}, "metric.tolerances must be an object, got 5"),
+        ("metric", {"p": "x"}, "metric.p must be a finite number, got 'x'"),
+        ("complexity", {"batch": 5}, "complexity.batch must be an array, got 5"),
+        ("paths", {"output": 5}, "paths.output must be a string, got 5"),
+    ])
+    def test_bad_value_names_block_and_key(self, tmp_path, capsys, command, override, message):
+        code, _ = run(tmp_path, command, dict(self.BASE[command], **override))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("command", sorted(BASE))
+    def test_base_configs_run(self, tmp_path, command):
+        assert run(tmp_path, command, self.BASE[command])[0] == 0
+
+
+class TestUnreadableFiles:
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["metric", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_measure_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "m").mkdir()
+        code, _ = run(tmp_path, "metric", {"inputs": ["m", dirac_json(0.0)]})
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_undecodable_config_bytes(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        assert main(["metric", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.parametrize("command", ["metric", "complexity", "static-fit", "dynamic-fit",
@@ -226,6 +306,12 @@ class TestComplexity:
         n = 2
         want = (N + n + 1) ** 2 * (7.0 + 1.0)
         assert float(row[head.index("n_params")]) == pytest.approx(want)
+
+
+    def test_missing_input_is_named(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "complexity", {"table": "ffnn", "inputs": {"n": 2}})
+        assert code == 2
+        assert "complexity input 'm' is missing" in capsys.readouterr().err
 
 
 class TestStaticFit:

@@ -232,9 +232,9 @@ class TestFiniteComplexityMaps:
         axis = norm.ppf((2 * np.arange(1, 8) - 1) / 14.0)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("norm.ppf called again for a cached level count")
+            raise AssertionError("ndtri called again for a cached level count")
 
-        monkeypatch.setattr(dynamics.norm, "ppf", refuse)
+        monkeypatch.setattr(dynamics, "ndtri", refuse)
         again = fc.evaluate(path, 0)
         np.testing.assert_array_equal(again.base.atoms, first.base.atoms)
         cloud = dynamics.gaussian_quantile_cloud(np.zeros(1), np.eye(1), 7)
@@ -502,3 +502,14 @@ class TestEnvelopeFit:
         targets = np.sqrt(m2 * 7 / 0.2)
         for n in range(1, 7):
             assert spec.envelope(n) == pytest.approx(targets[n], rel=1e-4)
+
+
+def test_ndtri_is_norm_ppf_bit_for_bit():
+    """``dynamics`` reads normal quantiles through scipy.special.ndtri rather
+    than scipy.stats' norm.ppf; on both level grids it uses, for every level
+    count 8..4096, the two agree bit for bit, signs of zero included."""
+    from qasnets.measures import mid_quantile_levels
+
+    for k in range(8, 4097):
+        for levels in (mid_quantile_levels(k), np.arange(1, k + 1) / (k + 1.0)):
+            assert dynamics.ndtri(levels).tobytes() == norm.ppf(levels).tobytes(), k

@@ -401,6 +401,27 @@ class TestFitDynamic:
         assert report.within_window_error <= 0.15
 
 
+    def test_gradient_encoder_train_block_defaults(self):
+        space = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)
+        target = sin_drift_target(k=8)
+        paths = self.make_paths(n_vals=3, N_T=1)
+
+        def thetas(extra):
+            ght, _ = fit_dynamic(target, paths, N_T=1, space=space, eps=0.4, config=dict(
+                {"encoder": "gradient", "hidden": 4, "decoder_anchors": 4, "decoder_level": 4},
+                **extra))
+            return np.concatenate([ght.stored_thetas[n] for n in (-1, 0, 1)])
+
+        # without a train block the encoders train at lr 0.1 for 1500 epochs; a
+        # given block is laid over the plain TrainConfig defaults
+        np.testing.assert_array_equal(thetas({}), thetas({"train": {
+            "lr": 0.1, "epochs": 1500, "seed": 0, "target_loss": 0.0, "init_scale": 0.5,
+            "train_alpha": False}}))
+        np.testing.assert_array_equal(thetas({"train": {"epochs": 20}}), thetas({"train": {
+            "lr": 0.05, "epochs": 20, "seed": 0, "target_loss": 0.0, "init_scale": 0.5,
+            "train_alpha": True}}))
+
+
 class TestNormalizedError:
     def test_target_equals_model_scores_zero(self):
         ght = toy_ght(hyper="identity")

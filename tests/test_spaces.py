@@ -473,6 +473,17 @@ class TestSerialization:
         s2 = space_from_json(json.loads(json.dumps(space.to_json())))
         assert s2.kind == space.kind
 
+    @pytest.mark.parametrize("space", ALL_SPACES + [
+        ForwardRateRkhs(alpha=4.0, knots=[1.0, 2.0]),
+        WassersteinConvex(d=2, p=1.0, q_exponent=1.0, bounds=(np.zeros(2), np.ones(2))),
+    ], ids=lambda s: s.kind + str(getattr(s, "d", "")))
+    def test_space_json_round_trip_is_exact(self, space):
+        import json
+
+        obj = space.to_json()
+        assert space_from_json(obj).to_json() == obj
+        assert space_from_json(json.loads(json.dumps(obj))).to_json() == obj
+
     def test_point_round_trips(self):
         rng = RNG(77)
         cases = [

@@ -293,9 +293,57 @@ class TestFitEnd2End:
         assert rep.sup_error <= 0.1
 
 
+class TestPartialTrainBlocks:
+    """A partial ``train`` block is laid over its own stage's defaults, so it
+    fits the same parameters as the full block it abbreviates."""
+
+    XS = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+
+    def test_constructive_classifier(self):
+        def theta(train):
+            gt, _ = fit_static_constructive(symmetric_pair_target, self.XS, w1_space(),
+                                            {"N": 2, "q": 2}, {"activation": "smooth",
+                                                               "train": train})
+            return gt.theta
+
+        full = {"lr": 0.2, "epochs": 1500, "seed": 0, "target_loss": 0.0, "init_scale": 0.5,
+                "train_alpha": False}
+        np.testing.assert_array_equal(theta({}), theta(full))
+        np.testing.assert_array_equal(theta({"epochs": 20}), theta(dict(full, epochs=20)))
+
+    def test_end2end_warm_start_and_refinement(self):
+        def theta(config):
+            gt, _ = fit_static_end2end(symmetric_pair_target, self.XS, w1_space(),
+                                       {"N": 2, "q": 2}, config)
+            return gt.theta
+
+        partial = {"train": {"epochs": 2, "seed": 3}}
+        warm = {"lr": 0.3, "epochs": 2000, "seed": 3, "target_loss": 0.0, "init_scale": 0.5,
+                "train_alpha": False}
+        refine = {"lr": 0.05, "epochs": 2, "seed": 3, "target_loss": 0.0, "init_scale": 0.5,
+                  "train_alpha": True}
+        want = theta(partial)
+        np.testing.assert_array_equal(want, theta(dict(partial, warm_train=warm)))
+        np.testing.assert_array_equal(want, theta({"train": refine}))
+        # a given warm_train block is laid over the constructive classifier's defaults
+        np.testing.assert_array_equal(
+            theta(dict(partial, warm_train={"epochs": 30})),
+            theta(dict(partial, warm_train={"lr": 0.2, "epochs": 30, "seed": 0,
+                                            "train_alpha": False})))
+
+
 class TestComplexityCalculators:
     BASE = dict(n=2, alpha=1.0, L_f=1.0, diam=1.0, kappa=2.0, C_eta=1.0, c=1.0,
                 eps_A=0.5, W=3.0)
+
+    @pytest.mark.parametrize("calc, drop", [(complexity_static, "eps_A"),
+                                            (complexity_static, "W"),
+                                            (complexity_ffnn, "alpha")])
+    def test_missing_input_is_a_domain_error(self, calc, drop):
+        inputs = dict(self.BASE, m=3)
+        del inputs[drop]
+        with pytest.raises(DomainError, match=f"complexity input '{drop}' is missing"):
+            calc("singular", inputs)
 
     def test_bitwise_reproducible(self):
         a = complexity_static("singular", dict(self.BASE))
