@@ -41,6 +41,7 @@ from .dynamics import (
     compression_rate,
     euler_simulate,
     fit_exponential_envelope,
+    kexp_slacks,
     path_membership,
     sde_kernel_map,
     uniform_grid,
@@ -69,22 +70,14 @@ class CommandConfig(Config):
 W1_SPACE = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)  # used when no space is given
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip decimal form
-    if isinstance(value, np.integer):
-        return str(int(value))
-    if value is None:
-        return ""
-    return str(value)
-
-
 def write_csv(path: Path, header: list[str], rows: list[list]):
+    """``csv`` writes a float (``np.float64`` too) in its shortest
+    round-trip decimal form, ``None`` as an empty field and other values
+    by ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_json(path: Path, obj):
@@ -281,6 +274,8 @@ def build_static_target(spec: StaticTarget, base: Path):
         points, files = spec.points, spec.files
         if not points or not files or len(points) != len(files):
             raise DomainError("measure-file datasets need 'points' and 'files' of equal length")
+        if len({np.shape(pt) for pt in points}) != 1:
+            raise DomainError("measure-file points must all be numbers or all arrays of one length")
         table = {}
         for pt, entry in zip(points, files):
             key = tuple(np.atleast_1d(np.asarray(pt, float)))
@@ -498,8 +493,9 @@ def cmd_paths(runner: Runner, base: Path):
     t1 = time.perf_counter()
     envelope = fit_exponential_envelope(paths, eps)
     t2 = time.perf_counter()
-    reports = [path_membership(envelope, p) for p in paths]
-    inside = sum(r.member for r in reports)
+    indices, slacks = kexp_slacks(envelope, paths)
+    member = (slacks.min(axis=1) >= 0.0).tolist()
+    inside = sum(member)
     runner.wall.update(simulate=t1 - t0, envelope_fit=t2 - t1,
                        membership=time.perf_counter() - t2)
 
@@ -516,10 +512,9 @@ def cmd_paths(runner: Runner, base: Path):
     }
     runner.emit_json(cfg.output, summary)
 
-    rows = []
-    for pid, rep in enumerate(reports):
-        for n, slack in rep.to_rows():
-            rows.append([pid, n, slack, int(rep.member)])
+    rows = [[pid, n, slack, int(flag)]
+            for pid, (row, flag) in enumerate(zip(slacks.tolist(), member))
+            for n, slack in zip(indices, row)]
     runner.emit_csv("membership.csv", ["path", "n", "slack", "path_member"], rows)
 
     if cfg.classes:

@@ -278,9 +278,6 @@ class MembershipReport:
     worst_index: int | None
     slacks: list[tuple[int, float]]
 
-    def to_rows(self):
-        return [(int(i), float(s)) for i, s in self.slacks]
-
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis, bit for bit ``np.linalg.norm(row)``.
@@ -290,6 +287,21 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     sum of squares could round differently for d > 1.
     """
     return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+
+
+def kexp_slacks(spec: KExp, paths: list[PathWindow]) -> tuple[range, np.ndarray]:
+    """The ``KExp`` slacks envelope(n) - |x_{t_n}| of paths sharing one window.
+
+    Returns the indices n >= 0 of the window and the slack matrix, one row
+    per path and one column per index, from one stack of every path's
+    values minus the envelope row.
+    """
+    first, last = paths[0].first_index, paths[0].last_index
+    if any(p.first_index != first or p.last_index != last for p in paths):
+        raise DomainError("the paths must share one window")
+    indices = range(max(first, 0), last + 1)
+    envelope = np.array([spec.envelope(n) for n in indices])
+    return indices, envelope - _row_norms(np.stack([p.segment(indices[0], last) for p in paths]))
 
 
 def path_membership(spec, path: PathWindow) -> MembershipReport:
@@ -320,10 +332,8 @@ def path_membership(spec, path: PathWindow) -> MembershipReport:
         for n in range(path.first_index, path.last_index + 1):
             slacks.append((n, spec.w(abs(n)) - spec.K.distance(path.at(n))))
     elif isinstance(spec, KExp):
-        first = max(path.first_index, 0)
-        norms = _row_norms(path.segment(first, path.last_index)).tolist()
-        slacks = [(n, spec.envelope(n) - r)
-                  for n, r in zip(range(first, path.last_index + 1), norms)]
+        indices, matrix = kexp_slacks(spec, [path])
+        slacks = list(zip(indices, matrix[0].tolist()))
     else:
         raise DomainError(f"unknown path class {type(spec).__name__}")
     worst_index, worst = min(slacks, key=lambda t: t[1])

@@ -152,12 +152,25 @@ def theta_unroll(ght: Ght, n: int) -> np.ndarray:
     return value
 
 
-def ght_eval(ght: Ght, path: PathWindow, n: int):
-    """decoder(encoder_{theta_n}(x_{t_{n-m}} .. x_{t_n}))."""
-    window = path.segment(n - ght.memory, n)
-    theta_n = theta_unroll(ght, n)
-    latent = forward(ght.encoder_md, ght.encoder_spec, theta_n, window.reshape(-1))
-    return ght.decoder(latent)
+def _windows(paths: Sequence[PathWindow], n: int, memory: int) -> np.ndarray:
+    """One row per path: its states x_{t_{n-m}} .. x_{t_n}, flattened in time order."""
+    return np.stack([p.segment(n - memory, n).reshape(-1) for p in paths])
+
+
+def ght_eval(ght: Ght, paths: PathWindow | Sequence[PathWindow], n: int):
+    """decoder(encoder_{theta_n}(x_{t_{n-m}} .. x_{t_n})) at step n.
+
+    ``paths`` is a sequence of paths, giving the list of their outputs
+    from one encoder and one decoder pass, or a single path, its one-row
+    case.  Each output is the one its path gives alone.
+    """
+    one = isinstance(paths, PathWindow)
+    if not one and len(paths) == 0:
+        return []
+    windows = _windows([paths] if one else paths, n, ght.memory)
+    latents = forward(ght.encoder_md, ght.encoder_spec, theta_unroll(ght, n), windows)
+    outs = ght.decoder.evaluate(latents)
+    return outs[0] if one else outs
 
 
 def self_compression(ght: Ght, paths: Sequence[PathWindow], N_T: int, lam: float, n: int) -> float:
@@ -167,9 +180,7 @@ def self_compression(ght: Ght, paths: Sequence[PathWindow], N_T: int, lam: float
     anchor = N_T if n >= 0 else -N_T
     space = ght.decoder.space
     worst = 1.0
-    for p in paths:
-        a = ght_eval(ght, p, n)
-        b = ght_eval(ght, p, anchor)
+    for a, b in zip(ght_eval(ght, paths, n), ght_eval(ght, paths, anchor)):
         worst = max(worst, lam * space.distance(a, b))
     return worst
 
@@ -217,8 +228,8 @@ def _sup_distance(target, ght: Ght, paths: Sequence[PathWindow], n: int, eps: fl
     """sup over paths of d_Y(target at n, model at n)."""
     space = ght.decoder.space
     raw = 0.0
-    for p in paths:
-        raw = max(raw, space.distance(target_eval(target, p, n, eps), ght_eval(ght, p, n)))
+    for p, out in zip(paths, ght_eval(ght, paths, n)):
+        raw = max(raw, space.distance(target_eval(target, p, n, eps), out))
     return raw
 
 
@@ -362,6 +373,8 @@ def fit_dynamic(
     fcm = target.at(eps / 4.0) if isinstance(target, AcMapSpec) else target
     m = fcm.memory
     L = fcm.latent_dim
+    if not paths:
+        raise DomainError("fit_dynamic needs at least one path")
     for p in paths:
         if p.first_index > -N_T - m or p.last_index < N_T:
             raise DomainError(
@@ -418,12 +431,10 @@ def fit_dynamic(
     thetas, applied = make_distinct(thetas, md_enc, step)
 
     # -- stage (iv): shared decoder on the union of encoder outputs -------
-    latent_cloud = []
-    for n, theta_n in zip(steps, thetas):
-        for p in paths:
-            window = p.segment(n - m, n)
-            latent_cloud.append(forward(md_enc, spec_enc, theta_n, window.reshape(-1)))
-    latent_cloud = np.array(latent_cloud)
+    latent_cloud = np.concatenate([
+        forward(md_enc, spec_enc, theta_n, _windows(paths, n, m))
+        for n, theta_n in zip(steps, thetas)
+    ])
 
     n_dec, q_dec = config.decoder_anchors, config.decoder_level
     decoder, dec_report = fit_static_constructive(
@@ -436,18 +447,15 @@ def fit_dynamic(
     hyper_md, hyper_theta, _ = memorize_sequence(
         pairs, P, N_T, seed=config.seed if config.seed is not None else 0
     )
-    replay_residual = max(
-        float(np.max(np.abs(forward(hyper_md, SINGULAR, hyper_theta, a) - b)))
-        for a, b in pairs
-    )
+    # h at every visited parameter vector, one row each
+    h_thetas = forward(hyper_md, SINGULAR, hyper_theta, np.stack(thetas))
+    replay_residual = max(float(np.max(np.abs(ha - b))) for ha, (_, b) in zip(h_thetas, pairs))
     # measured local Lipschitz bound of h along the visited segment: replay
     # deviations compound at most linearly in steps times this factor
     seg_lipschitz = 0.0
-    for a, b in pairs:
+    for (a, b), ha, hb in zip(pairs, h_thetas, h_thetas[1:]):
         gap = float(np.linalg.norm(b - a))
         if gap > 1e-14:
-            ha = forward(hyper_md, SINGULAR, hyper_theta, a)
-            hb = forward(hyper_md, SINGULAR, hyper_theta, b)
             seg_lipschitz = max(seg_lipschitz, float(np.linalg.norm(hb - ha)) / gap)
 
     ght = Ght(

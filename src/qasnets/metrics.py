@@ -43,22 +43,28 @@ def project_simplex(u) -> np.ndarray:
     """Euclidean projection of u onto the probability simplex.
 
     Sort-and-threshold algorithm with a stable sort on index, so ties are
-    broken deterministically across runs and thread counts.
+    broken deterministically across runs and thread counts.  A 2-D ``u``
+    is projected row by row; a 1-D one is its one-row case, and each row's
+    result is bitwise what that row gives alone (the sort, the running
+    sum and the threshold all stay inside a row).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.ndim != 1 or u.size < 1:
-        raise DomainError("input must be a nonempty vector")
+    if u.ndim > 2 or u.size < 1:
+        raise DomainError("input must be a nonempty vector or a stack of them")
     if not np.all(np.isfinite(u)):
         raise DomainError("input must be finite")
-    n = u.size
-    order = np.argsort(-u, kind="stable")
-    s = u[order]
-    css = np.cumsum(s) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = s - css / idx > 0.0
-    rho = int(np.nonzero(cond)[0][-1]) + 1
-    tau = css[rho - 1] / rho
-    return np.maximum(u - tau, 0.0)
+    rows = u.reshape(-1, u.shape[-1])
+    n = rows.shape[1]
+    s = np.take_along_axis(rows, np.argsort(-rows, axis=1, kind="stable"), axis=1)
+    css = np.cumsum(s, axis=1) - 1.0
+    cond = s - css / np.arange(1, n + 1) > 0.0
+    if not cond.any(axis=1).all():
+        # only for entries past 2^53, where subtracting 1 is lost to rounding
+        raise ArithmeticError("simplex projection threshold lost to rounding")
+    # rho, the last index where cond holds, counted from 1
+    rho = n - np.argmax(cond[:, ::-1], axis=1)
+    tau = css[np.arange(len(rows)), rho - 1] / rho
+    return np.maximum(rows - tau[:, None], 0.0).reshape(u.shape)
 
 
 def project_cube(u, lower, upper) -> np.ndarray:

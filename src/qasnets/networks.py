@@ -224,18 +224,42 @@ def _activation_grads(spec: ActivationSpec, alpha, x):
     return dy_dx, dy_da1, dy_da2
 
 
+# Rows per ``forward`` chunk are this many elements over the widest layer:
+# 256 KB per temporary, and 8 rows of the widest decoders in use (4032 units)
+FORWARD_CHUNK_ELEMENTS = 1 << 15
+
+
+def _affine_rows(h: np.ndarray, lp: LayerParams) -> np.ndarray:
+    """h @ W^T + b with one vector-matrix product per row of h.
+
+    The stacked (1, d_j) @ (d_j, d_{j+1}) products run the same gemv
+    kernel as a lone row would, so each output row is bit for bit what
+    that row gives alone; a 2-D ``@`` (gemm) rounds differently.
+    """
+    return np.matmul(h[:, None, :], lp.weight.T)[:, 0, :] + lp.bias
+
+
 def forward(md: MultiIndex, spec: ActivationSpec, theta, x) -> np.ndarray:
-    """Representation function: activated affine layers, then a final affine."""
+    """Representation function: activated affine layers, then a final affine.
+
+    ``x`` is one input (1-D) or a stack of inputs along the leading axes.
+    Row-invariant: every output row is bitwise equal to ``forward`` of
+    that input alone, whatever it is batched with.  Rows run in chunks of
+    ``FORWARD_CHUNK_ELEMENTS`` over the widest layer.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != md.in_dim:
         raise DomainError(f"input dim {x.shape[-1]} != d_0 = {md.in_dim}")
     layers = decode_params(md, theta)
-    h = x
-    for lp in layers[:-1]:
-        z = h @ lp.weight.T + lp.bias
-        h = activation_eval(spec, lp.alpha, z)
-    out = h @ layers[-1].weight.T + layers[-1].bias
-    return out
+    rows = np.ascontiguousarray(x.reshape(-1, md.in_dim))
+    out = np.empty((len(rows), md.out_dim))
+    chunk = max(1, FORWARD_CHUNK_ELEMENTS // md.width)
+    for start in range(0, len(rows), chunk):
+        h = rows[start : start + chunk]
+        for lp in layers[:-1]:
+            h = activation_eval(spec, lp.alpha, _affine_rows(h, lp))
+        out[start : start + chunk] = _affine_rows(h, layers[-1])
+    return out.reshape(x.shape[:-1] + (md.out_dim,))
 
 
 def zero_theta(md: MultiIndex) -> np.ndarray:
@@ -443,12 +467,12 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
         raise DomainError("dataset must be nonempty")
     rng = np.random.default_rng(config.seed)
     theta = init_theta(md, spec, rng, config.init_scale) if theta0 is None else np.array(theta0, float)
-    freeze = ~_alpha_mask(md) if not config.train_alpha else None
+    trained = None if config.train_alpha else ~_alpha_mask(md)
     history = []
     _, g = loss_and_grad(md, spec, theta, X, Y)
     for _ in range(config.epochs):
-        if freeze is not None:
-            g = np.where(freeze, g, 0.0)
+        if trained is not None:
+            g = np.where(trained, g, 0.0)
         theta = theta - config.lr * g
         value, g = loss_and_grad(md, spec, theta, X, Y)
         history.append(value)

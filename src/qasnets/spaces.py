@@ -174,21 +174,25 @@ class QasSpace:
         At a simplex vertex e_i the result is the image of ``codes[i]``
         itself, with no mixing arithmetic.  ``images``, when given, must
         hold those images already (a model whose codes are fixed quantizes
-        them once), and is used instead of quantizing again.
+        them once), and is used instead of quantizing again.  A 2-D ``u``
+        holds one logit row per input and gives the list of their outputs,
+        with one projection for all rows; a 1-D ``u`` is its one-row case.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.size != len(codes):
-            raise DomainError(f"logit count {u.size} != code count {len(codes)}")
+        if u.ndim > 2 or u.shape[-1] != len(codes):
+            raise DomainError(f"logit rows of shape {u.shape} for {len(codes)} codes")
         qs = {c.q for c in codes}
         if len(qs) != 1:
             raise DomainError(f"codes must share one level, got {sorted(qs)}")
-        w = project_simplex(u)
-        i = _is_basis_vector(w)
-        if i is not None:
-            return self.quantize(codes[i]) if images is None else images[i]
-        if images is None:
-            images = [self.quantize(c) for c in codes]
-        return self.mix(w, images)
+
+        def attend(w):
+            i = _is_basis_vector(w)
+            if i is not None:
+                return self.quantize(codes[i]) if images is None else images[i]
+            return self.mix(w, [self.quantize(c) for c in codes] if images is None else images)
+
+        outs = [attend(w) for w in np.atleast_2d(project_simplex(u))]
+        return outs if u.ndim == 2 else outs[0]
 
     def mixing_loss_grad(self, y, w, points, exponent: float,
                          fd_step: float = 1e-5) -> tuple[float, np.ndarray]:

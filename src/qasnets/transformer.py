@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import Config, fields_to_json, from_json
+from .config import Config, _is_int, _is_number, _mismatch, fields_to_json, from_json
 from .errors import DomainError, UnsupportedError
 from .networks import (
     ActivationSpec,
@@ -36,6 +36,7 @@ from .networks import (
     MultiIndex,
     SINGULAR,
     TrainConfig,
+    _alpha_mask,
     encode_params,
     forward,
     loss_and_grad,
@@ -92,8 +93,14 @@ class GeometricTransformer:
     def logits(self, x) -> np.ndarray:
         return forward(self.md, self.activation, self.theta, x)
 
+    def evaluate(self, xs) -> list:
+        """Outputs at a stack of inputs, one row each: one ``forward``, one
+        simplex projection of all logit rows, then a vertex pick or a mix
+        per row.  Each output is the one its input gives alone."""
+        return self.space.attention(self.logits(np.atleast_2d(xs)), self.codes, self.images)
+
     def __call__(self, x):
-        return self.space.attention(self.logits(x), self.codes, self.images)
+        return self.evaluate(np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
 
     def to_json(self) -> dict:
         return {
@@ -251,8 +258,8 @@ class End2EndFitConfig(StaticFitConfig):
 
 def _sup_error(space, targets, xs, gt):
     worst = 0.0
-    for y, x in zip(targets, xs):
-        worst = max(worst, space.distance(y, gt(x)))
+    for y, out in zip(targets, gt.evaluate(xs)):
+        worst = max(worst, space.distance(y, out))
     return worst
 
 
@@ -314,8 +321,7 @@ def fit_static_constructive(
     labels = nearest_center_labels(xs, centers)
     defect = 0.0
     sup = 0.0
-    for x, y, lab in zip(xs, targets, labels):
-        out = gt(x)
+    for out, y, lab in zip(gt.evaluate(xs), targets, labels):
         defect = max(defect, space.distance(out, gt.images[lab]))
         sup = max(sup, space.distance(y, out))
     alpha = config.holder_exponent
@@ -358,21 +364,17 @@ def _estimate_lipschitz(space, targets, xs, alpha, max_pairs=200):
 # end-to-end gradient fit
 # ---------------------------------------------------------------------------
 
-def _simplex_projection_jacobian(u: np.ndarray) -> np.ndarray:
-    """Jacobian of the sort-threshold projection at its active set.
+def _simplex_projection_jacobian(w: np.ndarray) -> np.ndarray:
+    """Jacobian of the sort-threshold projection, given its result w.
 
-    On the active set S the projection is w_i = u_i - (sum_S u - 1)/|S|,
-    so the Jacobian is (I - 11^T/|S|) on S and zero elsewhere; at ties the
-    sorted-threshold branch decides membership.
+    On the active set S = {i : w_i > 0} the projection is
+    w_i = u_i - (sum_S u - 1)/|S|, so the Jacobian is (I - 11^T/|S|) on S
+    and zero elsewhere; at ties the sorted-threshold branch decides
+    membership.
     """
-    w = project_simplex(u)
-    active = w > 0.0
-    k = int(active.sum())
-    J = np.zeros((u.size, u.size))
-    scale = 1.0 / k
-    for i in np.nonzero(active)[0]:
-        for j in np.nonzero(active)[0]:
-            J[i, j] = (1.0 if i == j else 0.0) - scale
+    active = np.nonzero(w > 0.0)[0]
+    J = np.zeros((w.size, w.size))
+    J[np.ix_(active, active)] = np.eye(active.size) - 1.0 / active.size
     return J
 
 
@@ -443,20 +445,17 @@ def fit_static_end2end(
     h_fd = config.fd_step
     history = []
 
-    def sample_loss_and_logit_grad(x, y):
-        u = forward(md, spec, theta, x)
-        base, gw = space.mixing_loss_grad(y, project_simplex(u), points, p, h_fd)
-        gu = _simplex_projection_jacobian(u).T @ gw
-        return base, u, gu
-
     n = len(xs)
     epochs = tc.epochs if tc.epochs else 300
+    trained = None if tc.train_alpha else ~_alpha_mask(md)
     best_theta, best_loss = np.array(theta), math.inf
     for epoch in range(epochs):
         total = 0.0
         grad = np.zeros_like(theta)
-        for x, y in zip(xs, targets):
-            val, u, gu = sample_loss_and_logit_grad(x, y)
+        logits = forward(md, spec, theta, xs)
+        for x, y, u, w in zip(xs, targets, logits, project_simplex(logits)):
+            val, gw = space.mixing_loss_grad(y, w, points, p, h_fd)
+            gu = _simplex_projection_jacobian(w).T @ gw
             total += val
             # chain rule through the net: with the target u - gu, the
             # squared-loss gradient is exactly J_theta(u)^T gu
@@ -467,6 +466,8 @@ def fit_static_end2end(
             best_loss, best_theta = history[-1], np.array(theta)
         if best_loss <= tc.target_loss:
             break
+        if trained is not None:
+            grad = np.where(trained, grad, 0.0)
         theta = theta - tc.lr * grad / n
     # the final update can overshoot; keep the best-loss iterate
     theta = best_theta
@@ -524,11 +525,29 @@ class ComplexityReport:
 
 
 class _Inputs(dict):
-    """A complexity calculator's inputs; reading a missing one raises
-    ``DomainError`` naming it."""
+    """A complexity calculator's inputs, an open bag: any key may be given
+    (all are echoed into the report), but each one read must be a finite
+    number (``modulus`` a callable).  Reading a missing or ill-typed one
+    raises ``DomainError`` naming it."""
 
     def __missing__(self, key):
         raise DomainError(f"complexity input {key!r} is missing")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if not (callable(value) if key == "modulus" else _is_number(value)):
+            raise _mismatch(f"complexity input {key!r}",
+                            "a callable" if key == "modulus" else "a finite number", value)
+        return value
+
+    def get(self, key, default=None):
+        return default if dict.get(self, key) is None else self[key]
+
+    def integer(self, key) -> int:
+        value = super().__getitem__(key)
+        if not _is_int(value):
+            raise _mismatch(f"complexity input {key!r}", "an integer", value)
+        return int(value)
 
 
 def _plus_plus(x: float) -> float:
@@ -613,7 +632,7 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
     from a "modulus" callable applied to eps_Q, or directly.
     """
     inputs = _Inputs(inputs)
-    n = int(inputs["n"])
+    n = inputs.integer("n")
     alpha = float(inputs["alpha"])
     ln_n = ln_anchor_count(alpha, inputs["L_f"], inputs["diam"], inputs["kappa"],
                            inputs["C_eta"], inputs["c"], inputs["eps_A"])
@@ -627,7 +646,7 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
                                                 n_anchors=N)
         implicit["D"] = D
     depth, width, params = _complexity_rows(activation, n, N - 1, inputs, D)
-    q = inputs.get("q")
+    q = None if inputs.get("q") is None else inputs.integer("q")
     if q is None and "modulus" in inputs and "eps_Q" in inputs:
         q = inputs["modulus"](inputs["eps_Q"])
     return ComplexityReport(
@@ -648,8 +667,8 @@ def encoder_constant(c: float, m: int, alpha: float, kappa: float, diam: float) 
 def complexity_ffnn(activation: str, inputs: dict) -> ComplexityReport:
     """Model-size bounds for the feedforward encoder, plus the constant C_K."""
     inputs = _Inputs(inputs)
-    n = int(inputs["n"])
-    m = int(inputs["m"])
+    n = inputs.integer("n")
+    m = inputs.integer("m")
     alpha = float(inputs["alpha"])
     implicit = {}
     D = None

@@ -287,3 +287,25 @@ def train_regression_reference(md, spec, X, Y, theta0, lr: float, epochs: int,
         if value <= target_loss:
             break
     return theta, history
+
+
+def write_csv_reference(path, header, rows) -> None:
+    """CSV with every field formatted by hand: a float (numpy's too) as the
+    repr of the Python float, a numpy integer as its int, None as an empty
+    field, anything else by ``str``."""
+    import csv
+
+    def fmt(value) -> str:
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        if isinstance(value, np.integer):
+            return str(int(value))
+        if value is None:
+            return ""
+        return str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])

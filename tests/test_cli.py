@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qasnets.cli import main
+from qasnets.cli import main, write_csv
+
+from oracles import write_csv_reference
 
 
 def run(tmp_path, command, config, name="config.json", extra=()):
@@ -313,6 +315,24 @@ class TestComplexity:
         assert code == 2
         assert "complexity input 'm' is missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "x", "complexity input 'n' must be an integer, got 'x'"),
+        ("n", 2.5, "complexity input 'n' must be an integer"),
+        ("alpha", [1.0], "complexity input 'alpha' must be a finite number"),
+        ("W", True, "complexity input 'W' must be a finite number"),
+    ])
+    def test_ill_typed_input_is_named(self, tmp_path, capsys, key, value, message):
+        inputs = {"n": 2, "m": 2, "alpha": 1.0, "W": 3.0, "eps": 0.5}
+        code, _ = run(tmp_path, "complexity",
+                      {"table": "ffnn", "inputs": dict(inputs, **{key: value})})
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_unread_inputs_stay_open(self, tmp_path):
+        inputs = {"n": 2, "m": 2, "alpha": 1.0, "W": 3.0, "eps": 0.5, "note": "any value"}
+        code, _ = run(tmp_path, "complexity", {"table": "ffnn", "inputs": inputs})
+        assert code == 0
+
 
 class TestStaticFit:
     def test_error_curve(self, tmp_path):
@@ -341,8 +361,23 @@ class TestStaticFit:
         rows = read_csv(out / "error_curve.csv")
         assert float(rows[1][2]) <= 1e-12
 
+    def test_mixed_shape_points_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "target": {"kind": "measure_files", "points": [0.0, [1.0]],
+                        "files": [dirac_json(0.0), dirac_json(1.0)]},
+            "budgets": {"N": [2], "q": [1]},
+        }
+        code, _ = run(tmp_path, "static-fit", cfg)
+        assert code == 2
+        assert "measure-file points" in capsys.readouterr().err
+
 
 class TestDynamicFit:
+    def test_no_paths_exits_2(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "dynamic-fit", {"seed": 0, "eval_points": 0})
+        assert code == 2
+        assert "at least one path" in capsys.readouterr().err
+
     def test_sin_drift_run(self, tmp_path):
         cfg = {
             "seed": 0, "N_T": 4, "eps": 0.4,
@@ -487,6 +522,19 @@ def readme_output_digests(tmp_path):
                                    sort_keys=True) + "\n").encode()
             digests[f"{out_name}/{path.name}"] = hashlib.sha256(data).hexdigest()
     return digests
+
+
+def test_write_csv_matches_hand_formatting(tmp_path):
+    # every field type the commands write: Python and numpy floats and
+    # integers, None for an absent value, bools and strings (the JSON column)
+    floats = [0.1, -0.0, 0.0, 1e16, 2.5e-300, 5e-324, 1.0 / 3.0, -7.25, float("inf"),
+              float("-inf"), float("nan"), 123456789.0, 1e22, 2.0**-1074 * 3]
+    rows = [[v, np.float64(v), i, np.int64(-i)] for i, v in enumerate(floats)]
+    rows += [[None, True, False, json.dumps({"D": 0.7, "C_K": 1.5}, sort_keys=True)],
+             ["kexp_fitted", 3, None, 'quote " and, comma']]
+    write_csv(tmp_path / "got.csv", ["a", "b", "c", "d"], rows)
+    write_csv_reference(tmp_path / "want.csv", ["a", "b", "c", "d"], rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_readme_examples_are_byte_pinned(tmp_path):

@@ -26,6 +26,7 @@ from qasnets.dynamics import (
     fit_exponential_envelope,
     grid_validate,
     infinite_memory_truncation,
+    kexp_slacks,
     path_membership,
     sde_kernel_map,
     sde_two_step_adapted,
@@ -136,6 +137,23 @@ class TestMembership:
         kexp = KExp(C0=1.0, Cstar=2.0, Cn=lambda n: 0.5 / n, eps=0.25, delta_minus=0.3)
         want = [(n, kexp.envelope(n) - float(np.linalg.norm(path.at(n)))) for n in range(0, 5)]
         assert path_membership(kexp, path).slacks == want
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_kexp_slack_matrix_equals_per_path_membership(self, dim):
+        g = uniform_grid(2, 6)
+        paths = euler_simulate(lambda t, x: -x, lambda t, x: 0.7 * np.eye(dim),
+                               np.zeros(dim), g, 25, seed=dim, dim=dim)
+        spec = fit_exponential_envelope(paths, eps=0.2)
+        indices, matrix = kexp_slacks(spec, paths)
+        assert list(indices) == list(range(0, 7)) and matrix.shape == (25, 7)
+        for p, row in zip(paths, matrix.tolist()):
+            rep = path_membership(spec, p)
+            assert rep.slacks == list(zip(indices, row))
+            assert rep.member == (min(row) >= 0.0)
+            # the per-index formula, one norm at a time
+            assert row == [spec.envelope(n) - float(np.linalg.norm(p.at(n))) for n in indices]
+        with pytest.raises(DomainError):
+            kexp_slacks(spec, [paths[0], PathWindow(g, np.zeros((5, dim)), -2)])
 
     def test_kexp_bound_computed_once_per_index(self):
         calls = []

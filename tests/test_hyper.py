@@ -196,6 +196,40 @@ class TestGhtEval:
             assert space.distance(ght_eval(ght, path, n), ght_eval(ght2, path, n)) == 0.0
 
 
+class TestBatchedEvaluation:
+    def test_one_encoder_and_one_decoder_pass_per_step(self, monkeypatch):
+        from qasnets import transformer
+
+        ght = toy_ght(hyper="shift", delta=0.3)
+        paths = [constant_path(v) for v in np.linspace(-1.0, 1.0, 7)]
+        theta_unroll(ght, 1)  # the schedule replay is not counted
+        shapes = []
+
+        def counting(md, spec, theta, x):
+            shapes.append(np.shape(x))
+            return forward(md, spec, theta, x)
+
+        monkeypatch.setattr(hyper, "forward", counting)
+        monkeypatch.setattr(transformer, "forward", counting)
+
+        class Dirac:
+            def evaluate(self, path, n):
+                return DiscreteMeasure.dirac(0.5)
+
+        raw = hyper._sup_distance(Dirac(), ght, paths, 1, 0.4)
+        assert shapes == [(7, 1), (7, 2)]
+        monkeypatch.undo()
+        space = ght.decoder.space
+        assert raw == max(space.distance(DiscreteMeasure.dirac(0.5), ght_eval(ght, p, 1))
+                          for p in paths)
+        outs = ght_eval(ght, paths, 1)
+        assert [space.distance(a, ght_eval(ght, p, 1)) for a, p in zip(outs, paths)] == [0.0] * 7
+        # an empty path set has no outputs, so its sups keep their floors
+        assert ght_eval(ght, [], 1) == []
+        assert hyper._sup_distance(Dirac(), ght, [], 1, 0.4) == 0.0
+        assert self_compression(ght, [], 2, lam=4.0, n=3) == 1.0
+
+
 class TestSelfCompression:
     def test_at_horizon_equals_one(self):
         ght = toy_ght(hyper="shift")
@@ -346,9 +380,10 @@ class TestFitDynamic:
             target_calls.append((id(path), n))
             return real_evaluate(self, path, n)
 
-        def ght_eval(ght, path, n):
-            model_calls.append((id(path), n))
-            return real_ght_eval(ght, path, n)
+        def ght_eval(ght, paths, n):
+            # the batch entry: one call evaluates every path of step n
+            model_calls.extend((id(p), n) for p in paths)
+            return real_ght_eval(ght, paths, n)
 
         monkeypatch.setattr(FiniteComplexityMap, "evaluate", evaluate)
         monkeypatch.setattr(hyper, "ght_eval", ght_eval)

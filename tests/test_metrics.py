@@ -66,6 +66,40 @@ class TestProjectSimplex:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             project_simplex([np.nan, 0.0])
+        with pytest.raises(DomainError):
+            project_simplex([[0.0, 1.0], [np.inf, 0.0]])
+        with pytest.raises(DomainError):
+            project_simplex(np.zeros((2, 2, 2)))
+
+    def test_threshold_lost_to_rounding_is_a_numeric_failure(self):
+        # past 2^53, s_1 - (s_1 - 1) is 0 and no index passes the threshold test
+        with pytest.raises(ArithmeticError):
+            project_simplex([1e16, 0.0])
+        with pytest.raises(ArithmeticError):
+            project_simplex([[0.0, 1.0], [1e17, 1e17]])
+
+    def test_rows_equal_lone_rows(self):
+        def lone(u):  # one vector: sort, running sum, last index above threshold
+            s = u[np.argsort(-u, kind="stable")]
+            css = np.cumsum(s) - 1.0
+            rho = int(np.nonzero(s - css / np.arange(1, u.size + 1) > 0.0)[0][-1]) + 1
+            return np.maximum(u - css[rho - 1] / rho, 0.0)
+
+        rng = np.random.default_rng(11)
+        for k in (1, 2, 5, 64):
+            U = rng.normal(scale=2.0, size=(40, k))
+            U[1] = 0.0  # all tied: the uniform weight
+            U[2] = np.eye(k)[k - 1]  # a vertex
+            U[3] = np.round(U[3])  # ties among integers
+            U[4, : k // 2] = U[4, -1]  # ties with the largest entry
+            U[5] = 3.0 * np.eye(k)[0]  # saturated past the vertex
+            W = project_simplex(U)
+            for u, w in zip(U, W):
+                assert np.array_equal(w, project_simplex(u))
+                assert np.array_equal(w, lone(u))
+            assert np.array_equal(W[2], np.eye(k)[k - 1])
+            if k > 1:
+                assert np.count_nonzero(W[1]) == k
 
 
 class TestProjectCube:

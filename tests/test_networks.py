@@ -1,8 +1,13 @@
 """Tests for the feedforward core: codec, activations, training, memorization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qasnets import networks
 from qasnets.errors import DomainError, UnsupportedError
 from qasnets.networks import (
     ActivationSpec,
@@ -131,6 +136,63 @@ class TestForward:
         md = MultiIndex((2, 2))
         with pytest.raises(DomainError):
             forward(md, SINGULAR, zero_theta(md), [1.0, 2.0, 3.0])
+
+
+def lone_row_forward(md, spec, theta, x):
+    """One input alone, as 1-D vector-matrix products layer by layer."""
+    layers = decode_params(md, theta)
+    h = x
+    for lp in layers[:-1]:
+        h = activation_eval(spec, lp.alpha, h @ lp.weight.T + lp.bias)
+    return h @ layers[-1].weight.T + layers[-1].bias
+
+
+def assert_rows_alone(md, spec, theta, X):
+    out = forward(md, spec, theta, X)
+    assert out.shape == (len(X), md.out_dim)
+    for r, x in enumerate(X):
+        alone = forward(md, spec, theta, x)
+        assert np.array_equal(out[r], alone, equal_nan=True), r
+        assert np.array_equal(alone, lone_row_forward(md, spec, theta, x), equal_nan=True), r
+
+
+class TestRowInvariance:
+    """Row r of ``forward`` on a stack is bitwise ``forward`` of row r alone,
+    however the rows are chunked."""
+
+    @given(kind=st.sampled_from(["singular", "smooth", "classical"]),
+           dims=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+           rows=st.integers(1, 40), budget=st.integers(1, 200), seed=st.integers(0, 2**16))
+    def test_rows_equal_lone_rows(self, kind, dims, rows, budget, seed):
+        rng = np.random.default_rng(seed)
+        md = MultiIndex(tuple(dims))
+        theta = rng.normal(scale=2.0, size=param_count(md))
+        X = rng.normal(scale=3.0, size=(rows, md.in_dim))
+        # budgets below one row of the widest layer still give one-row chunks
+        with mock.patch.object(networks, "FORWARD_CHUNK_ELEMENTS", budget):
+            assert_rows_alone(md, ActivationSpec(kind), theta, X)
+
+    def test_decoder_width_net(self):
+        from qasnets.transformer import exact_assignment_network
+
+        rng = np.random.default_rng(0)
+        centers = rng.uniform(-1.0, 1.0, size=(64, 2))
+        md, theta = exact_assignment_network(centers, centers)
+        assert md.dims == (2, 4032, 64, 64)
+        # 37 rows: four full chunks of 8 and a partial one
+        assert networks.FORWARD_CHUNK_ELEMENTS // md.width == 8
+        X = np.vstack([centers[:30], rng.uniform(-1.0, 1.0, size=(7, 2))])
+        assert_rows_alone(md, SINGULAR, theta, X)
+
+    def test_leading_axes_and_one_row(self):
+        md = MultiIndex((3, 5, 2))
+        theta = relu_theta(md, np.random.default_rng(1))
+        X = np.random.default_rng(2).normal(size=(2, 4, 3))
+        out = forward(md, SINGULAR, theta, X)
+        assert out.shape == (2, 4, 2)
+        np.testing.assert_array_equal(out.reshape(8, 2), forward(md, SINGULAR, theta, X.reshape(8, 3)))
+        assert forward(md, SINGULAR, theta, X[0, 0]).shape == (2,)
+        assert forward(md, SINGULAR, theta, X[:1, 0]).shape == (1, 2)
 
 
 class TestPadding:

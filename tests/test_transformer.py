@@ -140,6 +140,24 @@ class TestAssignmentNetwork:
 
 
 class TestFitConstructive:
+    def test_one_forward_for_all_inputs(self, monkeypatch):
+        from qasnets import transformer
+
+        shapes = []
+
+        def counting(md, spec, theta, x):
+            shapes.append(np.shape(x))
+            return forward(md, spec, theta, x)
+
+        monkeypatch.setattr(transformer, "forward", counting)
+        xs = np.linspace(0.0, 1.0, 65).reshape(-1, 1)
+        gt, rep = fit_static_constructive(symmetric_pair_target, xs, w1_space(), {"N": 8, "q": 2})
+        # the defect and the sup error share one pass over the 65 inputs
+        assert shapes == [(65, 1)]
+        space = w1_space()
+        assert rep.sup_error == max(space.distance(symmetric_pair_target(x), gt(x)) for x in xs)
+        assert all(space.distance(out, gt(x)) == 0.0 for x, out in zip(xs, gt.evaluate(xs)))
+
     def test_constant_target_error_is_quantization_only(self):
         space = w1_space()
         target = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), [0.25, 0.5, 0.25])
@@ -251,6 +269,24 @@ class TestFitEnd2End:
         for o in outs[1:]:
             assert space.distance(outs[0], o) == 0.0
 
+    @pytest.mark.parametrize("train_alpha", [False, True])
+    def test_refinement_respects_train_alpha(self, train_alpha):
+        from qasnets.networks import _alpha_mask
+
+        xs = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
+        budget = {"N": 3, "q": 2}
+        # the warm start is this constructive classifier
+        warm, _ = fit_static_constructive(symmetric_pair_target, xs, w1_space(), budget,
+                                          {"activation": "smooth", "hidden": 4,
+                                           "train": {"epochs": 20}})
+        gt, rep = fit_static_end2end(
+            symmetric_pair_target, xs, w1_space(), budget,
+            {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20},
+             "train": {"lr": 0.2, "epochs": 5, "seed": 0, "train_alpha": train_alpha}})
+        alpha = _alpha_mask(gt.md)
+        assert not np.array_equal(gt.theta[~alpha], warm.theta[~alpha])
+        assert np.array_equal(gt.theta[alpha], warm.theta[alpha]) == (not train_alpha)
+
     def test_singular_rejected(self):
         with pytest.raises(UnsupportedError):
             fit_static_end2end(symmetric_pair_target, np.zeros((2, 1)), w1_space(),
@@ -344,6 +380,13 @@ class TestComplexityCalculators:
         del inputs[drop]
         with pytest.raises(DomainError, match=f"complexity input '{drop}' is missing"):
             calc("singular", inputs)
+
+    @pytest.mark.parametrize("key, value, noun", [("n", 2.0, "an integer"), ("q", 2.5, "an integer"),
+                                                  ("kappa", "2", "a finite number"),
+                                                  ("D", float("nan"), "a finite number")])
+    def test_ill_typed_input_is_a_domain_error(self, key, value, noun):
+        with pytest.raises(DomainError, match=f"complexity input '{key}' must be {noun}"):
+            complexity_static("singular", dict(self.BASE, **{key: value}))
 
     def test_bitwise_reproducible(self):
         a = complexity_static("singular", dict(self.BASE))
