@@ -4,11 +4,12 @@
 annotations, with the field defaults for absent keys.  An unknown or missing
 key, or a value of the wrong type, raises ``DomainError`` naming ``where`` and
 the key, at any depth.  ``int`` takes a JSON integer only (not a bool, not
-2.0), ``PositiveInt`` one >= 1, ``float`` a finite number, ``bool`` true or
-false, ``str`` a string, ``dict`` an object, ``tuple[T, ...]`` an array of T,
-``tuple[A, B]`` one of length 2, a ``Config`` subclass a nested object, and
-null only an ``X | None`` field.  Any other class, and a callable, takes only
-an instance: JSON cannot produce one.  A field ``class_`` reads the key ``class``.
+2.0), ``PositiveInt`` one >= 1, ``NonNegativeInt`` one >= 0, ``float`` a
+finite number, ``bool`` true or false, ``str`` a string, ``dict`` an object,
+``tuple[T, ...]`` an array of T, ``tuple[A, B]`` one of length 2, a ``Config``
+subclass a nested object, and null only an ``X | None`` field.  Any other
+class, and a callable, takes only an instance: JSON cannot produce one.  A
+field ``class_`` reads the key ``class``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class Config:
 
 
 PositiveInt = typing.NewType("PositiveInt", int)
+NonNegativeInt = typing.NewType("NonNegativeInt", int)
 
 
 def _is_int(v) -> bool:
@@ -49,6 +51,7 @@ def _is_number(v) -> bool:
 _SCALARS = {  # annotation -> (noun, accepts, conversion)
     int: ("an integer", _is_int, int),
     PositiveInt: ("a positive integer", lambda v: _is_int(v) and v >= 1, int),
+    NonNegativeInt: ("a non-negative integer", lambda v: _is_int(v) and v >= 0, int),
     float: ("a finite number", _is_number, float),
     bool: ("true or false", lambda v: isinstance(v, bool), bool),
     str: ("a string", lambda v: isinstance(v, str), str),

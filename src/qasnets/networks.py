@@ -21,13 +21,14 @@ gives exact identity units, which is what makes depth padding lossless.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import Config
+from .config import Config, NonNegativeInt
 from .errors import DomainError, FitFailure, UnsupportedError
 
 
@@ -78,31 +79,33 @@ class LayerParams:
     alpha: np.ndarray | None  # d_{j+1} x 2, None for the final affine map
 
 
-def decode_params(md: MultiIndex, theta: np.ndarray) -> list[LayerParams]:
-    """Flat theta -> ((A_j, b_j, alpha_j))_{j<J} + final (A, c)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (param_count(md),):
-        raise DomainError(f"theta length {theta.size} != P([d]) = {param_count(md)}")
+@functools.lru_cache(maxsize=128)
+def _layout(md: MultiIndex) -> tuple[tuple[slice, tuple[int, int], slice, slice | None], ...]:
+    """Per layer: the slices of (A_j, b_j, alpha_j) in the flat theta and
+    the shape of A_j; alpha's slice is None for the final affine map."""
     dims = md.dims
-    layers = []
+    out = []
     pos = 0
-    for j in range(len(dims) - 2):
+    for j in range(len(dims) - 1):
         din, dout = dims[j], dims[j + 1]
-        w = theta[pos : pos + dout * din].reshape(dout, din)
-        pos += dout * din
-        b = theta[pos : pos + dout]
-        pos += dout
-        a = theta[pos : pos + 2 * dout].reshape(dout, 2)
-        pos += 2 * dout
-        layers.append(LayerParams(w, b, a))
-    din, dout = dims[-2], dims[-1]
-    w = theta[pos : pos + dout * din].reshape(dout, din)
-    pos += dout * din
-    c = theta[pos : pos + dout]
-    pos += dout
-    assert pos == theta.size
-    layers.append(LayerParams(w, c, None))
-    return layers
+        w = slice(pos, pos + dout * din)
+        b = slice(w.stop, w.stop + dout)
+        a = slice(b.stop, b.stop + 2 * dout) if j < len(dims) - 2 else None
+        out.append((w, (dout, din), b, a))
+        pos = (a or b).stop
+    assert pos == param_count(md)
+    return tuple(out)
+
+
+def decode_params(md: MultiIndex, theta: np.ndarray) -> list[LayerParams]:
+    """Flat theta -> ((A_j, b_j, alpha_j))_{j<J} + final (A, c), as views."""
+    theta = np.asarray(theta, dtype=float)
+    layout = _layout(md)
+    if theta.shape != (layout[-1][2].stop,):
+        raise DomainError(f"theta length {theta.size} != P([d]) = {param_count(md)}")
+    return [LayerParams(theta[w].reshape(shape), theta[b],
+                        None if a is None else theta[a].reshape(-1, 2))
+            for w, shape, b, a in layout]
 
 
 def encode_params(md: MultiIndex, layers: list[LayerParams]) -> np.ndarray:
@@ -121,11 +124,11 @@ def encode_params(md: MultiIndex, layers: list[LayerParams]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+    # np.minimum(np.maximum(...)) is np.clip without its Python-level dispatch
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
-def _sigmoid_deriv(x):
-    s = _sigmoid(x)
+def _sigmoid_deriv(x, s):
     return s * (1.0 - s)
 
 
@@ -133,7 +136,7 @@ def _leaky_relu(x):
     return np.where(x >= 0.0, x, 0.01 * x)
 
 
-def _leaky_relu_deriv(x):
+def _leaky_relu_deriv(x, y):
     # differentiable everywhere except 0; the right derivative is used there
     return np.where(x >= 0.0, 1.0, 0.01)
 
@@ -142,6 +145,9 @@ def _leaky_relu_deriv(x):
 class ActivationSpec:
     """kind in {"singular", "smooth", "classical"} plus the base function.
 
+    ``base_deriv(x, y)`` is the derivative of ``base`` at ``x``, given
+    ``y = base(x)``, so a base whose derivative follows from its value
+    (the sigmoid's y(1 - y)) is evaluated once per layer in training.
     ``smooth`` requires a non-polynomial base function and ``classical`` a
     continuous non-affine one that is differentiable with nonzero
     derivative somewhere; neither property is machine-checkable for an
@@ -194,34 +200,16 @@ CLASSICAL_LEAKY = ActivationSpec("classical")
 def activation_eval(spec: ActivationSpec, alpha, x):
     """Scalar or vector evaluation of sigma_alpha(x)."""
     x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
     if spec.kind == "classical":
         return spec.base(x)
-    a1 = alpha[..., 0]
-    a2 = alpha[..., 1]
-    kink = np.maximum(x, a2 * x)
-    if spec.kind == "singular":
-        tail = np.floor(x)
-    else:
-        tail = spec.base(x)
-    return a1 * kink + (1.0 - a1) * tail
+    tail = np.floor(x) if spec.kind == "singular" else spec.base(x)
+    return _blend(np.asarray(alpha, dtype=float), x, tail)
 
 
-def _activation_grads(spec: ActivationSpec, alpha, x):
-    """(dy/dx, dy/da1, dy/da2) for the gradient-trainable kinds."""
-    if spec.kind == "classical":
-        return spec.base_deriv(x), np.zeros_like(x), np.zeros_like(x)
+def _blend(alpha, x, tail):
+    """a1 * max(x, a2 x) + (1 - a1) * tail, alpha = (a1, a2) per unit."""
     a1 = alpha[..., 0]
-    a2 = alpha[..., 1]
-    take_x = x >= a2 * x  # max branch, ties resolved toward the x branch
-    kink = np.where(take_x, x, a2 * x)
-    dkink_dx = np.where(take_x, 1.0, a2)
-    base = spec.base(x)
-    dbase = spec.base_deriv(x)
-    dy_dx = a1 * dkink_dx + (1.0 - a1) * dbase
-    dy_da1 = kink - base
-    dy_da2 = a1 * np.where(take_x, 0.0, x)
-    return dy_dx, dy_da1, dy_da2
+    return a1 * np.maximum(x, alpha[..., 1] * x) + (1.0 - a1) * tail
 
 
 # Rows per ``forward`` chunk are this many elements over the widest layer:
@@ -357,22 +345,15 @@ def pad_width(md: MultiIndex, theta, target_dims: Iterable[int]) -> tuple[MultiI
 # gradient training
 # ---------------------------------------------------------------------------
 
-def _forward_with_cache(md, spec, layers, X):
-    hs = [X]
-    zs = []
-    h = X
-    for lp in layers[:-1]:
-        z = h @ lp.weight.T + lp.bias
-        zs.append(z)
-        h = activation_eval(spec, lp.alpha, z)
-        hs.append(h)
-    out = h @ layers[-1].weight.T + layers[-1].bias
-    return hs, zs, out
-
-
-def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y):
+def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y, train_alpha: bool = True):
     """Mean squared loss 0.5 * mean |out - y|^2 over the batch and its
-    analytic gradient in theta."""
+    analytic gradient in theta.
+
+    Each layer's base function is evaluated once and its value reused in
+    the backward pass.  With ``train_alpha`` false the activation
+    parameters get no gradient: their entries are exactly 0.0, as they
+    are for the classical kind, which ignores alpha.
+    """
     if not spec.gradient_trainable:
         raise UnsupportedError(
             "singular activations are not gradient-trainable; use the "
@@ -382,25 +363,38 @@ def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y):
     Y = np.atleast_2d(np.asarray(Y, float))
     n = X.shape[0]
     layers = decode_params(md, theta)
-    hs, zs, out = _forward_with_cache(md, spec, layers, X)
-    diff = out - Y
-    value = 0.5 * float(np.mean(np.sum(diff**2, axis=1)))
-    dout = diff / n
+    cache = []  # (input, pre-activation, base value) per activated layer
+    h = X
+    for lp in layers[:-1]:
+        z = h @ lp.weight.T + lp.bias
+        s = spec.base(z)
+        cache.append((h, z, s))
+        h = s if spec.kind == "classical" else _blend(lp.alpha, z, s)
+    diff = h @ layers[-1].weight.T + layers[-1].bias - Y
+    value = 0.5 * (float(np.sum(diff**2, axis=1).sum()) / n)  # the mean, bit for bit
 
-    grads = [None] * len(layers)
-    delta = dout  # n x d_out
-    lp = layers[-1]
-    grads[-1] = LayerParams(delta.T @ hs[-1], delta.sum(axis=0), None)
-    dh = delta @ lp.weight
-    for j in range(len(layers) - 2, -1, -1):
-        lp = layers[j]
-        dy_dx, dy_da1, dy_da2 = _activation_grads(spec, lp.alpha, zs[j])
-        dz = dh * dy_dx
-        galpha = np.stack([(dh * dy_da1).sum(axis=0), (dh * dy_da2).sum(axis=0)], axis=1)
-        grads[j] = LayerParams(dz.T @ hs[j], dz.sum(axis=0), galpha)
-        if j > 0:
-            dh = dz @ lp.weight
-    return value, encode_params(md, grads)
+    layout = _layout(md)
+    grad = np.zeros(layout[-1][2].stop)
+    dz = diff / n
+    grad[layout[-1][0]] = (dz.T @ h).reshape(-1)
+    grad[layout[-1][2]] = dz.sum(axis=0)
+    for j in range(len(cache) - 1, -1, -1):
+        dh = dz @ layers[j + 1].weight
+        h, z, s = cache[j]
+        w, _, b, a = layout[j]
+        if spec.kind == "classical":
+            dz = dh * spec.base_deriv(z, s)
+        else:
+            a1, a2 = layers[j].alpha[:, 0], layers[j].alpha[:, 1]
+            take_x = z >= a2 * z  # max branch, ties resolved toward the x branch
+            dz = dh * (a1 * np.where(take_x, 1.0, a2) + (1.0 - a1) * spec.base_deriv(z, s))
+            if train_alpha:
+                galpha = grad[a].reshape(-1, 2)  # a view: writes land in grad
+                galpha[:, 0] = (dh * (np.where(take_x, z, a2 * z) - s)).sum(axis=0)
+                galpha[:, 1] = (dh * (a1 * np.where(take_x, 0.0, z))).sum(axis=0)
+        grad[w] = (dz.T @ h).reshape(-1)
+        grad[b] = dz.sum(axis=0)
+    return value, grad
 
 
 @dataclass(frozen=True)
@@ -408,7 +402,7 @@ class TrainConfig(Config):
     """A ``train`` block: full-batch gradient descent with a fixed step."""
 
     lr: float = 0.05
-    epochs: int = 2000
+    epochs: NonNegativeInt = 2000  # 0 takes no step
     seed: int = 0
     target_loss: float = 0.0
     init_scale: float = 0.5
@@ -433,18 +427,6 @@ def init_theta(md: MultiIndex, spec: ActivationSpec, rng, scale=0.5) -> np.ndarr
     return encode_params(md, layers)
 
 
-def _alpha_mask(md: MultiIndex) -> np.ndarray:
-    """Boolean mask of the alpha segments inside the flat theta."""
-    mask = np.zeros(param_count(md), dtype=bool)
-    dims = md.dims
-    pos = 0
-    for j in range(len(dims) - 2):
-        pos += dims[j + 1] * dims[j] + dims[j + 1]
-        mask[pos : pos + 2 * dims[j + 1]] = True
-        pos += 2 * dims[j + 1]
-    return mask
-
-
 def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: TrainConfig | None = None,
                      theta0=None):
     """Plain full-batch gradient descent with a fixed step.
@@ -453,7 +435,8 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
     No adaptive optimizers: determinism and a minimal surface matter more
     here than convergence speed.  One ``loss_and_grad`` call per epoch
     gives both the loss recorded after a step and the gradient of the
-    next step.
+    next step.  The first loss that is not finite (a diverging step)
+    raises ``FitFailure`` naming its epoch.
     """
     config = config or TrainConfig()
     if not spec.gradient_trainable:
@@ -467,14 +450,14 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
         raise DomainError("dataset must be nonempty")
     rng = np.random.default_rng(config.seed)
     theta = init_theta(md, spec, rng, config.init_scale) if theta0 is None else np.array(theta0, float)
-    trained = None if config.train_alpha else ~_alpha_mask(md)
     history = []
-    _, g = loss_and_grad(md, spec, theta, X, Y)
-    for _ in range(config.epochs):
-        if trained is not None:
-            g = np.where(trained, g, 0.0)
+    _, g = loss_and_grad(md, spec, theta, X, Y, config.train_alpha)
+    for epoch in range(config.epochs):
         theta = theta - config.lr * g
-        value, g = loss_and_grad(md, spec, theta, X, Y)
+        value, g = loss_and_grad(md, spec, theta, X, Y, config.train_alpha)
+        if not math.isfinite(value):
+            raise FitFailure(f"training diverged: the loss is {value} at epoch {epoch + 1} "
+                             f"(lr {config.lr})", {"epoch": epoch + 1})
         history.append(value)
         if value <= config.target_loss:
             break

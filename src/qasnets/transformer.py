@@ -28,15 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from .config import Config, _is_int, _is_number, _mismatch, fields_to_json, from_json
-from .errors import DomainError, UnsupportedError
+from .config import (Config, NonNegativeInt, _is_int, _is_number, _mismatch, fields_to_json,
+                     from_json)
+from .errors import DomainError, FitFailure, UnsupportedError
 from .networks import (
     ActivationSpec,
     LayerParams,
     MultiIndex,
     SINGULAR,
     TrainConfig,
-    _alpha_mask,
     encode_params,
     forward,
     loss_and_grad,
@@ -222,7 +222,7 @@ class ClassifierTrainConfig(TrainConfig):
     """``train`` of the constructive stage's classifier, with its own defaults."""
 
     lr: float = 0.2
-    epochs: int = 1500
+    epochs: NonNegativeInt = 1500
     train_alpha: bool = False
 
 
@@ -446,29 +446,27 @@ def fit_static_end2end(
     history = []
 
     n = len(xs)
-    epochs = tc.epochs if tc.epochs else 300
-    trained = None if tc.train_alpha else ~_alpha_mask(md)
     best_theta, best_loss = np.array(theta), math.inf
-    for epoch in range(epochs):
-        total = 0.0
-        grad = np.zeros_like(theta)
+    for epoch in range(tc.epochs):
         logits = forward(md, spec, theta, xs)
-        for x, y, u, w in zip(xs, targets, logits, project_simplex(logits)):
+        if not np.isfinite(logits).all():
+            raise FitFailure(f"training diverged: the encoder logits are not finite at epoch "
+                             f"{epoch + 1} (lr {tc.lr})", {"epoch": epoch + 1})
+        total = 0.0
+        gu = np.empty_like(logits)
+        for i, (y, w) in enumerate(zip(targets, project_simplex(logits))):
             val, gw = space.mixing_loss_grad(y, w, points, p, h_fd)
-            gu = _simplex_projection_jacobian(w).T @ gw
+            gu[i] = _simplex_projection_jacobian(w).T @ gw
             total += val
-            # chain rule through the net: with the target u - gu, the
-            # squared-loss gradient is exactly J_theta(u)^T gu
-            _, gtheta = loss_and_grad(md, spec, theta, x[None], (u - gu)[None])
-            grad += gtheta
         history.append(total / n)
         if history[-1] < best_loss:
             best_loss, best_theta = history[-1], np.array(theta)
         if best_loss <= tc.target_loss:
             break
-        if trained is not None:
-            grad = np.where(trained, grad, 0.0)
-        theta = theta - tc.lr * grad / n
+        # chain rule through the net: with the targets u - gu, the
+        # squared-loss gradient is the batch mean of J_theta(u)^T gu
+        _, grad = loss_and_grad(md, spec, theta, xs, logits - gu, tc.train_alpha)
+        theta = theta - tc.lr * grad
     # the final update can overshoot; keep the best-loss iterate
     theta = best_theta
 

@@ -264,25 +264,133 @@ def kcenter_code_reference(atoms, weights, q: int) -> np.ndarray:
     return atoms[chosen].reshape(-1)
 
 
+def _decode_reference(md, theta):
+    """Flat theta -> [(A_j, b_j, alpha_j)] + [(A, c, None)], slice by slice."""
+    dims = md.dims
+    layers = []
+    pos = 0
+    for j in range(len(dims) - 1):
+        din, dout = dims[j], dims[j + 1]
+        w = theta[pos : pos + dout * din].reshape(dout, din)
+        pos += dout * din
+        b = theta[pos : pos + dout]
+        pos += dout
+        a = None
+        if j < len(dims) - 2:
+            a = theta[pos : pos + 2 * dout].reshape(dout, 2)
+            pos += 2 * dout
+        layers.append((w, b, a))
+    return layers
+
+
+def _base_reference(spec, x):
+    # the default bases: the sigmoid (smooth) and the leaky ReLU (classical)
+    if spec.kind == "smooth":
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+    return np.where(x >= 0.0, x, 0.01 * x)
+
+
+def _base_deriv_reference(spec, x):
+    if spec.kind == "smooth":
+        s = _base_reference(spec, x)
+        return s * (1.0 - s)
+    return np.where(x >= 0.0, 1.0, 0.01)
+
+
+def _activation_eval_reference(spec, alpha, x):
+    if spec.kind == "classical":
+        return _base_reference(spec, x)
+    a1 = alpha[..., 0]
+    a2 = alpha[..., 1]
+    kink = np.maximum(x, a2 * x)
+    return a1 * kink + (1.0 - a1) * _base_reference(spec, x)
+
+
+def _activation_grads_reference(spec, alpha, x):
+    """(dy/dx, dy/da1, dy/da2) for the gradient-trainable kinds."""
+    if spec.kind == "classical":
+        return _base_deriv_reference(spec, x), np.zeros_like(x), np.zeros_like(x)
+    a1 = alpha[..., 0]
+    a2 = alpha[..., 1]
+    take_x = x >= a2 * x  # max branch, ties resolved toward the x branch
+    kink = np.where(take_x, x, a2 * x)
+    dkink_dx = np.where(take_x, 1.0, a2)
+    base = _base_reference(spec, x)
+    dbase = _base_deriv_reference(spec, x)
+    dy_dx = a1 * dkink_dx + (1.0 - a1) * dbase
+    dy_da1 = kink - base
+    dy_da2 = a1 * np.where(take_x, 0.0, x)
+    return dy_dx, dy_da1, dy_da2
+
+
+def loss_and_grad_reference(md, spec, theta, X, Y):
+    """Mean squared loss 0.5 * mean |out - y|^2 and its gradient in theta.
+
+    The plain form of the training kernel: a forward pass that caches
+    every layer, then the chain rule layer by layer, evaluating each base
+    function again for its derivative, into per-layer arrays concatenated
+    at the end.  It computes the default bases itself (the sigmoid, the
+    leaky ReLU), and the alpha entries of the classical kind get computed
+    zeros.
+    """
+    X = np.atleast_2d(np.asarray(X, float))
+    Y = np.atleast_2d(np.asarray(Y, float))
+    n = X.shape[0]
+    layers = _decode_reference(md, np.asarray(theta, float))
+    hs = [X]
+    zs = []
+    h = X
+    for w, b, a in layers[:-1]:
+        z = h @ w.T + b
+        zs.append(z)
+        h = _activation_eval_reference(spec, a, z)
+        hs.append(h)
+    out = h @ layers[-1][0].T + layers[-1][1]
+    diff = out - Y
+    value = 0.5 * float(np.mean(np.sum(diff**2, axis=1)))
+    delta = diff / n
+
+    grads = [None] * len(layers)
+    grads[-1] = [delta.T @ hs[-1], delta.sum(axis=0)]
+    dh = delta @ layers[-1][0]
+    for j in range(len(layers) - 2, -1, -1):
+        w, _, a = layers[j]
+        dy_dx, dy_da1, dy_da2 = _activation_grads_reference(spec, a, zs[j])
+        dz = dh * dy_dx
+        galpha = np.stack([(dh * dy_da1).sum(axis=0), (dh * dy_da2).sum(axis=0)], axis=1)
+        grads[j] = [dz.T @ hs[j], dz.sum(axis=0), galpha]
+        if j > 0:
+            dh = dz @ w
+    return value, np.concatenate([g.reshape(-1) for layer in grads for g in layer])
+
+
+def alpha_mask(md) -> np.ndarray:
+    """Boolean mask of the alpha entries of a flat theta for ``md``."""
+    index = np.arange(sum(dout * (din + 3) for din, dout in zip(md.dims, md.dims[1:]))
+                      - 2 * md.dims[-1], dtype=float)
+    mask = np.zeros(index.size, dtype=bool)
+    for _, _, a in _decode_reference(md, index)[:-1]:
+        mask[a.astype(int).reshape(-1)] = True
+    return mask
+
+
 def train_regression_reference(md, spec, X, Y, theta0, lr: float, epochs: int,
                                target_loss: float = 0.0, frozen=None):
     """Full-batch gradient descent with two network passes per epoch.
 
     Each epoch takes the gradient at the current theta (entries where
     ``frozen`` is set get none), steps, then evaluates the loss at the new
-    theta.  The library's ``loss_and_grad`` supplies both values; what
-    this checks is the loop around it.  Returns (theta, epoch losses).
+    theta, both by ``loss_and_grad_reference``.  Returns (theta, epoch
+    losses).
     """
-    from qasnets.networks import loss_and_grad
-
     theta = np.array(theta0, float)
     history = []
     for _ in range(epochs):
-        _, g = loss_and_grad(md, spec, theta, X, Y)
+        _, g = loss_and_grad_reference(md, spec, theta, X, Y)
         if frozen is not None:
             g = np.where(frozen, 0.0, g)
         theta = theta - lr * g
-        value, _ = loss_and_grad(md, spec, theta, X, Y)
+        value, _ = loss_and_grad_reference(md, spec, theta, X, Y)
         history.append(value)
         if value <= target_loss:
             break

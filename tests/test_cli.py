@@ -171,6 +171,27 @@ class TestMalformedBlocks:
         assert code == 2
         assert f"unknown keys in static-fit.fit.train: ['{key}']" in capsys.readouterr().err
 
+    def test_negative_epochs_named(self, tmp_path, capsys):
+        cfg = dict(self.STATIC, mode="end2end", fit={"train": {"epochs": -3}})
+        code, _ = run(tmp_path, "static-fit", cfg)
+        assert code == 2
+        assert ("static-fit.fit.train.epochs must be a non-negative integer, got -3"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fit", [
+        {"activation": "smooth", "warm_train": {"lr": 1e9, "epochs": 50}},
+        {"activation": "smooth", "train": {"lr": 1e9, "epochs": 50}},
+    ], ids=["end2end_warm_start", "constructive"])
+    def test_diverging_training_exits_3(self, tmp_path, capsys, fit):
+        mode = "end2end" if "warm_train" in fit else "constructive"
+        cfg = {"seed": 0, "mode": mode, "budgets": {"N": [16], "q": [8]}, "train_points": 33,
+               "fit": dict(fit, hidden=32)}
+        with np.errstate(all="ignore"):
+            code, _ = run(tmp_path, "static-fit", cfg)
+        assert code == 3
+        assert re.search(r"training diverged: the loss is \S+ at epoch \d+",
+                         capsys.readouterr().err)
+
     def test_dynamic_train_block(self, tmp_path, capsys):
         cfg = {"seed": 0, "fit": {"encoder": "gradient", "train": {"nope": 1}}}
         code, _ = run(tmp_path, "dynamic-fit", cfg)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qasnets import networks
-from qasnets.errors import DomainError, UnsupportedError
+from qasnets.errors import DomainError, FitFailure, UnsupportedError
 from qasnets.networks import (
     ActivationSpec,
     CLASSICAL_LEAKY,
@@ -33,7 +33,8 @@ from qasnets.networks import (
     zero_theta,
 )
 
-from oracles import relu_reference_forward, train_regression_reference
+from oracles import (alpha_mask, loss_and_grad_reference, relu_reference_forward,
+                     train_regression_reference)
 
 
 class TestParamCount:
@@ -248,6 +249,30 @@ class TestGradients:
         with pytest.raises(UnsupportedError):
             loss_and_grad(md, SINGULAR, zero_theta(md), [[0.0]], [[0.0]])
 
+    @given(kind=st.sampled_from(["smooth", "classical"]),
+           dims=st.lists(st.integers(1, 9), min_size=3, max_size=5),
+           rows=st.integers(1, 40), train_alpha=st.booleans(), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_reference_kernel(self, kind, dims, rows, train_alpha, seed):
+        """Value and gradient are bit for bit the reference kernel's; the
+        alpha entries are exactly +0.0 where alpha gets no gradient."""
+        rng = np.random.default_rng(seed)
+        md = MultiIndex(tuple(dims))  # depth 1-3
+        theta = rng.normal(scale=1.5, size=param_count(md))
+        theta[rng.random(theta.size) < 0.2] = 0.0  # ties of the max branch at z = 0
+        X = rng.normal(scale=2.0, size=(rows, md.in_dim))
+        X[rng.random(rows) < 0.2] = 0.0
+        Y = rng.normal(size=(rows, md.out_dim))
+        spec = ActivationSpec(kind)
+        value, grad = loss_and_grad(md, spec, theta, X, Y, train_alpha)
+        ref_value, ref_grad = loss_and_grad_reference(md, spec, theta, X, Y)
+        alpha = alpha_mask(md)
+        if not (train_alpha and kind == "smooth"):
+            # the reference computes these zeros, with the signs of the sums
+            ref_grad = np.where(alpha, 0.0, ref_grad)
+            assert np.all(grad[alpha] == 0.0) and not np.signbit(grad[alpha]).any()
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
 
 class TestTraining:
     def test_single_point_interpolation(self):
@@ -260,7 +285,7 @@ class TestTraining:
 
     def test_xor_with_classical_tanh(self):
         tanh = ActivationSpec("classical", base=np.tanh,
-                              base_deriv=lambda x: 1.0 - np.tanh(x) ** 2, name="tanh")
+                              base_deriv=lambda x, t: 1.0 - t**2, name="tanh")
         data = [([0.0, 0.0], [0.0]), ([0.0, 1.0], [1.0]), ([1.0, 0.0], [1.0]), ([1.0, 1.0], [0.0])]
         md = MultiIndex((2, 4, 1))
         theta, hist = train_regression(
@@ -289,6 +314,14 @@ class TestTraining:
         for x, y in data:
             got = forward(md, SMOOTH_SIGMOID, theta, x)
             np.testing.assert_allclose(got, y, atol=1e-4)
+
+    def test_diverging_training_is_a_fit_failure(self):
+        data = [([0.1], [0.2]), ([0.5], [0.9])]
+        with pytest.raises(FitFailure, match="diverged: the loss is .* at epoch") as info, \
+                np.errstate(all="ignore"):
+            train_regression(MultiIndex((1, 3, 1)), SMOOTH_SIGMOID, data,
+                             TrainConfig(lr=1e200, epochs=50))
+        assert 1 <= info.value.diagnostics["epoch"] < 50
 
     def test_singular_training_rejected(self):
         with pytest.raises(UnsupportedError):
@@ -325,8 +358,6 @@ class TestTraining:
         (SMOOTH_SIGMOID, True, 0.05),
     ])
     def test_bitwise_equal_to_two_pass_loop(self, spec, train_alpha, target_loss):
-        from qasnets.networks import _alpha_mask
-
         rng = np.random.default_rng(21)
         X = rng.uniform(-1.0, 1.0, size=(12, 2))
         Y = np.stack([np.sin(X[:, 0]) + X[:, 1], X[:, 0] * X[:, 1]], axis=1)
@@ -337,7 +368,7 @@ class TestTraining:
             TrainConfig(lr=0.3, epochs=120, target_loss=target_loss, train_alpha=train_alpha),
             theta0=theta0,
         )
-        frozen = None if train_alpha else _alpha_mask(md)
+        frozen = None if train_alpha else alpha_mask(md)
         ref_theta, ref_hist = train_regression_reference(md, spec, X, Y, theta0, 0.3, 120,
                                                          target_loss, frozen)
         assert np.array_equal(theta, ref_theta)

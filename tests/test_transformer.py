@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qasnets.errors import DomainError, UnsupportedError
+from qasnets.errors import DomainError, FitFailure, UnsupportedError
 from qasnets.measures import DiscreteMeasure
 from qasnets.metrics import wasserstein_p
 from qasnets.networks import MultiIndex, SINGULAR, forward, zero_theta
@@ -26,6 +26,8 @@ from qasnets.transformer import (
     nearest_center_labels,
     verify_packing,
 )
+
+from oracles import alpha_mask
 
 
 def w1_space():
@@ -271,8 +273,6 @@ class TestFitEnd2End:
 
     @pytest.mark.parametrize("train_alpha", [False, True])
     def test_refinement_respects_train_alpha(self, train_alpha):
-        from qasnets.networks import _alpha_mask
-
         xs = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
         budget = {"N": 3, "q": 2}
         # the warm start is this constructive classifier
@@ -283,7 +283,7 @@ class TestFitEnd2End:
             symmetric_pair_target, xs, w1_space(), budget,
             {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20},
              "train": {"lr": 0.2, "epochs": 5, "seed": 0, "train_alpha": train_alpha}})
-        alpha = _alpha_mask(gt.md)
+        alpha = alpha_mask(gt.md)
         assert not np.array_equal(gt.theta[~alpha], warm.theta[~alpha])
         assert np.array_equal(gt.theta[alpha], warm.theta[alpha]) == (not train_alpha)
 
@@ -317,6 +317,54 @@ class TestFitEnd2End:
         # distances are the final sup-error evaluations
         assert counts["transport"] == rep.extras["epochs_run"] * len(xs)
         assert counts["distance"] == len(xs)
+
+    def test_one_backpropagation_per_epoch(self, monkeypatch):
+        """Each refinement epoch is one batched forward over the inputs, then
+        one batched gradient call: not one call per sample."""
+        from qasnets import transformer
+
+        events = []
+
+        def counting(name, fn):
+            def wrapper(md, spec, theta, x, *args):
+                events.append((name, len(np.atleast_2d(x))))
+                return fn(md, spec, theta, x, *args)
+            return wrapper
+
+        monkeypatch.setattr(transformer, "forward", counting("f", transformer.forward))
+        monkeypatch.setattr(transformer, "loss_and_grad",
+                            counting("g", transformer.loss_and_grad))
+        xs = np.linspace(0, 1, 33).reshape(-1, 1)
+        _, rep = fit_static_end2end(
+            symmetric_pair_target, xs, w1_space(), {"N": 16, "q": 8},
+            {"activation": "smooth", "hidden": 32, "warm_train": {"epochs": 20},
+             "train": {"lr": 0.05, "epochs": 3, "train_alpha": False}})
+        assert rep.extras["epochs_run"] == 3
+        # the warm start's evaluation, three epochs, the final sup error
+        assert "".join(name for name, _ in events) == "f" + "fg" * 3 + "f"
+        assert all(rows == len(xs) for _, rows in events)
+
+    def test_zero_epochs_take_no_step(self):
+        xs = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
+        config = {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20}}
+        gt, rep = fit_static_end2end(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
+                                     dict(config, train={"epochs": 0}))
+        warm, _ = fit_static_constructive(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
+                                          dict(config, train={"epochs": 20}))
+        assert rep.extras["epochs_run"] == 0 and rep.final_loss is None
+        np.testing.assert_array_equal(gt.theta, warm.theta)
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(DomainError, match="config.train.epochs must be a non-negative"):
+            fit_static_end2end(symmetric_pair_target, np.zeros((2, 1)), w1_space(),
+                               {"N": 2, "q": 1}, {"train": {"epochs": -3}})
+
+    def test_diverging_refinement_is_a_fit_failure(self):
+        xs = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
+        with pytest.raises(FitFailure, match="diverged.*at epoch 2"), np.errstate(all="ignore"):
+            fit_static_end2end(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
+                               {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20},
+                                "train": {"lr": 1e300, "epochs": 5}})
 
     def test_toy_reaches_moderate_error(self):
         space = w1_space()
