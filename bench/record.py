@@ -1,11 +1,11 @@
 """Record parent-versus-change benchmark runs into a ``BENCH_<n>.json``.
 
     python3 bench/record.py --parent ../parent --out BENCH_8.json \\
-        --runs static_fit:0 transport:0 dynamic:0 static_fit:23 --pairs 10
+        --runs static_fit:0 transport:0 dynamic:0 static_fit:23
 
-For each ``workload:seed`` it runs ``perfbench/run.py --trace 0`` in the
-parent checkout and in this one, ``--pairs`` times each, alternating which
-side runs first, one run at a time.  Both checkouts use their own
+For each ``workload:seed`` it runs ``perfbench/run.py --trace 0`` for
+``BENCHMARK.json``'s ``run_seconds`` in the parent checkout and in this one,
+``PAIRS`` times each, alternating which side runs first, one run at a time.  Both checkouts use their own
 ``perfbench/``, so run it only where that directory is the same on both
 sides.  The file records both commits, the host, every run's end-to-end
 metrics (``BENCHMARK.json``'s ``end_to_end`` list) and failed-op count, each
@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -35,8 +36,7 @@ def git(checkout: Path, *args: str) -> str:
 def commit(checkout: Path) -> dict:
     """HEAD, and whether the files the benchmark runs differ from it."""
     dirty = git(checkout, "status", "--porcelain", "--", "src", "perfbench")
-    return {"path": str(checkout), "sha": git(checkout, "rev-parse", "HEAD"),
-            "dirty": bool(dirty)}
+    return {"sha": git(checkout, "rev-parse", "HEAD"), "dirty": bool(dirty)}
 
 
 def host() -> dict:
@@ -84,22 +84,18 @@ def compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, default=ROOT, help="changed checkout")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD:SEED")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; BENCHMARK.json's run_seconds by default")
     args = parser.parse_args()
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    parent, change = args.parent.resolve(), args.change.resolve()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    parent, change = args.parent.resolve(), ROOT
     record = {"parent": commit(parent), "change": commit(change), "host": host(),
-              "run_seconds": seconds, "pairs": args.pairs, "workloads": []}
+              "run_seconds": seconds, "pairs": PAIRS, "workloads": []}
     for spec in args.runs:
         workload, seed = spec.rsplit(":", 1)
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 run = run_once(parent if side == "parent" else change, workload, int(seed),
