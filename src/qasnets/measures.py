@@ -43,9 +43,9 @@ def validate_simplex_weight(entries: np.ndarray, tol: float = WEIGHT_SUM_TOL) ->
     w = np.asarray(entries, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise DomainError("simplex weight must be a nonempty vector")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise DomainError("simplex weight entries must be finite")
-    if np.any(w < -tol):
+    if (w < -tol).any():
         raise DomainError(f"simplex weight entries must be nonnegative, got min {w.min()}")
     s = float(w.sum())
     if abs(s - 1.0) > max(tol, tol * w.size):
@@ -57,20 +57,19 @@ def _merge_rows(atoms: np.ndarray, weights: np.ndarray):
     """Sum weights of exactly-equal rows; rows ordered lexicographically.
 
     ``weights`` is a vector or a matrix with one column per weight vector;
-    each column is summed in row order within a group.
+    each column is summed in row order within a group, from +0.0
+    (``np.bincount`` for a vector, ``np.add.at`` for a matrix).
     """
     order = np.lexsort(atoms.T[::-1])
     atoms = atoms[order]
     weights = weights[order]
-    if len(atoms) > 1:
-        new_group = np.any(atoms[1:] != atoms[:-1], axis=1)
-        group = np.concatenate([[0], np.cumsum(new_group)])
-    else:
-        group = np.zeros(len(atoms), dtype=int)
-    n_groups = int(group[-1]) + 1 if len(atoms) else 0
-    firsts = np.searchsorted(group, np.arange(n_groups), side="left")
-    out_atoms = atoms[firsts]
-    out_weights = np.zeros((n_groups,) + weights.shape[1:])
+    starts = np.ones(len(atoms), dtype=bool)
+    starts[1:] = (atoms[1:] != atoms[:-1]).any(axis=1)
+    group = np.cumsum(starts) - 1
+    out_atoms = atoms[starts]
+    if weights.ndim == 1:
+        return out_atoms, np.bincount(group, weights)
+    out_weights = np.zeros((len(out_atoms),) + weights.shape[1:])
     np.add.at(out_weights, group, weights)
     return out_atoms, out_weights
 
@@ -95,7 +94,7 @@ class DiscreteMeasure:
             raise DomainError(
                 f"atom count {atoms.shape[0]} != weight count {weights.shape[0]}"
             )
-        if not np.all(np.isfinite(atoms)):
+        if not np.isfinite(atoms).all():
             raise DomainError("atoms must be finite")
         dim = atoms.shape[1]
         if self.dim >= 0 and self.dim != dim:
@@ -116,7 +115,7 @@ class DiscreteMeasure:
 
     def equal_as_measure(self, other: "DiscreteMeasure") -> bool:
         """Exact equality as weighted atom sets (both sides are canonical)."""
-        return (
+        return self is other or (
             self.atoms.shape == other.atoms.shape
             and np.array_equal(self.atoms, other.atoms)
             and np.array_equal(self.weights, other.weights)

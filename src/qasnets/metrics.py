@@ -109,26 +109,28 @@ def _quantile_coupling(x: list, wx: list, y: list, wy: list, p: float) -> tuple[
     order.  Each arc shares its row or its column with the one before,
     except where both lines run out together; a line counts as used up
     once at most 1e-17 of its mass is left.  Optimal on the line for every
-    p >= 1, because |x - y|^p is convex in x - y.
+    p >= 1, because |x - y|^p is convex in x - y.  Each arc's mass follows
+    ``min``'s tie rule (``ai`` unless ``bj`` is smaller) without the call.
     """
     arcs = []
     cost = 0.0
     i = j = 0
+    nx, ny = len(wx), len(wy)
     ai, bj = wx[0], wy[0]
     while True:
-        m = min(ai, bj)
+        m = bj if bj < ai else ai
         cost += m * abs(x[i] - y[j]) ** p
         arcs.append((i, j))
         ai -= m
         bj -= m
         if ai <= 1e-17:
             i += 1
-            if i == len(wx):
+            if i == nx:
                 break
             ai = wx[i]
         if bj <= 1e-17:
             j += 1
-            if j == len(wy):
+            if j == ny:
                 break
             bj = wy[j]
     return cost, arcs

@@ -436,7 +436,8 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
     here than convergence speed.  One ``loss_and_grad`` call per epoch
     gives both the loss recorded after a step and the gradient of the
     next step.  The first loss that is not finite (a diverging step)
-    raises ``FitFailure`` naming its epoch.
+    raises ``FitFailure`` naming its epoch; the overflow on the way there
+    is not also reported as a numpy warning.
     """
     config = config or TrainConfig()
     if not spec.gradient_trainable:
@@ -452,15 +453,16 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
     theta = init_theta(md, spec, rng, config.init_scale) if theta0 is None else np.array(theta0, float)
     history = []
     _, g = loss_and_grad(md, spec, theta, X, Y, config.train_alpha)
-    for epoch in range(config.epochs):
-        theta = theta - config.lr * g
-        value, g = loss_and_grad(md, spec, theta, X, Y, config.train_alpha)
-        if not math.isfinite(value):
-            raise FitFailure(f"training diverged: the loss is {value} at epoch {epoch + 1} "
-                             f"(lr {config.lr})", {"epoch": epoch + 1})
-        history.append(value)
-        if value <= config.target_loss:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            theta = theta - config.lr * g
+            value, g = loss_and_grad(md, spec, theta, X, Y, config.train_alpha)
+            if not math.isfinite(value):
+                raise FitFailure(f"training diverged: the loss is {value} at epoch {epoch + 1} "
+                                 f"(lr {config.lr})", {"epoch": epoch + 1})
+            history.append(value)
+            if value <= config.target_loss:
+                break
     return theta, history
 
 

@@ -156,7 +156,8 @@ def exact_assignment_network(centers: np.ndarray, domain_points: np.ndarray) -> 
     constant comes from the domain's extent, so inputs must stay inside
     the sampled region).  Layer 2 floors the normalized win count, which
     is 1 exactly when a center wins all comparisons.  At the centers
-    themselves the output is exactly one-hot.
+    themselves the output is exactly one-hot.  The comparison rows are
+    built one center at a time, against all other centers at once.
     """
     centers = np.atleast_2d(np.asarray(centers, float))
     k, d = centers.shape
@@ -167,26 +168,31 @@ def exact_assignment_network(centers: np.ndarray, domain_points: np.ndarray) -> 
             LayerParams(np.zeros((1, 1)), np.ones(1), None),
         ]
         return md, encode_params(md, layers)
-    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    w1 = np.zeros((len(pairs), d))
-    b1 = np.zeros(len(pairs))
+    rows = k * (k - 1)  # the pairs (i, j), j != i, center i's block in j order
+    w1 = np.empty((rows, d))
+    b1 = np.empty(rows)
     pts = np.atleast_2d(np.asarray(domain_points, float))
-    for row, (i, j) in enumerate(pairs):
-        w = 2.0 * (centers[i] - centers[j])
-        b = float(centers[j] @ centers[j] - centers[i] @ centers[i])
-        vals = pts @ w + b
-        scale = max(float(np.max(np.abs(vals))), np.linalg.norm(w) * 1e-9) * 1.25 + 1e-12
-        w1[row] = w / scale
-        b1[row] = b / scale + 1.0  # floor((g/scale) + 1) = [g >= 0] on the domain
-    w2 = np.zeros((k, len(pairs)))
-    for row, (i, j) in enumerate(pairs):
-        w2[i, row] = 1.0 / (k - 1)
+    # stacked 1 x d @ d x 1 products and stacked gemv keep the bits of the
+    # per-pair dot and ``pts @ w``; a 2-D ``pts @ w.T`` (gemm) would not
+    sq = np.matmul(centers[:, None, :], centers[:, :, None])[:, 0, 0]
+    index = np.arange(k)
+    for i in range(k):
+        others = index != i
+        w = 2.0 * (centers[i] - centers[others])
+        b = sq[others] - sq[i]
+        vals = np.matmul(pts[None], w[:, :, None])[:, :, 0] + b[:, None]
+        norms = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
+        scale = np.maximum(np.abs(vals).max(axis=1), norms * 1e-9) * 1.25 + 1e-12
+        block = slice(i * (k - 1), (i + 1) * (k - 1))
+        w1[block] = w / scale[:, None]
+        b1[block] = b / scale + 1.0  # floor((g/scale) + 1) = [g >= 0] on the domain
+    w2 = np.repeat(np.eye(k), k - 1, axis=1) / (k - 1)
     # win counts are integers m scaled by 1/(k-1); the half-cell bias keeps
     # floor((2m+1)/(2(k-1))) robust to the summation's last-ulp error
     b2 = np.full(k, 0.5 / (k - 1))
-    md = MultiIndex((d, len(pairs), k, k))
+    md = MultiIndex((d, rows, k, k))
     layers = [
-        LayerParams(w1, b1, np.tile([0.0, 0.0], (len(pairs), 1))),
+        LayerParams(w1, b1, np.tile([0.0, 0.0], (rows, 1))),
         LayerParams(w2, b2, np.tile([0.0, 0.0], (k, 1))),
         LayerParams(np.eye(k), np.zeros(k), None),
     ]
@@ -447,26 +453,29 @@ def fit_static_end2end(
 
     n = len(xs)
     best_theta, best_loss = np.array(theta), math.inf
-    for epoch in range(tc.epochs):
-        logits = forward(md, spec, theta, xs)
-        if not np.isfinite(logits).all():
-            raise FitFailure(f"training diverged: the encoder logits are not finite at epoch "
-                             f"{epoch + 1} (lr {tc.lr})", {"epoch": epoch + 1})
-        total = 0.0
-        gu = np.empty_like(logits)
-        for i, (y, w) in enumerate(zip(targets, project_simplex(logits))):
-            val, gw = space.mixing_loss_grad(y, w, points, p, h_fd)
-            gu[i] = _simplex_projection_jacobian(w).T @ gw
-            total += val
-        history.append(total / n)
-        if history[-1] < best_loss:
-            best_loss, best_theta = history[-1], np.array(theta)
-        if best_loss <= tc.target_loss:
-            break
-        # chain rule through the net: with the targets u - gu, the
-        # squared-loss gradient is the batch mean of J_theta(u)^T gu
-        _, grad = loss_and_grad(md, spec, theta, xs, logits - gu, tc.train_alpha)
-        theta = theta - tc.lr * grad
+    # a diverging step is reported once, as the FitFailure below, not also
+    # as numpy overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(tc.epochs):
+            logits = forward(md, spec, theta, xs)
+            if not np.isfinite(logits).all():
+                raise FitFailure(f"training diverged: the encoder logits are not finite at "
+                                 f"epoch {epoch + 1} (lr {tc.lr})", {"epoch": epoch + 1})
+            total = 0.0
+            gu = np.empty_like(logits)
+            for i, (y, w) in enumerate(zip(targets, project_simplex(logits))):
+                val, gw = space.mixing_loss_grad(y, w, points, p, h_fd)
+                gu[i] = _simplex_projection_jacobian(w).T @ gw
+                total += val
+            history.append(total / n)
+            if history[-1] < best_loss:
+                best_loss, best_theta = history[-1], np.array(theta)
+            if best_loss <= tc.target_loss:
+                break
+            # chain rule through the net: with the targets u - gu, the
+            # squared-loss gradient is the batch mean of J_theta(u)^T gu
+            _, grad = loss_and_grad(md, spec, theta, xs, logits - gu, tc.train_alpha)
+            theta = theta - tc.lr * grad
     # the final update can overshoot; keep the best-loss iterate
     theta = best_theta
 

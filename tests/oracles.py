@@ -5,6 +5,8 @@ projection is re-derived by active-set enumeration, transport optima by
 enumerating the vertices of the transportation polytope (spanning trees of
 the complete bipartite support graph), and the bicausal optimum for
 two-step trees by enumerating products of conditional-coupling vertices.
+The ``*_reference`` kernels are the plain earlier forms of rewritten
+library kernels, kept so that tests can pin the rewrites bit for bit.
 """
 
 from __future__ import annotations
@@ -417,3 +419,89 @@ def write_csv_reference(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(v) for v in row])
+
+
+# ---------------------------------------------------------------------------
+# the plain forms of three kernels, kept to pin the library's bits
+# ---------------------------------------------------------------------------
+
+def exact_assignment_network_reference(centers: np.ndarray, domain_points: np.ndarray):
+    """``transformer.exact_assignment_network`` built one center pair at a time."""
+    from qasnets.networks import LayerParams, MultiIndex, encode_params
+
+    centers = np.atleast_2d(np.asarray(centers, float))
+    k, d = centers.shape
+    if k == 1:
+        md = MultiIndex((d, 1, 1))
+        layers = [
+            LayerParams(np.zeros((1, d)), np.zeros(1), np.array([[1.0, 1.0]])),
+            LayerParams(np.zeros((1, 1)), np.ones(1), None),
+        ]
+        return md, encode_params(md, layers)
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    w1 = np.zeros((len(pairs), d))
+    b1 = np.zeros(len(pairs))
+    pts = np.atleast_2d(np.asarray(domain_points, float))
+    for row, (i, j) in enumerate(pairs):
+        w = 2.0 * (centers[i] - centers[j])
+        b = float(centers[j] @ centers[j] - centers[i] @ centers[i])
+        vals = pts @ w + b
+        scale = max(float(np.max(np.abs(vals))), np.linalg.norm(w) * 1e-9) * 1.25 + 1e-12
+        w1[row] = w / scale
+        b1[row] = b / scale + 1.0  # floor((g/scale) + 1) = [g >= 0] on the domain
+    w2 = np.zeros((k, len(pairs)))
+    for row, (i, j) in enumerate(pairs):
+        w2[i, row] = 1.0 / (k - 1)
+    # win counts are integers m scaled by 1/(k-1); the half-cell bias keeps
+    # floor((2m+1)/(2(k-1))) robust to the summation's last-ulp error
+    b2 = np.full(k, 0.5 / (k - 1))
+    md = MultiIndex((d, len(pairs), k, k))
+    layers = [
+        LayerParams(w1, b1, np.tile([0.0, 0.0], (len(pairs), 1))),
+        LayerParams(w2, b2, np.tile([0.0, 0.0], (k, 1))),
+        LayerParams(np.eye(k), np.zeros(k), None),
+    ]
+    return md, encode_params(md, layers)
+
+
+def quantile_coupling_reference(x: list, wx: list, y: list, wy: list, p: float):
+    """``metrics._quantile_coupling`` with the builtin ``min`` and ``len`` per arc."""
+    arcs = []
+    cost = 0.0
+    i = j = 0
+    ai, bj = wx[0], wy[0]
+    while True:
+        m = min(ai, bj)
+        cost += m * abs(x[i] - y[j]) ** p
+        arcs.append((i, j))
+        ai -= m
+        bj -= m
+        if ai <= 1e-17:
+            i += 1
+            if i == len(wx):
+                break
+            ai = wx[i]
+        if bj <= 1e-17:
+            j += 1
+            if j == len(wy):
+                break
+            bj = wy[j]
+    return cost, arcs
+
+
+def merge_rows_reference(atoms: np.ndarray, weights: np.ndarray):
+    """``measures._merge_rows`` with ``searchsorted`` firsts and ``np.add.at`` sums."""
+    order = np.lexsort(atoms.T[::-1])
+    atoms = atoms[order]
+    weights = weights[order]
+    if len(atoms) > 1:
+        new_group = np.any(atoms[1:] != atoms[:-1], axis=1)
+        group = np.concatenate([[0], np.cumsum(new_group)])
+    else:
+        group = np.zeros(len(atoms), dtype=int)
+    n_groups = int(group[-1]) + 1 if len(atoms) else 0
+    firsts = np.searchsorted(group, np.arange(n_groups), side="left")
+    out_atoms = atoms[firsts]
+    out_weights = np.zeros((n_groups,) + weights.shape[1:])
+    np.add.at(out_weights, group, weights)
+    return out_atoms, out_weights

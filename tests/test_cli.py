@@ -3,7 +3,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +194,23 @@ class TestMalformedBlocks:
         assert code == 3
         assert re.search(r"training diverged: the loss is \S+ at epoch \d+",
                          capsys.readouterr().err)
+
+    def test_diverging_training_prints_one_line(self, tmp_path):
+        # a fresh interpreter, so numpy's overflow warnings would reach stderr
+        cfg = {"seed": 0, "mode": "end2end", "budgets": {"N": [16], "q": [8]},
+               "train_points": 33, "fit": {"activation": "smooth", "hidden": 32,
+                                           "warm_train": {"lr": 1e9, "epochs": 50}}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qasnets.cli", "static-fit", "--config",
+             str(tmp_path / "config.json"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"numeric failure: training diverged: the loss is \S+ at epoch "
+                            r"\d+ \(lr \S+\)\n", proc.stderr), proc.stderr
 
     def test_dynamic_train_block(self, tmp_path, capsys):
         cfg = {"seed": 0, "fit": {"encoder": "gradient", "train": {"nope": 1}}}

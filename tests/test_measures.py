@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qasnets.measures import DiscreteMeasure, mixture
+from qasnets.measures import DiscreteMeasure, _merge_rows, mixture
+
+from oracles import merge_rows_reference
 
 
 def dyadic_with_duplicates(rng, d):
@@ -66,3 +70,30 @@ class TestCanonicalMeasure:
         mix = mixture([mu, nu], [0.5, 0.5])
         np.testing.assert_array_equal(mix.atoms, [[0.0], [1.0], [2.0]])
         np.testing.assert_array_equal(mix.weights, [0.5, 0.25, 0.25])
+
+
+class TestMergeRowsKernel:
+    """``_merge_rows`` is bit for bit the searchsorted / ``np.add.at`` form."""
+
+    @given(n=st.integers(1, 30), d=st.integers(1, 3), columns=st.integers(0, 3),
+           seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_reference(self, n, d, columns, seed):
+        rng = np.random.default_rng(seed)
+        # a small grid gives duplicate atoms; -0.0 merges with 0.0
+        atoms = rng.integers(-2, 3, size=(n, d)).astype(float)
+        atoms[rng.random((n, d)) < 0.2] = -0.0
+        shape = (n,) if columns == 0 else (n, columns)
+        # tied, zero and -0.0 weights, then about half of them arbitrary
+        weights = rng.choice([0.0, -0.0, 0.125, 0.25, 1 / 3], size=shape)
+        spread = rng.random(shape) < 0.5
+        weights[spread] = rng.random(int(spread.sum()))
+        got_atoms, got_weights = _merge_rows(atoms, weights)
+        want_atoms, want_weights = merge_rows_reference(atoms, weights)
+        assert got_atoms.tobytes() == want_atoms.tobytes()
+        assert got_weights.shape == want_weights.shape
+        assert got_weights.dtype == want_weights.dtype
+        assert got_weights.tobytes() == want_weights.tobytes()
+
+    def test_same_object_is_equal(self):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
+        assert mu.equal_as_measure(mu)

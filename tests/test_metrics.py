@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from qasnets import metrics
@@ -24,6 +26,7 @@ from qasnets.metrics import (
 from oracles import (
     bicausal_oracle_two_steps,
     qp_simplex_oracle,
+    quantile_coupling_reference,
     transport_vertices,
     wasserstein_oracle,
 )
@@ -169,6 +172,39 @@ class TestWasserstein:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             wasserstein_p(DiscreteMeasure.dirac([0.0, 0.0]), DiscreteMeasure.dirac(0.0), 1)
+
+
+def tie_heavy_simplex(rng, n, kind):
+    """A simplex weight with equal entries, or with zero and -0.0 entries and
+    ties, or spread at random."""
+    if kind == "equal":
+        return [1.0 / n] * n
+    if kind == "ties":
+        units = rng.integers(0, 3, size=n).astype(float)
+        units[rng.integers(n)] += 1.0
+        w = units * (1.0 / units.sum())  # inexact: a line can end with ~1e-17 left
+        w[w == 0.0] = rng.choice([0.0, -0.0], size=int((w == 0.0).sum()))
+        return w.tolist()
+    return rng.dirichlet(np.ones(n)).tolist()
+
+
+class TestQuantileCouplingKernel:
+    """``_quantile_coupling`` is bit for bit the loop with builtin ``min``
+    and ``len`` per arc, in cost and arcs."""
+
+    @given(m=st.integers(1, 40), n=st.integers(1, 40), p=st.sampled_from([1.0, 1.5, 2.0]),
+           kinds=st.tuples(*[st.sampled_from(["equal", "ties", "spread"])] * 2),
+           seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_reference(self, m, n, p, kinds, seed):
+        rng = np.random.default_rng(seed)
+        # supports on a small grid, so atoms of the two sides coincide
+        x = np.sort(rng.integers(-3, 4, size=m) / 2.0).tolist()
+        y = np.sort(rng.integers(-3, 4, size=n) / 2.0).tolist()
+        wx, wy = tie_heavy_simplex(rng, m, kinds[0]), tie_heavy_simplex(rng, n, kinds[1])
+        cost, arcs = metrics._quantile_coupling(x, wx, y, wy, p)
+        want_cost, want_arcs = quantile_coupling_reference(x, wx, y, wy, p)
+        assert cost.hex() == want_cost.hex()
+        assert arcs == want_arcs
 
 
 def rounding_bound(cost, u, v):

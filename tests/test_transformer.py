@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qasnets.errors import DomainError, FitFailure, UnsupportedError
 from qasnets.measures import DiscreteMeasure
@@ -27,7 +29,7 @@ from qasnets.transformer import (
     verify_packing,
 )
 
-from oracles import alpha_mask
+from oracles import alpha_mask, exact_assignment_network_reference
 
 
 def w1_space():
@@ -139,6 +141,30 @@ class TestAssignmentNetwork:
     def test_single_center(self):
         md, theta = exact_assignment_network(np.array([[0.5, 0.5]]), np.zeros((3, 2)))
         np.testing.assert_array_equal(forward(md, SINGULAR, theta, [9.0, -2.0]), [1.0])
+
+    @given(d=st.integers(1, 3), k=st.integers(1, 40), n=st.integers(1, 30),
+           layout=st.sampled_from(["generic", "collinear", "grid", "bisector"]),
+           duplicates=st.booleans(), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_per_pair_reference(self, d, k, n, layout, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "collinear":
+            centers = rng.normal(size=(k, 1)) * rng.normal(size=d) + rng.normal(size=d)
+        elif layout == "grid":
+            centers = rng.integers(-3, 4, size=(k, d)).astype(float)
+        elif layout == "bisector":
+            # every center on the unit-cube corners and the domain at the origin:
+            # each comparison's functional is 0 there, so the scale is the norm's
+            centers = rng.choice([-1.0, 1.0], size=(k, d))
+        else:
+            centers = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(k, d))
+        pts = np.zeros((n, d)) if layout == "bisector" else np.vstack(
+            [centers, rng.normal(size=(n, d))])
+        if duplicates:
+            pts = np.repeat(pts, 2, axis=0)
+        md, theta = exact_assignment_network(centers, pts)
+        want_md, want_theta = exact_assignment_network_reference(centers, pts)
+        assert md.dims == want_md.dims
+        assert theta.tobytes() == want_theta.tobytes()
 
 
 class TestFitConstructive:
