@@ -180,9 +180,10 @@ def exact_assignment_network(centers: np.ndarray, domain_points: np.ndarray) -> 
         others = index != i
         w = 2.0 * (centers[i] - centers[others])
         b = sq[others] - sq[i]
-        vals = np.matmul(pts[None], w[:, :, None])[:, :, 0] + b[:, None]
+        g = np.matmul(pts[None], w[:, :, None])[:, :, 0]  # the one (k-1, n) temporary
+        g += b[:, None]
         norms = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
-        scale = np.maximum(np.abs(vals).max(axis=1), norms * 1e-9) * 1.25 + 1e-12
+        scale = np.maximum(np.abs(g, out=g).max(axis=1), norms * 1e-9) * 1.25 + 1e-12
         block = slice(i * (k - 1), (i + 1) * (k - 1))
         w1[block] = w / scale[:, None]
         b1[block] = b / scale + 1.0  # floor((g/scale) + 1) = [g >= 0] on the domain

@@ -93,7 +93,3 @@ class TestMergeRowsKernel:
         assert got_weights.shape == want_weights.shape
         assert got_weights.dtype == want_weights.dtype
         assert got_weights.tobytes() == want_weights.tobytes()
-
-    def test_same_object_is_equal(self):
-        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
-        assert mu.equal_as_measure(mu)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qasnets.errors import DomainError, FitFailure, UnsupportedError
@@ -145,6 +145,7 @@ class TestAssignmentNetwork:
     @given(d=st.integers(1, 3), k=st.integers(1, 40), n=st.integers(1, 30),
            layout=st.sampled_from(["generic", "collinear", "grid", "bisector"]),
            duplicates=st.booleans(), seed=st.integers(0, 2**16))
+    @example(d=2, k=1, n=3, layout="generic", duplicates=False, seed=0)
     def test_bitwise_equal_to_per_pair_reference(self, d, k, n, layout, duplicates, seed):
         rng = np.random.default_rng(seed)
         if layout == "collinear":
