@@ -11,6 +11,12 @@ sides.  The file records both commits, the host, every run's end-to-end
 metrics (``BENCHMARK.json``'s ``end_to_end`` list) and failed-op count, each
 side's median and quartiles, and how many pairs the change won on each
 metric (ties count for neither side).
+
+Before the workloads it records a ``fresh_import`` row: the process CPU
+(user + sys) and max RSS of ``python -c "import qasnets.cli"`` from each
+checkout's ``src``, ``IMPORT_RUNS`` times per side, alternating sides.  The
+perfbench ``setup_s`` cannot show that cost, because its set-up imports
+scipy for the oracles.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+IMPORT_RUNS = 5
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -63,6 +70,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
+def import_once(checkout: Path) -> dict:
+    """CPU seconds and max RSS of one fresh-interpreter ``import qasnets.cli``."""
+    proc = subprocess.Popen([sys.executable, "-c", "import qasnets.cli"], cwd=checkout,
+                            env=dict(os.environ, PYTHONPATH=str(checkout / "src")))
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: import qasnets.cli exited {proc.returncode}")
+    return {"cpu_s": usage.ru_utime + usage.ru_stime, "max_rss_mb": usage.ru_maxrss / 1024}
+
+
+def fresh_import(parent: Path, change: Path) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(IMPORT_RUNS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(import_once(parent if side == "parent" else change))
+    return {"runs": runs, **{name: {side: summary([r[name] for r in rs])
+                                    for side, rs in runs.items()}
+                             for name in ("cpu_s", "max_rss_mb")}}
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
@@ -91,7 +119,8 @@ def main() -> int:
     seconds = bench["run_seconds"]
     parent, change = args.parent.resolve(), ROOT
     record = {"parent": commit(parent), "change": commit(change), "host": host(),
-              "run_seconds": seconds, "pairs": PAIRS, "workloads": []}
+              "run_seconds": seconds, "pairs": PAIRS,
+              "fresh_import": fresh_import(parent, change), "workloads": []}
     for spec in args.runs:
         workload, seed = spec.rsplit(":", 1)
         runs = {"parent": [], "change": []}

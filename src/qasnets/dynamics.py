@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri  # the standard normal quantile function
 
 from .errors import DomainError, OutOfWindowError, UnsupportedError
 from .measures import DiscreteMeasure, PathMeasure, mid_quantile_levels
@@ -58,9 +57,6 @@ class TimeGrid:
     @property
     def index_range(self) -> tuple[int, int]:
         return -self.zero_index, len(self.times) - 1 - self.zero_index
-
-    def to_json(self) -> dict:
-        return {"times": self.times.tolist(), "zero_index": int(self.zero_index)}
 
 
 def grid_validate(times) -> TimeGrid:
@@ -126,18 +122,6 @@ class PathWindow:
             )
         return self.values[n_from - self.offset : n_to - self.offset + 1]
 
-    def to_json(self) -> dict:
-        return {
-            "times": self.grid.times.tolist(),
-            "values": self.values.tolist(),
-            "offset": int(self.offset),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PathWindow":
-        return PathWindow(grid_validate(obj["times"]), np.asarray(obj["values"], float),
-                          int(obj["offset"]))
-
 
 # ---------------------------------------------------------------------------
 # compact sets in the state space
@@ -163,24 +147,6 @@ class BoxSet:
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
-
-
-@dataclass(frozen=True)
-class BallSet:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, float))
-        if self.radius < 0:
-            raise DomainError("radius must be nonnegative")
-        object.__setattr__(self, "center", c)
-
-    def distance(self, x) -> float:
-        return max(0.0, float(np.linalg.norm(np.atleast_1d(x) - self.center)) - self.radius)
-
-    def diameter(self) -> float:
-        return 2.0 * self.radius
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +338,70 @@ class FiniteComplexityMap:
         return latent
 
 
-def eval_finite_complexity(fc_map: FiniteComplexityMap, path: PathWindow, n: int):
-    return fc_map.evaluate(path, n)
+# Cephes' ndtri (Moshier, *Methods and Programs for Mathematical Functions*,
+# 1989), the algorithm scipy.special.ndtri runs: a rational approximation in
+# y - 1/2 for exp(-2) < y < 1 - exp(-2), and two in 1/x, x = sqrt(-2 log y),
+# for the tails, split at x = 8.  Each p1evl divisor is written here as a
+# polevl with a leading 1.0, which gives the same bits (1.0 * z is exact).
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(z: np.ndarray, coefs: tuple) -> np.ndarray:
+    """sum_i coefs[i] z^(n-i) in Horner order, one rounded * and + per step."""
+    out = coefs[0] * z + coefs[1]
+    for c in coefs[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _libm_log(a: np.ndarray) -> np.ndarray:
+    """Natural log through the C library, one element at a time: ``np.log``
+    may round differently from libm, which Cephes calls."""
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def ndtri(levels) -> np.ndarray:
+    """Standard normal quantiles of levels 0 < y < 1, bit for bit Cephes'
+    (and so scipy's) ``ndtri``.
+
+    numpy's + * / and sqrt are correctly rounded, so the approximations
+    give Cephes' bits when evaluated in its order; only the logs need libm.
+    """
+    y0 = np.asarray(levels, float)
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
+    c2 = c * c
+    out[mid] = (c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0))) * _S2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1),
+                  z * _polevl(z, _P2) / _polevl(z, _Q2))
+    x = x - _libm_log(x) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 @functools.lru_cache(maxsize=64)

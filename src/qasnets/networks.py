@@ -250,48 +250,6 @@ def forward(md: MultiIndex, spec: ActivationSpec, theta, x) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (md.out_dim,))
 
 
-def zero_theta(md: MultiIndex) -> np.ndarray:
-    return np.zeros(param_count(md))
-
-
-def relu_theta(md: MultiIndex, rng=None, scale=0.5) -> np.ndarray:
-    """Random theta in the ReLU sub-family: every alpha row is (1, 0)."""
-    rng = rng or np.random.default_rng(0)
-    layers = []
-    dims = md.dims
-    for j in range(len(dims) - 2):
-        layers.append(LayerParams(
-            rng.normal(scale=scale, size=(dims[j + 1], dims[j])),
-            rng.normal(scale=scale, size=dims[j + 1]),
-            np.tile([1.0, 0.0], (dims[j + 1], 1)),
-        ))
-    layers.append(LayerParams(
-        rng.normal(scale=scale, size=(dims[-1], dims[-2])),
-        rng.normal(scale=scale, size=dims[-1]),
-        None,
-    ))
-    return encode_params(md, layers)
-
-
-def network_to_json(md: MultiIndex, spec: ActivationSpec, theta) -> dict:
-    """Bundle {dims, activation, theta}; floats survive bit-faithfully
-    because JSON emits the shortest round-trip decimal form."""
-    return {
-        "dims": list(md.dims),
-        "activation": spec.to_json(),
-        "theta": np.asarray(theta, float).tolist(),
-    }
-
-
-def network_from_json(obj: dict) -> tuple[MultiIndex, ActivationSpec, np.ndarray]:
-    md = MultiIndex(tuple(obj["dims"]))
-    spec = ActivationSpec.from_json(obj["activation"])
-    theta = np.asarray(obj["theta"], float)
-    if theta.shape != (param_count(md),):
-        raise DomainError("theta length inconsistent with dims")
-    return md, spec, theta
-
-
 # ---------------------------------------------------------------------------
 # depth / width padding
 # ---------------------------------------------------------------------------

@@ -462,9 +462,14 @@ def fit_static_end2end(
             if not np.isfinite(logits).all():
                 raise FitFailure(f"training diverged: the encoder logits are not finite at "
                                  f"epoch {epoch + 1} (lr {tc.lr})", {"epoch": epoch + 1})
+            try:
+                weights = project_simplex(logits)
+            except ArithmeticError as exc:  # finite logits too large to project
+                raise FitFailure(f"training diverged: {exc} at epoch {epoch + 1} (lr {tc.lr})",
+                                 {"epoch": epoch + 1}) from exc
             total = 0.0
             gu = np.empty_like(logits)
-            for i, (y, w) in enumerate(zip(targets, project_simplex(logits))):
+            for i, (y, w) in enumerate(zip(targets, weights)):
                 val, gw = space.mixing_loss_grad(y, w, points, p, h_fd)
                 gu[i] = _simplex_projection_jacobian(w).T @ gw
                 total += val

@@ -7,6 +7,7 @@ the complete bipartite support graph), and the bicausal optimum for
 two-step trees by enumerating products of conditional-coupling vertices.
 The ``*_reference`` kernels are the plain earlier forms of rewritten
 library kernels, kept so that tests can pin the rewrites bit for bit.
+``relu_theta`` is a shared test fixture.
 """
 
 from __future__ import annotations
@@ -505,3 +506,28 @@ def merge_rows_reference(atoms: np.ndarray, weights: np.ndarray):
     out_weights = np.zeros((n_groups,) + weights.shape[1:])
     np.add.at(out_weights, group, weights)
     return out_atoms, out_weights
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
+
+def relu_theta(md, rng=None, scale=0.5) -> np.ndarray:
+    """Random theta in the ReLU sub-family: every alpha row is (1, 0)."""
+    from qasnets.networks import LayerParams, encode_params
+
+    rng = rng or np.random.default_rng(0)
+    layers = []
+    dims = md.dims
+    for j in range(len(dims) - 2):
+        layers.append(LayerParams(
+            rng.normal(scale=scale, size=(dims[j + 1], dims[j])),
+            rng.normal(scale=scale, size=dims[j + 1]),
+            np.tile([1.0, 0.0], (dims[j + 1], 1)),
+        ))
+    layers.append(LayerParams(
+        rng.normal(scale=scale, size=(dims[-1], dims[-2])),
+        rng.normal(scale=scale, size=dims[-1]),
+        None,
+    ))
+    return encode_params(md, layers)

@@ -32,7 +32,6 @@ from qasnets.networks import (
     hypernetwork_size,
     memorize_sequence,
     param_count,
-    relu_theta,
 )
 from qasnets.spaces import (
     AdaptedEmpirical,
@@ -274,7 +273,7 @@ def test_08_network_codec():
     for _ in range(100):
         dims = tuple(int(d) for d in rng.integers(1, 6, size=rng.integers(3, 6)))
         md = MultiIndex(dims)
-        theta = relu_theta(md, rng)
+        theta = oracles.relu_theta(md, rng)
         layers = decode_params(md, theta)
         x = rng.normal(size=md.in_dim)
         got = forward(md, SINGULAR, theta, x)

@@ -25,6 +25,27 @@ def run(tmp_path, command, config, name="config.json", extra=()):
     return code, out
 
 
+def run_fresh(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli_fresh(tmp_path, command, config):
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return run_fresh("-m", "qasnets.cli", command, "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out"))
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_fresh("-c", "import sys, qasnets.cli; print(sorted(m for m in sys.modules "
+                           "if m == 'scipy' or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -200,17 +221,22 @@ class TestMalformedBlocks:
         cfg = {"seed": 0, "mode": "end2end", "budgets": {"N": [16], "q": [8]},
                "train_points": 33, "fit": {"activation": "smooth", "hidden": 32,
                                            "warm_train": {"lr": 1e9, "epochs": 50}}}
-        (tmp_path / "config.json").write_text(json.dumps(cfg))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qasnets.cli", "static-fit", "--config",
-             str(tmp_path / "config.json"), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env)
+        proc = run_cli_fresh(tmp_path, "static-fit", cfg)
         assert proc.returncode == 3
         assert re.fullmatch(r"numeric failure: training diverged: the loss is \S+ at epoch "
                             r"\d+ \(lr \S+\)\n", proc.stderr), proc.stderr
+
+    def test_diverging_refinement_names_epoch_and_lr(self, tmp_path):
+        # the logits grow huge but stay finite, and the simplex projection
+        # loses its threshold to rounding before the loss turns non-finite
+        cfg = {"seed": 0, "mode": "end2end", "budgets": {"N": [16], "q": [8]},
+               "train_points": 33, "fit": {"activation": "smooth", "hidden": 32,
+                                           "train": {"lr": 1e12, "epochs": 50,
+                                                     "train_alpha": False}}}
+        proc = run_cli_fresh(tmp_path, "static-fit", cfg)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"numeric failure: training diverged: .* at epoch \d+ "
+                            r"\(lr 1000000000000\.0\)\n", proc.stderr), proc.stderr
 
     def test_dynamic_train_block(self, tmp_path, capsys):
         cfg = {"seed": 0, "fit": {"encoder": "gradient", "train": {"nope": 1}}}
@@ -468,7 +494,7 @@ class TestPaths:
         code, out = run(tmp_path, "paths", cfg)
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest["wall_times_s"]) == ["envelope_fit", "membership", "simulate"]
+        assert sorted(manifest["wall_times_s"]) == ["envelope_fit", "membership", "simulate", "write"]
 
     def test_paths_reproducible(self, tmp_path):
         cfg = {"seed": 3, "sde": {"kind": "ou"}, "n_paths": 20, "steps": 8, "eps": 0.2}

@@ -12,7 +12,6 @@ from qasnets.errors import DomainError, OutOfWindowError
 from qasnets.measures import DiscreteMeasure
 from qasnets.metrics import convergent_power_sum, wasserstein_p
 from qasnets.dynamics import (
-    BallSet,
     BoxSet,
     KAlpha,
     KExp,
@@ -22,7 +21,6 @@ from qasnets.dynamics import (
     PathWindow,
     compression_rate,
     euler_simulate,
-    eval_finite_complexity,
     fit_exponential_envelope,
     grid_validate,
     infinite_memory_truncation,
@@ -99,12 +97,12 @@ class TestMembership:
         for spec in specs:
             assert path_membership(spec, path).member, type(spec).__name__
 
-    def test_kz_ball(self):
-        ball = BallSet([0.0, 0.0], 1.0)
+    def test_kz_box(self):
+        box = BoxSet([-1.0, -1.0], [1.0, 1.0])
         path = constant_path([0.5, 0.5])
-        assert path_membership(KZ(ball), path).member
-        far = constant_path([2.0, 0.0])
-        assert not path_membership(KZ(ball), far).member
+        assert path_membership(KZ(box), path).member
+        far = path_membership(KZ(box), constant_path([2.0, 0.0]))
+        assert not far.member and far.worst_slack == -1.0
 
     def test_kexp_envelope_shape(self):
         spec = KExp(C0=1.0, Cstar=2.0, Cn=lambda n: 0.5, eps=0.25, delta_minus=1.0)
@@ -174,7 +172,7 @@ class TestFiniteComplexityMaps:
         fc = sde_kernel_map(lambda t, x: np.zeros(1), lambda t, x: np.eye(1), 1.0,
                             DiscreteMeasure.dirac(0.0), k=8)
         path = constant_path(0.7)
-        out = eval_finite_complexity(fc, path, 0)
+        out = fc.evaluate(path, 0)
         want = 0.7 + norm.ppf((2 * np.arange(1, 9) - 1) / 16.0)
         np.testing.assert_allclose(np.sort(out.atoms[:, 0]), want, atol=1e-12)
 
@@ -523,7 +521,7 @@ class TestEnvelopeFit:
 
 
 def test_ndtri_is_norm_ppf_bit_for_bit():
-    """``dynamics`` reads normal quantiles through scipy.special.ndtri rather
+    """``dynamics`` reads normal quantiles through its in-tree Cephes ndtri rather
     than scipy.stats' norm.ppf; on both level grids it uses, for every level
     count 8..4096, the two agree bit for bit, signs of zero included."""
     from qasnets.measures import mid_quantile_levels

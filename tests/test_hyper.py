@@ -38,8 +38,8 @@ from qasnets.networks import (
     encode_params,
     forward,
     param_count,
-    relu_theta,
 )
+from oracles import relu_theta
 from qasnets.spaces import QuantizationCode, WassersteinConvex
 from qasnets.transformer import GeometricTransformer
 

@@ -28,12 +28,10 @@ from qasnets.networks import (
     pad_identity_layer,
     pad_width,
     param_count,
-    relu_theta,
     train_regression,
-    zero_theta,
 )
 
-from oracles import (alpha_mask, loss_and_grad_reference, relu_reference_forward,
+from oracles import (alpha_mask, loss_and_grad_reference, relu_reference_forward, relu_theta,
                      train_regression_reference)
 
 
@@ -107,7 +105,7 @@ class TestActivations:
 class TestForward:
     def test_zero_theta_outputs_zero(self):
         md = MultiIndex((3, 4, 2))
-        out = forward(md, SINGULAR, zero_theta(md), [1.0, -2.0, 0.5])
+        out = forward(md, SINGULAR, np.zeros(param_count(md)), [1.0, -2.0, 0.5])
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_hand_set_affine_composition(self):
@@ -136,7 +134,7 @@ class TestForward:
     def test_dim_mismatch(self):
         md = MultiIndex((2, 2))
         with pytest.raises(DomainError):
-            forward(md, SINGULAR, zero_theta(md), [1.0, 2.0, 3.0])
+            forward(md, SINGULAR, np.zeros(param_count(md)), [1.0, 2.0, 3.0])
 
 
 def lone_row_forward(md, spec, theta, x):
@@ -247,7 +245,7 @@ class TestGradients:
     def test_singular_rejected(self):
         md = MultiIndex((1, 2, 1))
         with pytest.raises(UnsupportedError):
-            loss_and_grad(md, SINGULAR, zero_theta(md), [[0.0]], [[0.0]])
+            loss_and_grad(md, SINGULAR, np.zeros(param_count(md)), [[0.0]], [[0.0]])
 
     @given(kind=st.sampled_from(["smooth", "classical"]),
            dims=st.lists(st.integers(1, 9), min_size=3, max_size=5),
@@ -374,23 +372,6 @@ class TestTraining:
         assert np.array_equal(theta, ref_theta)
         assert hist == ref_hist
         assert (len(hist) < 120) == (target_loss > 0)
-
-
-class TestBundleSerialization:
-    def test_bit_faithful_round_trip(self):
-        import json
-
-        from qasnets.networks import network_from_json, network_to_json
-
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            dims = tuple(int(d) for d in rng.integers(1, 6, size=rng.integers(2, 5)))
-            md = MultiIndex(dims)
-            theta = rng.normal(size=param_count(md))
-            blob = json.dumps(network_to_json(md, SMOOTH_SIGMOID, theta))
-            md2, spec2, theta2 = network_from_json(json.loads(blob))
-            assert md2.dims == md.dims and spec2.kind == "smooth"
-            assert np.array_equal(theta, theta2)
 
 
 class TestHypernetworkSize:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qasnets.errors import DomainError, FitFailure, UnsupportedError
 from qasnets.measures import DiscreteMeasure
 from qasnets.metrics import wasserstein_p
-from qasnets.networks import MultiIndex, SINGULAR, forward, zero_theta
+from qasnets.networks import MultiIndex, SINGULAR, forward, param_count
 from qasnets.spaces import QuantizationCode, WassersteinConvex
 from qasnets.transformer import (
     ComplexityReport,
@@ -60,7 +60,7 @@ class TestGtEval:
         space = w1_space()
         codes = [QuantizationCode([float(i)], 1) for i in range(4)]
         md = MultiIndex((1, 4))
-        gt = GeometricTransformer(space, md, SINGULAR, zero_theta(md), codes)
+        gt = GeometricTransformer(space, md, SINGULAR, np.zeros(param_count(md)), codes)
         out = gt([0.3])
         want = DiscreteMeasure(np.arange(4.0).reshape(-1, 1), np.full(4, 0.25))
         assert wasserstein_p(out, want, 1) == pytest.approx(0.0, abs=1e-12)
@@ -70,8 +70,6 @@ class TestGtEval:
         space = w1_space()
         codes = [QuantizationCode(rng.normal(size=2), 2) for _ in range(3)]
         md = MultiIndex((2, 4, 3))
-        from qasnets.networks import param_count
-
         theta = rng.normal(size=param_count(md))
         gt = GeometricTransformer(space, md, SINGULAR, theta, codes)
         gt2 = GeometricTransformer.from_json(json.loads(json.dumps(gt.to_json())))
@@ -92,13 +90,13 @@ class TestGtEval:
         gt = GeometricTransformer(space, md, SINGULAR, theta, codes)
         assert len(calls) == 3
         assert gt([0.7]) is gt.images[2]
-        mixed = GeometricTransformer(space, md, SINGULAR, zero_theta(md), codes)
+        mixed = GeometricTransformer(space, md, SINGULAR, np.zeros(param_count(md)), codes)
         assert len(calls) == 6
         out = mixed([0.3])
         assert len(calls) == 6
         assert out.equal_as_measure(space.attention(np.zeros(3), codes))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            gt.theta = zero_theta(md)
+            gt.theta = np.zeros(param_count(md))
 
     def test_code_count_mismatch(self):
         space = w1_space()
@@ -107,7 +105,7 @@ class TestGtEval:
                                  SINGULAR, np.zeros(4), [QuantizationCode([0.0], 1)])
 
     def test_outputs_are_valid_space_points(self):
-        from qasnets.networks import param_count, relu_theta
+        from oracles import relu_theta
         from qasnets.measures import validate_simplex_weight
 
         rng = np.random.default_rng(21)
@@ -271,7 +269,7 @@ class TestFitEnd2End:
         codes = [QuantizationCode([0.0], 1), QuantizationCode([1.0], 1)]
         md = MultiIndex((1, 3, 2))
         rng = np.random.default_rng(1)
-        from qasnets.networks import SMOOTH_SIGMOID, param_count
+        from qasnets.networks import SMOOTH_SIGMOID
 
         theta_star = rng.normal(size=param_count(md)) * 1.5
 
