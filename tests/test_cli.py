@@ -39,13 +39,6 @@ def run_cli_fresh(tmp_path, command, config):
                      "--out", str(tmp_path / "out"))
 
 
-def test_cli_import_loads_no_scipy():
-    proc = run_fresh("-c", "import sys, qasnets.cli; print(sorted(m for m in sys.modules "
-                           "if m == 'scipy' or m.startswith('scipy.')))")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -606,3 +599,10 @@ def test_write_csv_matches_hand_formatting(tmp_path):
 
 def test_readme_examples_are_byte_pinned(tmp_path):
     assert readme_output_digests(tmp_path) == README_DIGESTS
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_fresh("-c", "import sys, qasnets.cli; print(sorted(m for m in sys.modules "
+                           "if m == 'scipy' or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
