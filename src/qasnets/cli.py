@@ -519,6 +519,7 @@ def cmd_paths(runner: Runner, base: Path):
                        write=time.perf_counter() - t3)
 
     if cfg.classes:
+        t4 = time.perf_counter()
         rows = []
         for spec in cfg.classes:
             cls = build_class(spec, envelope)
@@ -528,6 +529,7 @@ def cmd_paths(runner: Runner, base: Path):
                 rows.append([tag, pid, rep.worst_index, rep.worst_slack, int(rep.member)])
         runner.emit_csv("class_membership.csv",
                         ["class", "path", "worst_index", "worst_slack", "member"], rows)
+        runner.wall["classes"] = time.perf_counter() - t4
 
 
 # ---------------------------------------------------------------------------

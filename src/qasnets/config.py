@@ -9,7 +9,8 @@ finite number, ``bool`` true or false, ``str`` a string, ``dict`` an object,
 ``tuple[T, ...]`` an array of T, ``tuple[A, B]`` one of length 2, a ``Config``
 subclass a nested object, and null only an ``X | None`` field.  Any other
 class, and a callable, takes only an instance: JSON cannot produce one.  A
-field ``class_`` reads the key ``class``.
+field ``class_`` reads the key ``class``.  ``coerce(value, hint, path)`` applies
+the same rules to one value outside a dataclass.
 """
 
 from __future__ import annotations
@@ -83,17 +84,17 @@ def _schema(cls) -> dict:
             for f in dataclasses.fields(cls) if f.init}
 
 
-def _coerce(value, hint, path: str):
+def coerce(value, hint, path: str):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         options = [a for a in args if a is not type(None)]
         if value is None and len(options) < len(args):
             return None
         if len(options) == 1:
-            return _coerce(value, options[0], path)
+            return coerce(value, options[0], path)
         for option in options:
             try:
-                return _coerce(value, option, path)
+                return coerce(value, option, path)
             except DomainError:
                 pass
         raise _mismatch(path, " or ".join(map(_noun, options)), value)
@@ -104,7 +105,7 @@ def _coerce(value, hint, path: str):
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise _mismatch(path, f"an array of length {len(args)}", value)
-        return tuple(_coerce(v, a, f"{path}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+        return tuple(coerce(v, a, f"{path}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
     if hint in _SCALARS:
         ok = _SCALARS[hint][1](value)
     elif origin is collections.abc.Callable:
@@ -131,7 +132,7 @@ def from_json(cls, obj, where: str):
     values = {}
     for key, (name, hint, required) in schema.items():
         if key in obj:
-            values[name] = _coerce(obj[key], hint, f"{where}.{key}")
+            values[name] = coerce(obj[key], hint, f"{where}.{key}")
         elif required:
             raise DomainError(f"{where} is missing the key {key!r}")
     try:

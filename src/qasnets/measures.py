@@ -4,8 +4,8 @@ Three value types live here:
 
 * ``DiscreteMeasure`` -- atoms in R^d plus simplex weights.
 * ``PathMeasure``     -- a discrete measure on R^(d*T) viewed as a law of a
-  T-step path, together with the conditional tree obtained by grouping
-  paths on exact prefix equality.
+  T-step path, together with its conditional tree, built at construction
+  by grouping paths on exact prefix equality.
 * ``GaussianMeasure`` -- a nondegenerate Gaussian N(m, S) on R^d.
 
 All values are immutable after construction and safe to share across
@@ -20,10 +20,11 @@ testable statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
+from .config import PositiveInt, coerce
 from .errors import DomainError
 
 WEIGHT_SUM_TOL = 1e-12
@@ -109,10 +110,6 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.atoms.shape[0]
 
-    def merged(self) -> "DiscreteMeasure":
-        """Canonical form: the measure itself, merged at construction."""
-        return self
-
     def equal_as_measure(self, other: "DiscreteMeasure") -> bool:
         """Exact equality as weighted atom sets (both sides are canonical)."""
         return self is other or (
@@ -144,7 +141,7 @@ class DiscreteMeasure:
         return DiscreteMeasure(
             np.asarray(obj["atoms"], dtype=float),
             np.asarray(obj["weights"], dtype=float),
-            int(obj.get("dim", -1)),
+            coerce(obj["dim"], int, "dim") if "dim" in obj else -1,
         )
 
 
@@ -165,14 +162,30 @@ def mixture(components: list[DiscreteMeasure], mix_weights) -> DiscreteMeasure:
     return DiscreteMeasure(atoms, weights)
 
 
+class TreeLevel(NamedTuple):
+    """The nodes at one depth of a conditional tree, grouped by parent.
+
+    The children of parent k are the nodes ``starts[k]:starts[k + 1]``, in
+    increasing order of their step value; node i has the step value
+    ``values[i]`` and the conditional weight ``weights[i]`` given its
+    parent.  Depth 0 has one parent, the root.
+    """
+
+    starts: np.ndarray
+    values: np.ndarray
+    weights: np.ndarray
+
+
 class PathMeasure:
     """Law of a d-dimensional path over T steps, with its conditional tree.
 
     The measure is stored as a ``DiscreteMeasure`` on R^(d*T) whose atoms
-    are the flattened paths (x_1, ..., x_T).  Conditional measures are
-    obtained lazily by grouping paths on exact equality of their time-t
-    prefixes; continuous samples must be pre-quantized onto a grid before
-    this grouping is meaningful.
+    are the flattened paths (x_1, ..., x_T).  The constructor builds the
+    conditional tree once, as one read-only ``TreeLevel`` per step in
+    ``levels``, by grouping the paths of positive weight on exact equality
+    of their prefixes; a path of weight zero carries no node.  Continuous
+    samples must be pre-quantized onto a grid before this grouping is
+    meaningful.
     """
 
     def __init__(self, base: DiscreteMeasure, horizon: int, step_dim: int):
@@ -188,7 +201,7 @@ class PathMeasure:
         # paths[i, t, :] is the time-(t+1) location of atom i
         self._paths = np.array(self.base.atoms).reshape(len(self.base), horizon, step_dim)
         self._paths.setflags(write=False)
-        self._children_cache: dict[tuple, list] = {}
+        self.levels = _conditional_tree(self._paths, self.base.weights)
 
     @property
     def paths(self) -> np.ndarray:
@@ -211,50 +224,6 @@ class PathMeasure:
         base = DiscreteMeasure(paths.reshape(n, T * d), np.asarray(weights, dtype=float))
         return PathMeasure(base, T, d)
 
-    def root(self) -> tuple:
-        return tuple(range(len(self.base)))
-
-    def children(self, node: tuple, depth: int) -> list[tuple[np.ndarray, float, tuple]]:
-        """Split ``node`` (a tuple of path indices sharing a depth-``depth``
-        prefix) by the next step value.
-
-        Returns a list of (value, conditional weight, child node) triples; the
-        conditional weights form a simplex weight at every node.
-        """
-        key = (node, depth)
-        if key in self._children_cache:
-            return self._children_cache[key]
-        groups: dict[tuple, list[int]] = {}
-        for i in node:
-            v = tuple(self._paths[i, depth])
-            groups.setdefault(v, []).append(i)
-        total = float(self.weights[list(node)].sum())
-        out = []
-        for v in sorted(groups):
-            idx = groups[v]
-            w = float(self.weights[idx].sum()) / total
-            out.append((np.array(v), w, tuple(idx)))
-        self._children_cache[key] = out
-        return out
-
-    def marginal_check(self, tol: float = 0.0) -> bool:
-        """Tree marginalization reconstructs the base measure exactly."""
-
-        def collect(node, depth, mass, prefix):
-            if depth == self.horizon:
-                return [(tuple(np.concatenate(prefix)), mass)]
-            out = []
-            for v, w, child in self.children(node, depth):
-                out.extend(collect(child, depth + 1, mass * w, prefix + [v]))
-            return out
-
-        leaves = dict(collect(self.root(), 0, 1.0, []))
-        for atom, w in zip(self.base.atoms, self.base.weights):
-            got = leaves.get(tuple(atom))
-            if got is None or abs(got - w) > max(tol, 1e-12):
-                return False
-        return True
-
     def equal_as_measure(self, other: "PathMeasure") -> bool:
         return (
             self.horizon == other.horizon
@@ -270,10 +239,42 @@ class PathMeasure:
     @staticmethod
     def from_json(obj: dict) -> "PathMeasure":
         base = DiscreteMeasure.from_json(obj)
-        horizon = int(obj["horizon"])
+        horizon = coerce(obj["horizon"], PositiveInt, "horizon")
         if base.dim % horizon != 0:
             raise DomainError("base dim not divisible by horizon")
         return PathMeasure(base, horizon, base.dim // horizon)
+
+
+def _conditional_tree(paths: np.ndarray, weights: np.ndarray) -> tuple[TreeLevel, ...]:
+    """The levels of the conditional tree of the positive-weight paths.
+
+    The paths come from a canonical measure, sorted lexicographically, so
+    the paths that share a prefix are consecutive and a node's children
+    follow in increasing order of their step value.  A node's mass is the
+    sum of its paths' weights, and a conditional weight is the node's
+    mass divided by its parent's.
+    """
+    keep = weights > 0.0
+    paths, weights = paths[keep], weights[keep]
+    n = len(weights)
+    first = np.zeros(1, dtype=int)  # the first path of each node
+    mass = np.array([float(weights.sum())])
+    new = np.zeros(n, dtype=bool)  # path i starts a node
+    new[0] = True
+    levels = []
+    for t in range(paths.shape[1]):
+        new[1:] |= (paths[1:, t] != paths[:-1, t]).any(axis=1)
+        parents, parent_mass = first, mass
+        first = np.flatnonzero(new)
+        ends = np.append(first[1:], n).tolist()
+        mass = np.array([float(weights[a:b].sum()) for a, b in zip(first.tolist(), ends)])
+        starts = np.append(np.searchsorted(first, parents), len(first))
+        level = TreeLevel(starts, paths[first, t],
+                          mass / np.repeat(parent_mass, np.diff(starts)))
+        for array in level:
+            array.setflags(write=False)
+        levels.append(level)
+    return tuple(levels)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Everything here is a pure function of immutable values:
   transportation (network) simplex that returns a vertex plan together
   with dual potentials certifying its optimality (``transport_cost``).
 * Adapted (bicausal) Wasserstein-p between path measures via backward
-  dynamic programming on the conditional trees.
+  dynamic programming on the conditional trees, one depth at a time.
 * Total variation on finite supports.
 * The affine-invariant distance between nondegenerate Gaussians,
   sqrt(|m1-m2|^2 + |log(S1^-1/2 S2 S1^-1/2)|_F^2).
@@ -503,11 +503,13 @@ def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
 def adapted_wasserstein_p(mu: PathMeasure, nu: PathMeasure, p: float = 1.0) -> float:
     """Exact adapted (bicausal) Wasserstein-p distance between path measures.
 
-    Backward dynamic programming on the conditional trees: at the final
-    step the subproblem is a plain transport between conditional laws; at
-    earlier steps the transport cost of matching values x_t, y_t adds the
-    optimal value of the induced subtree pair.  The total cost accumulates
-    sum_t |x_t - y_t|^p and is returned to the power 1/p.
+    Backward dynamic programming on the conditional trees, one depth at a
+    time from the last step to the first.  At depth t the cost of matching
+    the step values x_t, y_t of two nodes is |x_t - y_t|^p plus the optimal
+    value of the pair of subtrees below them (computed at depth t + 1);
+    each pair of parents then solves one transport between its children's
+    conditional laws.  The total cost accumulates sum_t |x_t - y_t|^p and
+    is returned to the power 1/p.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
@@ -517,33 +519,23 @@ def adapted_wasserstein_p(mu: PathMeasure, nu: PathMeasure, p: float = 1.0) -> f
         raise DomainError(f"step dim mismatch {mu.step_dim} != {nu.step_dim}")
     if mu.equal_as_measure(nu):
         return 0.0
-    T = mu.horizon
-    memo: dict[tuple, float] = {}
-
-    def value(node_a: tuple, node_b: tuple, depth: int) -> float:
-        key = (node_a, node_b, depth)
-        if key in memo:
-            return memo[key]
-        ca = mu.children(node_a, depth)
-        cb = nu.children(node_b, depth)
-        wa = np.array([w for _, w, _ in ca])
-        wb = np.array([w for _, w, _ in cb])
-        va = np.array([v for v, _, _ in ca])
-        vb = np.array([v for v, _, _ in cb])
-        cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2) ** p
-        if depth + 1 < T:
-            for i, (_, _, child_a) in enumerate(ca):
-                for j, (_, _, child_b) in enumerate(cb):
-                    cost[i, j] += value(child_a, child_b, depth + 1)
-        if len(ca) == 1 or len(cb) == 1:
-            val = float(np.sum(cost * np.outer(wa, wb)))  # coupling forced
-        else:
-            val = transport_cost(wa, wb, cost).value
-        memo[key] = val
-        return val
-
-    total = value(mu.root(), nu.root(), 0)
-    return max(total, 0.0) ** (1.0 / p)
+    value = None  # value[i, j]: optimal cost of the subtrees of nodes i, j of the depth below
+    for a, b in zip(reversed(mu.levels), reversed(nu.levels)):
+        cost = np.linalg.norm(a.values[:, None, :] - b.values[None, :, :], axis=2) ** p
+        if value is not None:
+            cost += value
+        sa, sb = a.starts.tolist(), b.starts.tolist()
+        value = np.empty((len(sa) - 1, len(sb) - 1))
+        for i in range(len(sa) - 1):
+            rows = slice(sa[i], sa[i + 1])
+            for j in range(len(sb) - 1):
+                cols = slice(sb[j], sb[j + 1])
+                wa, wb = a.weights[rows], b.weights[cols]
+                if len(wa) == 1 or len(wb) == 1:  # coupling forced
+                    value[i, j] = np.sum(cost[rows, cols] * np.outer(wa, wb))
+                else:
+                    value[i, j] = transport_cost(wa, wb, cost[rows, cols]).value
+    return max(float(value[0, 0]), 0.0) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ the complete bipartite support graph), and the bicausal optimum for
 two-step trees by enumerating products of conditional-coupling vertices.
 The ``*_reference`` kernels are the plain earlier forms of rewritten
 library kernels, kept so that tests can pin the rewrites bit for bit.
+``marginal_check`` checks a ``PathMeasure``'s conditional tree against its
+base measure.
 ``relu_theta`` is a shared test fixture.
 """
 
@@ -506,6 +508,82 @@ def merge_rows_reference(atoms: np.ndarray, weights: np.ndarray):
     out_weights = np.zeros((n_groups,) + weights.shape[1:])
     np.add.at(out_weights, group, weights)
     return out_atoms, out_weights
+
+
+def children_reference(pm, node: tuple, depth: int) -> list:
+    """Split ``node`` (a tuple of path indices sharing a depth-``depth``
+    prefix) by the next step value: the grouping ``PathMeasure.children``
+    made on demand before ``PathMeasure`` built its tree at construction.
+
+    Returns a list of (value, conditional weight, child node) triples.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i in node:
+        v = tuple(pm.paths[i, depth])
+        groups.setdefault(v, []).append(i)
+    total = float(pm.weights[list(node)].sum())
+    out = []
+    for v in sorted(groups):
+        idx = groups[v]
+        w = float(pm.weights[idx].sum()) / total
+        out.append((np.array(v), w, tuple(idx)))
+    return out
+
+
+def adapted_wasserstein_reference(mu, nu, p: float = 1.0) -> float:
+    """``metrics.adapted_wasserstein_p`` as a memoized recursion over node
+    pairs on ``children_reference``.  Positive weights only: a node of zero
+    mass divides 0 by 0."""
+    from qasnets.metrics import transport_cost
+
+    if mu.equal_as_measure(nu):
+        return 0.0
+    T = mu.horizon
+    memo: dict[tuple, float] = {}
+
+    def value(node_a: tuple, node_b: tuple, depth: int) -> float:
+        key = (node_a, node_b, depth)
+        if key in memo:
+            return memo[key]
+        ca = children_reference(mu, node_a, depth)
+        cb = children_reference(nu, node_b, depth)
+        wa = np.array([w for _, w, _ in ca])
+        wb = np.array([w for _, w, _ in cb])
+        va = np.array([v for v, _, _ in ca])
+        vb = np.array([v for v, _, _ in cb])
+        cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2) ** p
+        if depth + 1 < T:
+            for i, (_, _, child_a) in enumerate(ca):
+                for j, (_, _, child_b) in enumerate(cb):
+                    cost[i, j] += value(child_a, child_b, depth + 1)
+        if len(ca) == 1 or len(cb) == 1:
+            val = float(np.sum(cost * np.outer(wa, wb)))  # coupling forced
+        else:
+            val = transport_cost(wa, wb, cost).value
+        memo[key] = val
+        return val
+
+    total = value(tuple(range(len(mu.base))), tuple(range(len(nu.base))), 0)
+    return max(total, 0.0) ** (1.0 / p)
+
+
+def marginal_check(pm, tol: float = 0.0) -> bool:
+    """Marginalizing ``pm.levels`` reconstructs the base measure: each
+    leaf's mass, the product of the conditional weights from the root,
+    is its path's weight, and a path of weight zero has no leaf."""
+    prefix = np.zeros((1, 0))
+    mass = np.ones(1)
+    for level in pm.levels:
+        parent = np.repeat(np.arange(len(level.starts) - 1), np.diff(level.starts))
+        prefix = np.hstack([prefix[parent], level.values])
+        mass = mass[parent] * level.weights
+    leaves = dict(zip(map(tuple, prefix.tolist()), mass.tolist()))
+    if len(leaves) != len(mass):
+        return False
+    for atom, w in zip(pm.base.atoms.tolist(), pm.base.weights.tolist()):
+        if abs(leaves.pop(tuple(atom), 0.0) - w) > max(tol, 1e-12):
+            return False
+    return not leaves
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,40 @@ class TestMetric:
         code, _ = run(tmp_path, "metric", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", 2.5), ("horizon", 0), ("horizon", "x"), ("horizon", None),
+        ("dim", 1.7), ("dim", True), ("dim", "x"),
+    ])
+    def test_dim_and_horizon_must_be_integers(self, tmp_path, capsys, key, value):
+        if key == "horizon":
+            good = {"dim": 2, "atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5],
+                    "horizon": 2}
+        else:
+            good = {"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]}
+        code, _ = run(tmp_path, "metric", {"inputs": [dict(good, **{key: value}), good]})
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_zero_weight_path_leaves_adapted_distance_unchanged(self, tmp_path):
+        a = {"dim": 2, "atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [1.0, 0.0], "horizon": 2}
+        b = {"dim": 2, "atoms": [[0.0, 1.0], [1.0, 0.0]], "weights": [0.5, 0.5], "horizon": 2}
+        code, out = run(tmp_path, "metric", {"inputs": [a, b]})
+        assert code == 0
+        padded = read_csv(out / "distances.csv")
+        stripped = dict(a, atoms=[[0.0, 0.0]], weights=[1.0])
+        code, out = run(tmp_path, "metric", {"inputs": [stripped, b]}, name="stripped.json")
+        assert code == 0
+        assert padded[1][2] == read_csv(out / "distances.csv")[1][2]
+
+    def test_horizon_5000(self, tmp_path):
+        rng = np.random.default_rng(6)
+        inputs = [{"dim": 5000, "horizon": 5000, "weights": [0.5, 0.5],
+                   "atoms": np.cumsum(rng.choice([-1.0, 1.0], (2, 5000)), axis=1).tolist()}
+                  for _ in range(2)]
+        code, out = run(tmp_path, "metric", {"inputs": inputs})
+        assert code == 0
+        assert float(read_csv(out / "distances.csv")[1][2]) > 0.0
+
 
 class TestMalformedBlocks:
     """Malformed nested blocks are config errors (exit 2), never tracebacks."""
@@ -488,6 +522,12 @@ class TestPaths:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["wall_times_s"]) == ["envelope_fit", "membership", "simulate", "write"]
+        cfg["classes"] = [{"kind": "kexp_fitted"}, {"kind": "kz"}]
+        code, out = run(tmp_path, "paths", cfg, name="classes.json")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["wall_times_s"]) == ["classes", "envelope_fit", "membership",
+                                                    "simulate", "write"]
 
     def test_paths_reproducible(self, tmp_path):
         cfg = {"seed": 3, "sde": {"kind": "ou"}, "n_paths": 20, "steps": 8, "eps": 0.2}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from oracles import euler_reference
+from oracles import children_reference, euler_reference, marginal_check
 from qasnets import dynamics
 from qasnets.errors import DomainError, OutOfWindowError
 from qasnets.measures import DiscreteMeasure
@@ -290,9 +290,9 @@ class TestTwoStepAdapted:
         fc = sde_two_step_adapted(lambda t, x: 0.1 * np.sin(x), lambda t, x: 0.2, m=2,
                                   first_points=4, cond_points=3)
         out = fc.evaluate(constant_path(0.3), 0)
-        assert out.marginal_check()
-        root = out.root()
-        for v, w, child in out.children(root, 0):
+        assert marginal_check(out)
+        root = tuple(range(len(out.base)))
+        for v, w, child in children_reference(out, root, 0):
             assert w > 0
 
     def test_rejects_bad_m(self):

@@ -41,12 +41,6 @@ class TestCanonicalMeasure:
             assert mu.equal_as_measure(want) and want.equal_as_measure(mu)
             assert not mu.atoms.flags.writeable and not mu.weights.flags.writeable
 
-    def test_merged_is_self(self):
-        rng = np.random.default_rng(2)
-        atoms, weights, _, _ = dyadic_with_duplicates(rng, 2)
-        mu = DiscreteMeasure(atoms, weights)
-        assert mu.merged() is mu
-
     def test_len_counts_distinct_atoms(self):
         mu = DiscreteMeasure(np.array([[1.0], [0.0], [1.0], [1.0]]), [0.25, 0.25, 0.25, 0.25])
         assert len(mu) == 2

@@ -1,8 +1,10 @@
 """Tests for the exact metric layer, checked against independent oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -24,7 +26,9 @@ from qasnets.metrics import (
 )
 
 from oracles import (
+    adapted_wasserstein_reference,
     bicausal_oracle_two_steps,
+    marginal_check,
     qp_simplex_oracle,
     quantile_coupling_reference,
     transport_vertices,
@@ -444,7 +448,54 @@ class TestAdaptedWasserstein:
         pm = PathMeasure.from_paths(
             rng.integers(0, 2, size=(6, 3)).astype(float), rng.dirichlet(np.ones(6))
         )
-        assert pm.marginal_check()
+        assert marginal_check(pm)
+
+    @given(d=st.integers(1, 3), T=st.integers(1, 5), p=st.sampled_from([1.0, 1.5, 2.0]),
+           shape=st.sampled_from(["random", "single_path", "full_branching"]),
+           zeros=st.sampled_from([(), (0.0,), (-0.0,), (0.0, -0.0)]),
+           zero_weight_paths=st.integers(0, 2), seed=st.integers(0, 2**16))
+    @example(d=1, T=1, p=1.0, shape="random", zeros=(), zero_weight_paths=0, seed=0)
+    @example(d=3, T=5, p=1.5, shape="full_branching", zeros=(0.0, -0.0),
+             zero_weight_paths=2, seed=1)
+    def test_bitwise_equal_to_recursive_reference(self, d, T, p, shape, zeros,
+                                                   zero_weight_paths, seed):
+        # step values on a small grid, so steps tie within and across nodes;
+        # ``zeros`` puts the signed zeros in, which compare equal
+        rng = np.random.default_rng(seed)
+        grid = np.array([-1.0, 0.5, 1.0, *zeros])
+
+        def tree():
+            if shape == "single_path":
+                paths = rng.choice(grid, size=(1, T, d))
+            elif shape == "full_branching":  # two distinct children under every node
+                steps = np.array(list(itertools.product([0, 1], repeat=T)), dtype=float)
+                paths = steps[:, :, None] + rng.choice(grid, size=(1, T, d))
+            else:
+                paths = rng.choice(grid, size=(int(rng.integers(1, 13)), T, d))
+            return PathMeasure.from_paths(paths, rng.dirichlet(np.ones(len(paths))))
+
+        mu, nu = tree(), tree()
+        want = adapted_wasserstein_reference(mu, nu, p)
+        assert adapted_wasserstein_p(mu, nu, p) == want
+        assert adapted_wasserstein_p(nu, mu, p) == adapted_wasserstein_reference(nu, mu, p)
+        assert marginal_check(mu) and marginal_check(nu)
+        if zero_weight_paths:
+            # paths of weight zero carry no node: the distance is the one without them
+            extra = 5.0 + 3.0 * np.arange(zero_weight_paths)[:, None] + rng.choice(
+                grid, size=(zero_weight_paths, T * d))
+            padded = PathMeasure(DiscreteMeasure(
+                np.vstack([mu.base.atoms, extra]),
+                np.concatenate([mu.weights, np.zeros(zero_weight_paths)])), T, d)
+            assert len(padded.base) == len(mu.base) + zero_weight_paths
+            assert adapted_wasserstein_p(padded, nu, p) == want
+            assert marginal_check(padded)
+
+    def test_tree_is_read_only(self):
+        pm = binary_tree_measure(0.0, [-1.0, 1.0], [0.25, 0.75])
+        assert len(pm.levels) == pm.horizon
+        for level in pm.levels:
+            for array in level:
+                assert not array.flags.writeable
 
 
 class TestTotalVariation:
