@@ -17,6 +17,12 @@ Before the workloads it records a ``fresh_import`` row: the process CPU
 checkout's ``src``, ``IMPORT_RUNS`` times per side, alternating sides.  The
 perfbench ``setup_s`` cannot show that cost, because its set-up imports
 scipy for the oracles.
+
+    python3 bench/record.py --diff BENCH_8.json
+
+prints, for each workload, seed and metric of a recorded file, the parent
+median -> change median, the relative change, the parent's IQR, the
+``BENCHMARK.json`` bound and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -109,12 +115,31 @@ def compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict
     return out
 
 
+def diff_lines(record: dict) -> list[str]:
+    """One line per workload, seed and metric of a recorded file."""
+    lines = []
+    for w in record["workloads"]:
+        for name, m in w["metrics"].items():
+            parent, change = m["parent"]["median"], m["change"]["median"]
+            lines.append(f"{w['workload']}:{w['seed']} {name}: {parent:.4g} -> {change:.4g} "
+                         f"{m['unit']} ({change / parent - 1.0:+.1%}), "
+                         f"parent IQR {m['parent']['iqr']:.4g}, bound {m['bound']:.0%}, "
+                         f"change won {m['change_wins']}/{m['pairs']}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD:SEED")
+    parser.add_argument("--diff", type=Path, help="print a recorded file's comparison")
+    parser.add_argument("--parent", type=Path, help="parent checkout")
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--runs", nargs="+", metavar="WORKLOAD:SEED")
     args = parser.parse_args()
+    if args.diff:
+        print("\n".join(diff_lines(json.loads(args.diff.read_text()))))
+        return 0
+    if not (args.parent and args.out and args.runs):
+        parser.error("--parent, --out and --runs are required without --diff")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     parent, change = args.parent.resolve(), ROOT

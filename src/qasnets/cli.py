@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import Config, PositiveInt, from_json
 from .errors import DomainError, FitFailure, QuantizationSearchError, UnsupportedError
-from .measures import DiscreteMeasure, measure_from_json
+from .measures import DiscreteMeasure, measure_from_json, numeric_array
 from .metrics import adapted_wasserstein_p, gaussian_distance, total_variation, wasserstein_p
 from .dynamics import (
     BoxSet,
@@ -78,6 +78,17 @@ def write_csv(path: Path, header: list[str], rows: list[list]):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_membership(path: Path, indices, slacks: list[list[float]], member: list[bool]):
+    """``membership.csv``: the bytes ``write_csv`` gives for the rows
+    (path, n, slack, path_member), built as one string per path.  Its
+    fields are integers and floats, which ``csv`` never quotes."""
+    with open(path, "w", newline="") as fh:
+        fh.write("path,n,slack,path_member\n")
+        for pid, (row, flag) in enumerate(zip(slacks, member)):
+            flag = int(flag)
+            fh.write("".join([f"{pid},{n},{s!r},{flag}\n" for n, s in zip(indices, row)]))
 
 
 def write_json(path: Path, obj):
@@ -146,12 +157,12 @@ def load_measure(entry, base: Path, weight_sum_tol: float = 0.0):
             entry = json.load(fh)
     if not isinstance(entry, dict):
         raise DomainError("measure entries must be file paths or JSON objects")
-    if weight_sum_tol > 0 and "weights" in entry:
-        w = np.asarray(entry["weights"], dtype=float)
-        s = float(w.sum())
-        if s > 0 and abs(s - 1.0) <= weight_sum_tol:
-            entry = dict(entry, weights=(w / s).tolist())
     try:
+        if weight_sum_tol > 0 and "weights" in entry:
+            w = numeric_array(entry, "weights")
+            s = float(w.sum())
+            if s > 0 and abs(s - 1.0) <= weight_sum_tol:
+                entry = dict(entry, weights=(w / s).tolist())
         return measure_from_json(entry)
     except (KeyError, DomainError) as exc:
         raise DomainError(f"malformed measure entry: {exc}") from exc
@@ -511,10 +522,8 @@ def cmd_paths(runner: Runner, base: Path):
     }
     runner.emit_json(cfg.output, summary)
 
-    rows = [[pid, n, slack, int(flag)]
-            for pid, (row, flag) in enumerate(zip(slacks.tolist(), member))
-            for n, slack in zip(indices, row)]
-    runner.emit_csv("membership.csv", ["path", "n", "slack", "path_member"], rows)
+    write_membership(runner.out / "membership.csv", indices, slacks.tolist(), member)
+    runner.outputs.append("membership.csv")
     runner.wall.update(simulate=t1 - t0, envelope_fit=t2 - t1, membership=t3 - t2,
                        write=time.perf_counter() - t3)
 

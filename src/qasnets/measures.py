@@ -24,7 +24,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .config import PositiveInt, coerce
+from .config import PositiveInt, _mismatch, coerce
 from .errors import DomainError
 
 WEIGHT_SUM_TOL = 1e-12
@@ -52,6 +52,20 @@ def validate_simplex_weight(entries: np.ndarray, tol: float = WEIGHT_SUM_TOL) ->
     if abs(s - 1.0) > max(tol, tol * w.size):
         raise DomainError(f"simplex weight entries must sum to 1, got {s!r}")
     return w
+
+
+def numeric_array(obj: dict, key: str) -> np.ndarray:
+    """``obj[key]`` as a float array: a (nested) array of numbers of one
+    shape.  A string, a bool or a ragged nesting raises ``DomainError``
+    naming the key."""
+    value = obj[key]
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise _mismatch(key, "a rectangular array of numbers", value) from exc
+    if array.dtype.kind not in "iuf":
+        raise _mismatch(key, "an array of numbers", value)
+    return array.astype(float)
 
 
 def _merge_rows(atoms: np.ndarray, weights: np.ndarray):
@@ -139,8 +153,8 @@ class DiscreteMeasure:
     @staticmethod
     def from_json(obj: dict) -> "DiscreteMeasure":
         return DiscreteMeasure(
-            np.asarray(obj["atoms"], dtype=float),
-            np.asarray(obj["weights"], dtype=float),
+            numeric_array(obj, "atoms"),
+            numeric_array(obj, "weights"),
             coerce(obj["dim"], int, "dim") if "dim" in obj else -1,
         )
 
@@ -314,7 +328,7 @@ class GaussianMeasure:
 
     @staticmethod
     def from_json(obj: dict) -> "GaussianMeasure":
-        return GaussianMeasure(np.asarray(obj["mean"], float), np.asarray(obj["cov"], float))
+        return GaussianMeasure(numeric_array(obj, "mean"), numeric_array(obj, "cov"))
 
 
 def measure_from_json(obj: dict) -> Any:

@@ -32,11 +32,14 @@ from .config import (Config, NonNegativeInt, _is_int, _is_number, _mismatch, fie
                      from_json)
 from .errors import DomainError, FitFailure, UnsupportedError
 from .networks import (
+    FORWARD_CHUNK_ELEMENTS,
     ActivationSpec,
     LayerParams,
     MultiIndex,
     SINGULAR,
     TrainConfig,
+    _affine_rows,
+    decode_params,
     encode_params,
     forward,
     loss_and_grad,
@@ -55,7 +58,10 @@ class GeometricTransformer:
     """Encoder network plus geometric attention over fixed codes.
 
     Frozen: the codes are quantized once, at construction, into
-    ``images``, and every evaluation attends over those images.
+    ``images``, and every evaluation attends over those images.  An
+    encoder that is exactly an ``exact_assignment_network`` is recognized
+    once too, into ``blocks``, and its logits are then counted by blocks,
+    bit for bit ``forward``.
     """
 
     space: QasSpace
@@ -64,6 +70,7 @@ class GeometricTransformer:
     theta: np.ndarray
     codes: tuple[QuantizationCode, ...]
     images: tuple = field(init=False, repr=False, compare=False)
+    blocks: AssignmentBlocks | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
@@ -81,6 +88,7 @@ class GeometricTransformer:
             if c.z.size != self.space.code_length(c.q):
                 raise DomainError("invalid code length for the space")
         object.__setattr__(self, "images", tuple(self.space.quantize(c) for c in self.codes))
+        object.__setattr__(self, "blocks", assignment_blocks(self.md, self.activation, self.theta))
 
     @property
     def n_anchors(self) -> int:
@@ -91,6 +99,8 @@ class GeometricTransformer:
         return self.codes[0].q
 
     def logits(self, x) -> np.ndarray:
+        if self.blocks is not None:
+            return self.blocks.logits(x)
         return forward(self.md, self.activation, self.theta, x)
 
     def evaluate(self, xs) -> list:
@@ -154,10 +164,17 @@ def exact_assignment_network(centers: np.ndarray, domain_points: np.ndarray) -> 
     Layer 1 realizes every pairwise comparison "closer to c_i than to c_j"
     as a floor unit applied to a scaled halfspace functional (the scaling
     constant comes from the domain's extent, so inputs must stay inside
-    the sampled region).  Layer 2 floors the normalized win count, which
-    is 1 exactly when a center wins all comparisons.  At the centers
-    themselves the output is exactly one-hot.  The comparison rows are
-    built one center at a time, against all other centers at once.
+    the sampled region).  Layer 2 (``_win_count_layer``) floors the
+    normalized win count, which is 1 exactly when a center wins all
+    comparisons.  At the centers themselves the output is exactly
+    one-hot.  The comparison rows are built one center at a time, against
+    all other centers at once.
+
+    For k >= 2 the network has dims (d, k(k - 1), k, k), and layer 2 is a
+    k x k(k - 1) block indicator that is 98% zeros at k = 64.  A
+    ``GeometricTransformer`` recognizes it (``assignment_blocks``) and
+    sums each center's k - 1 floors as integers instead, with the same
+    output bits (``AssignmentBlocks``).
     """
     centers = np.atleast_2d(np.asarray(centers, float))
     k, d = centers.shape
@@ -187,17 +204,103 @@ def exact_assignment_network(centers: np.ndarray, domain_points: np.ndarray) -> 
         block = slice(i * (k - 1), (i + 1) * (k - 1))
         w1[block] = w / scale[:, None]
         b1[block] = b / scale + 1.0  # floor((g/scale) + 1) = [g >= 0] on the domain
-    w2 = np.repeat(np.eye(k), k - 1, axis=1) / (k - 1)
-    # win counts are integers m scaled by 1/(k-1); the half-cell bias keeps
-    # floor((2m+1)/(2(k-1))) robust to the summation's last-ulp error
-    b2 = np.full(k, 0.5 / (k - 1))
     md = MultiIndex((d, rows, k, k))
     layers = [
-        LayerParams(w1, b1, np.tile([0.0, 0.0], (rows, 1))),
-        LayerParams(w2, b2, np.tile([0.0, 0.0], (k, 1))),
+        LayerParams(w1, b1, np.zeros((rows, 2))),
+        _win_count_layer(k),
         LayerParams(np.eye(k), np.zeros(k), None),
     ]
     return md, encode_params(md, layers)
+
+
+def _win_count_layer(k: int) -> LayerParams:
+    """Layer 2 of the assignment network on k >= 2 centers: center i's
+    floor of the sum of its k - 1 comparison bits over k - 1."""
+    # win counts are integers m scaled by 1/(k-1); the half-cell bias keeps
+    # floor((2m+1)/(2(k-1))) robust to the summation's last-ulp error
+    return LayerParams(np.repeat(np.eye(k), k - 1, axis=1) / (k - 1),
+                       np.full(k, 0.5 / (k - 1)), np.zeros((k, 2)))
+
+
+def assignment_blocks(md: MultiIndex, spec: ActivationSpec, theta) -> AssignmentBlocks | None:
+    """The block form of ``theta`` if it is exactly an assignment network on
+    k >= 2 centers, else None.
+
+    Accepted: singular units with every alpha exactly 0 (pure floors) in
+    both hidden layers, layer 2 equal to ``_win_count_layer(k)`` entry for
+    entry, and the identity read-out with zero bias.  Layer 1 may hold any
+    comparison rows.
+    """
+    dims = md.dims
+    k = dims[-1]
+    if spec.kind != "singular" or len(dims) != 4 or k < 2 or dims[1:3] != (k * (k - 1), k):
+        return None
+    first, second, last = decode_params(md, theta)
+    win = _win_count_layer(k)
+    if (first.alpha.any() or second.alpha.any()
+            or not np.array_equal(second.weight, win.weight)
+            or not np.array_equal(second.bias, win.bias)
+            or not np.array_equal(last.weight, np.eye(k)) or last.bias.any()):
+        return None
+    return AssignmentBlocks(md, theta, first, last)
+
+
+@dataclass(frozen=True)
+class AssignmentBlocks:
+    """``forward`` of an assignment network, with layer 2 as integer block sums.
+
+    Layer 1's floors are integers h.  So layer 2's dense row for center i,
+    sum_j h_j / (k - 1) + 1/(2(k - 1)) over its block, only rounds
+    (m + 1/2)/(k - 1), where m = sum_j h_j is the integer win count, and
+    that value lies at least 1/(2(k - 1)) away from every integer.  A
+    gemv over the k(k - 1) row entries, in any order, is off by at most
+    about (k(k - 1) + 2) 2^-53 (sum_j |h_j| + 1/2) / (k - 1), so while
+    (k(k - 1) + 3)(sum_j |h_j| + 1/2) < 2^52 every order floors to
+    floor((m + 1/2)/(k - 1)).  ``logits`` computes exactly that from the
+    exact sum m; np.floor is the alpha = 0 unit bit for bit on finite
+    values, and the first and last layers run the same ``_affine_rows``.
+
+    A row takes this path only when max|x| * ``reach`` + ``offset``, a
+    bound on its layer-1 values, is below ``limit``, which keeps that
+    product under 2^50.  Every other row, non-finite ones included, goes
+    through ``forward``, which is row-invariant.  So ``logits`` equals
+    ``forward`` bit for bit on every input.
+    """
+
+    md: MultiIndex
+    theta: np.ndarray
+    first: LayerParams
+    last: LayerParams
+    reach: float = field(init=False)  # max_j |w1_j|_1
+    offset: float = field(init=False)  # max_j |b1_j|
+    limit: float = field(init=False)
+
+    def __post_init__(self):
+        k = self.md.out_dim
+        object.__setattr__(self, "reach", float(np.abs(self.first.weight).sum(axis=1).max()))
+        object.__setattr__(self, "offset", float(np.abs(self.first.bias).max()))
+        # |h| <= 2 z + 1 below a layer-1 bound z, so z < limit gives
+        # (k(k - 1) + 3)(sum |h| + 1/2) < 2^50, with room for the rounding of z
+        object.__setattr__(self, "limit", 2.0**49 / ((k - 1) * (k * (k - 1) + 3)) - 1.0)
+
+    def logits(self, x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape[-1] != self.md.in_dim:
+            raise DomainError(f"input dim {x.shape[-1]} != d_0 = {self.md.in_dim}")
+        rows = x.reshape(-1, self.md.in_dim)
+        k = self.md.out_dim
+        out = np.empty((len(rows), k))
+        fast = np.abs(rows).max(axis=1) * self.reach + self.offset < self.limit  # NaN: False
+        if not fast.all():
+            out[~fast] = forward(self.md, SINGULAR, self.theta, rows[~fast])
+        index = np.flatnonzero(fast)
+        chunk = max(1, FORWARD_CHUNK_ELEMENTS // self.md.width)
+        for start in range(0, len(index), chunk):
+            at = index[start : start + chunk]
+            h = np.floor(_affine_rows(rows[at], self.first))
+            wins = h.reshape(len(at), k, k - 1).sum(axis=2)  # exact integer sums
+            out[at] = _affine_rows(np.floor((wins + 0.5) / (k - 1)), self.last)
+        return out.reshape(x.shape[:-1] + (k,))
 
 
 # ---------------------------------------------------------------------------

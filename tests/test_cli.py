@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qasnets.cli import main, write_csv
+from qasnets.cli import main, write_csv, write_membership
 
 from oracles import write_csv_reference
 
@@ -264,6 +264,22 @@ class TestMalformedBlocks:
         assert proc.returncode == 3
         assert re.fullmatch(r"numeric failure: training diverged: .* at epoch \d+ "
                             r"\(lr 1000000000000\.0\)\n", proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("entry, tolerance, key", [
+        ({"atoms": "x", "weights": [1.0]}, 0.0, "atoms"),
+        ({"atoms": [[0.0], [1.0, 2.0]], "weights": [0.5, 0.5]}, 0.0, "atoms"),
+        ({"atoms": [[0.0]], "weights": ["a"]}, 0.0, "weights"),
+        ({"atoms": [[0.0]], "weights": ["a"]}, 1e-6, "weights"),
+        ({"atoms": [[0.0]], "weights": [True]}, 0.0, "weights"),
+        ({"atoms": [[0.0], ["b"]], "weights": [0.5, 0.5], "horizon": 1}, 0.0, "atoms"),
+        ({"mean": "x", "cov": [[1.0]]}, 0.0, "mean"),
+    ], ids=["atoms_string", "atoms_ragged", "weights_string", "weights_string_renormalized",
+            "weights_bool", "path_atoms_string", "gaussian_mean_string"])
+    def test_non_numeric_measure_entry(self, tmp_path, capsys, entry, tolerance, key):
+        cfg = {"inputs": [entry, entry], "tolerances": {"weight_sum": tolerance}}
+        code, _ = run(tmp_path, "metric", cfg)
+        assert code == 2
+        assert f"malformed measure entry: {key} must be" in capsys.readouterr().err
 
     def test_dynamic_train_block(self, tmp_path, capsys):
         cfg = {"seed": 0, "fit": {"encoder": "gradient", "train": {"nope": 1}}}
@@ -634,6 +650,18 @@ def test_write_csv_matches_hand_formatting(tmp_path):
              ["kexp_fitted", 3, None, 'quote " and, comma']]
     write_csv(tmp_path / "got.csv", ["a", "b", "c", "d"], rows)
     write_csv_reference(tmp_path / "want.csv", ["a", "b", "c", "d"], rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_membership_writer_matches_write_csv(tmp_path):
+    slacks = [[0.1, -0.0, 5e-324, 1e22], [float("inf"), -7.25, 1.0 / 3.0, float("nan")],
+              [0.0, 2.5e-300, -1e16, 123456789.0]]
+    member = [True, False, True]
+    indices = range(2, 6)
+    write_membership(tmp_path / "got.csv", indices, slacks, member)
+    write_csv(tmp_path / "want.csv", ["path", "n", "slack", "path_member"],
+              [[pid, n, s, int(flag)] for pid, (row, flag) in enumerate(zip(slacks, member))
+               for n, s in zip(indices, row)])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

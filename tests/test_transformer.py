@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from qasnets.errors import DomainError, FitFailure, UnsupportedError
 from qasnets.measures import DiscreteMeasure
 from qasnets.metrics import wasserstein_p
-from qasnets.networks import MultiIndex, SINGULAR, forward, param_count
+from qasnets.networks import MultiIndex, SINGULAR, _layout, forward, param_count
 from qasnets.spaces import QuantizationCode, WassersteinConvex
 from qasnets.transformer import (
     ComplexityReport,
     GeometricTransformer,
+    assignment_blocks,
     complexity_ffnn,
     complexity_static,
     encoder_constant,
@@ -166,21 +167,109 @@ class TestAssignmentNetwork:
         assert theta.tobytes() == want_theta.tobytes()
 
 
+class TestBlockLogits:
+    """``AssignmentBlocks.logits``, the win-count evaluation of an exact
+    assignment network, against the dense ``forward``."""
+
+    @given(k=st.integers(2, 12), d=st.integers(1, 3), n=st.integers(1, 20),
+           layout=st.sampled_from(["generic", "grid"]), seed=st.integers(0, 2**16))
+    @example(k=2, d=1, n=1, layout="grid", seed=0)
+    def test_bit_for_bit_forward(self, k, d, n, layout, seed):
+        from qasnets import transformer
+
+        rng = np.random.default_rng(seed)
+        if layout == "grid":
+            # distinct integer points: the midpoint of two centers is an exact tie
+            cells = rng.choice(13**d, size=k, replace=False)
+            centers = np.stack(np.unravel_index(cells, (13,) * d), axis=1) - 6.0
+        else:
+            centers = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(k, d))
+        pts = np.vstack([centers, rng.normal(size=(n, d)) * np.abs(centers).max()])
+        md, theta = exact_assignment_network(centers, pts)
+        blocks = assignment_blocks(md, SINGULAR, theta)
+        i, j = rng.integers(0, k, size=(2, 2 * k))
+        ties = (centers[i] + centers[j]) / 2.0
+        outside = pts * 10.0 ** rng.uniform(0.0, 3.0, size=(len(pts), 1))  # up to 1e3x out
+        bad = np.full((5, d), 0.5)
+        bad[:, 0] = [np.inf, -np.inf, np.nan, 1e300, -1e20]  # these rows go through forward
+        xs = np.vstack([pts, ties, outside, bad])
+        rows = []
+
+        def counting(md_, spec, theta_, x):
+            rows.append(len(x))
+            return forward(md_, spec, theta_, x)
+
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(transformer, "forward", counting)
+            got = blocks.logits(xs)
+            one = [blocks.logits(x) for x in xs]
+        with np.errstate(all="ignore"):
+            want = forward(md, SINGULAR, theta, xs)
+        assert got.tobytes() == want.tobytes()
+        assert b"".join(r.tobytes() for r in one) == want.tobytes()
+        assert sum(rows) == 2 * len(bad)
+        np.testing.assert_array_equal(got[: len(centers)], np.eye(k))
+
+    def test_leading_axes_and_one_row(self):
+        centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        md, theta = exact_assignment_network(centers, centers)
+        blocks = assignment_blocks(md, SINGULAR, theta)
+        x = np.linspace(-1.0, 2.0, 24).reshape(3, 4, 2)
+        assert blocks.logits(x).tobytes() == forward(md, SINGULAR, theta, x).tobytes()
+        assert blocks.logits(x[0, 0]).shape == (3,)
+        with pytest.raises(DomainError):
+            blocks.logits([1.0, 2.0, 3.0])
+
+    def test_recognizer_accepts_only_the_exact_construction(self):
+        rng = np.random.default_rng(3)
+        centers = rng.normal(size=(3, 2))
+        md, theta = exact_assignment_network(centers, centers)
+        codes = [QuantizationCode([0.0], 1), QuantizationCode([1.0], 1),
+                 QuantizationCode([2.0], 1)]
+        xs = np.vstack([centers, rng.normal(size=(20, 2))])
+        assert GeometricTransformer(w1_space(), md, SINGULAR, theta, codes).blocks is not None
+        (w1, _, b1, a1), (w2, _, b2, a2), (w3, _, b3, _) = _layout(md)
+        every = np.arange(theta.size)
+        # any single entry of layers 2 and 3, or any alpha, leaves the form
+        changed = np.concatenate([every[s] for s in (a1, w2, b2, a2, w3, b3)])
+        # layer 1 holds the comparison rows, and any values are accepted there
+        kept = np.concatenate([every[s] for s in (w1, b1)])
+        for index in np.concatenate([changed, kept]):
+            t = theta.copy()
+            t[index] = np.nextafter(t[index], np.inf)
+            gt = GeometricTransformer(w1_space(), md, SINGULAR, t, codes)
+            assert (gt.blocks is None) == (index in changed)
+            assert gt.logits(xs).tobytes() == forward(md, SINGULAR, t, xs).tobytes()
+        # one center, and any other activation, keep ``forward``
+        md1, theta1 = exact_assignment_network(centers[:1], centers)
+        assert assignment_blocks(md1, SINGULAR, theta1) is None
+        from qasnets.networks import SMOOTH_SIGMOID
+        assert assignment_blocks(md, SMOOTH_SIGMOID, theta) is None
+
+
 class TestFitConstructive:
     def test_one_forward_for_all_inputs(self, monkeypatch):
         from qasnets import transformer
 
-        shapes = []
+        shapes, dense = [], []
+        logits = transformer.GeometricTransformer.logits
 
-        def counting(md, spec, theta, x):
+        def counting(self, x):
             shapes.append(np.shape(x))
+            return logits(self, x)
+
+        def counting_forward(md, spec, theta, x):
+            dense.append(np.shape(x))
             return forward(md, spec, theta, x)
 
-        monkeypatch.setattr(transformer, "forward", counting)
+        monkeypatch.setattr(transformer.GeometricTransformer, "logits", counting)
+        monkeypatch.setattr(transformer, "forward", counting_forward)
         xs = np.linspace(0.0, 1.0, 65).reshape(-1, 1)
         gt, rep = fit_static_constructive(symmetric_pair_target, xs, w1_space(), {"N": 8, "q": 2})
-        # the defect and the sup error share one pass over the 65 inputs
+        # the defect and the sup error share one pass over the 65 inputs, and
+        # the exact assignment network runs by win-count blocks
         assert shapes == [(65, 1)]
+        assert dense == []
         space = w1_space()
         assert rep.sup_error == max(space.distance(symmetric_pair_target(x), gt(x)) for x in xs)
         assert all(space.distance(out, gt(x)) == 0.0 for x, out in zip(xs, gt.evaluate(xs)))
