@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qasnets.errors import DomainError, FitFailure, UnsupportedError
 from qasnets.measures import DiscreteMeasure
 from qasnets.metrics import wasserstein_p
-from qasnets.networks import MultiIndex, SINGULAR, _layout, forward, param_count
+from qasnets.networks import MultiIndex, SINGULAR, SMOOTH_SIGMOID, _layout, forward, param_count
 from qasnets.spaces import QuantizationCode, WassersteinConvex
 from qasnets.transformer import (
     ComplexityReport,
@@ -243,7 +243,6 @@ class TestBlockLogits:
         # one center, and any other activation, keep ``forward``
         md1, theta1 = exact_assignment_network(centers[:1], centers)
         assert assignment_blocks(md1, SINGULAR, theta1) is None
-        from qasnets.networks import SMOOTH_SIGMOID
         assert assignment_blocks(md, SMOOTH_SIGMOID, theta) is None
 
 
