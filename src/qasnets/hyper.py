@@ -103,31 +103,6 @@ class Ght:
     def hyper_apply(self, theta: np.ndarray) -> np.ndarray:
         return forward(self.hyper_md, SINGULAR, self.hyper_theta, theta)
 
-    def to_json(self) -> dict:
-        return {
-            "decoder": self.decoder.to_json(),
-            "encoder_dims": list(self.encoder_md.dims),
-            "encoder_activation": self.encoder_spec.to_json(),
-            "theta_init": self.theta_init.tolist(),
-            "hyper_dims": list(self.hyper_md.dims),
-            "hyper_theta": self.hyper_theta.tolist(),
-            "horizon": self.horizon,
-            "memory": self.memory,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Ght":
-        return Ght(
-            decoder=GeometricTransformer.from_json(obj["decoder"]),
-            encoder_md=MultiIndex(tuple(obj["encoder_dims"])),
-            encoder_spec=ActivationSpec.from_json(obj["encoder_activation"]),
-            theta_init=np.asarray(obj["theta_init"], float),
-            hyper_md=MultiIndex(tuple(obj["hyper_dims"])),
-            hyper_theta=np.asarray(obj["hyper_theta"], float),
-            horizon=int(obj["horizon"]),
-            memory=int(obj["memory"]),
-        )
-
 
 def theta_unroll(ght: Ght, n: int) -> np.ndarray:
     """Schedule value at index n, replayed through the hypernetwork.

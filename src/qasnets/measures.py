@@ -143,21 +143,6 @@ class DiscreteMeasure:
         n = atoms.shape[0]
         return DiscreteMeasure(atoms, np.full(n, 1.0 / n))
 
-    def to_json(self) -> dict:
-        return {
-            "dim": int(self.dim),
-            "atoms": self.atoms.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            numeric_array(obj, "atoms"),
-            numeric_array(obj, "weights"),
-            coerce(obj["dim"], int, "dim") if "dim" in obj else -1,
-        )
-
 
 def mixture(components: list[DiscreteMeasure], mix_weights) -> DiscreteMeasure:
     """Convex combination sum_n w_n mu_n; zero-weight atoms are dropped and
@@ -245,19 +230,6 @@ class PathMeasure:
             and self.base.equal_as_measure(other.base)
         )
 
-    def to_json(self) -> dict:
-        obj = self.base.to_json()
-        obj["horizon"] = self.horizon
-        return obj
-
-    @staticmethod
-    def from_json(obj: dict) -> "PathMeasure":
-        base = DiscreteMeasure.from_json(obj)
-        horizon = coerce(obj["horizon"], PositiveInt, "horizon")
-        if base.dim % horizon != 0:
-            raise DomainError("base dim not divisible by horizon")
-        return PathMeasure(base, horizon, base.dim // horizon)
-
 
 def _conditional_tree(paths: np.ndarray, weights: np.ndarray) -> tuple[TreeLevel, ...]:
     """The levels of the conditional tree of the positive-weight paths.
@@ -323,19 +295,43 @@ class GaussianMeasure:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def to_json(self) -> dict:
-        return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
 
-    @staticmethod
-    def from_json(obj: dict) -> "GaussianMeasure":
-        return GaussianMeasure(numeric_array(obj, "mean"), numeric_array(obj, "cov"))
+MEASURE_KEYS = {
+    "discrete": {"dim", "atoms", "weights"},
+    "path": {"kind", "dim", "atoms", "weights", "horizon"},
+    "gaussian": {"kind", "mean", "cov"},
+}
 
 
 def measure_from_json(obj: dict) -> Any:
-    """Dispatch on the optional "kind"/"horizon" keys of a serialized measure."""
-    kind = obj.get("kind")
-    if kind == "gaussian" or ("mean" in obj and "cov" in obj):
-        return GaussianMeasure.from_json(obj)
-    if kind == "path" or "horizon" in obj:
-        return PathMeasure.from_json(obj)
-    return DiscreteMeasure.from_json(obj)
+    """The measure a JSON object describes: the one reader of measures.
+
+    ``kind`` ("path" or "gaussian") names the measure's kind; without it, a
+    ``mean`` with a ``cov`` makes a Gaussian, a ``horizon`` a path measure,
+    and anything else a discrete measure.  Each kind takes the keys
+    ``MEASURE_KEYS`` lists; an unknown key or kind raises ``DomainError``
+    naming it.
+    """
+    if "kind" in obj:
+        kind = obj["kind"]
+        if kind not in ("path", "gaussian"):
+            raise _mismatch("kind", '"path" or "gaussian"', kind)
+    else:
+        kind = ("gaussian" if "mean" in obj and "cov" in obj
+                else "path" if "horizon" in obj else "discrete")
+    unknown = set(obj) - MEASURE_KEYS[kind]
+    if unknown:
+        raise DomainError(f"unknown keys in a {kind} measure: {sorted(unknown, key=str)}")
+    if kind == "gaussian":
+        return GaussianMeasure(numeric_array(obj, "mean"), numeric_array(obj, "cov"))
+    base = DiscreteMeasure(
+        numeric_array(obj, "atoms"),
+        numeric_array(obj, "weights"),
+        coerce(obj["dim"], int, "dim") if "dim" in obj else -1,
+    )
+    if kind == "discrete":
+        return base
+    horizon = coerce(obj["horizon"], PositiveInt, "horizon")
+    if base.dim % horizon != 0:
+        raise DomainError("base dim not divisible by horizon")
+    return PathMeasure(base, horizon, base.dim // horizon)

@@ -178,19 +178,6 @@ class ActivationSpec:
     def gradient_trainable(self) -> bool:
         return self.kind in ("smooth", "classical")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "name": self.name}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ActivationSpec":
-        kind = obj["kind"]
-        name = obj.get("name", "")
-        if kind == "smooth" and name not in ("", "sigmoid"):
-            raise DomainError(f"unknown smooth base {name!r}")
-        if kind == "classical" and name not in ("", "leaky_relu"):
-            raise DomainError(f"unknown classical base {name!r}")
-        return ActivationSpec(kind)
-
 
 SINGULAR = ActivationSpec("singular")
 SMOOTH_SIGMOID = ActivationSpec("smooth")

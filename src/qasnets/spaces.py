@@ -87,13 +87,6 @@ class QuantizationCode:
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
 
-    def to_json(self) -> dict:
-        return {"z": self.z.tolist(), "q": int(self.q)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "QuantizationCode":
-        return QuantizationCode(np.asarray(obj["z"], float), int(obj["q"]))
-
 
 class QasSpace:
     """Base interface; concrete variants implement the hooks below."""
@@ -264,12 +257,6 @@ class QasSpace:
     def to_json(self) -> dict:
         """``kind`` plus every dataclass field: the form ``space_from_json`` reads."""
         return {"kind": self.kind, **fields_to_json(self)}
-
-    def point_to_json(self, y) -> dict:
-        return y.to_json()
-
-    def point_from_json(self, obj: dict):
-        return self.point_type.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +557,6 @@ class LinearSchauder(QasSpace):
     def nest_code(self, code: QuantizationCode) -> QuantizationCode:
         return QuantizationCode(np.concatenate([code.z, [0.0]]), code.q + 1)
 
-    def point_to_json(self, y) -> dict:
-        return {"coefficients": np.atleast_1d(np.asarray(y, float)).tolist()}
-
-    def point_from_json(self, obj: dict):
-        return np.asarray(obj["coefficients"], float)
-
 
 def forward_rate_kernel(alpha: float, t: float, s: float) -> float:
     """Reproducing kernel (1 - (min(t,s)+1)^(1-alpha)) / (alpha-1), alpha > 3.
@@ -769,12 +750,6 @@ class ExponentialFamily(QasSpace):
 
     def nest_code(self, code: QuantizationCode) -> QuantizationCode:
         return QuantizationCode(np.array(code.z), code.q + 1)
-
-    def point_to_json(self, y) -> dict:
-        return {"theta": np.atleast_1d(np.asarray(y, float)).tolist()}
-
-    def point_from_json(self, obj: dict):
-        return np.asarray(obj["theta"], float)
 
 
 # ---------------------------------------------------------------------------

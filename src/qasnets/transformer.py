@@ -42,6 +42,7 @@ from .networks import (
     decode_params,
     encode_params,
     forward,
+    init_theta,
     loss_and_grad,
     train_regression,
 )
@@ -111,27 +112,6 @@ class GeometricTransformer:
 
     def __call__(self, x):
         return self.evaluate(np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
-
-    def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "dims": list(self.md.dims),
-            "activation": self.activation.to_json(),
-            "theta": self.theta.tolist(),
-            "codes": [c.to_json() for c in self.codes],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GeometricTransformer":
-        from .spaces import space_from_json
-
-        return GeometricTransformer(
-            space=space_from_json(obj["space"]),
-            md=MultiIndex(tuple(obj["dims"])),
-            activation=ActivationSpec.from_json(obj["activation"]),
-            theta=np.asarray(obj["theta"], float),
-            codes=[QuantizationCode.from_json(c) for c in obj["codes"]],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +389,12 @@ def fit_static_constructive(
         codes.append(code)
         qerrs.append(err)
 
+    labels = nearest_center_labels(xs, centers)
     if config.activation == "singular":
         spec = SINGULAR
         md, theta = exact_assignment_network(centers, xs)
     else:
         spec = ActivationSpec(config.activation)
-        labels = nearest_center_labels(xs, centers)
         # amplified one-hot targets push the achieved logit gaps past the
         # simplex projection's saturation point, so the decoded weight sits
         # on (or near) the intended vertex
@@ -428,7 +408,6 @@ def fit_static_constructive(
     # classification defect: distance between the model output and the
     # nearest-center code image it should have selected; the same output
     # gives the sup error
-    labels = nearest_center_labels(xs, centers)
     defect = 0.0
     sup = 0.0
     for out, y, lab in zip(gt.evaluate(xs), targets, labels):
@@ -546,8 +525,6 @@ def fit_static_end2end(
     elif warm_theta is not None and md.dims == (warm_md.dims if warm_md else None):
         theta = np.array(warm_theta)
     else:
-        from .networks import init_theta
-
         theta = init_theta(md, spec, rng, tc.init_scale)
 
     p = config.loss_exponent if config.loss_exponent is not None else float(
@@ -619,19 +596,6 @@ class ComplexityReport:
     level_q: int | None = None
     implicit: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "activation": self.activation,
-            "depth": self.depth,
-            "width": self.width,
-            "n_params": self.n_params,
-            "ln_N": self.ln_n_anchors,
-            "N": self.n_anchors,
-            "q": self.level_q,
-            "implicit": self.implicit,
-            "inputs": self.inputs,
-        }
 
     CSV_COLUMNS = ["activation", "depth", "width", "n_params", "ln_N", "N", "q"]
 

@@ -78,6 +78,24 @@ class TestMetric:
         rows = read_csv(out / "distances.csv")
         assert float(rows[1][2]) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("kind, entries", [
+        ("gaussian", [{"mean": [0.0], "cov": [[1.0]]}, {"mean": [1.0], "cov": [[2.0]]}]),
+        ("path", [{"dim": 2, "atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5],
+                   "horizon": 2},
+                  {"dim": 2, "atoms": [[0.0, 1.0], [1.0, 0.0]], "weights": [0.5, 0.5],
+                   "horizon": 2}]),
+    ])
+    def test_explicit_kind_reads_the_same_measure(self, tmp_path, kind, entries):
+        code, out = run(tmp_path, "metric", {"inputs": entries})
+        assert code == 0
+        plain = (out / "distances.csv").read_bytes()
+        tagged = [dict(e, kind=kind) for e in entries]
+        code, out = run(tmp_path, "metric", {"inputs": tagged}, name="tagged.json")
+        assert code == 0
+        assert (out / "distances.csv").read_bytes() == plain
+        header = read_csv(out / "distances.csv")[0]
+        assert header[2] == ("gaussian_distance" if kind == "gaussian" else "adapted_wasserstein_p")
+
     def test_measure_file_input(self, tmp_path):
         mfile = tmp_path / "m.json"
         mfile.write_text(json.dumps(dirac_json(1.0)))
@@ -280,6 +298,34 @@ class TestMalformedBlocks:
         code, _ = run(tmp_path, "metric", cfg)
         assert code == 2
         assert f"malformed measure entry: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"dim": 2, "atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5], "horizn": 2},
+         "unknown keys in a discrete measure: ['horizn']"),
+        ({"atoms": [[0.0]], "weights": [1.0], "horizon": 1, "mean": [0.0]},
+         "unknown keys in a path measure: ['mean']"),
+        ({"dim": 1, "mean": [0.0], "cov": [[1.0]]}, "unknown keys in a gaussian measure: ['dim']"),
+        ({"kind": "gaussian", "atoms": [[0.0]], "weights": [1.0]},
+         "unknown keys in a gaussian measure: ['atoms', 'weights']"),
+        ({"kind": "discrete", "atoms": [[0.0]], "weights": [1.0]},
+         'kind must be "path" or "gaussian", got \'discrete\''),
+        ({"kind": None, "atoms": [[0.0]], "weights": [1.0]}, "kind must be"),
+    ], ids=["misspelled_horizon", "path_with_mean", "gaussian_with_dim", "gaussian_with_atoms",
+            "kind_discrete", "kind_null"])
+    def test_unknown_measure_key_or_kind(self, tmp_path, capsys, entry, message):
+        code, _ = run(tmp_path, "metric", {"inputs": [entry, entry]})
+        assert code == 2
+        assert f"malformed measure entry: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "path", "dim": 2, "atoms": [[0.0, 1.0]], "weights": [1.0]}, "'horizon'"),
+        ({"dim": 3, "atoms": [[0.0, 1.0, 2.0]], "weights": [1.0], "horizon": 2},
+         "not divisible"),
+    ], ids=["path_without_horizon", "dim_not_divisible"])
+    def test_malformed_path_measure(self, tmp_path, capsys, entry, message):
+        code, _ = run(tmp_path, "metric", {"inputs": [entry, entry]})
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_dynamic_train_block(self, tmp_path, capsys):
         cfg = {"seed": 0, "fit": {"encoder": "gradient", "train": {"nope": 1}}}

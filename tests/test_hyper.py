@@ -185,15 +185,6 @@ class TestGhtEval:
             b = ght_eval(ght, p2, 2)
             assert space.distance(a, b) == 0.0
 
-    def test_serialization_round_trip(self):
-        ght = toy_ght(hyper="shift")
-        import json
-
-        ght2 = Ght.from_json(json.loads(json.dumps(ght.to_json())))
-        path = constant_path(0.3)
-        space = ght.decoder.space
-        for n in (-3, 0, 2, 4):
-            assert space.distance(ght_eval(ght, path, n), ght_eval(ght2, path, n)) == 0.0
 
 
 class TestBatchedEvaluation:

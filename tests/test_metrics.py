@@ -177,6 +177,22 @@ class TestWasserstein:
         with pytest.raises(DomainError):
             wasserstein_p(DiscreteMeasure.dirac([0.0, 0.0]), DiscreteMeasure.dirac(0.0), 1)
 
+    # one ulp of weight moved across 1e15: the true W1 is delta * 1e15
+    DELTA = float(np.spacing(0.03))
+    SHIFT = ([0.03, 0.03, 0.94], [0.03 - DELTA, 0.03 + DELTA, 0.94])
+    LINE = np.array([[0.0], [1e15], [2e15]])
+
+    def test_tiny_weight_shift_in_2d_is_exact(self):
+        plane = np.hstack([self.LINE, np.zeros((3, 1))])
+        a, b = (DiscreteMeasure(plane, w) for w in self.SHIFT)
+        assert wasserstein_p(a, b, 1) == self.DELTA * 1e15 == 0.003469446951953614
+
+    @pytest.mark.xfail(strict=True, reason="known limit: the 1-D coupling treats a line "
+                       "with at most 1e-17 mass left as used up (ROADMAP item 2)")
+    def test_tiny_weight_shift_in_1d_equals_the_2d_value(self):
+        a, b = (DiscreteMeasure(self.LINE, w) for w in self.SHIFT)
+        assert wasserstein_p(a, b, 1) == pytest.approx(self.DELTA * 1e15, rel=1e-12)
+
 
 def tie_heavy_simplex(rng, n, kind):
     """A simplex weight with equal entries, or with zero and -0.0 entries and

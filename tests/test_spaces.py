@@ -483,16 +483,3 @@ class TestSerialization:
         obj = space.to_json()
         assert space_from_json(obj).to_json() == obj
         assert space_from_json(json.loads(json.dumps(obj))).to_json() == obj
-
-    def test_point_round_trips(self):
-        rng = RNG(77)
-        cases = [
-            (w_space(2, 1.0), random_discrete(rng, 2)),
-            (AdaptedEmpirical(d=1, T=2, p=1.0), random_path_measure(rng)),
-            (GaussianSpd(d=2), random_gaussian(rng, 2)),
-            (ExponentialFamily(d=2), rng.uniform(0, 1, 2)),
-            (LinearSchauder(), rng.normal(size=3)),
-        ]
-        for space, y in cases:
-            y2 = space.point_from_json(space.point_to_json(y))
-            assert space.distance(y, y2) == pytest.approx(0.0, abs=1e-15)
