@@ -22,7 +22,8 @@ scipy for the oracles.
 
 prints, for each workload, seed and metric of a recorded file, the parent
 median -> change median, the relative change, the parent's IQR, the
-``BENCHMARK.json`` bound and the pairs the change won.
+``BENCHMARK.json`` bound and the pairs the change won, then "; claim rule
+met" or "; worse than bound" where one applies (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -115,6 +116,20 @@ def compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict
     return out
 
 
+def verdict(m: dict) -> str:
+    """"; claim rule met" when the change won at least 9 in 10 pairs and its
+    median beats the parent's by more than the parent's IQR; "; worse than
+    bound" when its median is worse than the parent's by more than the
+    bound; "" otherwise."""
+    parent, change = m["parent"]["median"], m["change"]["median"]
+    gain = parent - change if m["better"] == "lower" else change - parent
+    if 10 * m["change_wins"] >= 9 * m["pairs"] and gain > m["parent"]["iqr"]:
+        return "; claim rule met"
+    if -gain > m["bound"] * parent:
+        return "; worse than bound"
+    return ""
+
+
 def diff_lines(record: dict) -> list[str]:
     """One line per workload, seed and metric of a recorded file."""
     lines = []
@@ -124,7 +139,7 @@ def diff_lines(record: dict) -> list[str]:
             lines.append(f"{w['workload']}:{w['seed']} {name}: {parent:.4g} -> {change:.4g} "
                          f"{m['unit']} ({change / parent - 1.0:+.1%}), "
                          f"parent IQR {m['parent']['iqr']:.4g}, bound {m['bound']:.0%}, "
-                         f"change won {m['change_wins']}/{m['pairs']}")
+                         f"change won {m['change_wins']}/{m['pairs']}{verdict(m)}")
     return lines
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import Config, PositiveInt, from_json
+from .config import Config, NonNegativeInt, PositiveInt, from_json
 from .errors import DomainError, FitFailure, QuantizationSearchError, UnsupportedError
 from .measures import DiscreteMeasure, measure_from_json, numeric_array
 from .metrics import adapted_wasserstein_p, gaussian_distance, total_variation, wasserstein_p
@@ -216,7 +216,7 @@ def cmd_metric(runner: Runner, base: Path):
 class ComplexityCommand(CommandConfig):
     table: str = "transformer"
     activation: str = "singular"
-    inputs: dict = field(default_factory=dict)  # echoed into the output unchanged
+    inputs: dict = field(default_factory=dict)  # keys no table reads are ignored
     batch: tuple[dict, ...] | None = None  # one row per entry, laid over ``inputs``
     output: str = "complexity.csv"
 
@@ -268,7 +268,7 @@ class StaticFitCommand(CommandConfig):
     space: dict | None = None  # read by ``space_from_json``
     mode: str = "constructive"
     budgets: Budgets = Budgets(N=(4, 8, 16, 32))
-    train_points: int = 257
+    train_points: NonNegativeInt = 257
     fit: dict = field(default_factory=dict)  # read by the mode's fit config
     output: str = "error_curve.csv"
 
@@ -369,7 +369,7 @@ class DynamicFitCommand(CommandConfig):
     N_T: int = 4
     eps: float = 0.4
     fit: DynamicFitConfig = DynamicFitConfig()
-    eval_points: int = 9
+    eval_points: NonNegativeInt = 9
     compression: Compression | None = None
     output: str = "dynamic_report.json"
 

@@ -310,32 +310,57 @@ def path_membership(spec, path: PathWindow) -> MembershipReport:
 # causal maps of finite complexity
 # ---------------------------------------------------------------------------
 
+def stack_windows(paths, n: int, memory: int) -> np.ndarray:
+    """The (P, memory+1, d) stack of each path's states x_{t_{n-m}} .. x_{t_n}."""
+    return np.stack([p.segment(n - memory, n) for p in paths])
+
+
 @dataclass
 class FiniteComplexityMap:
     """Causal map factoring through a finite-memory encoder and a decoder.
 
-    Output at index n is decoder(encoder(t_n, x_{t_{n-m}} .. x_{t_n})); the
-    encoder sees exactly the last m+1 states, flattened in time order.
+    Output at index n is decoder(encoder(t_n, x_{t_{n-m}} .. x_{t_n})),
+    for all paths of one step at once: ``encoder(t, windows)`` maps the
+    (P, m+1, d) stack of the paths' last m+1 states, in time order, to
+    the (P, latent_dim) latents, and ``decoder(latents)`` maps those to
+    the list of the P outputs.  Each output is the one its path gives
+    alone.
     """
 
     memory: int
     latent_dim: int
     alpha: float
     encoder: Callable[[float, np.ndarray], np.ndarray]
-    decoder: Callable[[np.ndarray], object]
+    decoder: Callable[[np.ndarray], list]
     meta: dict = field(default_factory=dict)
 
-    def evaluate(self, path: PathWindow, n: int):
-        return self.decoder(self.latent(path, n))
+    def evaluate(self, paths: PathWindow | list[PathWindow], n: int):
+        """The outputs at step n of a list of paths, or of one path alone."""
+        latents = self.latent(paths, n)
+        if latents.ndim == 1:
+            return self.decoder(latents[None])[0]
+        return self.decoder(latents) if len(latents) else []
 
-    def latent(self, path: PathWindow, n: int) -> np.ndarray:
-        window = path.segment(n - self.memory, n)
-        latent = np.atleast_1d(np.asarray(self.encoder(path.grid.time_at(n), window), float))
-        if latent.shape != (self.latent_dim,):
+    def latent(self, paths: PathWindow | list[PathWindow], n: int) -> np.ndarray:
+        """The (P, latent_dim) latents at step n, or one path's row."""
+        if isinstance(paths, PathWindow):
+            return self.latent([paths], n)[0]
+        if not paths:
+            return np.empty((0, self.latent_dim))
+        t = paths[0].grid.time_at(n)
+        if any(p.grid.time_at(n) != t for p in paths):
+            raise DomainError(f"the paths do not share one time at index {n}")
+        return self.encode(t, stack_windows(paths, n, self.memory))
+
+    def encode(self, t: float, windows: np.ndarray) -> np.ndarray:
+        """``encoder(t, windows)`` as a float array, checked to be (P, latent_dim)."""
+        latents = np.asarray(self.encoder(t, windows), float)
+        if latents.shape != (len(windows), self.latent_dim):
             raise DomainError(
-                f"encoder produced shape {latent.shape}, expected ({self.latent_dim},)"
+                f"encoder produced shape {latents.shape}, expected "
+                f"({len(windows)}, {self.latent_dim})"
             )
-        return latent
+        return latents
 
 
 # Cephes' ndtri (Moshier, *Methods and Programs for Mathematical Functions*,
@@ -425,10 +450,32 @@ def gaussian_quantile_cloud(mean: np.ndarray, scale: np.ndarray, k: int) -> np.n
     """Push the k-per-dimension standard normal mid-quantile grid through
     the affine map u -> mean + scale @ u.
 
-    Degenerate scale directions collapse the grid, so singular diffusion
-    yields a lower-dimensional (possibly single-atom) cloud.
+    ``mean`` is (d,) with a (d, d) ``scale``, giving the (k^d, d) cloud, or
+    a (P, d) stack with a (P, d, d) one, giving the (P, k^d, d) clouds from
+    one stacked product.  Degenerate scale directions collapse the grid,
+    so singular diffusion yields a lower-dimensional (possibly
+    single-atom) cloud.
     """
-    return mean + _normal_grid(k, mean.shape[0]) @ scale.T
+    grid = _normal_grid(k, mean.shape[-1])
+    return mean[..., None, :] + np.matmul(grid, np.swapaxes(scale, -1, -2))
+
+
+def _drift_rows(drift, x: np.ndarray) -> np.ndarray:
+    """A coefficient's value broadcast to the (P, d) shape of the states x."""
+    drift = np.asarray(drift, float)
+    try:
+        return np.broadcast_to(drift, x.shape)
+    except ValueError:
+        raise DomainError(
+            f"drift of shape {drift.shape} does not give one state per path"
+        ) from None
+
+
+def _latent_rows(mean: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """The (P, d + d*r) rows (mean, diffusion flattened) of a (P, d) mean
+    and a ``_stacked_diffusion`` matrix or stack."""
+    diff = np.broadcast_to(diff, (len(mean),) + diff.shape[-2:])
+    return np.concatenate([mean, diff.reshape(len(mean), -1)], axis=1)
 
 
 def sde_kernel_map(mu: Callable, sigma: Callable, delta: float, nu: DiscreteMeasure,
@@ -438,24 +485,29 @@ def sde_kernel_map(mu: Callable, sigma: Callable, delta: float, nu: DiscreteMeas
     Encoder: f(t, x) = (x + delta * mu(t, x), sqrt(delta) * sigma(t, x)).
     Decoder: the Gaussian N(mean, S S^T) discretized on the mid-quantile
     grid, convolved atomwise with the jump law nu.
+
+    The coefficients follow ``euler_simulate``'s shape contract: each is
+    called once per step on the (P, d) stack of current states; the drift
+    must broadcast to (P, d), and the diffusion is one (d, d) matrix shared
+    by every path or a (P, d, d) stack (a (1, 1) matrix stands for that
+    multiple of the identity).
     """
     if delta <= 0 or k < 1:
         raise DomainError("delta must be positive and k >= 1")
     d = nu.dim
+    # every cloud atom has mass 1/k^d, split over the jump law's atoms
+    weights = (np.full(k**d, 1.0 / k**d)[:, None] * nu.weights[None, :]).reshape(-1)
 
-    def encoder(t, window):
-        x = window[-1]
-        drift = np.atleast_1d(np.asarray(mu(t, x), float))
-        diff = np.atleast_2d(np.asarray(sigma(t, x), float))
-        return np.concatenate([x + delta * drift, math.sqrt(delta) * diff.reshape(-1)])
+    def encoder(t, windows):
+        x = windows[:, -1]
+        drift = _drift_rows(mu(t, x), x)
+        diff = _stacked_diffusion(sigma(t, x), len(x), d)
+        return _latent_rows(x + delta * drift, math.sqrt(delta) * diff)
 
-    def decoder(latent):
-        mean = latent[:d]
-        scale = latent[d:].reshape(d, d)
-        cloud = gaussian_quantile_cloud(mean, scale, k)
-        atoms = (cloud[:, None, :] + nu.atoms[None, :, :]).reshape(-1, d)
-        weights = (np.full(len(cloud), 1.0 / len(cloud))[:, None] * nu.weights[None, :]).reshape(-1)
-        return DiscreteMeasure(atoms, weights)
+    def decoder(latents):
+        clouds = gaussian_quantile_cloud(latents[:, :d], latents[:, d:].reshape(-1, d, d), k)
+        atoms = (clouds[:, :, None, :] + nu.atoms[None, None, :, :]).reshape(len(latents), -1, d)
+        return [DiscreteMeasure(a, weights) for a in atoms]
 
     return FiniteComplexityMap(
         memory=0, latent_dim=d + d * d, alpha=1.0, encoder=encoder, decoder=decoder,
@@ -472,27 +524,34 @@ def sde_two_step_adapted(mu: Callable, sigma: Callable, m: int, first_points: in
     first step.  The decoder lays a quantile grid over the first step and
     attaches, per quantile cell of the standardized first step, the
     conditional Gaussian held by that cell's latent parameters.
+
+    The coefficients follow ``euler_simulate``'s shape contract with
+    d = 1: each is called on a (P, 1) stack of states, once for the first
+    step and once, at the P * m quantile points, for the second.
     """
     if m < 1:
         raise DomainError("need at least one quantile cell")
     qs = ndtri(np.arange(1, m + 1) / (m + 1.0))  # increasing quantiles
 
-    def encoder(t, window):
-        if window.shape[1] != 1:
-            raise UnsupportedError("the two-step adapted map is scalar only")
-        x = float(window[-1][0])
-        mu0 = float(mu(t, x))
-        s0 = float(sigma(t, x))
-        t_next = t + 1.0
-        mus = np.empty(m)
-        sigmas = np.empty(m)
-        for k_i in range(m):
-            xq = x + mu0 + s0 * qs[k_i]
-            mus[k_i] = float(mu(t_next, xq))
-            sigmas[k_i] = float(sigma(t_next, xq))
-        return np.concatenate([[x + mu0, s0], mus, sigmas])
+    def coefficients(t, x):
+        """Drift and diffusion at the (P,) states x, one value each."""
+        states = x[:, None]
+        drift = _drift_rows(mu(t, states), states)
+        diff = _stacked_diffusion(sigma(t, states), len(x), 1)
+        return drift[:, 0], np.broadcast_to(diff, (len(x), 1, 1))[:, 0, 0]
 
-    def decoder(latent):
+    def encoder(t, windows):
+        if windows.shape[2] != 1:
+            raise UnsupportedError("the two-step adapted map is scalar only")
+        P = len(windows)
+        x = windows[:, -1, 0]
+        mu0, s0 = coefficients(t, x)
+        xq = (x + mu0)[:, None] + s0[:, None] * qs
+        mus, sigmas = coefficients(t + 1.0, xq.reshape(-1))
+        return np.concatenate([(x + mu0)[:, None], s0[:, None],
+                               mus.reshape(P, m), sigmas.reshape(P, m)], axis=1)
+
+    def decode(latent):
         mu0, s0 = latent[0], latent[1]
         mus = latent[2 : 2 + m]
         sigmas = latent[2 + m :]
@@ -520,7 +579,8 @@ def sde_two_step_adapted(mu: Callable, sigma: Callable, m: int, first_points: in
         return PathMeasure.from_paths(np.asarray(paths)[:, :, None], np.asarray(weights))
 
     return FiniteComplexityMap(
-        memory=0, latent_dim=2 + 2 * m, alpha=1.0, encoder=encoder, decoder=decoder,
+        memory=0, latent_dim=2 + 2 * m, alpha=1.0, encoder=encoder,
+        decoder=lambda latents: [decode(row) for row in latents],
         meta={"kind": "sde_two_step", "m": m},
     )
 
@@ -533,25 +593,24 @@ def infinite_memory_truncation(M: Callable, Sigma: Callable, kernel: Callable[[i
     ``kernel(n)`` gives the weight of the state n steps in the past
     (n <= 0 in map terms); the caller must certify the dropped tail
     sum_{n < -memory} |kernel(n)|, which bounds the truncation error of
-    the drift (the state functional M maps into the unit cube).
+    the drift (the state functional M maps into the unit cube).  M and
+    Sigma follow ``euler_simulate``'s shape contract, called on (P, dim)
+    stacks of states: M once per lag, Sigma once.
     """
     if tail_bound is None:
         raise DomainError("a certified kernel tail bound is required")
     d = dim
 
-    def encoder(t, window):
-        x0 = window[-1]
-        drift = np.zeros(d)
+    def encoder(t, windows):
+        x0 = windows[:, -1]
+        drift = np.zeros_like(x0)
         for back in range(0, memory + 1):
-            drift += kernel(-back) * np.atleast_1d(np.asarray(M(t, window[-1 - back]), float))
-        sig = np.atleast_2d(np.asarray(Sigma(t, x0), float))
-        return np.concatenate([x0 + drift, sig.reshape(-1)])
+            drift += kernel(-back) * _drift_rows(M(t, windows[:, -1 - back]), x0)
+        return _latent_rows(x0 + drift, _stacked_diffusion(Sigma(t, x0), len(x0), d))
 
-    def decoder(latent):
-        mean = latent[:d]
-        scale = latent[d:].reshape(d, d)
-        cloud = gaussian_quantile_cloud(mean, scale, k)
-        return DiscreteMeasure.uniform(cloud)
+    def decoder(latents):
+        clouds = gaussian_quantile_cloud(latents[:, :d], latents[:, d:].reshape(-1, d, d), k)
+        return [DiscreteMeasure.uniform(cloud) for cloud in clouds]
 
     return FiniteComplexityMap(
         memory=memory, latent_dim=d + d * d, alpha=1.0, encoder=encoder, decoder=decoder,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import Config, fields_to_json, from_json
 from .errors import DomainError, FitFailure
-from .dynamics import FiniteComplexityMap, PathWindow
+from .dynamics import FiniteComplexityMap, PathWindow, stack_windows
 from .networks import (
     ActivationSpec,
     LayerParams,
@@ -129,7 +129,7 @@ def theta_unroll(ght: Ght, n: int) -> np.ndarray:
 
 def _windows(paths: Sequence[PathWindow], n: int, memory: int) -> np.ndarray:
     """One row per path: its states x_{t_{n-m}} .. x_{t_n}, flattened in time order."""
-    return np.stack([p.segment(n - memory, n).reshape(-1) for p in paths])
+    return stack_windows(paths, n, memory).reshape(len(paths), -1)
 
 
 def ght_eval(ght: Ght, paths: PathWindow | Sequence[PathWindow], n: int):
@@ -193,18 +193,14 @@ def normalized_error(
     return {"score": worst, "rows": rows}
 
 
-def target_eval(target, path: PathWindow, n: int, eps: float):
-    if isinstance(target, AcMapSpec):
-        return target.at(eps).evaluate(path, n)
-    return target.evaluate(path, n)
-
-
 def _sup_distance(target, ght: Ght, paths: Sequence[PathWindow], n: int, eps: float) -> float:
-    """sup over paths of d_Y(target at n, model at n)."""
+    """sup over paths of d_Y(target at n, model at n), each side evaluated
+    once for all paths of step n."""
+    fcm = target.at(eps) if isinstance(target, AcMapSpec) else target
     space = ght.decoder.space
     raw = 0.0
-    for p, out in zip(paths, ght_eval(ght, paths, n)):
-        raw = max(raw, space.distance(target_eval(target, p, n, eps), out))
+    for want, out in zip(fcm.evaluate(paths, n), ght_eval(ght, paths, n)):
+        raw = max(raw, space.distance(want, out))
     return raw
 
 
@@ -374,10 +370,7 @@ def fit_dynamic(
         thetas = []
         md_enc = None
         for n in steps:
-            t_n = paths[0].grid.time_at(n)
-            vals = np.stack([
-                np.atleast_1d(fcm.encoder(t_n, np.array([[g]]))) for g in knots
-            ])
+            vals = fcm.encode(paths[0].grid.time_at(n), knots.reshape(-1, 1, 1))
             md_enc, theta_n = grid_interpolation_encoder(knots, vals)
             thetas.append(theta_n)
         spec_enc = SINGULAR
@@ -387,11 +380,9 @@ def fit_dynamic(
         tc = config.train or TrainConfig(lr=0.1, epochs=1500, train_alpha=False)
         thetas = []
         for n in steps:
-            t_n = paths[0].grid.time_at(n)
-            data = []
-            for p in paths:
-                window = p.segment(n - m, n)
-                data.append((window.reshape(-1), fcm.encoder(t_n, window)))
+            windows = stack_windows(paths, n, m)
+            latents = fcm.encode(paths[0].grid.time_at(n), windows)
+            data = list(zip(windows.reshape(len(paths), -1), latents))
             theta_n, _ = train_regression(md_enc, spec_enc, data, tc)
             thetas.append(theta_n)
     else:
@@ -413,7 +404,8 @@ def fit_dynamic(
 
     n_dec, q_dec = config.decoder_anchors, config.decoder_level
     decoder, dec_report = fit_static_constructive(
-        fcm.decoder, latent_cloud, space, {"N": n_dec, "q": q_dec}, config.decoder_config,
+        lambda latent: fcm.decoder(latent[None])[0], latent_cloud, space,
+        {"N": n_dec, "q": q_dec}, config.decoder_config,
     )
 
     # -- stage (v): memorize the parameter transitions --------------------

@@ -68,6 +68,18 @@ def numeric_array(obj: dict, key: str) -> np.ndarray:
     return array.astype(float)
 
 
+def _strictly_increasing(atoms: np.ndarray) -> bool:
+    """Whether each row is lexicographically greater than the one before.
+
+    Equal coordinates compare equal, so -0.0 next to 0.0 is a tie.
+    """
+    prev, nxt = atoms[:-1], atoms[1:]
+    greater = nxt[:, -1] > prev[:, -1]
+    for c in range(atoms.shape[1] - 2, -1, -1):
+        greater = (nxt[:, c] > prev[:, c]) | ((nxt[:, c] == prev[:, c]) & greater)
+    return bool(greater.all())
+
+
 def _merge_rows(atoms: np.ndarray, weights: np.ndarray):
     """Sum weights of exactly-equal rows; rows ordered lexicographically.
 
@@ -95,7 +107,9 @@ class DiscreteMeasure:
 
     The constructor validates its input, then merges duplicate atoms and
     sorts the support (``_merge_rows``); every later use reads the
-    canonical arrays.
+    canonical arrays.  Input whose rows are already strictly increasing
+    is canonical as given: the measure keeps a copy of its atoms and its
+    weights plus 0.0, the bits ``_merge_rows`` would give.
     """
 
     atoms: np.ndarray
@@ -114,7 +128,11 @@ class DiscreteMeasure:
         dim = atoms.shape[1]
         if self.dim >= 0 and self.dim != dim:
             raise DomainError(f"declared dim {self.dim} != atom dim {dim}")
-        atoms, weights = _merge_rows(atoms, weights)
+        if _strictly_increasing(atoms):
+            # each group is one row, which bincount sums from +0.0
+            atoms, weights = atoms.copy(), weights + 0.0
+        else:
+            atoms, weights = _merge_rows(atoms, weights)
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)

@@ -101,6 +101,11 @@ def farthest_point_order(points: np.ndarray, first: int, count: int) -> tuple[li
 # Wasserstein-p
 # ---------------------------------------------------------------------------
 
+# a line of the 1-D coupling counts as used up once at most this much of
+# its mass is left
+_LINE_EXHAUSTED = 1e-17
+
+
 def _quantile_coupling(x: list, wx: list, y: list, wy: list, p: float) -> tuple[float, list]:
     """The monotone quantile coupling of two sorted one-dimensional supports.
 
@@ -108,9 +113,10 @@ def _quantile_coupling(x: list, wx: list, y: list, wy: list, p: float) -> tuple[
     sum of mass * |x_i - y_j|^p, added in arc order, and the arcs (i, j) in
     order.  Each arc shares its row or its column with the one before,
     except where both lines run out together; a line counts as used up
-    once at most 1e-17 of its mass is left.  Optimal on the line for every
-    p >= 1, because |x - y|^p is convex in x - y.  Each arc's mass follows
-    ``min``'s tie rule (``ai`` unless ``bj`` is smaller) without the call.
+    once at most ``_LINE_EXHAUSTED`` of its mass is left.  Optimal on the
+    line for every p >= 1, because |x - y|^p is convex in x - y.  Each
+    arc's mass follows ``min``'s tie rule (``ai`` unless ``bj`` is smaller)
+    without the call.
     """
     arcs = []
     cost = 0.0
@@ -123,17 +129,53 @@ def _quantile_coupling(x: list, wx: list, y: list, wy: list, p: float) -> tuple[
         arcs.append((i, j))
         ai -= m
         bj -= m
-        if ai <= 1e-17:
+        if ai <= _LINE_EXHAUSTED:
             i += 1
             if i == nx:
                 break
             ai = wx[i]
-        if bj <= 1e-17:
+        if bj <= _LINE_EXHAUSTED:
             j += 1
             if j == ny:
                 break
             bj = wy[j]
     return cost, arcs
+
+
+def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
+    """The cost of ``_quantile_coupling``, bit for bit, without its arcs.
+
+    At p = 1 the power is skipped: |d| ** 1.0 is |d| exactly.  Equal
+    weight lists run out together at every arc, so their coupling is the
+    diagonal and is summed without the walk.
+    """
+    cost = 0.0
+    unit = p == 1.0
+    if wx == wy:
+        for m, a, b in zip(wx, x, y):
+            gap = abs(a - b)
+            cost += m * (gap if unit else gap ** p)
+        return cost
+    i = j = 0
+    nx, ny = len(wx), len(wy)
+    ai, bj = wx[0], wy[0]
+    while True:
+        m = bj if bj < ai else ai
+        gap = abs(x[i] - y[j])
+        cost += m * (gap if unit else gap ** p)
+        ai -= m
+        bj -= m
+        if ai <= _LINE_EXHAUSTED:
+            i += 1
+            if i == nx:
+                break
+            ai = wx[i]
+        if bj <= _LINE_EXHAUSTED:
+            j += 1
+            if j == ny:
+                break
+            bj = wy[j]
+    return cost
 
 
 def _staircase_potentials(x: list, y: list, arcs: list, p: float) -> list:
@@ -480,7 +522,8 @@ def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     optimal dual potential u on mu's atoms (None when ``potential`` is off).
 
     In one dimension the plan is the quantile coupling and u its staircase
-    tree potential; otherwise u is ``transport_cost(...).u``.  With its
+    tree potential (with ``potential`` off, only the cost is walked);
+    otherwise u is ``transport_cost(...).u``.  With its
     c-transform u^c(z) = min_i |x_i - z|^p - u_i, which equals the optimal
     potential v on nu's support, u is an optimal dual pair; u^c is also the
     largest potential on atoms that nu does not charge, which makes
@@ -489,8 +532,11 @@ def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     """
     if mu.dim == 1:
         x, y = mu.atoms[:, 0].tolist(), nu.atoms[:, 0].tolist()
-        cost, arcs = _quantile_coupling(x, mu.weights.tolist(), y, nu.weights.tolist(), p)
-        return cost, np.array(_staircase_potentials(x, y, arcs, p)) if potential else None
+        wx, wy = mu.weights.tolist(), nu.weights.tolist()
+        if not potential:
+            return _quantile_cost(x, wx, y, wy, p), None
+        cost, arcs = _quantile_coupling(x, wx, y, wy, p)
+        return cost, np.array(_staircase_potentials(x, y, arcs, p))
     diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
     plan = transport_cost(mu.weights, nu.weights, np.linalg.norm(diff, axis=2) ** p)
     return plan.value, plan.u if potential else None

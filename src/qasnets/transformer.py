@@ -595,7 +595,6 @@ class ComplexityReport:
     n_anchors: float | None = None
     level_q: int | None = None
     implicit: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
 
     CSV_COLUMNS = ["activation", "depth", "width", "n_params", "ln_N", "N", "q"]
 
@@ -606,7 +605,7 @@ class ComplexityReport:
 
 class _Inputs(dict):
     """A complexity calculator's inputs, an open bag: any key may be given
-    (all are echoed into the report), but each one read must be a finite
+    (a key no table reads is ignored), but each one read must be a finite
     number (``modulus`` a callable).  Reading a missing or ill-typed one
     raises ``DomainError`` naming it."""
 
@@ -733,7 +732,6 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
         activation=activation, depth=depth, width=width,
         n_params=params, ln_n_anchors=ln_n, n_anchors=N,
         level_q=int(q) if q is not None else None, implicit=implicit,
-        inputs={k: v for k, v in inputs.items() if not callable(v)},
     )
 
 
@@ -763,7 +761,6 @@ def complexity_ffnn(activation: str, inputs: dict) -> ComplexityReport:
     return ComplexityReport(
         activation=activation, depth=depth, width=width,
         n_params=params, implicit=implicit,
-        inputs={k: v for k, v in inputs.items() if not callable(v)},
     )
 
 

@@ -6,7 +6,9 @@ enumerating the vertices of the transportation polytope (spanning trees of
 the complete bipartite support graph), and the bicausal optimum for
 two-step trees by enumerating products of conditional-coupling vertices.
 The ``*_reference`` kernels are the plain earlier forms of rewritten
-library kernels, kept so that tests can pin the rewrites bit for bit.
+library kernels, kept so that tests can pin the rewrites bit for bit;
+among them the three finite-complexity map builders as they evaluated
+one path at a time (``PerPathMapReference``).
 ``marginal_check`` checks a ``PathMeasure``'s conditional tree against its
 base measure.
 ``relu_theta`` is a shared test fixture.
@@ -508,6 +510,138 @@ def merge_rows_reference(atoms: np.ndarray, weights: np.ndarray):
     out_weights = np.zeros((n_groups,) + weights.shape[1:])
     np.add.at(out_weights, group, weights)
     return out_atoms, out_weights
+
+
+def canonical_measure_reference(atoms, weights):
+    """The arrays ``DiscreteMeasure`` kept before it checked for canonical
+    input: every input validated, then sorted and merged by ``_merge_rows``."""
+    from qasnets.measures import _merge_rows, validate_simplex_weight
+
+    return _merge_rows(np.atleast_2d(np.asarray(atoms, dtype=float)),
+                       validate_simplex_weight(weights))
+
+
+class PerPathMapReference:
+    """A finite-complexity map evaluated one path at a time: the form of
+    ``dynamics.FiniteComplexityMap`` before it took the paths of a step
+    together.  ``encoder(t, window)`` maps one (m+1, d) window to one
+    latent vector and ``decoder(latent)`` that vector to one output."""
+
+    def __init__(self, memory, latent_dim, encoder, decoder):
+        self.memory, self.latent_dim = memory, latent_dim
+        self.encoder, self.decoder = encoder, decoder
+
+    def evaluate(self, path, n: int):
+        return self.decoder(self.latent(path, n))
+
+    def latent(self, path, n: int) -> np.ndarray:
+        window = path.segment(n - self.memory, n)
+        latent = np.atleast_1d(np.asarray(self.encoder(path.grid.time_at(n), window), float))
+        assert latent.shape == (self.latent_dim,)
+        return latent
+
+
+def _cloud_reference(mean, scale, k: int) -> np.ndarray:
+    from qasnets.dynamics import _normal_grid
+
+    return mean + _normal_grid(k, mean.shape[0]) @ scale.T
+
+
+def sde_kernel_map_reference(mu, sigma, delta: float, nu, k: int = 16) -> PerPathMapReference:
+    """``dynamics.sde_kernel_map``, one path at a time."""
+    import math
+
+    from qasnets.measures import DiscreteMeasure
+
+    d = nu.dim
+
+    def encoder(t, window):
+        x = window[-1]
+        drift = np.atleast_1d(np.asarray(mu(t, x), float))
+        diff = np.atleast_2d(np.asarray(sigma(t, x), float))
+        return np.concatenate([x + delta * drift, math.sqrt(delta) * diff.reshape(-1)])
+
+    def decoder(latent):
+        mean = latent[:d]
+        scale = latent[d:].reshape(d, d)
+        cloud = _cloud_reference(mean, scale, k)
+        atoms = (cloud[:, None, :] + nu.atoms[None, :, :]).reshape(-1, d)
+        weights = (np.full(len(cloud), 1.0 / len(cloud))[:, None] * nu.weights[None, :]).reshape(-1)
+        return DiscreteMeasure(atoms, weights)
+
+    return PerPathMapReference(0, d + d * d, encoder, decoder)
+
+
+def sde_two_step_adapted_reference(mu, sigma, m: int, first_points: int = 16,
+                                   cond_points: int = 16) -> PerPathMapReference:
+    """``dynamics.sde_two_step_adapted``, one path at a time."""
+    from qasnets.dynamics import _normal_axis, ndtri
+    from qasnets.measures import PathMeasure
+
+    qs = ndtri(np.arange(1, m + 1) / (m + 1.0))  # increasing quantiles
+
+    def encoder(t, window):
+        x = float(window[-1][0])
+        mu0 = float(mu(t, x))
+        s0 = float(sigma(t, x))
+        t_next = t + 1.0
+        mus = np.empty(m)
+        sigmas = np.empty(m)
+        for k_i in range(m):
+            xq = x + mu0 + s0 * qs[k_i]
+            mus[k_i] = float(mu(t_next, xq))
+            sigmas[k_i] = float(sigma(t_next, xq))
+        return np.concatenate([[x + mu0, s0], mus, sigmas])
+
+    def decoder(latent):
+        mu0, s0 = latent[0], latent[1]
+        mus = latent[2 : 2 + m]
+        sigmas = latent[2 + m :]
+        if abs(s0) < 1e-300:
+            first = np.array([mu0])
+        else:
+            first = mu0 + s0 * _normal_axis(first_points)
+        paths = []
+        weights = []
+        w1 = 1.0 / len(first)
+        for x1 in first:
+            z = (x1 - mu0) / s0 if abs(s0) >= 1e-300 else 0.0
+            cell = int(np.searchsorted(qs, z, side="right"))  # 0..m
+            k_eff = max(cell, 1)  # the lowest cell shares the first parameters
+            m2, s2 = mus[k_eff - 1], sigmas[k_eff - 1]
+            if abs(s2) < 1e-300:
+                second = np.array([m2])
+            else:
+                second = m2 + s2 * _normal_axis(cond_points)
+            for x2 in second:
+                paths.append([x1, x2])
+                weights.append(w1 / len(second))
+        return PathMeasure.from_paths(np.asarray(paths)[:, :, None], np.asarray(weights))
+
+    return PerPathMapReference(0, 2 + 2 * m, encoder, decoder)
+
+
+def infinite_memory_truncation_reference(M, Sigma, kernel, memory: int, k: int = 16,
+                                         dim: int = 1) -> PerPathMapReference:
+    """``dynamics.infinite_memory_truncation``, one path at a time."""
+    from qasnets.measures import DiscreteMeasure
+
+    d = dim
+
+    def encoder(t, window):
+        x0 = window[-1]
+        drift = np.zeros(d)
+        for back in range(0, memory + 1):
+            drift += kernel(-back) * np.atleast_1d(np.asarray(M(t, window[-1 - back]), float))
+        sig = np.atleast_2d(np.asarray(Sigma(t, x0), float))
+        return np.concatenate([x0 + drift, sig.reshape(-1)])
+
+    def decoder(latent):
+        mean = latent[:d]
+        scale = latent[d:].reshape(d, d)
+        return DiscreteMeasure.uniform(_cloud_reference(mean, scale, k))
+
+    return PerPathMapReference(memory, d + d * d, encoder, decoder)
 
 
 def children_reference(pm, node: tuple, depth: int) -> list:

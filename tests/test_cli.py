@@ -384,6 +384,10 @@ class TestTypedValues:
         ("metric", {"p": "x"}, "metric.p must be a finite number, got 'x'"),
         ("complexity", {"batch": 5}, "complexity.batch must be an array, got 5"),
         ("paths", {"output": 5}, "paths.output must be a string, got 5"),
+        ("static-fit", {"train_points": -1},
+         "static-fit.train_points must be a non-negative integer, got -1"),
+        ("dynamic-fit", {"eval_points": -1},
+         "dynamic-fit.eval_points must be a non-negative integer, got -1"),
     ])
     def test_bad_value_names_block_and_key(self, tmp_path, capsys, command, override, message):
         code, _ = run(tmp_path, command, dict(self.BASE[command], **override))

@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from oracles import children_reference, euler_reference, marginal_check
+from oracles import (
+    children_reference,
+    euler_reference,
+    infinite_memory_truncation_reference,
+    marginal_check,
+    sde_kernel_map_reference,
+    sde_two_step_adapted_reference,
+)
 from qasnets import dynamics
 from qasnets.errors import DomainError, OutOfWindowError
 from qasnets.measures import DiscreteMeasure
@@ -265,6 +274,131 @@ class TestFiniteComplexityMaps:
         path = constant_path(0.2, n_past=2, n_future=1)
         with pytest.raises(OutOfWindowError):
             fc.evaluate(path, 0)
+
+
+def random_paths(rng, count, dim, n_past=3, n_future=2):
+    """Paths on one grid, some repeated, with values on a coarse grid (so
+    clouds can share atoms) or spread, and some -0.0 entries."""
+    g = grid_validate([-1.5, -1.0, -0.25, 0.0, 0.5, 1.75])
+    paths = []
+    for _ in range(count):
+        if paths and rng.random() < 0.2:
+            paths.append(paths[int(rng.integers(len(paths)))])
+            continue
+        vals = rng.integers(-2, 3, size=(n_past + n_future + 1, dim)) / 4.0
+        spread = rng.random(vals.shape) < 0.5
+        vals[spread] = rng.normal(size=int(spread.sum()))
+        vals[vals == 0.0] = rng.choice([0.0, -0.0], size=int((vals == 0.0).sum()))
+        paths.append(PathWindow(g, vals, -n_past))
+    return paths
+
+
+def diffusion(kind, d, scale):
+    """A diffusion that takes one (d,) state or a (P, d) stack: one shared
+    matrix, a per-state matrix, or zero (every cloud collapses to one atom)."""
+    base = scale * (np.eye(d) + 0.25 * np.tri(d, d, -1))
+    if kind == "shared":
+        return lambda t, x: base
+    if kind == "zero":
+        return lambda t, x: np.zeros((d, d))
+    return lambda t, x: base + 0.1 * np.sin(t + x[..., :, None] * x[..., None, :])
+
+
+def assert_same_outputs(got, want):
+    """Lists of discrete or path measures with the same arrays, bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = getattr(a, "base", a), getattr(b, "base", b)
+        assert a.atoms.tobytes() == b.atoms.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+
+class TestStackedMaps:
+    """Each map builder evaluated on the paths of one step gives, bit for
+    bit, the latents and outputs of its one-path-at-a-time form in
+    ``oracles``; so does the one-row case of a lone path."""
+
+    @given(d=st.integers(1, 3), count=st.integers(1, 6), k=st.integers(1, 5),
+           kind=st.sampled_from(["shared", "state", "zero"]), seed=st.integers(0, 2**16))
+    def test_kernel_map_matches_per_path_reference(self, d, count, k, kind, seed):
+        rng = np.random.default_rng(seed)
+        jumps = rng.integers(1, 4)
+        nu = DiscreteMeasure(rng.integers(-1, 2, size=(jumps, d)) / 2.0,
+                             rng.dirichlet(np.ones(jumps)))
+        mu = lambda t, x: 0.3 * np.sin(t + x) - 0.1 * x
+        sigma = diffusion(kind, d, rng.uniform(0.1, 1.0))
+        delta = float(rng.choice([0.5, 1.0, 0.37]))
+        fc = sde_kernel_map(mu, sigma, delta, nu, k=k)
+        ref = sde_kernel_map_reference(mu, sigma, delta, nu, k=k)
+        paths = random_paths(rng, count, d)
+        for n in (-1, 0, 2):
+            assert fc.latent(paths, n).tobytes() == np.stack(
+                [ref.latent(p, n) for p in paths]).tobytes()
+            assert_same_outputs(fc.evaluate(paths, n), [ref.evaluate(p, n) for p in paths])
+        assert_same_outputs([fc.evaluate(paths[0], 1)], [ref.evaluate(paths[0], 1)])
+
+    @given(d=st.integers(1, 3), count=st.integers(1, 6), memory=st.integers(0, 3),
+           kind=st.sampled_from(["shared", "state", "zero"]), seed=st.integers(0, 2**16))
+    def test_truncation_matches_per_path_reference(self, d, count, memory, kind, seed):
+        rng = np.random.default_rng(seed)
+        M = lambda t, x: np.clip(x + 0.1 * t, 0.0, 1.0)
+        kernel = lambda n: 2.0**n
+        Sigma = diffusion(kind, d, rng.uniform(0.1, 1.0))
+        fc = infinite_memory_truncation(M, Sigma, kernel, 0.1, memory, 2.0**-memory, k=3, dim=d)
+        ref = infinite_memory_truncation_reference(M, Sigma, kernel, memory, k=3, dim=d)
+        paths = random_paths(rng, count, d)
+        for n in (0, 2):
+            assert fc.latent(paths, n).tobytes() == np.stack(
+                [ref.latent(p, n) for p in paths]).tobytes()
+            assert_same_outputs(fc.evaluate(paths, n), [ref.evaluate(p, n) for p in paths])
+
+    @given(count=st.integers(1, 6), m=st.integers(1, 4), kind=st.sampled_from(
+        ["constant", "state", "zero"]), seed=st.integers(0, 2**16))
+    def test_two_step_matches_per_path_reference(self, count, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.1, 1.0)
+        mu = lambda t, x: -0.5 * x + 0.1 * np.sin(t + x)
+
+        def sigma(t, x):
+            # a float for one float state, a (P, 1, 1) stack for (P, 1) states
+            value = {"constant": s, "zero": 0.0}.get(kind, s + 0.1 * np.cos(x))
+            return value if np.ndim(value) == 0 else value[..., None]
+
+        fc = sde_two_step_adapted(mu, sigma, m, first_points=5, cond_points=3)
+        ref = sde_two_step_adapted_reference(mu, sigma, m, first_points=5, cond_points=3)
+        paths = random_paths(rng, count, 1)
+        for n in (-1, 0, 2):
+            assert fc.latent(paths, n).tobytes() == np.stack(
+                [ref.latent(p, n) for p in paths]).tobytes()
+            assert_same_outputs(fc.evaluate(paths, n), [ref.evaluate(p, n) for p in paths])
+
+    def test_one_encoder_call_per_step(self):
+        shapes = []
+
+        def mu(t, x):
+            shapes.append(x.shape)
+            return -x
+
+        fc = sde_kernel_map(mu, lambda t, x: np.eye(2), 1.0, DiscreteMeasure.dirac([0.0, 0.0]),
+                            k=2)
+        paths = random_paths(np.random.default_rng(0), 5, 2)
+        outs = fc.evaluate(paths, 1)
+        assert shapes == [(5, 2)] and len(outs) == 5
+        assert fc.evaluate([], 1) == [] and fc.latent([], 1).shape == (0, 6)
+
+    def test_bad_shapes_rejected(self):
+        paths = random_paths(np.random.default_rng(1), 3, 1)
+        one = DiscreteMeasure.dirac(0.0)
+        with pytest.raises(DomainError):  # one drift per path, not per state row
+            sde_kernel_map(lambda t, x: -x[:, 0], lambda t, x: np.eye(1), 1.0, one).evaluate(
+                paths, 0)
+        with pytest.raises(DomainError):  # a (2, 2) diffusion for 1-D states
+            sde_kernel_map(lambda t, x: -x, lambda t, x: np.eye(2), 1.0, one).evaluate(paths, 0)
+        with pytest.raises(DomainError):  # the paths' times at index 0 differ
+            shifted = PathWindow(grid_validate([-2.0, -1.0, -0.5, 0.0, 1.0, 2.0]),
+                                 np.zeros((6, 1)), -3)
+            sde_kernel_map(lambda t, x: -x, lambda t, x: np.eye(1), 1.0, one).evaluate(
+                [paths[0], shifted], 1)
 
 
 class TestTwoStepAdapted:

@@ -204,8 +204,8 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(transformer, "forward", counting)
 
         class Dirac:
-            def evaluate(self, path, n):
-                return DiscreteMeasure.dirac(0.5)
+            def evaluate(self, paths, n):
+                return [DiscreteMeasure.dirac(0.5)] * len(paths)
 
         raw = hyper._sup_distance(Dirac(), ght, paths, 1, 0.4)
         assert shapes == [(7, 1), (7, 2)]
@@ -367,9 +367,10 @@ class TestFitDynamic:
         target_calls, model_calls = [], []
         real_evaluate, real_ght_eval = FiniteComplexityMap.evaluate, hyper.ght_eval
 
-        def evaluate(self, path, n):
-            target_calls.append((id(path), n))
-            return real_evaluate(self, path, n)
+        def evaluate(self, paths, n):
+            # the batch entry: one call evaluates every path of step n
+            target_calls.extend((id(p), n) for p in paths)
+            return real_evaluate(self, paths, n)
 
         def ght_eval(ght, paths, n):
             # the batch entry: one call evaluates every path of step n
@@ -453,8 +454,8 @@ class TestNormalizedError:
         ght = toy_ght(hyper="identity")
 
         class SelfTarget:
-            def evaluate(self, path, n):
-                return ght_eval(ght, path, n)
+            def evaluate(self, paths, n):
+                return ght_eval(ght, paths, n)
 
         paths = [constant_path(0.4)]
         out = normalized_error(SelfTarget(), ght, paths, constant_compression,
@@ -465,8 +466,8 @@ class TestNormalizedError:
         ght = toy_ght(hyper="shift", delta=0.6)
 
         class SelfTarget:
-            def evaluate(self, path, n):
-                return ght_eval(ght, path, n)
+            def evaluate(self, paths, n):
+                return ght_eval(ght, paths, n)
 
         paths = [constant_path(0.3, n_past=6, n_future=6)]
         out = normalized_error(SelfTarget(), ght, paths, constant_compression,

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qasnets import measures
 from qasnets.measures import DiscreteMeasure, _merge_rows, measure_from_json, mixture
 
-from oracles import merge_rows_reference
+from oracles import canonical_measure_reference, merge_rows_reference
 
 
 def dyadic_with_duplicates(rng, d):
@@ -89,3 +90,78 @@ class TestMergeRowsKernel:
         assert got_weights.shape == want_weights.shape
         assert got_weights.dtype == want_weights.dtype
         assert got_weights.tobytes() == want_weights.tobytes()
+
+
+def assert_reference_bits(mu, atoms, weights):
+    want_atoms, want_weights = canonical_measure_reference(atoms, weights)
+    assert mu.atoms.tobytes() == want_atoms.tobytes()
+    assert mu.weights.tobytes() == want_weights.tobytes()
+    assert not mu.atoms.flags.writeable and not mu.weights.flags.writeable
+
+
+class TestCanonicalInput:
+    """Input already in canonical order is kept as given, with the bits that
+    sorting and merging it would give."""
+
+    @given(n=st.integers(1, 30), d=st.integers(1, 3), order=st.sampled_from(
+        ["canonical", "shuffled", "sorted", "as_drawn"]), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_merged_form(self, n, d, order, seed):
+        rng = np.random.default_rng(seed)
+        # a small grid gives duplicates and first-column ties; -0.0 ties with 0.0
+        atoms = rng.integers(-2, 3, size=(n, d)).astype(float)
+        spread = rng.random((n, d)) < 0.3
+        atoms[spread] = rng.normal(size=int(spread.sum()))
+        atoms[atoms == 0.0] = rng.choice([0.0, -0.0], size=int((atoms == 0.0).sum()))
+        if order == "sorted":  # nondecreasing rows, duplicates kept
+            atoms = atoms[np.lexsort(atoms.T[::-1])]
+        elif order != "as_drawn":
+            atoms = np.unique(atoms, axis=0)  # strictly increasing rows
+            if order == "shuffled":
+                atoms = atoms[rng.permutation(len(atoms))]
+        weights = rng.choice([0.0, -0.0, 0.125, 0.25], size=len(atoms))
+        weights[rng.random(len(atoms)) < 0.5] = rng.random()
+        weights[-1] = 0.0
+        weights = weights / weights.sum() if weights.sum() > 0 else np.full(len(atoms),
+                                                                              1 / len(atoms))
+        assert_reference_bits(DiscreteMeasure(atoms, weights), atoms, weights)
+
+    def test_caller_array_stays_writable_and_unchanged(self):
+        atoms = np.array([[-1.0], [0.5], [2.0]])
+        weights = np.array([0.25, 0.25, 0.5])
+        before = atoms.tobytes(), weights.tobytes()
+        mu = DiscreteMeasure(atoms, weights)
+        assert atoms.flags.writeable and weights.flags.writeable
+        assert (atoms.tobytes(), weights.tobytes()) == before
+        assert not np.shares_memory(mu.atoms, atoms)
+        assert not np.shares_memory(mu.weights, weights)
+        atoms[0, 0] = 7.0
+        assert mu.atoms[0, 0] == -1.0
+
+    def test_negative_zero_weight_becomes_positive_zero(self):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([-0.0, 1.0]))
+        assert mu.weights.tobytes() == np.array([0.0, 1.0]).tobytes()
+        assert not np.signbit(mu.weights[0])
+
+    @pytest.mark.parametrize("atoms, merged", [
+        ([[0.0], [0.0], [1.0]], True),  # equal neighbours
+        ([[0.0], [-0.0], [1.0]], True),  # -0.0 equals 0.0
+        ([[1.0], [0.0], [2.0]], True),  # unsorted
+        ([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]], True),  # d = 2: first-column tie, then down
+        ([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 0.0, 0.0]], True),  # d = 3: equal rows
+        ([[0.0, 1.0, 2.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]], True),  # d = 3: ties, then down
+        ([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], False),  # d = 2: first-column tie, then up
+        ([[0.0, 1.0, 2.0], [0.0, 1.0, 3.0], [0.0, 2.0, 0.0]], False),  # d = 3: ties, then up
+    ])
+    def test_only_non_canonical_rows_are_merged(self, monkeypatch, atoms, merged):
+        calls = []
+
+        def spy(a, w):
+            calls.append(len(a))
+            return _merge_rows(a, w)
+
+        monkeypatch.setattr(measures, "_merge_rows", spy)
+        atoms = np.array(atoms)
+        weights = np.array([0.25, 0.5, 0.25])
+        mu = DiscreteMeasure(atoms, weights)
+        assert calls == ([3] if merged else [])
+        assert_reference_bits(mu, atoms, weights)

@@ -210,7 +210,7 @@ def tie_heavy_simplex(rng, n, kind):
 
 class TestQuantileCouplingKernel:
     """``_quantile_coupling`` is bit for bit the loop with builtin ``min``
-    and ``len`` per arc, in cost and arcs."""
+    and ``len`` per arc, in cost and arcs; ``_quantile_cost`` in cost."""
 
     @given(m=st.integers(1, 40), n=st.integers(1, 40), p=st.sampled_from([1.0, 1.5, 2.0]),
            kinds=st.tuples(*[st.sampled_from(["equal", "ties", "spread"])] * 2),
@@ -225,6 +225,33 @@ class TestQuantileCouplingKernel:
         want_cost, want_arcs = quantile_coupling_reference(x, wx, y, wy, p)
         assert cost.hex() == want_cost.hex()
         assert arcs == want_arcs
+        # the cost-only walk that ``wasserstein_p`` runs
+        assert metrics._quantile_cost(x, wx, y, wy, p).hex() == want_cost.hex()
+
+    @given(n=st.integers(1, 40), p=st.sampled_from([1.0, 1.5, 2.0]),
+           kind=st.sampled_from(["equal", "ties", "spread"]), seed=st.integers(0, 2**16))
+    def test_equal_weights_take_the_diagonal(self, n, p, kind, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.integers(-3, 4, size=n) / 2.0).tolist()
+        y = np.sort(rng.normal(size=n)).tolist()
+        w = tie_heavy_simplex(rng, n, kind)
+        want_cost, want_arcs = quantile_coupling_reference(x, w, y, list(w), p)
+        assert want_arcs == [(i, i) for i in range(n)]
+        assert metrics._quantile_cost(x, w, y, list(w), p).hex() == want_cost.hex()
+
+    def test_distance_walks_cost_only(self, monkeypatch):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.5]]), [0.2, 0.5, 0.3])
+        nu = DiscreteMeasure(np.array([[-1.0], [1.5]]), [0.6, 0.4])
+        want = metrics.wasserstein_p(mu, nu, 1.5)
+        cost, _ = metrics.transport_potential(mu, nu, 1.5)
+
+        def refuse(*args):
+            raise AssertionError("the arc walk ran")
+
+        monkeypatch.setattr(metrics, "_quantile_coupling", refuse)
+        assert metrics.wasserstein_p(mu, nu, 1.5) == want == cost ** (1.0 / 1.5)
+        with pytest.raises(AssertionError, match="the arc walk ran"):
+            metrics.transport_potential(mu, nu, 1.5)
 
 
 def rounding_bound(cost, u, v):
