@@ -145,17 +145,10 @@ def _quantile_coupling(x: list, wx: list, y: list, wy: list, p: float) -> tuple[
 def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
     """The cost of ``_quantile_coupling``, bit for bit, without its arcs.
 
-    At p = 1 the power is skipped: |d| ** 1.0 is |d| exactly.  Equal
-    weight lists run out together at every arc, so their coupling is the
-    diagonal and is summed without the walk.
+    At p = 1 the power is skipped: |d| ** 1.0 is |d| exactly.
     """
     cost = 0.0
     unit = p == 1.0
-    if wx == wy:
-        for m, a, b in zip(wx, x, y):
-            gap = abs(a - b)
-            cost += m * (gap if unit else gap ** p)
-        return cost
     i = j = 0
     nx, ny = len(wx), len(wy)
     ai, bj = wx[0], wy[0]
@@ -176,6 +169,17 @@ def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
                 break
             bj = wy[j]
     return cost
+
+
+def _diagonal_cost(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """``_quantile_cost`` at p = 1 for equal weight vectors w, bit for bit.
+
+    Both lines run out together at every arc, so the coupling is the
+    diagonal; a cumulative sum adds its costs one at a time, in arc order,
+    as the walk does.  The walk starts from 0.0 and the sum from the first
+    cost, which is the same value: a canonical weight is never -0.0.
+    """
+    return float(np.cumsum(w * np.abs(x - y))[-1])
 
 
 def _staircase_potentials(x: list, y: list, arcs: list, p: float) -> list:
@@ -522,8 +526,9 @@ def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     optimal dual potential u on mu's atoms (None when ``potential`` is off).
 
     In one dimension the plan is the quantile coupling and u its staircase
-    tree potential (with ``potential`` off, only the cost is walked);
-    otherwise u is ``transport_cost(...).u``.  With its
+    tree potential (with ``potential`` off, only the cost is walked, or
+    summed along the diagonal for equal weights at p = 1); otherwise u is
+    ``transport_cost(...).u``.  With its
     c-transform u^c(z) = min_i |x_i - z|^p - u_i, which equals the optimal
     potential v on nu's support, u is an optimal dual pair; u^c is also the
     largest potential on atoms that nu does not charge, which makes
@@ -531,6 +536,9 @@ def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     nu' - nu wherever the optimal potentials are unique.
     """
     if mu.dim == 1:
+        if (not potential and p == 1.0 and len(mu) == len(nu)
+                and (mu.weights == nu.weights).all()):
+            return _diagonal_cost(mu.atoms[:, 0], nu.atoms[:, 0], mu.weights), None
         x, y = mu.atoms[:, 0].tolist(), nu.atoms[:, 0].tolist()
         wx, wy = mu.weights.tolist(), nu.weights.tolist()
         if not potential:

@@ -232,12 +232,16 @@ class TestQuantileCouplingKernel:
            kind=st.sampled_from(["equal", "ties", "spread"]), seed=st.integers(0, 2**16))
     def test_equal_weights_take_the_diagonal(self, n, p, kind, seed):
         rng = np.random.default_rng(seed)
-        x = np.sort(rng.integers(-3, 4, size=n) / 2.0).tolist()
-        y = np.sort(rng.normal(size=n)).tolist()
+        # distinct sorted supports, so both measures keep n atoms
+        x = np.cumsum(rng.integers(1, 3, size=n)) / 2.0 - 3.0
+        y = np.sort(rng.normal(size=n))
         w = tie_heavy_simplex(rng, n, kind)
-        want_cost, want_arcs = quantile_coupling_reference(x, w, y, list(w), p)
+        mu, nu = DiscreteMeasure(x[:, None], w), DiscreteMeasure(y[:, None], w)
+        wx, wy = mu.weights.tolist(), nu.weights.tolist()
+        want_cost, want_arcs = quantile_coupling_reference(x.tolist(), wx, y.tolist(), wy, p)
         assert want_arcs == [(i, i) for i in range(n)]
-        assert metrics._quantile_cost(x, w, y, list(w), p).hex() == want_cost.hex()
+        cost, _ = metrics.transport_potential(mu, nu, p, potential=False)
+        assert cost.hex() == want_cost.hex()
 
     def test_distance_walks_cost_only(self, monkeypatch):
         mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.5]]), [0.2, 0.5, 0.3])
