@@ -164,4 +164,5 @@ class TestCanonicalInput:
         weights = np.array([0.25, 0.5, 0.25])
         mu = DiscreteMeasure(atoms, weights)
         assert calls == ([3] if merged else [])
+        monkeypatch.undo()
         assert_reference_bits(mu, atoms, weights)
