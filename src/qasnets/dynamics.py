@@ -339,14 +339,12 @@ class FiniteComplexityMap:
         latents = self.latent(paths, n)
         if latents.ndim == 1:
             return self.decoder(latents[None])[0]
-        return self.decoder(latents) if len(latents) else []
+        return self.decoder(latents)
 
     def latent(self, paths: PathWindow | list[PathWindow], n: int) -> np.ndarray:
         """The (P, latent_dim) latents at step n, or one path's row."""
         if isinstance(paths, PathWindow):
             return self.latent([paths], n)[0]
-        if not paths:
-            return np.empty((0, self.latent_dim))
         t = paths[0].grid.time_at(n)
         if any(p.grid.time_at(n) != t for p in paths):
             raise DomainError(f"the paths do not share one time at index {n}")

@@ -384,7 +384,6 @@ class TestStackedMaps:
         paths = random_paths(np.random.default_rng(0), 5, 2)
         outs = fc.evaluate(paths, 1)
         assert shapes == [(5, 2)] and len(outs) == 5
-        assert fc.evaluate([], 1) == [] and fc.latent([], 1).shape == (0, 6)
 
     def test_bad_shapes_rejected(self):
         paths = random_paths(np.random.default_rng(1), 3, 1)
