@@ -750,6 +750,8 @@ def fit_exponential_envelope(paths: list[PathWindow], eps: float,
     increasing branch; C_star is sized to keep every equation solvable.
     The constants are reported as fitted values, not asserted bounds.
     """
+    if not 0 < eps <= 1:
+        raise DomainError("eps must be in (0, 1]")
     if not paths:
         raise DomainError("need at least one path")
     grid = paths[0].grid

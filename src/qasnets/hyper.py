@@ -240,8 +240,16 @@ def grid_interpolation_encoder(knots: np.ndarray, values: np.ndarray) -> tuple[M
     return md, encode_params(md, layers)
 
 
+# the decoder's Lipschitz constant L_rho, which with the target's Holder
+# exponent sizes the bias perturbation of ``fit_dynamic``
+_DECODER_LIPSCHITZ = 1.0
+
+
 def perturbation_step(eps: float, L_rho: float, alpha: float, latent_dim: int) -> float:
     """Largest power of two below (eps / (8 L_rho))^(1/alpha) / sqrt(L)."""
+    if min(eps, L_rho, alpha, latent_dim) <= 0:
+        raise DomainError("perturbation step inputs eps, L_rho, alpha and the latent "
+                          "dimension must be positive")
     bound = (eps / (8.0 * L_rho)) ** (1.0 / alpha) / math.sqrt(latent_dim)
     if bound <= 0:
         raise DomainError("perturbation bound must be positive")
@@ -307,8 +315,6 @@ class DynamicFitConfig(Config):
     decoder_anchors: int = 64
     decoder_level: int = 64
     decoder_config: StaticFitConfig = StaticFitConfig()
-    decoder_lipschitz: float = 1.0  # with holder_exponent, sizes the bias perturbation
-    holder_exponent: float | None = None  # by default the target's
     seed: int | None = None  # of the memorization; 0 if absent
     c_rate: Callable[[int], float] | None = None  # when given, adds normalized-error scoring
 
@@ -392,8 +398,7 @@ def fit_dynamic(
         )
 
     # -- stage (iii): pairwise distinctness -------------------------------
-    alpha = config.holder_exponent if config.holder_exponent is not None else float(fcm.alpha)
-    step = perturbation_step(eps, config.decoder_lipschitz, alpha, L)
+    step = perturbation_step(eps, _DECODER_LIPSCHITZ, float(fcm.alpha), L)
     thetas, applied = make_distinct(thetas, md_enc, step)
 
     # -- stage (iv): shared decoder on the union of encoder outputs -------

@@ -35,6 +35,14 @@ def mid_quantile_levels(k: int) -> np.ndarray:
     return (2.0 * np.arange(1, k + 1) - 1.0) / (2.0 * k)
 
 
+def quantile_atoms(xs: np.ndarray, weights: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The quantile function of the sorted 1-D support ``xs`` with weights
+    ``weights`` at the probabilities ``levels``: for each level, the first
+    atom whose cumulative weight reaches it (the last atom past the total)."""
+    idx = np.searchsorted(np.cumsum(weights), levels, side="left")
+    return xs[np.minimum(idx, len(xs) - 1)]
+
+
 def validate_simplex_weight(entries: np.ndarray, tol: float = WEIGHT_SUM_TOL) -> np.ndarray:
     """Check that ``entries`` is a point of the simplex and return it as an array.
 
@@ -80,25 +88,19 @@ def _strictly_increasing(atoms: np.ndarray) -> bool:
     return bool(greater.all())
 
 
-def _merge_rows(atoms: np.ndarray, weights: np.ndarray):
+def _merge_rows(atoms: np.ndarray, *weights: np.ndarray) -> tuple:
     """Sum weights of exactly-equal rows; rows ordered lexicographically.
 
-    ``weights`` is a vector or a matrix with one column per weight vector;
-    each column is summed in row order within a group, from +0.0
-    (``np.bincount`` for a vector, ``np.add.at`` for a matrix).
+    Returns the distinct rows, then one summed vector per weight vector
+    given: each ``np.bincount`` adds a group's weights in row order, from
+    +0.0.
     """
     order = np.lexsort(atoms.T[::-1])
     atoms = atoms[order]
-    weights = weights[order]
     starts = np.ones(len(atoms), dtype=bool)
     starts[1:] = (atoms[1:] != atoms[:-1]).any(axis=1)
     group = np.cumsum(starts) - 1
-    out_atoms = atoms[starts]
-    if weights.ndim == 1:
-        return out_atoms, np.bincount(group, weights)
-    out_weights = np.zeros((len(out_atoms),) + weights.shape[1:])
-    np.add.at(out_weights, group, weights)
-    return out_atoms, out_weights
+    return (atoms[starts], *(np.bincount(group, w[order]) for w in weights))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .measures import (
     GaussianMeasure,
     PathMeasure,
     _merge_rows,
+    quantile_atoms,
     validate_simplex_weight,
 )
 
@@ -106,46 +107,16 @@ def farthest_point_order(points: np.ndarray, first: int, count: int) -> tuple[li
 _LINE_EXHAUSTED = 1e-17
 
 
-def _quantile_coupling(x: list, wx: list, y: list, wy: list, p: float) -> tuple[float, list]:
-    """The monotone quantile coupling of two sorted one-dimensional supports.
-
-    North-west corner rule on the weight lists.  Returns the transport cost
-    sum of mass * |x_i - y_j|^p, added in arc order, and the arcs (i, j) in
-    order.  Each arc shares its row or its column with the one before,
-    except where both lines run out together; a line counts as used up
-    once at most ``_LINE_EXHAUSTED`` of its mass is left.  Optimal on the
-    line for every p >= 1, because |x - y|^p is convex in x - y.  Each
-    arc's mass follows ``min``'s tie rule (``ai`` unless ``bj`` is smaller)
-    without the call.
-    """
-    arcs = []
-    cost = 0.0
-    i = j = 0
-    nx, ny = len(wx), len(wy)
-    ai, bj = wx[0], wy[0]
-    while True:
-        m = bj if bj < ai else ai
-        cost += m * abs(x[i] - y[j]) ** p
-        arcs.append((i, j))
-        ai -= m
-        bj -= m
-        if ai <= _LINE_EXHAUSTED:
-            i += 1
-            if i == nx:
-                break
-            ai = wx[i]
-        if bj <= _LINE_EXHAUSTED:
-            j += 1
-            if j == ny:
-                break
-            bj = wy[j]
-    return cost, arcs
-
-
 def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
-    """The cost of ``_quantile_coupling``, bit for bit, without its arcs.
+    """The cost of the monotone quantile coupling of two sorted 1-D supports.
 
-    At p = 1 the power is skipped: |d| ** 1.0 is |d| exactly.
+    North-west corner rule on the weight lists: the sum of
+    mass * |x_i - y_j|^p, added in arc order.  Each arc's mass follows
+    ``min``'s tie rule (``ai`` unless ``bj`` is smaller) without the call;
+    a line counts as used up once at most ``_LINE_EXHAUSTED`` of its mass
+    is left.  Optimal on the line for every p >= 1, because |x - y|^p is
+    convex in x - y.  At p = 1 the power is skipped: |d| ** 1.0 is |d|
+    exactly.
     """
     cost = 0.0
     unit = p == 1.0
@@ -171,6 +142,53 @@ def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
     return cost
 
 
+def _quantile_potentials(x: list, wx: list, y: list, wy: list, p: float) -> tuple[float, list]:
+    """``_quantile_cost`` together with optimal potentials u on the rows.
+
+    The same north-west walk.  Its staircase of arcs is completed to a
+    spanning tree by zero-mass arcs: one at (i, j - 1) wherever both lines
+    run out together, and the rows left after the columns ran out hang
+    from the last column.  Each potential is set as the walk reaches its
+    line, so that u_i + v_j = |x_i - y_j|^p on every tree arc, rooted at
+    u_0 = 0: the rule ``transport_cost`` applies to its final tree.  A
+    staircase is a north-west corner basis and |x - y|^p is a Monge cost,
+    so these potentials are dual feasible, hence optimal.
+    """
+    u = [0.0] * len(x)
+    cost = 0.0
+    i = j = 0
+    nx, ny = len(wx), len(wy)
+    ai, bj = wx[0], wy[0]
+    c = abs(x[0] - y[0]) ** p
+    v = c  # v_j of the current column
+    while True:
+        m = bj if bj < ai else ai
+        cost += m * c
+        ai -= m
+        bj -= m
+        row_done = ai <= _LINE_EXHAUSTED
+        if row_done:
+            i += 1
+            if i == nx:
+                break
+            ai = wx[i]
+        if bj <= _LINE_EXHAUSTED:
+            j += 1
+            if j == ny:
+                for k in range(i if row_done else i + 1, nx):
+                    u[k] = abs(x[k] - y[j - 1]) ** p - v
+                break
+            bj = wy[j]
+            if row_done:
+                u[i] = abs(x[i] - y[j - 1]) ** p - v
+            c = abs(x[i] - y[j]) ** p
+            v = c - u[i]
+        else:
+            c = abs(x[i] - y[j]) ** p
+            u[i] = c - v
+    return cost, u
+
+
 def _diagonal_cost(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     """``_quantile_cost`` at p = 1 for equal weight vectors w, bit for bit.
 
@@ -182,37 +200,10 @@ def _diagonal_cost(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return float(np.cumsum(w * np.abs(x - y))[-1])
 
 
-def _staircase_potentials(x: list, y: list, arcs: list, p: float) -> list:
-    """Potentials u on the rows of the quantile coupling's spanning tree.
-
-    The staircase is completed to a spanning tree by zero-mass arcs: one
-    at (i, j_prev) wherever both indices advance together, and the rows or
-    columns left after the coupling stopped hang from the last column or
-    row.  Along the tree, u_i + v_j = |x_i - y_j|^p on every arc, the rule
-    ``transport_cost`` applies to its final tree, rooted here at u_0 = 0.
-    A staircase is a north-west corner basis and |x - y|^p is a Monge
-    cost, so these potentials are dual feasible, hence optimal.
-    """
-    tree = []
-    pi, pj = arcs[0]
-    for i, j in arcs:
-        if i != pi and j != pj:
-            tree.append((i, pj))
-        tree.append((i, j))
-        pi, pj = i, j
-    tree += [(k, pj) for k in range(pi + 1, len(x))]
-    tree += [(len(x) - 1, k) for k in range(pj + 1, len(y))]
-    u = [0.0] * len(x)
-    v = [0.0] * len(y)
-    pi = tree[0][0]
-    for i, j in tree:
-        c = abs(x[i] - y[j]) ** p
-        if i == pi:
-            v[j] = c - u[i]
-        else:
-            u[i] = c - v[j]
-        pi = i
-    return u
+def ground_cost(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """The matrix |x_i - y_j|^p of Euclidean distances between the rows of
+    ``x`` and ``y``, each raised to the power p."""
+    return np.linalg.norm(x[:, None] - y[None], axis=2) ** p
 
 
 _EPS = float(np.finfo(float).eps)
@@ -510,6 +501,8 @@ def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> f
 
     Returns the optimal transport cost with ground cost |x-y|^p, raised to
     1/p.  Zero exactly when the (canonical) weighted atom sets coincide.
+    In one dimension only the coupling's cost is walked, or summed along
+    the diagonal for equal weights at p = 1.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
@@ -517,17 +510,23 @@ def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> f
         raise DomainError(f"dimension mismatch {mu.dim} != {nu.dim}")
     if mu.equal_as_measure(nu):
         return 0.0
-    return max(transport_potential(mu, nu, p, potential=False)[0], 0.0) ** (1.0 / p)
+    if mu.dim > 1:
+        cost = transport_cost(mu.weights, nu.weights, ground_cost(mu.atoms, nu.atoms, p)).value
+    elif p == 1.0 and len(mu) == len(nu) and (mu.weights == nu.weights).all():
+        cost = _diagonal_cost(mu.atoms[:, 0], nu.atoms[:, 0], mu.weights)
+    else:
+        cost = _quantile_cost(mu.atoms[:, 0].tolist(), mu.weights.tolist(),
+                              nu.atoms[:, 0].tolist(), nu.weights.tolist(), p)
+    return max(cost, 0.0) ** (1.0 / p)
 
 
-def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-                        potential: bool = True) -> tuple[float, np.ndarray | None]:
+def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                        p: float) -> tuple[float, np.ndarray]:
     """Optimal cost min E|X - Y|^p over couplings of mu and nu, with an
-    optimal dual potential u on mu's atoms (None when ``potential`` is off).
+    optimal dual potential u on mu's atoms.
 
     In one dimension the plan is the quantile coupling and u its staircase
-    tree potential (with ``potential`` off, only the cost is walked, or
-    summed along the diagonal for equal weights at p = 1); otherwise u is
+    tree potential (``_quantile_potentials``); otherwise u is
     ``transport_cost(...).u``.  With its
     c-transform u^c(z) = min_i |x_i - z|^p - u_i, which equals the optimal
     potential v on nu's support, u is an optimal dual pair; u^c is also the
@@ -536,18 +535,11 @@ def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     nu' - nu wherever the optimal potentials are unique.
     """
     if mu.dim == 1:
-        if (not potential and p == 1.0 and len(mu) == len(nu)
-                and (mu.weights == nu.weights).all()):
-            return _diagonal_cost(mu.atoms[:, 0], nu.atoms[:, 0], mu.weights), None
-        x, y = mu.atoms[:, 0].tolist(), nu.atoms[:, 0].tolist()
-        wx, wy = mu.weights.tolist(), nu.weights.tolist()
-        if not potential:
-            return _quantile_cost(x, wx, y, wy, p), None
-        cost, arcs = _quantile_coupling(x, wx, y, wy, p)
-        return cost, np.array(_staircase_potentials(x, y, arcs, p))
-    diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-    plan = transport_cost(mu.weights, nu.weights, np.linalg.norm(diff, axis=2) ** p)
-    return plan.value, plan.u if potential else None
+        cost, u = _quantile_potentials(mu.atoms[:, 0].tolist(), mu.weights.tolist(),
+                                       nu.atoms[:, 0].tolist(), nu.weights.tolist(), p)
+        return cost, np.array(u)
+    plan = transport_cost(mu.weights, nu.weights, ground_cost(mu.atoms, nu.atoms, p))
+    return plan.value, plan.u
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +567,7 @@ def adapted_wasserstein_p(mu: PathMeasure, nu: PathMeasure, p: float = 1.0) -> f
         return 0.0
     value = None  # value[i, j]: optimal cost of the subtrees of nodes i, j of the depth below
     for a, b in zip(reversed(mu.levels), reversed(nu.levels)):
-        cost = np.linalg.norm(a.values[:, None, :] - b.values[None, :, :], axis=2) ** p
+        cost = ground_cost(a.values, b.values, p)
         if value is not None:
             cost += value
         sa, sb = a.starts.tolist(), b.starts.tolist()
@@ -599,17 +591,17 @@ def adapted_wasserstein_p(mu: PathMeasure, nu: PathMeasure, p: float = 1.0) -> f
 def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """l1 distance of weight vectors after aligning on the union of supports.
 
-    One merge of both (canonical) atom sets carries the two weight vectors
-    as separate columns, so every weight is carried over exactly and equal
-    measures give exactly 0.
+    One merge of both (canonical) atom sets carries the two weight vectors,
+    each zero-padded to the union, so every weight is carried over exactly
+    and equal measures give exactly 0.
     """
     if mu.dim != nu.dim:
         raise DomainError(f"dimension mismatch {mu.dim} != {nu.dim}")
-    weights = np.zeros((len(mu) + len(nu), 2))
-    weights[:len(mu), 0] = mu.weights
-    weights[len(mu):, 1] = nu.weights
-    _, merged = _merge_rows(np.concatenate([mu.atoms, nu.atoms]), weights)
-    return float(np.abs(merged[:, 0] - merged[:, 1]).sum())
+    zeros_mu, zeros_nu = np.zeros(len(mu)), np.zeros(len(nu))
+    _, a, b = _merge_rows(np.concatenate([mu.atoms, nu.atoms]),
+                          np.concatenate([mu.weights, zeros_nu]),
+                          np.concatenate([zeros_mu, nu.weights]))
+    return float(np.abs(a - b).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -721,25 +713,11 @@ def wasserstein2_barycenter_1d(measures: list[DiscreteMeasure], weights) -> Disc
     for m in measures:
         if m.dim != 1:
             raise UnsupportedError("barycenters are only supported on the real line")
-    cuts = {0.0, 1.0}
-    for m in measures:
-        c = np.cumsum(m.weights)
-        cuts.update(float(v) for v in c[:-1])
-    grid = sorted(cuts)
-    quantiles = []
-    for m in measures:
-        xs = m.atoms[:, 0]
-        cum = np.cumsum(m.weights)
-        quantiles.append((xs, cum))
-    atoms = []
-    masses = []
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        u = 0.5 * (lo + hi)
-        val = 0.0
-        for (xs, cum), wn in zip(quantiles, w):
-            idx = int(np.searchsorted(cum, u, side="left"))
-            idx = min(idx, len(xs) - 1)
-            val += wn * xs[idx]
-        atoms.append([val])
-        masses.append(hi - lo)
-    return DiscreteMeasure(np.array(atoms), np.array(masses) / np.sum(masses))
+    grid = np.unique(np.concatenate(
+        [[0.0, 1.0]] + [np.cumsum(m.weights)[:-1] for m in measures]))
+    levels = 0.5 * (grid[:-1] + grid[1:])
+    atoms = np.zeros(len(levels))
+    for m, wn in zip(measures, w):
+        atoms += wn * quantile_atoms(m.atoms[:, 0], m.weights, levels)
+    masses = np.diff(grid)
+    return DiscreteMeasure(atoms[:, None], masses / np.sum(masses))

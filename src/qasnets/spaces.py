@@ -39,12 +39,14 @@ from .measures import (
     PathMeasure,
     mid_quantile_levels,
     mixture,
+    quantile_atoms,
     validate_simplex_weight,
 )
 from .metrics import (
     adapted_wasserstein_p,
     farthest_point_order,
     gaussian_distance,
+    ground_cost,
     project_cube,
     project_simplex,
     spd_log,
@@ -340,8 +342,7 @@ class WassersteinConvex(QasSpace):
             return 0.0, np.zeros(w.size)
         cost, u = transport_potential(y, mixed, self.p)
         atoms = np.concatenate([mu.atoms for mu in points])
-        ground = np.linalg.norm(atoms[:, None, :] - y.atoms[None, :, :], axis=2) ** self.p
-        phi = (ground - u).min(axis=1)
+        phi = (ground_cost(atoms, y.atoms, self.p) - u).min(axis=1)
         starts = np.cumsum([0] + [len(mu) for mu in points[:-1]])
         weights = np.concatenate([mu.weights for mu in points])
         per_point = np.add.reduceat(weights * phi, starts)
@@ -363,12 +364,8 @@ class WassersteinConvex(QasSpace):
         if self.d == 1:
             # q mid-quantile atoms of the empirical quantile function (the
             # atoms are sorted at construction)
-            xs = y.atoms[:, 0]
-            cum = np.cumsum(y.weights)
-            idx = np.searchsorted(cum, mid_quantile_levels(q), side="left")
-            idx = np.minimum(idx, len(xs) - 1)
-            z = xs[idx]
-            return QuantizationCode(z, q)
+            return QuantizationCode(quantile_atoms(y.atoms[:, 0], y.weights,
+                                                   mid_quantile_levels(q)), q)
         # d >= 2: proportional atom replication when the budget allows it,
         # greedy k-center snapping from the heaviest atom otherwise
         if len(y.atoms) <= q:

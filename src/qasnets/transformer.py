@@ -318,8 +318,7 @@ class ClassifierTrainConfig(TrainConfig):
 
 @dataclass(frozen=True)
 class StaticFitConfig(Config):
-    """The config of ``fit_static_constructive``; the keys from ``warm_train``
-    on are read by ``fit_static_end2end`` only."""
+    """The config of ``fit_static_constructive``."""
 
     activation: str = "singular"  # exact classifier; "smooth"/"classical" are trained
     hidden: int | None = None  # width of a trained classifier
@@ -327,23 +326,20 @@ class StaticFitConfig(Config):
     train: ClassifierTrainConfig = ClassifierTrainConfig()
     holder_exponent: float = 1.0  # with lipschitz, enters the reported bound
     lipschitz: float | None = None  # estimated from data when absent
-    warm_train: ClassifierTrainConfig | None = None
-    warm_start: bool = True
-    codes: tuple[QuantizationCode, ...] | None = None
-    md: MultiIndex | None = None
-    theta0: tuple[float, ...] | None = None
-    loss_exponent: float | None = None
-    fd_step: float = 1e-5
 
 
 @dataclass(frozen=True)
 class End2EndFitConfig(StaticFitConfig):
-    """The same block as ``fit_static_end2end`` reads it: the activation
-    defaults to "smooth", and ``train`` drives the refinement with plain
-    ``TrainConfig`` defaults."""
+    """The config of ``fit_static_end2end``: the activation defaults to
+    "smooth", ``train`` drives the refinement with plain ``TrainConfig``
+    defaults, and the constructive keys configure the warm start."""
 
     activation: str = "smooth"
     train: TrainConfig = TrainConfig()
+    warm_train: ClassifierTrainConfig | None = None  # the warm start's classifier
+    codes: tuple[QuantizationCode, ...] | None = None  # fixed codes: no warm start
+    md: MultiIndex | None = None
+    theta0: tuple[float, ...] | None = None
 
 
 def _sup_error(space, targets, xs, gt):
@@ -472,7 +468,7 @@ def fit_static_end2end(
     train_x,
     space: QasSpace,
     budget: dict,
-    config: dict | StaticFitConfig | None = None,
+    config: dict | End2EndFitConfig | None = None,
 ) -> tuple[GeometricTransformer, FitReport]:
     """Gradient refinement of the encoder against the output-space loss.
 
@@ -482,10 +478,9 @@ def fit_static_end2end(
     simplex weights by the space's ``mixing_loss_grad``: for the
     Wasserstein space with convex mixing that is the envelope gradient
     from one optimal transport's dual potentials, elsewhere central
-    finite differences (``fd_step``).  Requires a smooth or classical
-    activation; codes stay fixed (they come from the constructive stage
-    or from ``codes``).  The config keys are the fields of
-    ``End2EndFitConfig``.
+    finite differences.  Requires a smooth or classical activation; codes
+    stay fixed (they come from the constructive stage or from ``codes``).
+    The config keys are the fields of ``End2EndFitConfig``.
     """
     t0 = time.perf_counter()
     config = from_json(End2EndFitConfig, config or {}, "config")
@@ -510,8 +505,7 @@ def fit_static_end2end(
             label_amplitude=config.label_amplitude, train=warm_train,
             holder_exponent=config.holder_exponent, lipschitz=config.lipschitz))
         codes, points = gt0.codes, gt0.images
-        if config.warm_start:
-            warm_theta, warm_md = gt0.theta, gt0.md
+        warm_theta, warm_md = gt0.theta, gt0.md
     else:
         points = tuple(space.quantize(c) for c in codes)
     targets = [f(x) for x in xs]
@@ -527,9 +521,7 @@ def fit_static_end2end(
     else:
         theta = init_theta(md, spec, rng, tc.init_scale)
 
-    p = config.loss_exponent if config.loss_exponent is not None else float(
-        getattr(space, "p", 2.0))
-    h_fd = config.fd_step
+    p = float(getattr(space, "p", 2.0))
     history = []
 
     n = len(xs)
@@ -550,7 +542,7 @@ def fit_static_end2end(
             total = 0.0
             gu = np.empty_like(logits)
             for i, (y, w) in enumerate(zip(targets, weights)):
-                val, gw = space.mixing_loss_grad(y, w, points, p, h_fd)
+                val, gw = space.mixing_loss_grad(y, w, points, p)
                 gu[i] = _simplex_projection_jacobian(w).T @ gw
                 total += val
             history.append(total / n)

@@ -470,7 +470,10 @@ def exact_assignment_network_reference(centers: np.ndarray, domain_points: np.nd
 
 
 def quantile_coupling_reference(x: list, wx: list, y: list, wy: list, p: float):
-    """``metrics._quantile_coupling`` with the builtin ``min`` and ``len`` per arc."""
+    """The monotone quantile coupling of two sorted 1-D supports, as the
+    cost and the list of arcs (i, j) of its north-west corner walk, with the
+    builtin ``min`` and ``len`` per arc.  ``metrics._quantile_cost`` and
+    ``metrics._quantile_potentials`` give its cost without the list."""
     arcs = []
     cost = 0.0
     i = j = 0
@@ -492,6 +495,58 @@ def quantile_coupling_reference(x: list, wx: list, y: list, wy: list, p: float):
                 break
             bj = wy[j]
     return cost, arcs
+
+
+def staircase_potentials_reference(x: list, y: list, arcs: list, p: float) -> list:
+    """The potentials u that ``metrics._quantile_potentials`` returns, from
+    the arcs of ``quantile_coupling_reference``: the staircase completed to
+    a spanning tree as a list of arcs, then walked from u_0 = 0."""
+    tree = []
+    pi, pj = arcs[0]
+    for i, j in arcs:
+        if i != pi and j != pj:
+            tree.append((i, pj))
+        tree.append((i, j))
+        pi, pj = i, j
+    tree += [(k, pj) for k in range(pi + 1, len(x))]
+    tree += [(len(x) - 1, k) for k in range(pj + 1, len(y))]
+    u = [0.0] * len(x)
+    v = [0.0] * len(y)
+    pi = tree[0][0]
+    for i, j in tree:
+        c = abs(x[i] - y[j]) ** p
+        if i == pi:
+            v[j] = c - u[i]
+        else:
+            u[i] = c - v[j]
+        pi = i
+    return u
+
+
+def wasserstein2_barycenter_1d_reference(measures, weights):
+    """``metrics.wasserstein2_barycenter_1d`` with a set of cuts and one
+    scalar quantile lookup per cell and measure."""
+    from qasnets.measures import DiscreteMeasure
+
+    w = np.asarray(weights, dtype=float)
+    cuts = {0.0, 1.0}
+    for m in measures:
+        c = np.cumsum(m.weights)
+        cuts.update(float(v) for v in c[:-1])
+    grid = sorted(cuts)
+    quantiles = [(m.atoms[:, 0], np.cumsum(m.weights)) for m in measures]
+    atoms = []
+    masses = []
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        u = 0.5 * (lo + hi)
+        val = 0.0
+        for (xs, cum), wn in zip(quantiles, w):
+            idx = int(np.searchsorted(cum, u, side="left"))
+            idx = min(idx, len(xs) - 1)
+            val += wn * xs[idx]
+        atoms.append([val])
+        masses.append(hi - lo)
+    return DiscreteMeasure(np.array(atoms), np.array(masses) / np.sum(masses))
 
 
 def merge_rows_reference(atoms: np.ndarray, weights: np.ndarray):

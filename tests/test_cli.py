@@ -374,9 +374,9 @@ class TestTypedValues:
          "static-fit.fit.train.lr must be a finite number, got 'x'"),
         ("static-fit", {"budgets": {"N": "x"}}, "static-fit.budgets.N must be an array, got 'x'"),
         ("static-fit", {"budgets": {"N": []}}, "static-fit.budgets needs at least one N and one q"),
-        ("static-fit", {"fit": {"md": [1, 4, 2]}},
+        ("static-fit", {"mode": "end2end", "fit": {"md": [1, 4, 2]}},
          "static-fit.fit.md must be a MultiIndex, got [1, 4, 2]"),
-        ("static-fit", {"fit": {"codes": [[0.0], [1.0]]}},
+        ("static-fit", {"mode": "end2end", "fit": {"codes": [[0.0], [1.0]]}},
          "static-fit.fit.codes[0] must be a QuantizationCode, got [0.0]"),
         ("paths", {"sde": [1]}, "paths.sde must be an object, got [1]"),
         ("dynamic-fit", {"compression": 5}, "dynamic-fit.compression must be an object, got 5"),
@@ -388,6 +388,17 @@ class TestTypedValues:
          "static-fit.train_points must be a non-negative integer, got -1"),
         ("dynamic-fit", {"eval_points": -1},
          "dynamic-fit.eval_points must be a non-negative integer, got -1"),
+        # keys that no fit reads are not keys
+        ("dynamic-fit", {"fit": {"holder_exponent": 0}},
+         "unknown keys in dynamic-fit.fit: ['holder_exponent']"),
+        ("dynamic-fit", {"fit": {"decoder_lipschitz": 0}},
+         "unknown keys in dynamic-fit.fit: ['decoder_lipschitz']"),
+        ("dynamic-fit", {"fit": {"decoder_config": {"theta0": [1.0]}}},
+         "unknown keys in dynamic-fit.fit.decoder_config: ['theta0']"),
+        ("static-fit", {"fit": {"warm_start": False, "fd_step": 3}},
+         "unknown keys in static-fit.fit: ['fd_step', 'warm_start']"),
+        ("static-fit", {"mode": "end2end", "fit": {"loss_exponent": 1.0}},
+         "unknown keys in static-fit.fit: ['loss_exponent']"),
     ])
     def test_bad_value_names_block_and_key(self, tmp_path, capsys, command, override, message):
         code, _ = run(tmp_path, command, dict(self.BASE[command], **override))
@@ -398,6 +409,13 @@ class TestTypedValues:
     @pytest.mark.parametrize("command", sorted(BASE))
     def test_base_configs_run(self, tmp_path, command):
         assert run(tmp_path, command, self.BASE[command])[0] == 0
+
+    @pytest.mark.parametrize("eps", [-1, 0])
+    def test_paths_eps_outside_unit_interval_prints_one_line(self, tmp_path, eps):
+        # a fresh interpreter, so numpy's warnings would reach stderr
+        proc = run_cli_fresh(tmp_path, "paths", dict(self.BASE["paths"], eps=eps))
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: eps must be in (0, 1]\n", proc.stderr
 
 
 class TestUnreadableFiles:

@@ -1,8 +1,11 @@
-"""The typed config reader: ``config.from_json`` and ``fields_to_json``."""
+"""The typed config reader: ``config.from_json`` and ``fields_to_json``, and
+the fit configs it reads."""
 
 import collections.abc
 import dataclasses
+import inspect
 import math
+import re
 import types
 import typing
 from typing import Callable
@@ -14,7 +17,14 @@ from hypothesis import strategies as st
 
 from qasnets.config import Config, PositiveInt, fields_to_json, from_json
 from qasnets.errors import DomainError
+from qasnets.hyper import DynamicFitConfig, fit_dynamic
 from qasnets.networks import MultiIndex, TrainConfig
+from qasnets.transformer import (
+    End2EndFitConfig,
+    StaticFitConfig,
+    fit_static_constructive,
+    fit_static_end2end,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,3 +152,16 @@ def test_fields_to_json_round_trips():
     obj = fields_to_json(out)
     assert obj == {"name": "a", "inner": Inner(n=2), "xs": [1.5, 2.0]}
     assert fields_to_json(TrainConfig(lr=0.3)) == dataclasses.asdict(TrainConfig(lr=0.3))
+
+
+@pytest.mark.parametrize("config_cls, fit", [
+    (StaticFitConfig, fit_static_constructive),
+    (End2EndFitConfig, fit_static_end2end),
+    (DynamicFitConfig, fit_dynamic),
+], ids=["constructive", "end2end", "dynamic"])
+def test_every_fit_key_is_read(config_cls, fit):
+    # a field the fit never reads is a config key that silently does nothing
+    source = inspect.getsource(fit)
+    unread = [f.name for f in dataclasses.fields(config_cls)
+              if not re.search(rf"\bconfig\.{f.name}\b", source)]
+    assert unread == [], f"{fit.__name__} never reads {unread}"

@@ -270,6 +270,13 @@ class TestConstructiveEncoders:
         assert s <= (0.4 / 8.0) / np.sqrt(2)
         assert math.log2(s) == int(math.log2(s))
 
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0, 2), (0.4, 0.0, 1.0, 2),
+                                      (0.4, 1.0, 0.0, 2), (0.4, 1.0, 1.0, 0),
+                                      (-0.4, 1.0, 1.0, 2)])
+    def test_perturbation_step_rejects_nonpositive_inputs(self, args):
+        with pytest.raises(DomainError, match="must be positive"):
+            perturbation_step(*args)
+
     def test_make_distinct(self):
         md = MultiIndex((1, 2))
         base = np.zeros(param_count(md))

@@ -70,7 +70,8 @@ class TestCanonicalMeasure:
 
 
 class TestMergeRowsKernel:
-    """``_merge_rows`` is bit for bit the searchsorted / ``np.add.at`` form."""
+    """``_merge_rows`` is bit for bit the searchsorted / ``np.add.at`` form,
+    one weight vector at a time or several as the columns of one matrix."""
 
     @given(n=st.integers(1, 30), d=st.integers(1, 3), columns=st.integers(0, 3),
            seed=st.integers(0, 2**16))
@@ -84,12 +85,16 @@ class TestMergeRowsKernel:
         weights = rng.choice([0.0, -0.0, 0.125, 0.25, 1 / 3], size=shape)
         spread = rng.random(shape) < 0.5
         weights[spread] = rng.random(int(spread.sum()))
-        got_atoms, got_weights = _merge_rows(atoms, weights)
+        vectors = [weights] if columns == 0 else list(weights.T)
+        got_atoms, *got_weights = _merge_rows(atoms, *vectors)
         want_atoms, want_weights = merge_rows_reference(atoms, weights)
         assert got_atoms.tobytes() == want_atoms.tobytes()
-        assert got_weights.shape == want_weights.shape
-        assert got_weights.dtype == want_weights.dtype
-        assert got_weights.tobytes() == want_weights.tobytes()
+        want_vectors = [want_weights] if columns == 0 else list(want_weights.T)
+        assert len(got_weights) == len(want_vectors)
+        for got, want in zip(got_weights, want_vectors):
+            assert got.shape == want.shape
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def assert_reference_bits(mu, atoms, weights):

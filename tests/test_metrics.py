@@ -10,7 +10,13 @@ from scipy.optimize import linear_sum_assignment
 
 from qasnets import metrics
 from qasnets.errors import DomainError, SolverNonTermination, UnsupportedError
-from qasnets.measures import DiscreteMeasure, GaussianMeasure, PathMeasure, mixture
+from qasnets.measures import (
+    WEIGHT_SUM_TOL,
+    DiscreteMeasure,
+    GaussianMeasure,
+    PathMeasure,
+    mixture,
+)
 from qasnets.metrics import (
     adapted_wasserstein_p,
     convergent_power_sum,
@@ -31,7 +37,9 @@ from oracles import (
     marginal_check,
     qp_simplex_oracle,
     quantile_coupling_reference,
+    staircase_potentials_reference,
     transport_vertices,
+    wasserstein2_barycenter_1d_reference,
     wasserstein_oracle,
 )
 
@@ -208,25 +216,46 @@ def tie_heavy_simplex(rng, n, kind):
     return rng.dirichlet(np.ones(n)).tolist()
 
 
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
 class TestQuantileCouplingKernel:
-    """``_quantile_coupling`` is bit for bit the loop with builtin ``min``
-    and ``len`` per arc, in cost and arcs; ``_quantile_cost`` in cost."""
+    """``_quantile_potentials`` is bit for bit the arc walk with builtin
+    ``min`` and ``len`` per arc in its cost, and the staircase tree walked
+    from its arc list in u; ``_quantile_cost`` is it in cost."""
 
     @given(m=st.integers(1, 40), n=st.integers(1, 40), p=st.sampled_from([1.0, 1.5, 2.0]),
            kinds=st.tuples(*[st.sampled_from(["equal", "ties", "spread"])] * 2),
+           surplus=st.sampled_from([0.0, WEIGHT_SUM_TOL / 10, -WEIGHT_SUM_TOL / 10]),
            seed=st.integers(0, 2**16))
-    def test_bitwise_equal_to_reference(self, m, n, p, kinds, seed):
+    def test_bitwise_equal_to_reference(self, m, n, p, kinds, surplus, seed):
         rng = np.random.default_rng(seed)
         # supports on a small grid, so atoms of the two sides coincide
         x = np.sort(rng.integers(-3, 4, size=m) / 2.0).tolist()
         y = np.sort(rng.integers(-3, 4, size=n) / 2.0).tolist()
         wx, wy = tie_heavy_simplex(rng, m, kinds[0]), tie_heavy_simplex(rng, n, kinds[1])
-        cost, arcs = metrics._quantile_coupling(x, wx, y, wy, p)
+        # unequal totals within the tolerance leave rows (surplus > 0) or
+        # columns (surplus < 0) after the other side ran out
+        wx = [w * (1.0 + surplus) for w in wx]
+        cost, u = metrics._quantile_potentials(x, wx, y, wy, p)
         want_cost, want_arcs = quantile_coupling_reference(x, wx, y, wy, p)
         assert cost.hex() == want_cost.hex()
-        assert arcs == want_arcs
+        assert hexes(u) == hexes(staircase_potentials_reference(x, y, want_arcs, p))
         # the cost-only walk that ``wasserstein_p`` runs
         assert metrics._quantile_cost(x, wx, y, wy, p).hex() == want_cost.hex()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_rows_left_hang_from_the_last_column(self, p):
+        x, y = [0.0, 1.0, 2.5, 4.0, 5.0], [0.5, 3.0]
+        # both lines run out together at (2, 1), with two rows left
+        wx = [0.25, 0.25, 0.5 - 1e-13, 5e-14, 5e-14]
+        wy = [0.5, 0.5 - 1e-13]
+        cost, u = metrics._quantile_potentials(x, wx, y, wy, p)
+        want_cost, want_arcs = quantile_coupling_reference(x, wx, y, wy, p)
+        assert want_arcs[-1] == (2, 1)
+        assert cost.hex() == want_cost.hex()
+        assert hexes(u) == hexes(staircase_potentials_reference(x, y, want_arcs, p))
 
     @given(n=st.integers(1, 40), p=st.sampled_from([1.0, 1.5, 2.0]),
            kind=st.sampled_from(["equal", "ties", "spread"]), seed=st.integers(0, 2**16))
@@ -240,8 +269,9 @@ class TestQuantileCouplingKernel:
         wx, wy = mu.weights.tolist(), nu.weights.tolist()
         want_cost, want_arcs = quantile_coupling_reference(x.tolist(), wx, y.tolist(), wy, p)
         assert want_arcs == [(i, i) for i in range(n)]
-        cost, _ = metrics.transport_potential(mu, nu, p, potential=False)
-        assert cost.hex() == want_cost.hex()
+        if p == 1.0:
+            assert metrics._diagonal_cost(x, y, mu.weights).hex() == want_cost.hex()
+        assert wasserstein_p(mu, nu, p) == max(want_cost, 0.0) ** (1.0 / p)
 
     def test_distance_walks_cost_only(self, monkeypatch):
         mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.5]]), [0.2, 0.5, 0.3])
@@ -250,11 +280,11 @@ class TestQuantileCouplingKernel:
         cost, _ = metrics.transport_potential(mu, nu, 1.5)
 
         def refuse(*args):
-            raise AssertionError("the arc walk ran")
+            raise AssertionError("the potential walk ran")
 
-        monkeypatch.setattr(metrics, "_quantile_coupling", refuse)
+        monkeypatch.setattr(metrics, "_quantile_potentials", refuse)
         assert metrics.wasserstein_p(mu, nu, 1.5) == want == cost ** (1.0 / 1.5)
-        with pytest.raises(AssertionError, match="the arc walk ran"):
+        with pytest.raises(AssertionError, match="the potential walk ran"):
             metrics.transport_potential(mu, nu, 1.5)
 
 
@@ -411,8 +441,8 @@ class TestTransportPotential:
         rng = np.random.default_rng(9)
         for dim in (1, 2):
             mu, nu = random_measure(rng, 5, dim), random_measure(rng, 5, dim)
-            cost, u = transport_potential(mu, nu, 2.0, potential=False)
-            assert u is None
+            cost, u = transport_potential(mu, nu, 2.0)
+            assert u.shape == (len(mu),)
             assert cost ** 0.5 == wasserstein_p(mu, nu, 2.0)
 
 
@@ -681,6 +711,21 @@ class TestBarycenter1d:
                     sum(wj * wasserstein_p(yi, yj, 2) ** 2 for wj, yj in zip(w, measures))
                 )
                 assert wasserstein_p(bary, yi, 2) <= bound + 1e-9
+
+    @given(k=st.integers(1, 4), sizes=st.lists(st.integers(1, 12), min_size=4, max_size=4),
+           kinds=st.lists(st.sampled_from(["equal", "ties", "spread"]), min_size=4, max_size=4),
+           seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_reference(self, k, sizes, kinds, seed):
+        rng = np.random.default_rng(seed)
+        # grid atoms and tied weights, so cuts of different measures coincide
+        measures = [DiscreteMeasure(rng.integers(-3, 4, size=(n, 1)) / 2.0,
+                                    tie_heavy_simplex(rng, n, kind))
+                    for n, kind in zip(sizes[:k], kinds)]
+        w = tie_heavy_simplex(rng, k, kinds[-1])
+        got = wasserstein2_barycenter_1d(measures, w)
+        want = wasserstein2_barycenter_1d_reference(measures, w)
+        assert got.atoms.tobytes() == want.atoms.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
 
     def test_rejects_higher_dim(self):
         with pytest.raises(UnsupportedError):

@@ -449,8 +449,10 @@ class TestFitEnd2End:
         config = {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20}}
         gt, rep = fit_static_end2end(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
                                      dict(config, train={"epochs": 0}))
+        # the warm start's classifier, trained by the constructive fit
         warm, _ = fit_static_constructive(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
-                                          dict(config, train={"epochs": 20}))
+                                          {"activation": "smooth", "hidden": 4,
+                                           "train": {"epochs": 20}})
         assert rep.extras["epochs_run"] == 0 and rep.final_loss is None
         np.testing.assert_array_equal(gt.theta, warm.theta)
 
