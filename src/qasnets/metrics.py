@@ -527,8 +527,8 @@ def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     In one dimension the plan is the quantile coupling and u its staircase
     tree potential (``_quantile_potentials``); otherwise u is
-    ``transport_cost(...).u``.  With its
-    c-transform u^c(z) = min_i |x_i - z|^p - u_i, which equals the optimal
+    ``transport_cost(...).u``.  With its c-transform
+    u^c(z) = min_i |x_i - z|^p - u_i, which equals the optimal
     potential v on nu's support, u is an optimal dual pair; u^c is also the
     largest potential on atoms that nu does not charge, which makes
     <u^c, nu' - nu> the one-sided derivative of the cost in direction
