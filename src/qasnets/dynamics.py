@@ -158,8 +158,6 @@ class KZ:
     """Paths confined to a fixed compact set at every time."""
     K: object
 
-    tag: str = field(default="kz", init=False)
-
 
 @dataclass(frozen=True)
 class KInf:
@@ -167,8 +165,6 @@ class KInf:
     K: object
     C: float
     p: float
-
-    tag: str = field(default="kinf", init=False)
 
     def __post_init__(self):
         if self.C <= 0 or self.p <= 0:
@@ -187,8 +183,6 @@ class KAlpha:
     p: float
     alpha: float
 
-    tag: str = field(default="kalpha", init=False)
-
     def __post_init__(self):
         if self.C <= 0 or self.p <= 1:
             raise DomainError("C must be positive and p > 1")
@@ -202,8 +196,6 @@ class KW:
     K: object
     w: Callable[[int], float]
 
-    tag: str = field(default="kw", init=False)
-
 
 @dataclass(frozen=True)
 class KExp:
@@ -214,8 +206,6 @@ class KExp:
     Cn: Callable[[int], float]
     eps: float
     delta_minus: float
-
-    tag: str = field(default="kexp", init=False)
     _envelopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -739,8 +729,10 @@ def euler_simulate(alpha_fn: Callable, beta_fn: Callable, x0_spec, grid: TimeGri
     return [PathWindow(grid, v, lo) for v in values]
 
 
-def fit_exponential_envelope(paths: list[PathWindow], eps: float,
-                             safety: float = 1.000001) -> KExp:
+_ENVELOPE_SAFETY = 1.000001  # relative margin on the fitted C0 and C_star
+
+
+def fit_exponential_envelope(paths: list[PathWindow], eps: float) -> KExp:
     """Fit the exponential-envelope class constants from simulated moments.
 
     Per-step Chebyshev with a union bound over the window: the target
@@ -762,7 +754,7 @@ def fit_exponential_envelope(paths: list[PathWindow], eps: float,
     m2 = np.mean(norms**2, axis=0)
     # a tiny floor keeps the constants solvable for degenerate (all-zero) data
     targets = np.maximum(np.sqrt(m2 * steps / eps), 1e-9)
-    c0 = max(float(targets[0]), float(norms[:, 0].max()) * safety, 1e-12)
+    c0 = max(float(targets[0]), float(norms[:, 0].max()) * _ENVELOPE_SAFETY, 1e-12)
     if n_max == 0:
         return KExp(C0=c0, Cstar=1.0, Cn=lambda n: 1.0, eps=eps, delta_minus=delta_minus)
 
@@ -773,7 +765,7 @@ def fit_exponential_envelope(paths: list[PathWindow], eps: float,
     cstar = max(
         float(targets[n]) * math.sqrt(eps) / g(n, 1.0 / (n * delta_minus))
         for n in range(1, n_max + 1)
-    ) * safety
+    ) * _ENVELOPE_SAFETY
 
     cn_values = {}
     for n in range(1, n_max + 1):

@@ -160,6 +160,10 @@ def self_compression(ght: Ght, paths: Sequence[PathWindow], N_T: int, lam: float
     return worst
 
 
+# the self-compression factor's lambda is this over eps
+_SELF_COMPRESSION_SCALE = 8.0
+
+
 def normalized_error(
     target,
     ght: Ght,
@@ -168,7 +172,6 @@ def normalized_error(
     c_rate: Callable[[int], float],
     N_T: int,
     eps: float,
-    lam: float | None = None,
 ) -> dict:
     """sup over the evaluable window of distance / compression denominator.
 
@@ -177,7 +180,7 @@ def normalized_error(
     horizon (inside, the convention sets it to 1, so within-window scores
     are plain sup distances whenever the other factors are 1 there).
     """
-    lam = 8.0 / eps if lam is None else lam
+    lam = _SELF_COMPRESSION_SCALE / eps
     n_lo = max(p.first_index for p in paths) + ght.memory
     n_hi = min(p.last_index for p in paths)
     rows = []
@@ -256,14 +259,17 @@ def perturbation_step(eps: float, L_rho: float, alpha: float, latent_dim: int) -
     return 2.0 ** math.floor(math.log2(bound))
 
 
-def make_distinct(thetas: list[np.ndarray], md: MultiIndex, step: float,
-                  max_retries: int = 60) -> tuple[list[np.ndarray], float]:
+_DISTINCT_RETRIES = 60  # step halvings make_distinct tries
+
+
+def make_distinct(thetas: list[np.ndarray], md: MultiIndex,
+                  step: float) -> tuple[list[np.ndarray], float]:
     """Perturb output biases minimally until all parameter vectors differ.
 
     Distinct offsets below the allowed step go into the first output bias
     coordinate; the step halves on the (unlikely) retry.
     """
-    for attempt in range(max_retries):
+    for attempt in range(_DISTINCT_RETRIES):
         seen = {t.tobytes() for t in thetas}
         if len(seen) == len(thetas):
             return thetas, 0.0 if attempt == 0 else step * 2.0

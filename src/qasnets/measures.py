@@ -43,21 +43,21 @@ def quantile_atoms(xs: np.ndarray, weights: np.ndarray, levels: np.ndarray) -> n
     return xs[np.minimum(idx, len(xs) - 1)]
 
 
-def validate_simplex_weight(entries: np.ndarray, tol: float = WEIGHT_SUM_TOL) -> np.ndarray:
+def validate_simplex_weight(entries: np.ndarray) -> np.ndarray:
     """Check that ``entries`` is a point of the simplex and return it as an array.
 
     Entries must be nonnegative and sum to 1 within absolute tolerance
-    ``tol``; the vector must be nonempty.
+    ``WEIGHT_SUM_TOL``; the vector must be nonempty.
     """
     w = np.asarray(entries, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise DomainError("simplex weight must be a nonempty vector")
     if not np.isfinite(w).all():
         raise DomainError("simplex weight entries must be finite")
-    if (w < -tol).any():
+    if (w < -WEIGHT_SUM_TOL).any():
         raise DomainError(f"simplex weight entries must be nonnegative, got min {w.min()}")
     s = float(w.sum())
-    if abs(s - 1.0) > max(tol, tol * w.size):
+    if abs(s - 1.0) > WEIGHT_SUM_TOL * w.size:
         raise DomainError(f"simplex weight entries must sum to 1, got {s!r}")
     return w
 

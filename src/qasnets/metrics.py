@@ -668,12 +668,17 @@ def gaussian_distance(a: GaussianMeasure, b: GaussianMeasure) -> float:
 # convergent power sums
 # ---------------------------------------------------------------------------
 
-def convergent_power_sum(s: float, tol: float = 1e-9, max_terms: int = 20_000_000) -> float:
+_POWER_SUM_TOL = 1e-9  # absolute error of convergent_power_sum
+_POWER_SUM_MAX_TERMS = 20_000_000
+
+
+def convergent_power_sum(s: float) -> float:
     """sum_{k>=1} k^s for s < -1, by partial sums with an integral tail bound.
 
     The tail sum_{k>n} k^s is bracketed by the integrals over [n+1, inf)
     and [n, inf); the midpoint of the bracket is added once its half-width
-    is below ``tol``, so the absolute error is at most ``tol``.
+    is below ``_POWER_SUM_TOL``, so the absolute error is at most that.
+    More than ``_POWER_SUM_MAX_TERMS`` terms raise ``DomainError``.
     """
     if not np.isfinite(s) or s >= -1.0:
         raise DomainError(f"exponent must be < -1 for convergence, got {s}")
@@ -686,12 +691,11 @@ def convergent_power_sum(s: float, tol: float = 1e-9, max_terms: int = 20_000_00
         n += block
         hi = n**(s + 1.0) / (-s - 1.0)
         lo = (n + 1.0) ** (s + 1.0) / (-s - 1.0)
-        if 0.5 * (hi - lo) <= tol:
+        if 0.5 * (hi - lo) <= _POWER_SUM_TOL:
             return total + 0.5 * (hi + lo)
-        if n >= max_terms:
-            raise DomainError(
-                f"power sum with s={s} needs more than {max_terms} terms for tol={tol}"
-            )
+        if n >= _POWER_SUM_MAX_TERMS:
+            raise DomainError(f"power sum with s={s} needs more than {_POWER_SUM_MAX_TERMS} "
+                              f"terms for tol={_POWER_SUM_TOL}")
         block = min(2 * block, 4_194_304)
 
 

@@ -437,8 +437,11 @@ def slope_increments(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.vstack([slopes[:1], slopes[1:] - slopes[:-1]])
 
 
+_MEMORIZE_TRIES = 64  # random projections tried by memorize_sequence
+
+
 def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_horizon: int,
-                      seed: int = 0, max_tries: int = 64):
+                      seed: int = 0):
     """ReLU network of shape [P, M, M, P] interpolating v_n -> v_{n+1} exactly.
 
     Construction: project the keys through a random linear functional with
@@ -466,7 +469,7 @@ def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_hori
     rng = np.random.default_rng(seed)
 
     best = None
-    for attempt in range(max_tries):
+    for attempt in range(_MEMORIZE_TRIES):
         a = rng.normal(size=P)
         a /= np.linalg.norm(a)
         s = keys @ a
@@ -506,6 +509,6 @@ def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_hori
         if residual <= 1e-6:
             return md, theta, SINGULAR
     raise FitFailure(
-        f"memorization residual {best[0]:.3g} above 1e-6 after {max_tries} projections",
+        f"memorization residual {best[0]:.3g} above 1e-6 after {_MEMORIZE_TRIES} projections",
         {"residual": best[0]},
     )

@@ -5,7 +5,10 @@ simplex weights plus anchor points into a new point (exact on vertices,
 with a controlled deviation inequality), and a family of Euclidean-coded
 quantizers Q_q.  Geometric attention is the composition
 
-    attention(u, codes) = mix(project_simplex(u), [quantize(c) for c in codes]).
+    attention(u, images) = mix(project_simplex(u), images),
+
+where ``images`` are the quantized codes Q(z_n) of a model, which a
+``GeometricTransformer`` computes once, when it is built.
 
 Six concrete variants are provided:
 
@@ -140,12 +143,10 @@ class QasSpace:
     def _quantize_impl(self, code: QuantizationCode):
         raise NotImplementedError
 
-    def encode_point(self, y, q: int) -> tuple[QuantizationCode, float]:
-        """Variant-specific near-best code for y at level q, with its error."""
+    def encode_point(self, y, q: int) -> QuantizationCode:
+        """Variant-specific near-best code for y at level q."""
         self.check_point(y)
-        code = self._encode_impl(y, q)
-        err = self.distance(self.quantize(code), y)
-        return code, err
+        return self._encode_impl(y, q)
 
     def _encode_impl(self, y, q: int) -> QuantizationCode:
         raise NotImplementedError
@@ -163,28 +164,22 @@ class QasSpace:
         raise NotImplementedError
 
     # -- attention -----------------------------------------------------------
-    def attention(self, u, codes: Sequence[QuantizationCode], images: Sequence | None = None):
-        """eta(project_simplex(u), [quantize(c) for c in codes]).
+    def attention(self, u, images: Sequence):
+        """eta(project_simplex(u), images), where ``images`` are the
+        quantized codes of a model (``GeometricTransformer.images``).
 
-        At a simplex vertex e_i the result is the image of ``codes[i]``
-        itself, with no mixing arithmetic.  ``images``, when given, must
-        hold those images already (a model whose codes are fixed quantizes
-        them once), and is used instead of quantizing again.  A 2-D ``u``
-        holds one logit row per input and gives the list of their outputs,
-        with one projection for all rows; a 1-D ``u`` is its one-row case.
+        At a simplex vertex e_i the result is ``images[i]`` itself, with no
+        mixing arithmetic.  A 2-D ``u`` holds one logit row per input and
+        gives the list of their outputs, with one projection for all rows;
+        a 1-D ``u`` is its one-row case.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.ndim > 2 or u.shape[-1] != len(codes):
-            raise DomainError(f"logit rows of shape {u.shape} for {len(codes)} codes")
-        qs = {c.q for c in codes}
-        if len(qs) != 1:
-            raise DomainError(f"codes must share one level, got {sorted(qs)}")
+        if u.ndim > 2 or u.shape[-1] != len(images):
+            raise DomainError(f"logit rows of shape {u.shape} for {len(images)} images")
 
         def attend(w):
             i = _is_basis_vector(w)
-            if i is not None:
-                return self.quantize(codes[i]) if images is None else images[i]
-            return self.mix(w, [self.quantize(c) for c in codes] if images is None else images)
+            return images[i] if i is not None else self.mix(w, images)
 
         outs = [attend(w) for w in np.atleast_2d(project_simplex(u))]
         return outs if u.ndim == 2 else outs[0]
@@ -246,8 +241,7 @@ class QasSpace:
         while q <= q_cap:
             worst = 0.0
             for y in sample:
-                _, err = self.encode_point(y, q)
-                worst = max(worst, err)
+                worst = max(worst, self.distance(self.quantize(self.encode_point(y, q)), y))
             if worst < eps:
                 return q
             if worst < best_err:

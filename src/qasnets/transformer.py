@@ -85,9 +85,7 @@ class GeometricTransformer:
         qs = {c.q for c in self.codes}
         if len(qs) != 1:
             raise DomainError("codes must share a single quantization level")
-        for c in self.codes:
-            if c.z.size != self.space.code_length(c.q):
-                raise DomainError("invalid code length for the space")
+        # ``quantize`` checks each code's length against the space
         object.__setattr__(self, "images", tuple(self.space.quantize(c) for c in self.codes))
         object.__setattr__(self, "blocks", assignment_blocks(self.md, self.activation, self.theta))
 
@@ -108,7 +106,7 @@ class GeometricTransformer:
         """Outputs at a stack of inputs, one row each: one ``forward``, one
         simplex projection of all logit rows, then a vertex pick or a mix
         per row.  Each output is the one its input gives alone."""
-        return self.space.attention(self.logits(np.atleast_2d(xs)), self.codes, self.images)
+        return self.space.attention(self.logits(np.atleast_2d(xs)), self.images)
 
     def __call__(self, x):
         return self.evaluate(np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
@@ -378,12 +376,7 @@ def fit_static_constructive(
     idx, radius = farthest_point_net(xs, n_budget)
     centers = xs[idx]
     targets = [f(x) for x in xs]
-    codes = []
-    qerrs = []
-    for i in idx:
-        code, err = space.encode_point(targets[i], q)
-        codes.append(code)
-        qerrs.append(err)
+    codes = [space.encode_point(targets[i], q) for i in idx]
 
     labels = nearest_center_labels(xs, centers)
     if config.activation == "singular":
@@ -400,6 +393,7 @@ def fit_static_constructive(
         theta, _ = train_regression(md, spec, list(zip(xs, onehot)), config.train)
 
     gt = GeometricTransformer(space, md, spec, theta, codes)
+    qerrs = [space.distance(image, targets[i]) for image, i in zip(gt.images, idx)]
 
     # classification defect: distance between the model output and the
     # nearest-center code image it should have selected; the same output
@@ -428,13 +422,16 @@ def fit_static_constructive(
     return gt, report
 
 
-def _estimate_lipschitz(space, targets, xs, alpha, max_pairs=200):
+_LIPSCHITZ_PAIRS = 200  # random input pairs of the Lipschitz estimate
+
+
+def _estimate_lipschitz(space, targets, xs, alpha):
     rng = np.random.default_rng(0)
     n = len(xs)
     if n < 2:
         return 0.0
     best = 0.0
-    pairs = min(max_pairs, n * (n - 1) // 2)
+    pairs = min(_LIPSCHITZ_PAIRS, n * (n - 1) // 2)
     for _ in range(pairs):
         i, j = rng.integers(0, n, size=2)
         if i == j:
@@ -449,18 +446,15 @@ def _estimate_lipschitz(space, targets, xs, alpha, max_pairs=200):
 # end-to-end gradient fit
 # ---------------------------------------------------------------------------
 
-def _simplex_projection_jacobian(w: np.ndarray) -> np.ndarray:
-    """Jacobian of the sort-threshold projection, given its result w.
-
-    On the active set S = {i : w_i > 0} the projection is
-    w_i = u_i - (sum_S u - 1)/|S|, so the Jacobian is (I - 11^T/|S|) on S
-    and zero elsewhere; at ties the sorted-threshold branch decides
-    membership.
+def _projection_cotangent(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """J^T g per row, J the Jacobian of the sort-threshold projection at its
+    results ``weights``.  On the active set S = {i : w_i > 0} (at ties the
+    sorted-threshold branch decides S) the projection is
+    w_i = u_i - (sum_S u - 1)/|S|, so J^T g is g - mean_S(g) on S, 0 off it.
     """
-    active = np.nonzero(w > 0.0)[0]
-    J = np.zeros((w.size, w.size))
-    J[np.ix_(active, active)] = np.eye(active.size) - 1.0 / active.size
-    return J
+    active = weights > 0.0
+    mean = np.where(active, g, 0.0).sum(axis=1) / active.sum(axis=1)
+    return np.where(active, g - mean[:, None], 0.0)
 
 
 def fit_static_end2end(
@@ -540,11 +534,11 @@ def fit_static_end2end(
                 raise FitFailure(f"training diverged: {exc} at epoch {epoch + 1} (lr {tc.lr})",
                                  {"epoch": epoch + 1}) from exc
             total = 0.0
-            gu = np.empty_like(logits)
+            gw = np.empty_like(logits)
             for i, (y, w) in enumerate(zip(targets, weights)):
-                val, gw = space.mixing_loss_grad(y, w, points, p)
-                gu[i] = _simplex_projection_jacobian(w).T @ gw
+                val, gw[i] = space.mixing_loss_grad(y, w, points, p)
                 total += val
+            gu = _projection_cotangent(weights, gw)
             history.append(total / n)
             if history[-1] < best_loss:
                 best_loss, best_theta = history[-1], np.array(theta)
@@ -776,7 +770,10 @@ def verify_packing(cloud: np.ndarray, center0: int, r: float, chosen: list[int],
     return True
 
 
-def metric_capacity_estimate(cloud, delta: float, trials: int = 200, seed: int = 0) -> int:
+_CAPACITY_SEED = 0  # seed of the random restarts of the capacity search
+
+
+def metric_capacity_estimate(cloud, delta: float, trials: int = 200) -> int:
     """Certified lower bound of the packing capacity of a finite point set.
 
     Random-restart greedy search over centers x0 and radii r for the
@@ -790,7 +787,7 @@ def metric_capacity_estimate(cloud, delta: float, trials: int = 200, seed: int =
         raise DomainError("need at least two points")
     if not 0 < delta <= 1:
         raise DomainError("delta must be in (0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CAPACITY_SEED)
     pd = np.linalg.norm(cloud[:, None] - cloud[None, :], axis=2)
     rmax = pd.max() * 1.5
     best = 0

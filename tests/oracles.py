@@ -775,6 +775,21 @@ def marginal_check(pm, tol: float = 0.0) -> bool:
     return not leaves
 
 
+def simplex_projection_jacobian_reference(w: np.ndarray) -> np.ndarray:
+    """The dense Jacobian of the sort-threshold projection, given its
+    result w: the reference of ``transformer._projection_cotangent``.
+
+    On the active set S = {i : w_i > 0} the projection is
+    w_i = u_i - (sum_S u - 1)/|S|, so the Jacobian is (I - 11^T/|S|) on S
+    and zero elsewhere; at ties the sorted-threshold branch decides
+    membership.
+    """
+    active = np.nonzero(w > 0.0)[0]
+    J = np.zeros((w.size, w.size))
+    J[np.ix_(active, active)] = np.eye(active.size) - 1.0 / active.size
+    return J
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------

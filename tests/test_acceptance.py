@@ -161,7 +161,8 @@ def test_04_attention_identity_six_variants():
             i = int(rng.integers(0, n))
             u = np.zeros(n)
             u[i] = 1.0
-            worst = max(worst, space.distance(space.attention(u, codes),
+            images = [space.quantize(c) for c in codes]
+            worst = max(worst, space.distance(space.attention(u, images),
                                               space.quantize(codes[i])))
         ok = ok and worst == 0.0
         detail.append(f"{space.kind}:{worst:.0e}")

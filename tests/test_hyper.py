@@ -322,6 +322,23 @@ class TestFitDynamic:
                     oracle.evaluate(p, n), ght_eval(ght, p, n), 1))
         assert worst <= 0.1
 
+    def test_quantizes_each_decoder_code_once(self, monkeypatch):
+        calls = []
+        real = WassersteinConvex.quantize
+        monkeypatch.setattr(WassersteinConvex, "quantize",
+                            lambda self, code: calls.append(code) or real(self, code))
+        ght, _ = fit_dynamic(
+            sin_drift_target(k=64), self.make_paths(), N_T=4,
+            space=WassersteinConvex(d=1, p=1.0, q_exponent=2.0), eps=0.4,
+            config={"grid_points": 17, "domain_lo": -1.0, "domain_hi": 1.0,
+                    "decoder_anchors": 64, "decoder_level": 64},
+        )
+        # the decoder's images are quantized when it is built, and every
+        # later evaluation and reported error reads them
+        assert len(ght.decoder.codes) == 64
+        assert len(calls) == 64
+        assert all(any(c is code for code in ght.decoder.codes) for c in calls)
+
     def test_replay_matches_stored_thetas_within_window(self):
         space = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)
         target = sin_drift_target(k=32)

@@ -99,21 +99,22 @@ class TestAttentionIdentity:
             i = int(rng.integers(0, n))
             u = np.zeros(n)
             u[i] = 1.0
-            got = space.attention(u, codes)
+            got = space.attention(u, [space.quantize(c) for c in codes])
             want = space.quantize(codes[i])
             assert space.distance(got, want) == 0.0
 
     def test_uniform_three_diracs(self):
         space = w_space(1, 1.0)
         codes = [QuantizationCode([float(v)], 1) for v in (0.0, 1.0, 2.0)]
-        out = space.attention([0.5, 0.5, 0.5], codes)
+        out = space.attention([0.5, 0.5, 0.5], [space.quantize(c) for c in codes])
         want = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), np.full(3, 1 / 3))
         assert wasserstein_p(out, want, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_exponential_family_selects_projected_parameter(self):
         space = ExponentialFamily(d=2)
         z1, z2 = np.array([1.5, -0.2]), np.array([0.3, 0.4])
-        out = space.attention([1.0, 0.0], [QuantizationCode(z1, 1), QuantizationCode(z2, 1)])
+        codes = [QuantizationCode(z1, 1), QuantizationCode(z2, 1)]
+        out = space.attention([1.0, 0.0], [space.quantize(c) for c in codes])
         np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_exponential_family_output_in_cube(self):
@@ -121,7 +122,7 @@ class TestAttentionIdentity:
         rng = RNG(5)
         for _ in range(50):
             codes = [QuantizationCode(rng.normal(scale=3, size=3), 1) for _ in range(4)]
-            out = space.attention(rng.normal(size=4), codes)
+            out = space.attention(rng.normal(size=4), [space.quantize(c) for c in codes])
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
@@ -307,20 +308,20 @@ class TestEncode:
     def test_exactly_representable(self):
         space = w_space(1)
         y = DiscreteMeasure(np.array([[0.0], [2.0]]), [0.5, 0.5])
-        code, err = space.encode_point(y, 2)
-        assert err == 0.0
+        code = space.encode_point(y, 2)
+        assert space.distance(space.quantize(code), y) == 0.0
 
     def test_linear_truncation_exact_on_short_support(self):
         space = LinearSchauder()
         y = np.array([1.0, -2.0, 0.5])
-        code, err = space.encode_point(y, 5)
-        assert err == 0.0
+        code = space.encode_point(y, 5)
+        assert space.distance(space.quantize(code), y) == 0.0
 
     def test_gaussian_exact(self):
         space = GaussianSpd(d=2)
         y = random_gaussian(RNG(9), 2)
-        code, err = space.encode_point(y, 1)
-        assert err < 1e-10
+        code = space.encode_point(y, 1)
+        assert space.distance(space.quantize(code), y) < 1e-10
 
     def test_truncated_normal_midquantiles_match_cdf_oracle(self):
         # fine discretization of N(0,1) on [-3,3], encoded at q=8
@@ -331,7 +332,8 @@ class TestEncode:
         fine_atoms = truncnorm.ppf(probs, -3, 3)
         y = DiscreteMeasure.uniform(fine_atoms.reshape(-1, 1))
         space = w_space(1)
-        code, err = space.encode_point(y, 8)
+        code = space.encode_point(y, 8)
+        err = space.distance(space.quantize(code), y)
         # independent W1 oracle: integral of |F_mu - F_nu|
         xs = np.sort(np.concatenate([fine_atoms, code.z]))
         grid = np.linspace(xs[0] - 0.1, xs[-1] + 0.1, 20001)
@@ -350,8 +352,8 @@ class TestEncode:
         rng = RNG(d)
         y = DiscreteMeasure(rng.normal(size=(3, d)), [0.5, 0.125, 0.375])
         for q in (8, 16):
-            code, err = space.encode_point(y, q)
-            assert err == 0.0
+            code = space.encode_point(y, q)
+            assert space.distance(space.quantize(code), y) == 0.0
             assert code.z.size == d * q
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -362,14 +364,14 @@ class TestEncode:
             n = int(rng.integers(3, 30))
             q = int(rng.integers(1, n))
             y = DiscreteMeasure(rng.normal(size=(n, d)), rng.dirichlet(np.ones(n)))
-            code, _ = space.encode_point(y, q)
+            code = space.encode_point(y, q)
             assert np.array_equal(code.z, kcenter_code_reference(y.atoms, y.weights, q))
 
     def test_adapted_replication_weights(self):
         space = AdaptedEmpirical(d=1, T=1, p=1.0)
         y = PathMeasure.from_paths(np.array([[0.25], [0.75]]), np.array([0.75, 0.25]))
-        code, err = space.encode_point(y, 4)
-        assert err == 0.0  # weights representable at q=4 and atoms on the grid
+        code = space.encode_point(y, 4)
+        assert space.distance(space.quantize(code), y) == 0.0  # weights representable at q=4 and atoms on the grid
 
 
 class TestModulus:
@@ -404,11 +406,14 @@ class TestModulus:
         space = w_space(1)
         eps = 0.05
         q = space.quantization_modulus_estimate(sample, eps)
+
+        def err(y, q):
+            return space.distance(space.quantize(space.encode_point(y, q)), y)
+
         for y in sample:
-            _, err = space.encode_point(y, q)
-            assert err < eps
+            assert err(y, q) < eps
         if q > 1:
-            worst_prev = max(space.encode_point(y, q - 1)[1] for y in sample)
+            worst_prev = max(err(y, q - 1) for y in sample)
             assert worst_prev >= eps
 
     def test_search_cap(self):

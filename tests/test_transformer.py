@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qasnets.errors import DomainError, FitFailure, UnsupportedError
 from qasnets.measures import DiscreteMeasure
-from qasnets.metrics import wasserstein_p
+from qasnets.metrics import project_simplex, wasserstein_p
 from qasnets.networks import MultiIndex, SINGULAR, SMOOTH_SIGMOID, _layout, forward, param_count
 from qasnets.spaces import QuantizationCode, WassersteinConvex
 from qasnets.transformer import (
@@ -29,7 +29,8 @@ from qasnets.transformer import (
     verify_packing,
 )
 
-from oracles import alpha_mask, exact_assignment_network_reference
+from oracles import (alpha_mask, exact_assignment_network_reference,
+                     simplex_projection_jacobian_reference)
 
 
 def w1_space():
@@ -82,7 +83,8 @@ class TestGtEval:
         assert len(calls) == 6
         out = mixed([0.3])
         assert len(calls) == 6
-        assert out.equal_as_measure(space.attention(np.zeros(3), codes))
+        images = [space.quantize(c) for c in codes]
+        assert out.equal_as_measure(space.attention(np.zeros(3), images))
         with pytest.raises(dataclasses.FrozenInstanceError):
             gt.theta = np.zeros(param_count(md))
 
@@ -309,8 +311,10 @@ class TestFitConstructive:
             return symmetric_pair_target(x)
 
         gt, rep = fit_static_constructive(target, xs, space, {"N": 6, "q": 2})
-        # one quantization per code when encoding it, one for the model's images
-        assert len(calls) == 2 * len(gt.codes)
+        # one quantization per code, for the model's images; the reported
+        # quantization errors read those images
+        assert len(gt.codes) == 6
+        assert len(calls) == len(gt.codes)
         assert all(any(c is code for code in gt.codes) for c in calls)
         # the target is evaluated once per training input, Lipschitz pairs included
         assert sorted(evaluated) == sorted(xs[:, 0].tolist())
@@ -336,6 +340,38 @@ class TestFitConstructive:
         )
         assert gt.activation.kind == "smooth"
         assert rep.sup_error < 0.5
+
+
+class TestProjectionCotangent:
+    """``_projection_cotangent``, the closed form g - mean_S(g) on the active
+    set, against J^T g for the dense Jacobian of the projection."""
+
+    @given(k=st.integers(1, 12), seed=st.integers(0, 2**16))
+    @example(k=1, seed=0)
+    def test_matches_dense_jacobian(self, k, seed):
+        from qasnets.transformer import _projection_cotangent
+
+        rng = np.random.default_rng(seed)
+        one = rng.normal(size=k)
+        one[rng.integers(k)] += 2.0 + np.ptp(one)  # a vertex: one active entry
+        top = rng.choice(k, size=rng.integers(1, k + 1), replace=False)
+        tied = np.full(k, rng.normal())
+        tied[np.setdiff1d(np.arange(k), top)] -= 2.0  # the tied top entries are active
+        spread = rng.uniform(-0.4, 0.4, size=k) / k  # within 1/k: every entry active
+        boundary = np.zeros(k)
+        boundary[top] = 1.0 / len(top)  # the others sit at or next to the threshold
+        u = np.stack([one, tied, spread, boundary, rng.normal(scale=3.0, size=k)])
+        w = project_simplex(u)
+        assert [np.count_nonzero(r) for r in w[:3]] == [1, len(top), k]
+        g = rng.normal(size=u.shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=(len(u), 1))
+        got = _projection_cotangent(w, g)
+        want = np.stack([simplex_projection_jacobian_reference(wi).T @ gi
+                         for wi, gi in zip(w, g)])
+        vertex = np.count_nonzero(w, axis=1) == 1
+        np.testing.assert_array_equal(got[vertex], want[vertex])
+        np.testing.assert_array_equal(got[w == 0.0], 0.0)
+        bound = (k + 2) * np.finfo(float).eps * np.abs(g).max(axis=1)
+        assert (np.abs(got - want) <= bound[:, None]).all()
 
 
 class TestFitEnd2End:
