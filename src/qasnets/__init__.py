@@ -10,7 +10,7 @@ The package is organized as:
 * :mod:`qasnets.networks`     -- feedforward nets with trainable activations,
   the flat parameter codec, training, and constructive memorization
 * :mod:`qasnets.transformer`  -- static models, fit procedures, complexity
-  calculators, metric-capacity estimation
+  calculators
 * :mod:`qasnets.dynamics`     -- time grids, path classes, causal maps,
   compression rates, path simulation
 * :mod:`qasnets.hyper`        -- the dynamic model (parameter-schedule

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import Config, NonNegativeInt, PositiveInt, from_json
-from .errors import DomainError, FitFailure, QuantizationSearchError, UnsupportedError
+from .errors import DomainError, FitFailure, UnsupportedError
 from .measures import DiscreteMeasure, measure_from_json, numeric_array
 from .metrics import adapted_wasserstein_p, gaussian_distance, total_variation, wasserstein_p
 from .dynamics import (
@@ -63,7 +63,7 @@ from .transformer import (
 class CommandConfig(Config):
     """The keys every command takes."""
 
-    seed: int | None = None
+    seed: NonNegativeInt | None = None
     threads: PositiveInt = 1
 
 
@@ -580,7 +580,7 @@ def main(argv=None) -> int:
     except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FitFailure, QuantizationSearchError, UnsupportedError, ArithmeticError) as exc:
+    except (FitFailure, UnsupportedError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -8,8 +8,7 @@ Beyond the data types, this module provides
 
 * membership tests (with slack reports) for the five compact path classes,
 * finite-memory causal maps assembled from encoder/decoder pairs,
-  including the one-step SDE kernel map, the two-step adapted variant,
-  and the truncated infinite-memory map,
+  among them the one-step SDE kernel map,
 * the per-class compression-rate formulas used to normalize errors
   outside a finite horizon,
 * seeded Euler-Maruyama path simulation.
@@ -24,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OutOfWindowError, UnsupportedError
-from .measures import DiscreteMeasure, PathMeasure, mid_quantile_levels
+from .errors import DomainError, OutOfWindowError
+from .measures import DiscreteMeasure, mid_quantile_levels
 from .metrics import convergent_power_sum
 
 
@@ -76,8 +75,9 @@ def grid_validate(times) -> TimeGrid:
     return grid
 
 
-def uniform_grid(n_past: int, n_future: int, dt: float = 1.0) -> TimeGrid:
-    return grid_validate(np.arange(-n_past, n_future + 1) * dt)
+def uniform_grid(n_past: int, n_future: int) -> TimeGrid:
+    """The integer times -n_past, ..., n_future."""
+    return grid_validate(np.arange(-n_past, n_future + 1))
 
 
 @dataclass
@@ -503,110 +503,6 @@ def sde_kernel_map(mu: Callable, sigma: Callable, delta: float, nu: DiscreteMeas
     )
 
 
-def sde_two_step_adapted(mu: Callable, sigma: Callable, m: int, first_points: int = 16,
-                         cond_points: int = 16) -> FiniteComplexityMap:
-    """Two-step conditional law of a scalar SDE as an adapted path measure.
-
-    The latent vector packs (x + mu(t,x), sigma(t,x)) plus the second-step
-    drift and diffusion evaluated at the m Gaussian quantile points of the
-    first step.  The decoder lays a quantile grid over the first step and
-    attaches, per quantile cell of the standardized first step, the
-    conditional Gaussian held by that cell's latent parameters.
-
-    The coefficients follow ``euler_simulate``'s shape contract with
-    d = 1: each is called on a (P, 1) stack of states, once for the first
-    step and once, at the P * m quantile points, for the second.
-    """
-    if m < 1:
-        raise DomainError("need at least one quantile cell")
-    qs = ndtri(np.arange(1, m + 1) / (m + 1.0))  # increasing quantiles
-
-    def coefficients(t, x):
-        """Drift and diffusion at the (P,) states x, one value each."""
-        states = x[:, None]
-        drift = _drift_rows(mu(t, states), states)
-        diff = _stacked_diffusion(sigma(t, states), len(x), 1)
-        return drift[:, 0], np.broadcast_to(diff, (len(x), 1, 1))[:, 0, 0]
-
-    def encoder(t, windows):
-        if windows.shape[2] != 1:
-            raise UnsupportedError("the two-step adapted map is scalar only")
-        P = len(windows)
-        x = windows[:, -1, 0]
-        mu0, s0 = coefficients(t, x)
-        xq = (x + mu0)[:, None] + s0[:, None] * qs
-        mus, sigmas = coefficients(t + 1.0, xq.reshape(-1))
-        return np.concatenate([(x + mu0)[:, None], s0[:, None],
-                               mus.reshape(P, m), sigmas.reshape(P, m)], axis=1)
-
-    def decode(latent):
-        mu0, s0 = latent[0], latent[1]
-        mus = latent[2 : 2 + m]
-        sigmas = latent[2 + m :]
-        if abs(s0) < 1e-300:
-            first = np.array([mu0])
-        else:
-            first = mu0 + s0 * _normal_axis(first_points)
-        paths = []
-        weights = []
-        w1 = 1.0 / len(first)
-        for x1 in first:
-            z = (x1 - mu0) / s0 if abs(s0) >= 1e-300 else 0.0
-            cell = int(np.searchsorted(qs, z, side="right"))  # 0..m
-            k_eff = max(cell, 1)  # the lowest cell shares the first parameters
-            m2, s2 = mus[k_eff - 1], sigmas[k_eff - 1]
-            # the cell's conditional is N(m2, s2^2) as constructed, centered
-            # at the drift parameter itself
-            if abs(s2) < 1e-300:
-                second = np.array([m2])
-            else:
-                second = m2 + s2 * _normal_axis(cond_points)
-            for x2 in second:
-                paths.append([x1, x2])
-                weights.append(w1 / len(second))
-        return PathMeasure.from_paths(np.asarray(paths)[:, :, None], np.asarray(weights))
-
-    return FiniteComplexityMap(
-        memory=0, latent_dim=2 + 2 * m, alpha=1.0, encoder=encoder,
-        decoder=lambda latents: [decode(row) for row in latents],
-        meta={"kind": "sde_two_step", "m": m},
-    )
-
-
-def infinite_memory_truncation(M: Callable, Sigma: Callable, kernel: Callable[[int], float],
-                               eps: float, memory: int, tail_bound: float | None,
-                               k: int = 16, dim: int = 1) -> FiniteComplexityMap:
-    """Truncate an infinite-memory drift sum to the last ``memory`` states.
-
-    ``kernel(n)`` gives the weight of the state n steps in the past
-    (n <= 0 in map terms); the caller must certify the dropped tail
-    sum_{n < -memory} |kernel(n)|, which bounds the truncation error of
-    the drift (the state functional M maps into the unit cube).  M and
-    Sigma follow ``euler_simulate``'s shape contract, called on (P, dim)
-    stacks of states: M once per lag, Sigma once.
-    """
-    if tail_bound is None:
-        raise DomainError("a certified kernel tail bound is required")
-    d = dim
-
-    def encoder(t, windows):
-        x0 = windows[:, -1]
-        drift = np.zeros_like(x0)
-        for back in range(0, memory + 1):
-            drift += kernel(-back) * _drift_rows(M(t, windows[:, -1 - back]), x0)
-        return _latent_rows(x0 + drift, _stacked_diffusion(Sigma(t, x0), len(x0), d))
-
-    def decoder(latents):
-        clouds = gaussian_quantile_cloud(latents[:, :d], latents[:, d:].reshape(-1, d, d), k)
-        return [DiscreteMeasure.uniform(cloud) for cloud in clouds]
-
-    return FiniteComplexityMap(
-        memory=memory, latent_dim=d + d * d, alpha=1.0, encoder=encoder, decoder=decoder,
-        meta={"kind": "infinite_memory_truncation", "eps": eps, "tail_bound": tail_bound,
-              "reported_output_bound": tail_bound * math.sqrt(d)},
-    )
-
-
 # ---------------------------------------------------------------------------
 # compression rates
 # ---------------------------------------------------------------------------
@@ -673,12 +569,14 @@ def _stacked_diffusion(diff, n_paths: int, dim: int) -> np.ndarray:
 
 
 def euler_simulate(alpha_fn: Callable, beta_fn: Callable, x0_spec, grid: TimeGrid,
-                   n_paths: int, seed: int, dim: int = 1) -> list[PathWindow]:
+                   n_paths: int, seed: int) -> list[PathWindow]:
     """Seeded Euler-Maruyama paths over the full grid window.
 
-    All paths advance together: at each step the coefficients are called
-    once, as alpha_fn(t, X) and beta_fn(t, X), on the stacked states X of
-    shape (n_paths, dim).  The drift must broadcast to (n_paths, dim), one
+    The state dimension dim is the size of the initial state: of x0_spec,
+    or of a Gaussian spec's mean.  All paths advance together: at each step
+    the coefficients are called once, as alpha_fn(t, X) and beta_fn(t, X),
+    on the stacked states X of shape (n_paths, dim).  The drift must
+    broadcast to (n_paths, dim), one
     row per path.  The diffusion is one (dim, r) matrix shared by every
     path, or an (n_paths, dim, r) stack of per-path matrices; a (1, 1)
     matrix stands for that multiple of the identity, and r must not change
@@ -699,10 +597,12 @@ def euler_simulate(alpha_fn: Callable, beta_fn: Callable, x0_spec, grid: TimeGri
     if isinstance(x0_spec, dict):
         if x0_spec.get("kind") != "gaussian":
             raise DomainError(f"unknown initial-state spec {x0_spec.get('kind')!r}")
+        dim = np.size(x0_spec["mean"])
         streams = list(streams)  # each stream draws its start before its noise
         draws = np.array([rng.normal(size=dim) for rng in streams])
         state = np.asarray(x0_spec["mean"], float) + float(x0_spec["std"]) * draws
     else:
+        dim = np.size(x0_spec)
         state = np.broadcast_to(np.asarray(x0_spec, float), (n_paths, dim)).copy()
     values = np.empty((n_paths, steps + 1, dim))
     values[:, 0] = state

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import Config, fields_to_json, from_json
+from .config import Config, NonNegativeInt, fields_to_json, from_json
 from .errors import DomainError, FitFailure
 from .dynamics import FiniteComplexityMap, PathWindow, stack_windows
 from .networks import (
@@ -321,7 +321,7 @@ class DynamicFitConfig(Config):
     decoder_anchors: int = 64
     decoder_level: int = 64
     decoder_config: StaticFitConfig = StaticFitConfig()
-    seed: int | None = None  # of the memorization; 0 if absent
+    seed: NonNegativeInt | None = None  # of the memorization; 0 if absent
     c_rate: Callable[[int], float] | None = None  # when given, adds normalized-error scoring
 
 

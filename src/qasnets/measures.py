@@ -231,13 +231,11 @@ class PathMeasure:
         return self.base.weights
 
     @staticmethod
-    def from_paths(paths, weights=None, step_dim: int | None = None) -> "PathMeasure":
+    def from_paths(paths, weights=None) -> "PathMeasure":
         paths = np.asarray(paths, dtype=float)
         if paths.ndim == 2:  # (n_paths, T) scalar steps
             paths = paths[:, :, None]
         n, T, d = paths.shape
-        if step_dim is not None and step_dim != d:
-            raise DomainError(f"declared step_dim {step_dim} != data step dim {d}")
         if weights is None:
             weights = np.full(n, 1.0 / n)
         base = DiscreteMeasure(paths.reshape(n, T * d), np.asarray(weights, dtype=float))

@@ -16,7 +16,7 @@ alpha = (a1, a2):
 * classical kind:  x -> s(x) with alpha ignored (default: leaky ReLU)
 
 alpha = (1, 0) everywhere gives the plain ReLU sub-family; alpha = (1, 1)
-gives exact identity units, which is what makes depth padding lossless.
+gives exact identity units.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -238,55 +238,6 @@ def forward(md: MultiIndex, spec: ActivationSpec, theta, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# depth / width padding
-# ---------------------------------------------------------------------------
-
-def pad_identity_layer(md: MultiIndex, theta, position: int | None = None) -> tuple[MultiIndex, np.ndarray]:
-    """Insert one exact identity layer (alpha = (1,1)) before the final map.
-
-    The padded network computes the same function because units with
-    alpha = (1,1) implement x -> max(x, x) = x exactly.
-    """
-    layers = decode_params(md, theta)
-    j = len(layers) - 1 if position is None else position
-    width = md.dims[len(layers) - 1] if position is None else md.dims[j]
-    ident = LayerParams(np.eye(width), np.zeros(width), np.tile([1.0, 1.0], (width, 1)))
-    new_layers = layers[:j] + [ident] + layers[j:]
-    new_dims = md.dims[:j + 1] + (width,) + md.dims[j + 1:]
-    md2 = MultiIndex(new_dims)
-    return md2, encode_params(md2, new_layers)
-
-
-def pad_width(md: MultiIndex, theta, target_dims: Iterable[int]) -> tuple[MultiIndex, np.ndarray]:
-    """Grow hidden widths to ``target_dims`` by zero rows/columns.
-
-    Input and output dims must match; extra hidden units get zero incoming
-    and outgoing weights and alpha = (1, 0), so the function is unchanged.
-    """
-    target = tuple(int(d) for d in target_dims)
-    if len(target) != len(md.dims) or target[0] != md.dims[0] or target[-1] != md.dims[-1]:
-        raise DomainError("padding must preserve depth, input dim, and output dim")
-    if any(t < d for t, d in zip(target, md.dims)):
-        raise DomainError("target widths must dominate current widths")
-    layers = decode_params(md, theta)
-    out = []
-    for j, lp in enumerate(layers):
-        din, dout = target[j], target[j + 1]
-        w = np.zeros((dout, din))
-        w[: lp.weight.shape[0], : lp.weight.shape[1]] = lp.weight
-        b = np.zeros(dout)
-        b[: lp.bias.shape[0]] = lp.bias
-        if lp.alpha is None:
-            out.append(LayerParams(w, b, None))
-        else:
-            a = np.tile([1.0, 0.0], (dout, 1))
-            a[: lp.alpha.shape[0]] = lp.alpha
-            out.append(LayerParams(w, b, a))
-    md2 = MultiIndex(target)
-    return md2, encode_params(md2, out)
-
-
-# ---------------------------------------------------------------------------
 # gradient training
 # ---------------------------------------------------------------------------
 
@@ -348,7 +299,7 @@ class TrainConfig(Config):
 
     lr: float = 0.05
     epochs: NonNegativeInt = 2000  # 0 takes no step
-    seed: int = 0
+    seed: NonNegativeInt = 0
     target_loss: float = 0.0
     init_scale: float = 0.5
     train_alpha: bool = True
@@ -508,6 +459,12 @@ def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_hori
             best = (residual, md, theta)
         if residual <= 1e-6:
             return md, theta, SINGULAR
+    if best is None:
+        raise FitFailure(
+            f"no projection separates the keys: in each of {_MEMORIZE_TRIES} tries two "
+            f"projected keys are within 1e-12 * max(1, max |projection|)",
+            {"tries": _MEMORIZE_TRIES},
+        )
     raise FitFailure(
         f"memorization residual {best[0]:.3g} above 1e-6 after {_MEMORIZE_TRIES} projections",
         {"residual": best[0]},

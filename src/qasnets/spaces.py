@@ -29,13 +29,13 @@ Six concrete variants are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import fields_to_json, from_json
-from .errors import DomainError, QuantizationSearchError
+from .errors import DomainError
 from .measures import (
     DiscreteMeasure,
     GaussianMeasure,
@@ -151,18 +151,6 @@ class QasSpace:
     def _encode_impl(self, y, q: int) -> QuantizationCode:
         raise NotImplementedError
 
-    def nest_code(self, code: QuantizationCode) -> QuantizationCode:
-        """A higher-level code with exactly the same image.
-
-        The nesting level is variant specific: for parameter and
-        coefficient variants the next level q+1 works verbatim; for the
-        measure variants exact nesting at consecutive levels is impossible
-        (uniform weights with different denominators, and shifted snap
-        grids), so the constructive witness moves along the explicit
-        subsequence where weights and grids refine exactly.
-        """
-        raise NotImplementedError
-
     # -- attention -----------------------------------------------------------
     def attention(self, u, images: Sequence):
         """eta(project_simplex(u), images), where ``images`` are the
@@ -226,28 +214,6 @@ class QasSpace:
             lhs = self.distance(mixed, yi)
             best = min(best, rhs - lhs)
         return best
-
-    def quantization_modulus_estimate(self, sample: list, eps: float, q_cap: int = 4096) -> int:
-        """Smallest tested level q at which every sample point encodes with
-        error < eps.  Valid only for the provided sample; no claim is made
-        about tail mass of unbounded supports.
-        """
-        if eps <= 0:
-            raise DomainError("eps must be positive")
-        if not sample:
-            raise DomainError("sample must be nonempty")
-        best_q, best_err = 0, math.inf
-        q = 1
-        while q <= q_cap:
-            worst = 0.0
-            for y in sample:
-                worst = max(worst, self.distance(self.quantize(self.encode_point(y, q)), y))
-            if worst < eps:
-                return q
-            if worst < best_err:
-                best_q, best_err = q, worst
-            q += 1
-        raise QuantizationSearchError(best_q, best_err, q_cap)
 
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> dict:
@@ -367,12 +333,6 @@ class WassersteinConvex(QasSpace):
         chosen, _ = farthest_point_order(y.atoms, int(np.argmax(y.weights)), q)
         return QuantizationCode(y.atoms[chosen].reshape(-1), q)
 
-    def nest_code(self, code: QuantizationCode) -> QuantizationCode:
-        # duplicate every atom: level 2q, identical uniform measure
-        atoms = code.z.reshape(code.q, self.d)
-        doubled = np.repeat(atoms, 2, axis=0)
-        return QuantizationCode(doubled.reshape(-1), 2 * code.q)
-
 
 # ---------------------------------------------------------------------------
 # adapted empirical space
@@ -381,13 +341,21 @@ class WassersteinConvex(QasSpace):
 def snap_cells(q: int, d: int, T: int) -> int:
     """Per-axis cell count of the level-q snap grid on [0,1]^d.
 
-    The target edge is q^(-r) with r = 1/(T+1) when d = 1 and r = 1/(d*T)
-    otherwise; since q^r is rarely an integer, the axis is split into
-    ceil(q^r) equal cells, whose edge 1/ceil(q^r) <= q^(-r) only sharpens
-    the quantization bound.
+    The target edge is q^(-1/n) with n = T+1 when d = 1 and n = d*T
+    otherwise; since q^(1/n) is rarely an integer, the axis is split into
+    k equal cells, k the least integer with k^n >= q, whose edge
+    1/k <= q^(-1/n) only sharpens the quantization bound.  k is settled in
+    integers from a float estimate: the rounding of q^(1/n), or a slack to
+    absorb it, would miscount a q next to k^n, such as q = 2^28 + 1 at
+    n = 28, which needs 3 cells.
     """
-    r = 1.0 / (T + 1) if d == 1 else 1.0 / (d * T)
-    return int(math.ceil(q**r - 1e-9))
+    n = T + 1 if d == 1 else d * T
+    k = max(1, round(q ** (1.0 / n)))
+    while k**n < q:
+        k += 1
+    while k > 1 and (k - 1) ** n >= q:
+        k -= 1
+    return k
 
 
 def snap_to_grid(values: np.ndarray, q: int, d: int, T: int) -> np.ndarray:
@@ -452,27 +420,6 @@ class AdaptedEmpirical(QasSpace):
         # snap happens inside quantize as well, so the code stores the
         # pre-snap representatives
         return QuantizationCode(_replicate(y.paths, y.weights, q).reshape(-1), q)
-
-    def nest_code(self, code: QuantizationCode) -> QuantizationCode:
-        # a refining level q' must (a) be a multiple k*q so uniform weights
-        # stay representable and (b) have a per-axis cell count that is an
-        # odd multiple M of the current one so coarse centers are centers
-        # of the fine grid as well
-        q = code.q
-        c1 = snap_cells(q, self.d, self.T)
-        k = None
-        for cand in range(2, 1_000_000):
-            c2 = snap_cells(cand * q, self.d, self.T)
-            if c2 % c1 == 0 and (c2 // c1) % 2 == 1:
-                k = cand
-                break
-        if k is None:  # can't occur at sane levels; guards the search anyway
-            raise DomainError(f"no refining level found above q={q}")
-        q2 = k * q
-        paths = code.z.reshape(q, self.T, self.d)
-        snapped = snap_to_grid(paths, q, self.d, self.T)
-        reps = np.repeat(snapped, k, axis=0)
-        return QuantizationCode(reps.reshape(-1), q2)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +492,6 @@ class LinearSchauder(QasSpace):
         z[: min(q, arr.size)] = arr[:q]
         return QuantizationCode(z, q)
 
-    def nest_code(self, code: QuantizationCode) -> QuantizationCode:
-        return QuantizationCode(np.concatenate([code.z, [0.0]]), code.q + 1)
-
 
 def forward_rate_kernel(alpha: float, t: float, s: float) -> float:
     """Reproducing kernel (1 - (min(t,s)+1)^(1-alpha)) / (alpha-1), alpha > 3.
@@ -559,50 +503,39 @@ def forward_rate_kernel(alpha: float, t: float, s: float) -> float:
     return (1.0 - (m + 1.0) ** (1.0 - alpha)) / (alpha - 1.0)
 
 
+_KNOT_HORIZON = 30.0  # last time of the default knot grid
+
+
 @dataclass(eq=False)
 class ForwardRateRkhs(LinearSchauder):
     """Forward-rate-curve space: kernel sections at knot times as the basis.
 
-    Knot times default to the geometric grid 0.1 * 2^n capped at a horizon;
-    only a countable dense knot set is needed, and this one is explicit.
+    Knot times default to the geometric grid 0.1 * 2^n capped at
+    ``_KNOT_HORIZON``; only a countable dense knot set is needed, and this
+    one is explicit.
     """
 
     alpha: float
     knots: tuple[float, ...] | None = None
-    eval_grid: tuple[float, ...] | None = None
-    horizon: InitVar[float] = 30.0
 
     kind = "forward_rate_rkhs"
 
-    def __post_init__(self, horizon: float):
+    def __post_init__(self):
         if self.alpha <= 3.0:
             raise DomainError("alpha must exceed 3")
         knots = self.knots
         if knots is None:
             knots = []
             t = 0.1
-            while t <= horizon:
+            while t <= _KNOT_HORIZON:
                 knots.append(t)
                 t *= 2.0
         self.alpha = float(self.alpha)
         self.knots = tuple(float(t) for t in knots)
         if any(t < 0 for t in self.knots):
             raise DomainError("knot times must be >= 0")
-        self.eval_grid = tuple(self.eval_grid) if self.eval_grid is not None else tuple(
-            np.linspace(0.0, horizon, 61)
-        )
         super().__init__(gram=lambda i, j: forward_rate_kernel(self.alpha, self.knots[i], self.knots[j]),
                          max_terms=len(self.knots))
-
-    def curve(self, coefficients, times=None) -> np.ndarray:
-        """Evaluate the encoded curve sum_s z_s K(t*_s, .) on a time grid."""
-        z = np.atleast_1d(np.asarray(coefficients, float))
-        times = np.asarray(self.eval_grid if times is None else times, float)
-        out = np.zeros_like(times)
-        for s, zs in enumerate(z):
-            if zs != 0.0:
-                out += zs * np.array([forward_rate_kernel(self.alpha, self.knots[s], t) for t in times])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +617,6 @@ class GaussianSpd(QasSpace):
         packed = sym_matrix_to_packed(spd_log(y.cov))
         return QuantizationCode(np.concatenate([y.mean, packed]), q)
 
-    def nest_code(self, code: QuantizationCode) -> QuantizationCode:
-        return QuantizationCode(np.array(code.z), code.q + 1)
-
 
 # ---------------------------------------------------------------------------
 # exponential families
@@ -738,9 +668,6 @@ class ExponentialFamily(QasSpace):
 
     def _encode_impl(self, y, q: int) -> QuantizationCode:
         return QuantizationCode(np.asarray(y, float), q)
-
-    def nest_code(self, code: QuantizationCode) -> QuantizationCode:
-        return QuantizationCode(np.array(code.z), code.q + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .networks import (
     decode_params,
     encode_params,
     forward,
-    init_theta,
     loss_and_grad,
     train_regression,
 )
@@ -335,9 +334,6 @@ class End2EndFitConfig(StaticFitConfig):
     activation: str = "smooth"
     train: TrainConfig = TrainConfig()
     warm_train: ClassifierTrainConfig | None = None  # the warm start's classifier
-    codes: tuple[QuantizationCode, ...] | None = None  # fixed codes: no warm start
-    md: MultiIndex | None = None
-    theta0: tuple[float, ...] | None = None
 
 
 def _sup_error(space, targets, xs, gt):
@@ -472,9 +468,9 @@ def fit_static_end2end(
     simplex weights by the space's ``mixing_loss_grad``: for the
     Wasserstein space with convex mixing that is the envelope gradient
     from one optimal transport's dual potentials, elsewhere central
-    finite differences.  Requires a smooth or classical activation; codes
-    stay fixed (they come from the constructive stage or from ``codes``).
-    The config keys are the fields of ``End2EndFitConfig``.
+    finite differences.  Requires a smooth or classical activation; the
+    constructive fit gives the codes, which stay fixed, and the initial
+    encoder.  The config keys are the fields of ``End2EndFitConfig``.
     """
     t0 = time.perf_counter()
     config = from_json(End2EndFitConfig, config or {}, "config")
@@ -485,35 +481,17 @@ def fit_static_end2end(
     n_budget = int(budget["N"])
     q = int(budget["q"])
 
-    codes = config.codes
     tc = config.train
-    warm_theta = None
-    warm_md = None
-    if codes is None:
-        # constructive warm start: same activation kind, so the returned
-        # classifier doubles as the initial encoder; the classifier gets its
-        # own training budget, the "train" block only drives the refinement
-        warm_train = config.warm_train or ClassifierTrainConfig(lr=0.3, epochs=2000, seed=tc.seed)
-        gt0, _ = fit_static_constructive(f, xs, space, budget, StaticFitConfig(
-            activation=config.activation, hidden=config.hidden,
-            label_amplitude=config.label_amplitude, train=warm_train,
-            holder_exponent=config.holder_exponent, lipschitz=config.lipschitz))
-        codes, points = gt0.codes, gt0.images
-        warm_theta, warm_md = gt0.theta, gt0.md
-    else:
-        points = tuple(space.quantize(c) for c in codes)
+    # constructive warm start: same activation kind, so the returned
+    # classifier doubles as the initial encoder; the classifier gets its
+    # own training budget, the "train" block only drives the refinement
+    warm_train = config.warm_train or ClassifierTrainConfig(lr=0.3, epochs=2000, seed=tc.seed)
+    gt0, _ = fit_static_constructive(f, xs, space, budget, StaticFitConfig(
+        activation=config.activation, hidden=config.hidden,
+        label_amplitude=config.label_amplitude, train=warm_train,
+        holder_exponent=config.holder_exponent, lipschitz=config.lipschitz))
+    codes, points, md, theta = gt0.codes, gt0.images, gt0.md, gt0.theta
     targets = [f(x) for x in xs]
-    n_logits = len(codes)
-
-    hidden = config.hidden if config.hidden is not None else max(8, 2 * n_logits)
-    md = config.md or warm_md or MultiIndex((xs.shape[1], hidden, n_logits))
-    rng = np.random.default_rng(tc.seed)
-    if config.theta0 is not None:
-        theta = np.asarray(config.theta0, float)
-    elif warm_theta is not None and md.dims == (warm_md.dims if warm_md else None):
-        theta = np.array(warm_theta)
-    else:
-        theta = init_theta(md, spec, rng, tc.init_scale)
 
     p = float(getattr(space, "p", 2.0))
     history = []
@@ -551,7 +529,7 @@ def fit_static_end2end(
     # the final update can overshoot; keep the best-loss iterate
     theta = best_theta
 
-    gt = GeometricTransformer(space, md, spec, theta, list(codes))
+    gt = GeometricTransformer(space, md, spec, theta, codes)
     sup = _sup_error(space, targets, xs, gt)
     report = FitReport(
         sup_error=sup,
@@ -592,17 +570,16 @@ class ComplexityReport:
 class _Inputs(dict):
     """A complexity calculator's inputs, an open bag: any key may be given
     (a key no table reads is ignored), but each one read must be a finite
-    number (``modulus`` a callable).  Reading a missing or ill-typed one
-    raises ``DomainError`` naming it."""
+    number.  Reading a missing or ill-typed one raises ``DomainError``
+    naming it."""
 
     def __missing__(self, key):
         raise DomainError(f"complexity input {key!r} is missing")
 
     def __getitem__(self, key):
         value = super().__getitem__(key)
-        if not (callable(value) if key == "modulus" else _is_number(value)):
-            raise _mismatch(f"complexity input {key!r}",
-                            "a callable" if key == "modulus" else "a finite number", value)
+        if not _is_number(value):
+            raise _mismatch(f"complexity input {key!r}", "a finite number", value)
         return value
 
     def get(self, key, default=None):
@@ -693,8 +670,8 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
     """Model-size bounds of the static transformer, row by row.
 
     Required inputs: n, alpha, L_f, diam, kappa, C_eta, c, eps_A; plus W
-    (singular), eps_tilde (smooth), or depth (classical).  ``q`` comes
-    from a "modulus" callable applied to eps_Q, or directly.
+    (singular), eps_tilde (smooth), or depth (classical).  An integer
+    ``q``, when given, is reported as the quantization level.
     """
     inputs = _Inputs(inputs)
     n = inputs.integer("n")
@@ -712,12 +689,10 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
         implicit["D"] = D
     depth, width, params = _complexity_rows(activation, n, N - 1, inputs, D)
     q = None if inputs.get("q") is None else inputs.integer("q")
-    if q is None and "modulus" in inputs and "eps_Q" in inputs:
-        q = inputs["modulus"](inputs["eps_Q"])
     return ComplexityReport(
         activation=activation, depth=depth, width=width,
         n_params=params, ln_n_anchors=ln_n, n_anchors=N,
-        level_q=int(q) if q is not None else None, implicit=implicit,
+        level_q=q, implicit=implicit,
     )
 
 
@@ -748,65 +723,3 @@ def complexity_ffnn(activation: str, inputs: dict) -> ComplexityReport:
         activation=activation, depth=depth, width=width,
         n_params=params, implicit=implicit,
     )
-
-
-# ---------------------------------------------------------------------------
-# metric capacity estimation
-# ---------------------------------------------------------------------------
-
-def verify_packing(cloud: np.ndarray, center0: int, r: float, chosen: list[int], delta: float) -> bool:
-    """Certify that the delta*r balls at the chosen points are pairwise
-    disjoint as subsets of the cloud and contained in Ball(x0, r)."""
-    d0 = np.linalg.norm(cloud - cloud[center0], axis=1)
-    for a, i in enumerate(chosen):
-        di = np.linalg.norm(cloud - cloud[i], axis=1)
-        inside_i = di < delta * r
-        if np.any(inside_i & (d0 >= r)):
-            return False
-        for j in chosen[a + 1:]:
-            dj = np.linalg.norm(cloud - cloud[j], axis=1)
-            if np.any(inside_i & (dj < delta * r)):
-                return False
-    return True
-
-
-_CAPACITY_SEED = 0  # seed of the random restarts of the capacity search
-
-
-def metric_capacity_estimate(cloud, delta: float, trials: int = 200) -> int:
-    """Certified lower bound of the packing capacity of a finite point set.
-
-    Random-restart greedy search over centers x0 and radii r for the
-    largest k such that k balls of radius delta*r centered at cloud
-    points fit disjointly inside Ball(x0, r).  Every candidate packing is
-    re-verified before being counted, so the estimate never exceeds the
-    true supremum, and it is nondecreasing in the number of trials.
-    """
-    cloud = np.atleast_2d(np.asarray(cloud, float))
-    if len(cloud) < 2:
-        raise DomainError("need at least two points")
-    if not 0 < delta <= 1:
-        raise DomainError("delta must be in (0, 1]")
-    rng = np.random.default_rng(_CAPACITY_SEED)
-    pd = np.linalg.norm(cloud[:, None] - cloud[None, :], axis=2)
-    rmax = pd.max() * 1.5
-    best = 0
-    for _ in range(trials):
-        c0 = int(rng.integers(0, len(cloud)))
-        r = float(rng.uniform(pd[pd > 0].min() * 0.5, rmax))
-        d0 = np.linalg.norm(cloud - cloud[c0], axis=1)
-        inball = np.nonzero(d0 < r)[0]
-        # greedy on cloud-subset disjointness: a candidate ball may neither
-        # leak outside Ball(x0, r) nor share a cloud point with chosen balls
-        chosen: list[int] = []
-        covered = np.zeros(len(cloud), dtype=bool)
-        for i in inball:
-            members = np.linalg.norm(cloud - cloud[i], axis=1) < delta * r
-            if np.any(members & (d0 >= r)):
-                continue
-            if not np.any(members & covered):
-                chosen.append(int(i))
-                covered |= members
-        if len(chosen) > best and verify_packing(cloud, c0, r, chosen, delta):
-            best = len(chosen)
-    return best

@@ -7,8 +7,8 @@ the complete bipartite support graph), and the bicausal optimum for
 two-step trees by enumerating products of conditional-coupling vertices.
 The ``*_reference`` kernels are the plain earlier forms of rewritten
 library kernels, kept so that tests can pin the rewrites bit for bit;
-among them the three finite-complexity map builders as they evaluated
-one path at a time (``PerPathMapReference``).
+among them the SDE kernel map builder as it evaluated one path at a time
+(``PerPathMapReference``).
 ``marginal_check`` checks a ``PathMeasure``'s conditional tree against its
 base measure.
 ``relu_theta`` is a shared test fixture.
@@ -625,78 +625,6 @@ def sde_kernel_map_reference(mu, sigma, delta: float, nu, k: int = 16) -> PerPat
         return DiscreteMeasure(atoms, weights)
 
     return PerPathMapReference(0, d + d * d, encoder, decoder)
-
-
-def sde_two_step_adapted_reference(mu, sigma, m: int, first_points: int = 16,
-                                   cond_points: int = 16) -> PerPathMapReference:
-    """``dynamics.sde_two_step_adapted``, one path at a time."""
-    from qasnets.dynamics import _normal_axis, ndtri
-    from qasnets.measures import PathMeasure
-
-    qs = ndtri(np.arange(1, m + 1) / (m + 1.0))  # increasing quantiles
-
-    def encoder(t, window):
-        x = float(window[-1][0])
-        mu0 = float(mu(t, x))
-        s0 = float(sigma(t, x))
-        t_next = t + 1.0
-        mus = np.empty(m)
-        sigmas = np.empty(m)
-        for k_i in range(m):
-            xq = x + mu0 + s0 * qs[k_i]
-            mus[k_i] = float(mu(t_next, xq))
-            sigmas[k_i] = float(sigma(t_next, xq))
-        return np.concatenate([[x + mu0, s0], mus, sigmas])
-
-    def decoder(latent):
-        mu0, s0 = latent[0], latent[1]
-        mus = latent[2 : 2 + m]
-        sigmas = latent[2 + m :]
-        if abs(s0) < 1e-300:
-            first = np.array([mu0])
-        else:
-            first = mu0 + s0 * _normal_axis(first_points)
-        paths = []
-        weights = []
-        w1 = 1.0 / len(first)
-        for x1 in first:
-            z = (x1 - mu0) / s0 if abs(s0) >= 1e-300 else 0.0
-            cell = int(np.searchsorted(qs, z, side="right"))  # 0..m
-            k_eff = max(cell, 1)  # the lowest cell shares the first parameters
-            m2, s2 = mus[k_eff - 1], sigmas[k_eff - 1]
-            if abs(s2) < 1e-300:
-                second = np.array([m2])
-            else:
-                second = m2 + s2 * _normal_axis(cond_points)
-            for x2 in second:
-                paths.append([x1, x2])
-                weights.append(w1 / len(second))
-        return PathMeasure.from_paths(np.asarray(paths)[:, :, None], np.asarray(weights))
-
-    return PerPathMapReference(0, 2 + 2 * m, encoder, decoder)
-
-
-def infinite_memory_truncation_reference(M, Sigma, kernel, memory: int, k: int = 16,
-                                         dim: int = 1) -> PerPathMapReference:
-    """``dynamics.infinite_memory_truncation``, one path at a time."""
-    from qasnets.measures import DiscreteMeasure
-
-    d = dim
-
-    def encoder(t, window):
-        x0 = window[-1]
-        drift = np.zeros(d)
-        for back in range(0, memory + 1):
-            drift += kernel(-back) * np.atleast_1d(np.asarray(M(t, window[-1 - back]), float))
-        sig = np.atleast_2d(np.asarray(Sigma(t, x0), float))
-        return np.concatenate([x0 + drift, sig.reshape(-1)])
-
-    def decoder(latent):
-        mean = latent[:d]
-        scale = latent[d:].reshape(d, d)
-        return DiscreteMeasure.uniform(_cloud_reference(mean, scale, k))
-
-    return PerPathMapReference(memory, d + d * d, encoder, decoder)
 
 
 def children_reference(pm, node: tuple, depth: int) -> list:

@@ -139,19 +139,6 @@ class TestMetric:
         assert code == 3
         assert "did not terminate" in capsys.readouterr().err
 
-    def test_quantization_search_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        from qasnets import cli
-        from qasnets.errors import QuantizationSearchError
-
-        def capped(runner, base):
-            raise QuantizationSearchError(7, 0.25, 8)
-
-        monkeypatch.setitem(cli.COMMANDS, "metric", capped)
-        code, _ = run(tmp_path, "metric", {"inputs": [dirac_json(0.0), dirac_json(1.0)]})
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric failure:") and "capped at q=8" in err
-
     def test_rerun_is_bitwise_identical(self, tmp_path):
         cfg = {"seed": 3, "inputs": [dirac_json(0.0), dirac_json(1.0), dirac_json(2.5)]}
         _, out1 = run(tmp_path, "metric", cfg)
@@ -367,17 +354,17 @@ class TestTypedValues:
          "unknown keys in dynamic-fit.fit.decoder_config: ['bogus']"),
         ("static-fit", {"budgets": {"Q": [9]}}, "unknown keys in static-fit.budgets: ['Q']"),
         ("paths", {"n_paths": 2.9}, "paths.n_paths must be an integer, got 2.9"),
-        ("paths", {"seed": 7.5}, "paths.seed must be an integer, got 7.5"),
-        ("paths", {"seed": "7"}, "paths.seed must be an integer, got '7'"),
+        ("paths", {"seed": 7.5}, "paths.seed must be a non-negative integer, got 7.5"),
+        ("paths", {"seed": "7"}, "paths.seed must be a non-negative integer, got '7'"),
         ("static-fit", {"fit": 5}, "static-fit.fit must be an object, got 5"),
         ("static-fit", {"fit": {"train": {"lr": "x"}}},
          "static-fit.fit.train.lr must be a finite number, got 'x'"),
         ("static-fit", {"budgets": {"N": "x"}}, "static-fit.budgets.N must be an array, got 'x'"),
         ("static-fit", {"budgets": {"N": []}}, "static-fit.budgets needs at least one N and one q"),
         ("static-fit", {"mode": "end2end", "fit": {"md": [1, 4, 2]}},
-         "static-fit.fit.md must be a MultiIndex, got [1, 4, 2]"),
+         "unknown keys in static-fit.fit: ['md']"),
         ("static-fit", {"mode": "end2end", "fit": {"codes": [[0.0], [1.0]]}},
-         "static-fit.fit.codes[0] must be a QuantizationCode, got [0.0]"),
+         "unknown keys in static-fit.fit: ['codes']"),
         ("paths", {"sde": [1]}, "paths.sde must be an object, got [1]"),
         ("dynamic-fit", {"compression": 5}, "dynamic-fit.compression must be an object, got 5"),
         ("metric", {"tolerances": 5}, "metric.tolerances must be an object, got 5"),
@@ -399,6 +386,16 @@ class TestTypedValues:
          "unknown keys in static-fit.fit: ['fd_step', 'warm_start']"),
         ("static-fit", {"mode": "end2end", "fit": {"loss_exponent": 1.0}},
          "unknown keys in static-fit.fit: ['loss_exponent']"),
+        # every seed is a non-negative integer
+        ("metric", {"seed": -1}, "metric.seed must be a non-negative integer, got -1"),
+        ("complexity", {"seed": -1}, "complexity.seed must be a non-negative integer, got -1"),
+        ("static-fit", {"seed": -1}, "static-fit.seed must be a non-negative integer, got -1"),
+        ("static-fit", {"fit": {"train": {"seed": -1}}},
+         "static-fit.fit.train.seed must be a non-negative integer, got -1"),
+        ("dynamic-fit", {"seed": -1}, "dynamic-fit.seed must be a non-negative integer, got -1"),
+        ("dynamic-fit", {"fit": {"seed": -1}},
+         "dynamic-fit.fit.seed must be a non-negative integer, got -1"),
+        ("paths", {"seed": -1}, "paths.seed must be a non-negative integer, got -1"),
     ])
     def test_bad_value_names_block_and_key(self, tmp_path, capsys, command, override, message):
         code, _ = run(tmp_path, command, dict(self.BASE[command], **override))
@@ -409,6 +406,20 @@ class TestTypedValues:
     @pytest.mark.parametrize("command", sorted(BASE))
     def test_base_configs_run(self, tmp_path, command):
         assert run(tmp_path, command, self.BASE[command])[0] == 0
+
+    @pytest.mark.parametrize("command, override, code, line", [
+        ("dynamic-fit", {"seed": -1}, 2,
+         "config error: dynamic-fit.seed must be a non-negative integer, got -1"),
+        ("paths", {"seed": -1}, 2,
+         "config error: paths.seed must be a non-negative integer, got -1"),
+        # every projection of the keys is within the relative gap 1e-12
+        ("dynamic-fit", {"fit": dict(BASE["dynamic-fit"]["fit"], domain_hi=1e300)}, 3,
+         "numeric failure: no projection separates the keys: in each of 64 tries two "
+         "projected keys are within 1e-12 * max(1, max |projection|)"),
+    ])
+    def test_typed_exit_prints_one_line(self, tmp_path, command, override, code, line):
+        proc = run_cli_fresh(tmp_path, command, dict(self.BASE[command], **override))
+        assert (proc.returncode, proc.stderr) == (code, line + "\n")
 
     @pytest.mark.parametrize("eps", [-1, 0])
     def test_paths_eps_outside_unit_interval_prints_one_line(self, tmp_path, eps):

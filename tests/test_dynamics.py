@@ -1,5 +1,6 @@
 """Tests for grids, path classes, causal maps, compression rates, simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from oracles import (
-    children_reference,
-    euler_reference,
-    infinite_memory_truncation_reference,
-    marginal_check,
-    sde_kernel_map_reference,
-    sde_two_step_adapted_reference,
-)
+from oracles import euler_reference, sde_kernel_map_reference
 from qasnets import dynamics
 from qasnets.errors import DomainError, OutOfWindowError
 from qasnets.measures import DiscreteMeasure
@@ -32,11 +26,9 @@ from qasnets.dynamics import (
     euler_simulate,
     fit_exponential_envelope,
     grid_validate,
-    infinite_memory_truncation,
     kexp_slacks,
     path_membership,
     sde_kernel_map,
-    sde_two_step_adapted,
     uniform_grid,
 )
 
@@ -149,7 +141,7 @@ class TestMembership:
     def test_kexp_slack_matrix_equals_per_path_membership(self, dim):
         g = uniform_grid(2, 6)
         paths = euler_simulate(lambda t, x: -x, lambda t, x: 0.7 * np.eye(dim),
-                               np.zeros(dim), g, 25, seed=dim, dim=dim)
+                               np.zeros(dim), g, 25, seed=dim)
         spec = fit_exponential_envelope(paths, eps=0.2)
         indices, matrix = kexp_slacks(spec, paths)
         assert list(indices) == list(range(0, 7)) and matrix.shape == (25, 7)
@@ -249,9 +241,9 @@ class TestFiniteComplexityMaps:
         for o in outs[1:]:
             assert wasserstein_p(outs[0], o, 1) == 0.0
 
-    def test_two_step_decoder_reads_cached_quantiles(self, monkeypatch):
-        fc = sde_two_step_adapted(lambda t, x: -0.5 * x, lambda t, x: 0.4, m=3,
-                                  first_points=5, cond_points=7)
+    def test_decoder_reads_cached_quantiles(self, monkeypatch):
+        fc = sde_kernel_map(lambda t, x: -0.5 * x, lambda t, x: np.eye(1) * 0.4, 1.0,
+                            DiscreteMeasure.dirac(0.0), k=7)
         path = constant_path(0.3)
         first = fc.evaluate(path, 0)
         axis = norm.ppf((2 * np.arange(1, 8) - 1) / 14.0)
@@ -261,16 +253,17 @@ class TestFiniteComplexityMaps:
 
         monkeypatch.setattr(dynamics, "ndtri", refuse)
         again = fc.evaluate(path, 0)
-        np.testing.assert_array_equal(again.base.atoms, first.base.atoms)
+        np.testing.assert_array_equal(again.atoms, first.atoms)
         cloud = dynamics.gaussian_quantile_cloud(np.zeros(1), np.eye(1), 7)
         np.testing.assert_array_equal(cloud[:, 0], axis)
         assert not dynamics._normal_axis(7).flags.writeable
 
     def test_insufficient_history(self):
-        fc = infinite_memory_truncation(
-            lambda t, x: np.clip(x, 0, 1), lambda t, x: np.eye(1) * 0.1,
-            lambda n: 2.0**n, eps=0.1, memory=5, tail_bound=2.0**-5,
-        )
+        # a map of memory 5 reads six states, and the window holds three
+        fc = dataclasses.replace(
+            sde_kernel_map(lambda t, x: np.clip(x, 0, 1), lambda t, x: np.eye(1) * 0.1, 1.0,
+                           DiscreteMeasure.dirac(0.0), k=4),
+            memory=5)
         path = constant_path(0.2, n_past=2, n_future=1)
         with pytest.raises(OutOfWindowError):
             fc.evaluate(path, 0)
@@ -305,18 +298,17 @@ def diffusion(kind, d, scale):
 
 
 def assert_same_outputs(got, want):
-    """Lists of discrete or path measures with the same arrays, bit for bit."""
+    """Lists of discrete measures with the same arrays, bit for bit."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        a, b = getattr(a, "base", a), getattr(b, "base", b)
         assert a.atoms.tobytes() == b.atoms.tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
 
 
 class TestStackedMaps:
-    """Each map builder evaluated on the paths of one step gives, bit for
-    bit, the latents and outputs of its one-path-at-a-time form in
-    ``oracles``; so does the one-row case of a lone path."""
+    """The kernel map evaluated on the paths of one step gives, bit for bit,
+    the latents and outputs of its one-path-at-a-time form in ``oracles``;
+    so does the one-row case of a lone path."""
 
     @given(d=st.integers(1, 3), count=st.integers(1, 6), k=st.integers(1, 5),
            kind=st.sampled_from(["shared", "state", "zero"]), seed=st.integers(0, 2**16))
@@ -336,41 +328,6 @@ class TestStackedMaps:
                 [ref.latent(p, n) for p in paths]).tobytes()
             assert_same_outputs(fc.evaluate(paths, n), [ref.evaluate(p, n) for p in paths])
         assert_same_outputs([fc.evaluate(paths[0], 1)], [ref.evaluate(paths[0], 1)])
-
-    @given(d=st.integers(1, 3), count=st.integers(1, 6), memory=st.integers(0, 3),
-           kind=st.sampled_from(["shared", "state", "zero"]), seed=st.integers(0, 2**16))
-    def test_truncation_matches_per_path_reference(self, d, count, memory, kind, seed):
-        rng = np.random.default_rng(seed)
-        M = lambda t, x: np.clip(x + 0.1 * t, 0.0, 1.0)
-        kernel = lambda n: 2.0**n
-        Sigma = diffusion(kind, d, rng.uniform(0.1, 1.0))
-        fc = infinite_memory_truncation(M, Sigma, kernel, 0.1, memory, 2.0**-memory, k=3, dim=d)
-        ref = infinite_memory_truncation_reference(M, Sigma, kernel, memory, k=3, dim=d)
-        paths = random_paths(rng, count, d)
-        for n in (0, 2):
-            assert fc.latent(paths, n).tobytes() == np.stack(
-                [ref.latent(p, n) for p in paths]).tobytes()
-            assert_same_outputs(fc.evaluate(paths, n), [ref.evaluate(p, n) for p in paths])
-
-    @given(count=st.integers(1, 6), m=st.integers(1, 4), kind=st.sampled_from(
-        ["constant", "state", "zero"]), seed=st.integers(0, 2**16))
-    def test_two_step_matches_per_path_reference(self, count, m, kind, seed):
-        rng = np.random.default_rng(seed)
-        s = rng.uniform(0.1, 1.0)
-        mu = lambda t, x: -0.5 * x + 0.1 * np.sin(t + x)
-
-        def sigma(t, x):
-            # a float for one float state, a (P, 1, 1) stack for (P, 1) states
-            value = {"constant": s, "zero": 0.0}.get(kind, s + 0.1 * np.cos(x))
-            return value if np.ndim(value) == 0 else value[..., None]
-
-        fc = sde_two_step_adapted(mu, sigma, m, first_points=5, cond_points=3)
-        ref = sde_two_step_adapted_reference(mu, sigma, m, first_points=5, cond_points=3)
-        paths = random_paths(rng, count, 1)
-        for n in (-1, 0, 2):
-            assert fc.latent(paths, n).tobytes() == np.stack(
-                [ref.latent(p, n) for p in paths]).tobytes()
-            assert_same_outputs(fc.evaluate(paths, n), [ref.evaluate(p, n) for p in paths])
 
     def test_one_encoder_call_per_step(self):
         shapes = []
@@ -398,91 +355,6 @@ class TestStackedMaps:
                                  np.zeros((6, 1)), -3)
             sde_kernel_map(lambda t, x: -x, lambda t, x: np.eye(1), 1.0, one).evaluate(
                 [paths[0], shifted], 1)
-
-
-class TestTwoStepAdapted:
-    def test_zero_diffusion_single_path(self):
-        fc = sde_two_step_adapted(lambda t, x: 0.1 * x, lambda t, x: 0.0, m=3)
-        out = fc.evaluate(constant_path(1.0), 0)
-        assert out.horizon == 2 and len(out.base) == 1
-        # first step: x + mu = 1.1; second: drift at the quantile point
-        np.testing.assert_allclose(out.paths[0, 0], [1.1])
-        np.testing.assert_allclose(out.paths[0, 1], [0.1 * 1.1])
-
-    def test_single_cell_conditional_constant(self):
-        fc = sde_two_step_adapted(lambda t, x: 0.0, lambda t, x: 1.0, m=1,
-                                  first_points=8, cond_points=4)
-        out = fc.evaluate(constant_path(0.0), 0)
-        # all first-step atoms share one cell, so conditionals coincide
-        conds = {}
-        for p, w in zip(out.paths, out.weights):
-            conds.setdefault(round(float(p[1, 0]), 12), 0.0)
-        assert len(conds) == 4
-
-    def test_bicausal_tree_structure(self):
-        fc = sde_two_step_adapted(lambda t, x: 0.1 * np.sin(x), lambda t, x: 0.2, m=2,
-                                  first_points=4, cond_points=3)
-        out = fc.evaluate(constant_path(0.3), 0)
-        assert marginal_check(out)
-        root = tuple(range(len(out.base)))
-        for v, w, child in children_reference(out, root, 0):
-            assert w > 0
-
-    def test_rejects_bad_m(self):
-        with pytest.raises(DomainError):
-            sde_two_step_adapted(lambda t, x: 0.0, lambda t, x: 1.0, m=0)
-
-
-class TestInfiniteMemory:
-    def test_one_sided_kernel_exact(self):
-        # kernel zero in the strict past: truncation at memory 0 is exact
-        fc0 = infinite_memory_truncation(
-            lambda t, x: np.clip(np.atleast_1d(x), 0, 1), lambda t, x: np.eye(1) * 0.2,
-            lambda n: 1.0 if n == 0 else 0.0, eps=0.1, memory=0, tail_bound=0.0,
-        )
-        fc3 = infinite_memory_truncation(
-            lambda t, x: np.clip(np.atleast_1d(x), 0, 1), lambda t, x: np.eye(1) * 0.2,
-            lambda n: 1.0 if n == 0 else 0.0, eps=0.1, memory=3, tail_bound=0.0,
-        )
-        rng = np.random.default_rng(3)
-        g = uniform_grid(4, 1)
-        vals = rng.uniform(0, 1, size=(6, 1))
-        p = PathWindow(g, vals, -4)
-        a = fc0.evaluate(p, 0)
-        b = fc3.evaluate(p, 0)
-        assert wasserstein_p(a, b, 1) == 0.0
-
-    def test_geometric_tail_arithmetic(self):
-        eps = 1 / 32
-        m_eps = math.ceil(math.log2(1 / eps))
-        tail = sum(2.0**n for n in range(-60, -m_eps))
-        assert tail <= eps
-        fc = infinite_memory_truncation(
-            lambda t, x: np.clip(np.atleast_1d(x), 0, 1), lambda t, x: np.eye(1) * 0.1,
-            lambda n: 2.0**n, eps=eps, memory=m_eps, tail_bound=tail,
-        )
-        assert fc.meta["reported_output_bound"] <= eps
-
-    def test_truncation_gap_bounded_by_tail(self):
-        kernel = lambda n: 2.0**n
-        M = lambda t, x: np.clip(np.atleast_1d(x), 0, 1)
-        S = lambda t, x: np.eye(1) * 0.1
-        m_small, m_big = 2, 6
-        tail_small = 2.0**-m_small  # sum_{n < -m} 2^n
-        fc_a = infinite_memory_truncation(M, S, kernel, 0.25, m_small, tail_small)
-        fc_b = infinite_memory_truncation(M, S, kernel, 0.25, m_big, 2.0**-m_big)
-        rng = np.random.default_rng(5)
-        g = uniform_grid(8, 1)
-        for _ in range(20):
-            p = PathWindow(g, rng.uniform(0, 1, size=(10, 1)), -8)
-            mean_a = fc_a.latent(p, 0)[0]
-            mean_b = fc_b.latent(p, 0)[0]
-            assert abs(mean_a - mean_b) <= tail_small + 1e-12
-
-    def test_missing_tail_bound(self):
-        with pytest.raises(DomainError):
-            infinite_memory_truncation(lambda t, x: x, lambda t, x: np.eye(1),
-                                       lambda n: 0.5**-n, 0.1, 3, None)
 
 
 BASE_PARAMS = dict(eps=4.0, L_rho=1.0, L_f=1.0, alpha=1.0, m_eps4=1, d=1,
@@ -586,7 +458,7 @@ class TestEuler:
     def test_matches_per_path_reference_bitwise(self, case):
         alpha, beta, beta_one, x0, dim = self.COEFFICIENTS[case]
         g = grid_validate([-0.6, -0.25, 0.0, 0.37, 0.74, 1.5, 2.0, 3.25])
-        got = euler_simulate(alpha, beta, x0, g, 23, seed=5, dim=dim)
+        got = euler_simulate(alpha, beta, x0, g, 23, seed=5)
         want = euler_reference(alpha, beta_one or beta, x0, g.times, 23, seed=5, dim=dim)
         assert len(got) == len(want)
         for p, w in zip(got, want):
@@ -609,13 +481,13 @@ class TestEuler:
             return -x
 
         g = uniform_grid(0, 5)
-        euler_simulate(drift, lambda t, x: np.eye(2), np.zeros(2), g, 7, seed=0, dim=2)
+        euler_simulate(drift, lambda t, x: np.eye(2), np.zeros(2), g, 7, seed=0)
         assert shapes == [(7, 2)] * 5
 
     def test_bad_coefficient_shapes_rejected(self):
         g = uniform_grid(0, 3)
         with pytest.raises(DomainError):  # a (3, 3) diffusion for 2-D states
-            euler_simulate(lambda t, x: -x, lambda t, x: np.eye(3), np.zeros(2), g, 4, 0, dim=2)
+            euler_simulate(lambda t, x: -x, lambda t, x: np.eye(3), np.zeros(2), g, 4, 0)
         with pytest.raises(DomainError):  # one drift per path, not per state row
             euler_simulate(lambda t, x: -x[:, 0], lambda t, x: np.eye(1), np.zeros(1), g, 4, 0)
         widths = iter([1, 2, 2])
@@ -655,8 +527,9 @@ class TestEnvelopeFit:
 
 def test_ndtri_is_norm_ppf_bit_for_bit():
     """``dynamics`` reads normal quantiles through its in-tree Cephes ndtri rather
-    than scipy.stats' norm.ppf; on both level grids it uses, for every level
-    count 8..4096, the two agree bit for bit, signs of zero included."""
+    than scipy.stats' norm.ppf; on the mid-quantile levels it uses, and on the
+    levels i/(k+1), for every level count k in 8..4096, the two agree bit for
+    bit, signs of zero included."""
     from qasnets.measures import mid_quantile_levels
 
     for k in range(8, 4097):

@@ -25,8 +25,6 @@ from qasnets.networks import (
     init_theta,
     loss_and_grad,
     memorize_sequence,
-    pad_identity_layer,
-    pad_width,
     param_count,
     train_regression,
 )
@@ -192,34 +190,6 @@ class TestRowInvariance:
         np.testing.assert_array_equal(out.reshape(8, 2), forward(md, SINGULAR, theta, X.reshape(8, 3)))
         assert forward(md, SINGULAR, theta, X[0, 0]).shape == (2,)
         assert forward(md, SINGULAR, theta, X[:1, 0]).shape == (1, 2)
-
-
-class TestPadding:
-    def test_identity_layer_preserves_function(self):
-        rng = np.random.default_rng(5)
-        md = MultiIndex((2, 5, 3))
-        spec = SMOOTH_SIGMOID
-        theta = rng.normal(size=param_count(md))
-        md2, theta2 = pad_identity_layer(md, theta)
-        assert md2.depth == md.depth + 1
-        for _ in range(100):
-            x = rng.normal(size=2)
-            np.testing.assert_array_equal(
-                forward(md, spec, theta, x), forward(md2, spec, theta2, x)
-            )
-
-    def test_width_padding_preserves_function(self):
-        rng = np.random.default_rng(6)
-        md = MultiIndex((2, 3, 2))
-        theta = rng.normal(size=param_count(md))
-        md2, theta2 = pad_width(md, theta, (2, 6, 2))
-        for _ in range(50):
-            x = rng.normal(size=2)
-            np.testing.assert_allclose(
-                forward(md, SMOOTH_SIGMOID, theta, x),
-                forward(md2, SMOOTH_SIGMOID, theta2, x),
-                atol=1e-14,
-            )
 
 
 class TestGradients:
@@ -403,6 +373,13 @@ class TestMemorization:
         v = np.array([1.0])
         with pytest.raises(DomainError):
             memorize_sequence([(v, v + 1), (v.copy(), v + 2)], 1, 2)
+
+    def test_unseparated_keys_are_a_fit_failure(self):
+        # keys one ulp apart: every projection puts them within the relative
+        # gap 1e-12 of each other, so no attempt builds a network
+        v = np.array([1.0])
+        with pytest.raises(FitFailure, match="no projection separates the keys.* 64 tries"):
+            memorize_sequence([(v, v + 1), (np.nextafter(v, 2.0), v + 2)], 1, 2)
 
     def test_five_pairs_in_r3(self):
         rng = np.random.default_rng(13)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qasnets.errors import DomainError, QuantizationSearchError
+from qasnets.errors import DomainError
 from qasnets.measures import DiscreteMeasure, GaussianMeasure, PathMeasure
 from qasnets.metrics import wasserstein_p
 from qasnets.spaces import (
@@ -16,6 +16,7 @@ from qasnets.spaces import (
     QuantizationCode,
     WassersteinConvex,
     forward_rate_kernel,
+    snap_cells,
     snap_to_grid,
     space_from_json,
 )
@@ -289,6 +290,19 @@ class TestQuantize:
         assert atoms == [0.25, 0.75]
         np.testing.assert_allclose(sorted(out.base.weights), [0.25, 0.75])
 
+    def test_snap_cells_is_the_least_exact_count(self):
+        # at q = 2^28 + 1, d = 4, T = 7 the edge must be <= q^(-1/28) < 1/2:
+        # 3 cells, where ceil(q^(1/28) - 1e-9) in floats gave 2
+        assert snap_cells(2**28, 4, 7) == 2
+        assert snap_cells(2**28 + 1, 4, 7) == 3
+        for d, T in [(1, 1), (1, 4), (2, 3), (3, 2), (4, 7)]:
+            n = T + 1 if d == 1 else d * T
+            for k in range(1, 9):
+                for q in (k**n - 1, k**n, k**n + 1):
+                    if q >= 1:
+                        cells = snap_cells(q, d, T)
+                        assert cells**n >= q > (cells - 1) ** n, (q, d, T)
+
     def test_gaussian_zero_code_is_standard(self):
         space = GaussianSpd(d=1)
         out = space.quantize(QuantizationCode([0.0, 0.0], 1))
@@ -374,56 +388,6 @@ class TestEncode:
         assert space.distance(space.quantize(code), y) == 0.0  # weights representable at q=4 and atoms on the grid
 
 
-class TestModulus:
-    def test_two_atom_sample_needs_q2(self):
-        space = w_space(1)
-        sample = [
-            DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5]),
-            DiscreteMeasure(np.array([[-1.0], [3.0]]), [0.5, 0.5]),
-        ]
-        assert space.quantization_modulus_estimate(sample, 1e-9) == 2
-
-    def test_huge_eps_gives_q1(self):
-        space = w_space(1)
-        sample = [random_discrete(RNG(2), 1) for _ in range(5)]
-        assert space.quantization_modulus_estimate(sample, 1e9) == 1
-
-    def test_monotone_in_eps(self):
-        space = w_space(1)
-        rng = RNG(21)
-        sample = [random_discrete(rng, 1, max_atoms=4, scale=2.0) for _ in range(6)]
-        qs = [space.quantization_modulus_estimate(sample, eps) for eps in (0.5, 0.1, 0.02)]
-        assert qs[0] <= qs[1] <= qs[2]
-
-    def test_reencode_confirms(self):
-        from scipy.stats import truncnorm
-
-        probs = (2 * np.arange(1, 301) - 1) / 600
-        sample = [
-            DiscreteMeasure.uniform((truncnorm.ppf(probs, -3, 3) * s).reshape(-1, 1))
-            for s in (0.5, 1.0)
-        ]
-        space = w_space(1)
-        eps = 0.05
-        q = space.quantization_modulus_estimate(sample, eps)
-
-        def err(y, q):
-            return space.distance(space.quantize(space.encode_point(y, q)), y)
-
-        for y in sample:
-            assert err(y, q) < eps
-        if q > 1:
-            worst_prev = max(err(y, q - 1) for y in sample)
-            assert worst_prev >= eps
-
-    def test_search_cap(self):
-        space = w_space(1)
-        y = DiscreteMeasure(np.array([[0.0], [1.0], [2.5]]), [0.3, 0.3, 0.4])
-        with pytest.raises(QuantizationSearchError) as exc:
-            space.quantization_modulus_estimate([y], 1e-15, q_cap=4)
-        assert exc.value.best_q >= 1
-
-
 class TestForwardRateKernel:
     def test_zero_boundary(self):
         for t in (0.0, 0.5, 2.0, 10.0):
@@ -450,24 +414,6 @@ class TestForwardRateKernel:
         for t, s in [(1.0, 2.0), (0.3, 0.3), (5.0, 1.5)]:
             want, _ = quad(lambda u: (1 + u) ** (-alpha), 0, min(t, s))
             assert forward_rate_kernel(alpha, t, s) == pytest.approx(want, abs=1e-10)
-
-    def test_curve_evaluation(self):
-        space = ForwardRateRkhs(alpha=4.0, knots=[1.0, 2.0])
-        vals = space.curve([1.0, 0.0], times=[0.0, 1.0])
-        assert vals[0] == pytest.approx(0.0)
-        assert vals[1] == pytest.approx(forward_rate_kernel(4.0, 1.0, 1.0))
-
-
-class TestNesting:
-    @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.kind + str(getattr(s, "d", "")))
-    def test_nested_code_has_identical_image(self, space):
-        rng = RNG(55)
-        for _ in range(10):
-            q = int(rng.integers(1, 4))
-            code = random_code(space, rng, q)
-            nested = space.nest_code(code)
-            assert nested.q > code.q
-            assert space.distance(space.quantize(code), space.quantize(nested)) == 0.0
 
 
 class TestSerialization:
