@@ -54,6 +54,7 @@ from .transformer import (
     StaticFitConfig,
     complexity_ffnn,
     complexity_static,
+    estimate_lipschitz,
     fit_static_constructive,
     fit_static_end2end,
 )
@@ -320,11 +321,15 @@ def cmd_static_fit(runner: Runner, base: Path):
         fit = replace(fit, train=replace(fit.train, seed=cfg.seed))
 
     t0 = time.perf_counter()
+    # the targets and the Lipschitz estimate are the same for every budget
+    targets = [target(x) for x in xs]
+    if cfg.mode == "constructive" and fit.lipschitz is None:
+        fit = replace(fit, lipschitz=estimate_lipschitz(space, targets, xs, fit.holder_exponent))
     rows = []
     best = None
     for n_anchor in cfg.budgets.N:
         for q in cfg.budgets.q:
-            gt, rep = fit_fn(target, xs, space, {"N": n_anchor, "q": q}, fit)
+            gt, rep = fit_fn(target, xs, space, {"N": n_anchor, "q": q}, fit, targets)
             rows.append([n_anchor, q, rep.sup_error, rep.covering_radius,
                          max(rep.quantization_errors) if rep.quantization_errors else None,
                          rep.error_bound])

@@ -190,11 +190,7 @@ def activation_eval(spec: ActivationSpec, alpha, x):
     if spec.kind == "classical":
         return spec.base(x)
     tail = np.floor(x) if spec.kind == "singular" else spec.base(x)
-    return _blend(np.asarray(alpha, dtype=float), x, tail)
-
-
-def _blend(alpha, x, tail):
-    """a1 * max(x, a2 x) + (1 - a1) * tail, alpha = (a1, a2) per unit."""
+    alpha = np.asarray(alpha, dtype=float)  # (a1, a2) per unit
     a1 = alpha[..., 0]
     return a1 * np.maximum(x, alpha[..., 1] * x) + (1.0 - a1) * tail
 
@@ -243,12 +239,19 @@ def forward(md: MultiIndex, spec: ActivationSpec, theta, x) -> np.ndarray:
 
 def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y, train_alpha: bool = True):
     """Mean squared loss 0.5 * mean |out - y|^2 over the batch and its
-    analytic gradient in theta.
+    analytic gradient in theta: one pass of ``gradient_kernel``."""
+    return gradient_kernel(md, spec, theta, X, Y, train_alpha)()
 
-    Each layer's base function is evaluated once and its value reused in
-    the backward pass.  With ``train_alpha`` false the activation
-    parameters get no gradient: their entries are exactly 0.0, as they
-    are for the classical kind, which ignores alpha.
+
+def gradient_kernel(md: MultiIndex, spec: ActivationSpec, theta, X, Y, train_alpha: bool = True):
+    """``loss_and_grad`` at the current values of ``theta`` as a function of
+    no arguments, built once per training run: it reads the layers through
+    views, so the next pass sees an update of ``theta`` in place.
+
+    A pass evaluates each layer's base function and a2 * z once and reuses
+    them in the backward pass.  With ``train_alpha`` false the activation
+    parameters get no gradient, their entries exactly 0.0 as for the
+    classical kind, which ignores alpha, and (a1, a2, 1 - a1) are fixed.
     """
     if not spec.gradient_trainable:
         raise UnsupportedError(
@@ -259,50 +262,69 @@ def loss_and_grad(md: MultiIndex, spec: ActivationSpec, theta, X, Y, train_alpha
     Y = np.atleast_2d(np.asarray(Y, float))
     n = X.shape[0]
     layers = decode_params(md, theta)
-    cache = []  # (input, pre-activation, base value) per activated layer
-    h = X
-    for lp in layers[:-1]:
-        z = h @ lp.weight.T + lp.bias
-        s = spec.base(z)
-        cache.append((h, z, s))
-        h = s if spec.kind == "classical" else _blend(lp.alpha, z, s)
-    diff = h @ layers[-1].weight.T + layers[-1].bias - Y
-    value = 0.5 * (float(np.sum(diff**2, axis=1).sum()) / n)  # the mean, bit for bit
-
     layout = _layout(md)
-    grad = np.zeros(layout[-1][2].stop)
-    dz = diff / n
-    grad[layout[-1][0]] = (dz.T @ h).reshape(-1)
-    grad[layout[-1][2]] = dz.sum(axis=0)
-    for j in range(len(cache) - 1, -1, -1):
-        dh = dz @ layers[j + 1].weight
-        h, z, s = cache[j]
-        w, _, b, a = layout[j]
-        if spec.kind == "classical":
-            dz = dh * spec.base_deriv(z, s)
-        else:
-            a1, a2 = layers[j].alpha[:, 0], layers[j].alpha[:, 1]
-            take_x = z >= a2 * z  # max branch, ties resolved toward the x branch
-            dz = dh * (a1 * np.where(take_x, 1.0, a2) + (1.0 - a1) * spec.base_deriv(z, s))
-            if train_alpha:
-                galpha = grad[a].reshape(-1, 2)  # a view: writes land in grad
-                galpha[:, 0] = (dh * (np.where(take_x, z, a2 * z) - s)).sum(axis=0)
-                galpha[:, 1] = (dh * (a1 * np.where(take_x, 0.0, z))).sum(axis=0)
-        grad[w] = (dz.T @ h).reshape(-1)
-        grad[b] = dz.sum(axis=0)
-    return value, grad
+    classical = spec.kind == "classical"
+
+    def alpha_terms():  # (a1, a2, 1 - a1) per layer: two views of theta, one new array
+        return [(lp.alpha[:, 0], lp.alpha[:, 1], 1.0 - lp.alpha[:, 0]) for lp in layers[:-1]]
+
+    frozen = alpha_terms() if classical or not train_alpha else None
+
+    def run():
+        terms = alpha_terms() if frozen is None else frozen
+        cache = []  # (input, pre-activation, base value, a2 * z) per activated layer
+        h = X
+        for lp, (a1, a2, one_minus_a1) in zip(layers[:-1], terms):
+            z = h @ lp.weight.T + lp.bias
+            s = spec.base(z)
+            a2z = None if classical else a2 * z
+            cache.append((h, z, s, a2z))
+            h = s if classical else a1 * np.maximum(z, a2z) + one_minus_a1 * s
+        diff = h @ layers[-1].weight.T + layers[-1].bias - Y
+        value = 0.5 * (float(np.sum(diff**2, axis=1).sum()) / n)  # the mean, bit for bit
+
+        grad = np.zeros(layout[-1][2].stop)
+        dz = diff / n
+        grad[layout[-1][0]] = (dz.T @ h).reshape(-1)
+        grad[layout[-1][2]] = dz.sum(axis=0)
+        for j in range(len(cache) - 1, -1, -1):
+            dh = dz @ layers[j + 1].weight
+            h, z, s, a2z = cache[j]
+            w, _, b, a = layout[j]
+            if classical:
+                dz = dh * spec.base_deriv(z, s)
+            else:
+                a1, a2, one_minus_a1 = terms[j]
+                take_x = z >= a2z  # max branch, ties resolved toward the x branch
+                dz = dh * (a1 * np.where(take_x, 1.0, a2) + one_minus_a1 * spec.base_deriv(z, s))
+                if train_alpha:
+                    galpha = grad[a].reshape(-1, 2)  # a view: writes land in grad
+                    galpha[:, 0] = (dh * (np.where(take_x, z, a2z) - s)).sum(axis=0)
+                    galpha[:, 1] = (dh * (a1 * np.where(take_x, 0.0, z))).sum(axis=0)
+            grad[w] = (dz.T @ h).reshape(-1)
+            grad[b] = dz.sum(axis=0)
+        return value, grad
+
+    return run
 
 
 @dataclass(frozen=True)
-class TrainConfig(Config):
+class DescentConfig(Config):
     """A ``train`` block: full-batch gradient descent with a fixed step."""
 
     lr: float = 0.05
     epochs: NonNegativeInt = 2000  # 0 takes no step
     seed: NonNegativeInt = 0
     target_loss: float = 0.0
-    init_scale: float = 0.5
     train_alpha: bool = True
+
+
+@dataclass(frozen=True)
+class TrainConfig(DescentConfig):
+    """A ``train`` block of a run that starts from ``init_theta``, of scale
+    ``init_scale``, when no initial parameters are given."""
+
+    init_scale: float = 0.5
 
 
 def init_theta(md: MultiIndex, spec: ActivationSpec, rng, scale=0.5) -> np.ndarray:
@@ -329,9 +351,10 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
 
     Deterministic given the seed.  Returns (theta, history of epoch losses).
     No adaptive optimizers: determinism and a minimal surface matter more
-    here than convergence speed.  One ``loss_and_grad`` call per epoch
-    gives both the loss recorded after a step and the gradient of the
-    next step.  The first loss that is not finite (a diverging step)
+    here than convergence speed.  One ``gradient_kernel`` is built per
+    run, over a theta that each step updates in place, and one pass of it
+    per epoch gives both the loss recorded after a step and the gradient
+    of the next step.  The first loss that is not finite (a diverging step)
     raises ``FitFailure`` naming its epoch; the overflow on the way there
     is not also reported as a numpy warning.
     """
@@ -348,11 +371,12 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
     rng = np.random.default_rng(config.seed)
     theta = init_theta(md, spec, rng, config.init_scale) if theta0 is None else np.array(theta0, float)
     history = []
-    _, g = loss_and_grad(md, spec, theta, X, Y, config.train_alpha)
+    run = gradient_kernel(md, spec, theta, X, Y, config.train_alpha)
+    _, g = run()
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            theta = theta - config.lr * g
-            value, g = loss_and_grad(md, spec, theta, X, Y, config.train_alpha)
+            theta -= config.lr * g  # bit for bit theta - lr * g
+            value, g = run()
             if not math.isfinite(value):
                 raise FitFailure(f"training diverged: the loss is {value} at epoch {epoch + 1} "
                                  f"(lr {config.lr})", {"epoch": epoch + 1})

@@ -39,6 +39,7 @@ from .errors import DomainError
 from .measures import (
     DiscreteMeasure,
     GaussianMeasure,
+    MixtureAnchors,
     PathMeasure,
     mid_quantile_levels,
     mixture,
@@ -197,6 +198,11 @@ class QasSpace:
             gw[i] = (dist_of_w(wp) - dist_of_w(wm)) / (fd_step + (w[i] - wm[i]))
         return base, gw
 
+    def mixing_loss(self, points, exponent: float) -> Callable:
+        """(y, w) -> ``mixing_loss_grad(y, w, points, exponent)`` for many
+        calls over the same ``points``, with their preparation done once."""
+        return lambda y, w: self.mixing_loss_grad(y, w, points, exponent)
+
     def simplicial_defect(self, w, points: list) -> float:
         """min_i [ C_eta (sum_j d(y_i,y_j)^p w_j)^(1/p) - d(eta(w,Y), y_i) ].
 
@@ -297,18 +303,32 @@ class WassersteinConvex(QasSpace):
         """
         if self.barycentric_mixing:
             return super().mixing_loss_grad(y, w, points, exponent, fd_step)
-        mixed = self.mix(w / w.sum(), points)
-        if y.equal_as_measure(mixed):
-            return 0.0, np.zeros(w.size)
-        cost, u = transport_potential(y, mixed, self.p)
-        atoms = np.concatenate([mu.atoms for mu in points])
-        phi = (ground_cost(atoms, y.atoms, self.p) - u).min(axis=1)
-        starts = np.cumsum([0] + [len(mu) for mu in points[:-1]])
-        weights = np.concatenate([mu.weights for mu in points])
-        per_point = np.add.reduceat(weights * phi, starts)
-        dcost = per_point - float(w @ per_point) / float(w.sum())
+        return self.mixing_loss(points, exponent)(y, w)
+
+    def mixing_loss(self, points, exponent: float) -> Callable:
+        """``mixing_loss_grad`` over fixed ``points``: they are checked and
+        stacked once (``MixtureAnchors``), and each call mixes as ``mix``."""
+        if self.barycentric_mixing:
+            return super().mixing_loss(points, exponent)
+        for mu in points:
+            self.check_point(mu)
+        anchors = MixtureAnchors.of(points)  # raises on no points
+        starts = np.cumsum(anchors.lengths) - anchors.lengths
         ratio = exponent / self.p
-        return (cost ** (1.0 / self.p)) ** exponent, ratio * cost ** (ratio - 1.0) * dcost
+
+        def loss_grad(y, w):
+            wn = validate_simplex_weight(w / w.sum())
+            i = _is_basis_vector(wn) if wn.size == len(points) else None  # else mix raises
+            mixed = points[i] if i is not None else anchors.mix(wn)
+            if y.equal_as_measure(mixed):
+                return 0.0, np.zeros(w.size)
+            cost, u = transport_potential(y, mixed, self.p)
+            phi = (ground_cost(anchors.atoms, y.atoms, self.p) - u).min(axis=1)
+            per_point = np.add.reduceat(anchors.weights * phi, starts)
+            dcost = per_point - float(w @ per_point) / float(w.sum())
+            return (cost ** (1.0 / self.p)) ** exponent, ratio * cost ** (ratio - 1.0) * dcost
+
+        return loss_grad
 
     def code_length(self, q: int) -> int:
         return self.d * q

@@ -34,6 +34,7 @@ from .errors import DomainError, FitFailure, UnsupportedError
 from .networks import (
     FORWARD_CHUNK_ELEMENTS,
     ActivationSpec,
+    DescentConfig,
     LayerParams,
     MultiIndex,
     SINGULAR,
@@ -58,10 +59,11 @@ class GeometricTransformer:
     """Encoder network plus geometric attention over fixed codes.
 
     Frozen: the codes are quantized once, at construction, into
-    ``images``, and every evaluation attends over those images.  An
-    encoder that is exactly an ``exact_assignment_network`` is recognized
-    once too, into ``blocks``, and its logits are then counted by blocks,
-    bit for bit ``forward``.
+    ``images``, and every evaluation attends over those images; a model
+    refit from another one over the same space and codes takes its
+    ``images`` instead.  An encoder that is exactly an
+    ``exact_assignment_network`` is recognized once too, into ``blocks``,
+    and its logits are then counted by blocks, bit for bit ``forward``.
     """
 
     space: QasSpace
@@ -69,7 +71,7 @@ class GeometricTransformer:
     activation: ActivationSpec
     theta: np.ndarray
     codes: tuple[QuantizationCode, ...]
-    images: tuple = field(init=False, repr=False, compare=False)
+    images: tuple | None = field(default=None, repr=False, compare=False)
     blocks: AssignmentBlocks | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,8 +86,8 @@ class GeometricTransformer:
         qs = {c.q for c in self.codes}
         if len(qs) != 1:
             raise DomainError("codes must share a single quantization level")
-        # ``quantize`` checks each code's length against the space
-        object.__setattr__(self, "images", tuple(self.space.quantize(c) for c in self.codes))
+        if self.images is None:  # ``quantize`` checks each code's length against the space
+            object.__setattr__(self, "images", tuple(self.space.quantize(c) for c in self.codes))
         object.__setattr__(self, "blocks", assignment_blocks(self.md, self.activation, self.theta))
 
     @property
@@ -326,13 +328,16 @@ class StaticFitConfig(Config):
 
 
 @dataclass(frozen=True)
-class End2EndFitConfig(StaticFitConfig):
-    """The config of ``fit_static_end2end``: the activation defaults to
-    "smooth", ``train`` drives the refinement with plain ``TrainConfig``
-    defaults, and the constructive keys configure the warm start."""
+class End2EndFitConfig(Config):
+    """The config of ``fit_static_end2end``: ``activation``, ``hidden``,
+    ``label_amplitude`` and ``warm_train`` configure the warm start's
+    classifier, as in ``StaticFitConfig``; ``train`` drives the refinement,
+    which starts from the classifier's weights and takes no ``init_scale``."""
 
     activation: str = "smooth"
-    train: TrainConfig = TrainConfig()
+    hidden: int | None = None
+    label_amplitude: float = 3.0
+    train: DescentConfig = DescentConfig()
     warm_train: ClassifierTrainConfig | None = None  # the warm start's classifier
 
 
@@ -349,6 +354,7 @@ def fit_static_constructive(
     space: QasSpace,
     budget: dict,
     config: dict | StaticFitConfig | None = None,
+    targets: list | None = None,
 ) -> tuple[GeometricTransformer, FitReport]:
     """Net-and-quantize fit of x -> f(x) in the output space.
 
@@ -357,38 +363,18 @@ def fit_static_constructive(
     level q; (iii) an encoder that classifies inputs to the one-hot of
     their nearest center, built exactly for singular activations and
     trained on soft one-hot labels with squared loss otherwise.  The
-    config keys are the fields of ``StaticFitConfig``.
+    config keys are the fields of ``StaticFitConfig``.  A caller fitting
+    several budgets gives ``targets`` (f at the training inputs) and
+    ``lipschitz`` (``estimate_lipschitz``) once for all of them.
     """
     t0 = time.perf_counter()
     config = from_json(StaticFitConfig, config or {}, "config")
     xs = np.atleast_2d(np.asarray(train_x, float))
-    if len(xs) == 0:
-        raise DomainError("train_x must be nonempty")
-    n_budget = int(budget["N"])
-    q = int(budget["q"])
-    if n_budget < 1 or q < 1:
-        raise DomainError("budgets must be >= 1")
-
-    idx, radius = farthest_point_net(xs, n_budget)
-    centers = xs[idx]
-    targets = [f(x) for x in xs]
-    codes = [space.encode_point(targets[i], q) for i in idx]
-
-    labels = nearest_center_labels(xs, centers)
-    if config.activation == "singular":
-        spec = SINGULAR
-        md, theta = exact_assignment_network(centers, xs)
-    else:
-        spec = ActivationSpec(config.activation)
-        # amplified one-hot targets push the achieved logit gaps past the
-        # simplex projection's saturation point, so the decoded weight sits
-        # on (or near) the intended vertex
-        onehot = config.label_amplitude * np.eye(len(centers))[labels]
-        hidden = config.hidden if config.hidden is not None else max(8, 2 * len(centers))
-        md = MultiIndex((xs.shape[1], hidden, len(centers)))
-        theta, _ = train_regression(md, spec, list(zip(xs, onehot)), config.train)
-
-    gt = GeometricTransformer(space, md, spec, theta, codes)
+    n_budget, q = _checked_budget(xs, budget)
+    targets = [f(x) for x in xs] if targets is None else targets
+    gt, idx, radius, labels = _constructive_model(
+        targets, xs, space, n_budget, q, config.activation, config.hidden,
+        config.label_amplitude, config.train)
     qerrs = [space.distance(image, targets[i]) for image, i in zip(gt.images, idx)]
 
     # classification defect: distance between the model output and the
@@ -402,7 +388,7 @@ def fit_static_constructive(
     alpha = config.holder_exponent
     lip = config.lipschitz
     if lip is None:
-        lip = _estimate_lipschitz(space, targets, xs, alpha)
+        lip = estimate_lipschitz(space, targets, xs, alpha)
     bound = lip * radius**alpha + max(qerrs) + defect
     report = FitReport(
         sup_error=sup,
@@ -418,10 +404,48 @@ def fit_static_constructive(
     return gt, report
 
 
+def _checked_budget(xs: np.ndarray, budget: dict) -> tuple[int, int]:
+    if len(xs) == 0:
+        raise DomainError("train_x must be nonempty")
+    n_budget = int(budget["N"])
+    q = int(budget["q"])
+    if n_budget < 1 or q < 1:
+        raise DomainError("budgets must be >= 1")
+    return n_budget, q
+
+
+def _constructive_model(targets: list, xs: np.ndarray, space: QasSpace, n_budget: int, q: int,
+                        activation: str, hidden: int | None, label_amplitude: float,
+                        train: TrainConfig):
+    """The constructive fit's model, its net's center indices and covering
+    radius, and each input's nearest-center label; the last four arguments
+    are the ``StaticFitConfig`` keys."""
+    idx, radius = farthest_point_net(xs, n_budget)
+    centers = xs[idx]
+    codes = [space.encode_point(targets[i], q) for i in idx]
+
+    labels = nearest_center_labels(xs, centers)
+    if activation == "singular":
+        spec = SINGULAR
+        md, theta = exact_assignment_network(centers, xs)
+    else:
+        spec = ActivationSpec(activation)
+        # amplified one-hot targets push the achieved logit gaps past the
+        # simplex projection's saturation point, so the decoded weight sits
+        # on (or near) the intended vertex
+        onehot = label_amplitude * np.eye(len(centers))[labels]
+        hidden = hidden if hidden is not None else max(8, 2 * len(centers))
+        md = MultiIndex((xs.shape[1], hidden, len(centers)))
+        theta, _ = train_regression(md, spec, list(zip(xs, onehot)), train)
+    return GeometricTransformer(space, md, spec, theta, codes), idx, radius, labels
+
+
 _LIPSCHITZ_PAIRS = 200  # random input pairs of the Lipschitz estimate
 
 
-def _estimate_lipschitz(space, targets, xs, alpha):
+def estimate_lipschitz(space, targets, xs, alpha) -> float:
+    """The largest d(f(x_i), f(x_j)) / |x_i - x_j|^alpha over up to
+    ``_LIPSCHITZ_PAIRS`` input pairs drawn with a fixed seed."""
     rng = np.random.default_rng(0)
     n = len(xs)
     if n < 2:
@@ -459,6 +483,7 @@ def fit_static_end2end(
     space: QasSpace,
     budget: dict,
     config: dict | End2EndFitConfig | None = None,
+    targets: list | None = None,
 ) -> tuple[GeometricTransformer, FitReport]:
     """Gradient refinement of the encoder against the output-space loss.
 
@@ -470,7 +495,8 @@ def fit_static_end2end(
     from one optimal transport's dual potentials, elsewhere central
     finite differences.  Requires a smooth or classical activation; the
     constructive fit gives the codes, which stay fixed, and the initial
-    encoder.  The config keys are the fields of ``End2EndFitConfig``.
+    encoder.  The config keys are the fields of ``End2EndFitConfig``;
+    ``targets`` is as for ``fit_static_constructive``.
     """
     t0 = time.perf_counter()
     config = from_json(End2EndFitConfig, config or {}, "config")
@@ -478,22 +504,20 @@ def fit_static_end2end(
         raise UnsupportedError("end-to-end gradient fitting needs a smooth or classical activation")
     spec = ActivationSpec(config.activation)
     xs = np.atleast_2d(np.asarray(train_x, float))
-    n_budget = int(budget["N"])
-    q = int(budget["q"])
+    n_budget, q = _checked_budget(xs, budget)
+    targets = [f(x) for x in xs] if targets is None else targets
 
     tc = config.train
-    # constructive warm start: same activation kind, so the returned
-    # classifier doubles as the initial encoder; the classifier gets its
-    # own training budget, the "train" block only drives the refinement
+    # constructive warm start, the model alone: same activation kind, so
+    # its classifier doubles as the initial encoder; the classifier gets
+    # its own training budget, the "train" block only drives the refinement
     warm_train = config.warm_train or ClassifierTrainConfig(lr=0.3, epochs=2000, seed=tc.seed)
-    gt0, _ = fit_static_constructive(f, xs, space, budget, StaticFitConfig(
-        activation=config.activation, hidden=config.hidden,
-        label_amplitude=config.label_amplitude, train=warm_train,
-        holder_exponent=config.holder_exponent, lipschitz=config.lipschitz))
-    codes, points, md, theta = gt0.codes, gt0.images, gt0.md, gt0.theta
-    targets = [f(x) for x in xs]
+    gt0 = _constructive_model(targets, xs, space, n_budget, q, config.activation, config.hidden,
+                              config.label_amplitude, warm_train)[0]
+    points, md, theta = gt0.images, gt0.md, gt0.theta
 
     p = float(getattr(space, "p", 2.0))
+    loss_grad = space.mixing_loss(points, p)
     history = []
 
     n = len(xs)
@@ -514,7 +538,7 @@ def fit_static_end2end(
             total = 0.0
             gw = np.empty_like(logits)
             for i, (y, w) in enumerate(zip(targets, weights)):
-                val, gw[i] = space.mixing_loss_grad(y, w, points, p)
+                val, gw[i] = loss_grad(y, w)
                 total += val
             gu = _projection_cotangent(weights, gw)
             history.append(total / n)
@@ -529,7 +553,7 @@ def fit_static_end2end(
     # the final update can overshoot; keep the best-loss iterate
     theta = best_theta
 
-    gt = GeometricTransformer(space, md, spec, theta, codes)
+    gt = GeometricTransformer(space, md, spec, theta, gt0.codes, gt0.images)
     sup = _sup_error(space, targets, xs, gt)
     report = FitReport(
         sup_error=sup,

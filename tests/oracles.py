@@ -567,6 +567,18 @@ def merge_rows_reference(atoms: np.ndarray, weights: np.ndarray):
     return out_atoms, out_weights
 
 
+def mixture_reference(components, mix_weights):
+    """``measures.mixture`` as one product array per component: w_n times
+    the weights of component n, concatenated, zero weights dropped."""
+    from qasnets.measures import DiscreteMeasure
+
+    w = np.asarray(mix_weights, dtype=float)
+    atoms = np.concatenate([m.atoms for m in components], axis=0)
+    weights = np.concatenate([wn * m.weights for wn, m in zip(w, components)])
+    keep = weights > 0.0
+    return DiscreteMeasure(atoms[keep], weights[keep])
+
+
 def canonical_measure_reference(atoms, weights):
     """The arrays ``DiscreteMeasure`` kept before it checked for canonical
     input: every input validated, then sorted and merged by ``_merge_rows``."""

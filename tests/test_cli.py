@@ -396,6 +396,12 @@ class TestTypedValues:
         ("dynamic-fit", {"fit": {"seed": -1}},
          "dynamic-fit.fit.seed must be a non-negative integer, got -1"),
         ("paths", {"seed": -1}, "paths.seed must be a non-negative integer, got -1"),
+        # the end2end refinement starts from the warm start's weights and
+        # reports no bound
+        ("static-fit", {"mode": "end2end", "fit": {"train": {"init_scale": 0.5}}},
+         "unknown keys in static-fit.fit.train: ['init_scale']"),
+        ("static-fit", {"mode": "end2end", "fit": {"holder_exponent": 0.5, "lipschitz": 2.0}},
+         "unknown keys in static-fit.fit: ['holder_exponent', 'lipschitz']"),
     ])
     def test_bad_value_names_block_and_key(self, tmp_path, capsys, command, override, message):
         code, _ = run(tmp_path, command, dict(self.BASE[command], **override))
@@ -536,6 +542,35 @@ class TestStaticFit:
             assert b <= a * 1.1 + 1e-12
         report = json.loads((out / "fit_report.json").read_text())
         assert report["sup_error"] <= 0.05
+
+    def test_target_and_lipschitz_estimate_once_per_command(self, tmp_path, monkeypatch):
+        """Four budgets share one evaluation of the target at the 257
+        training points and one Lipschitz estimate."""
+        from qasnets import cli, transformer
+
+        calls = {"target": 0, "lipschitz": 0}
+        build, estimate = cli.build_static_target, transformer.estimate_lipschitz
+
+        def counted_build(spec, base):
+            target, xs = build(spec, base)
+
+            def counted(x):
+                calls["target"] += 1
+                return target(x)
+            return counted, xs
+
+        def counted_estimate(*args):
+            calls["lipschitz"] += 1
+            return estimate(*args)
+
+        monkeypatch.setattr(cli, "build_static_target", counted_build)
+        monkeypatch.setattr(cli, "estimate_lipschitz", counted_estimate)
+        monkeypatch.setattr(transformer, "estimate_lipschitz", counted_estimate)
+        code, out = run(tmp_path, "static-fit", {"budgets": {"N": [4, 8, 16, 32], "q": [2]},
+                                                  "train_points": 257})
+        assert code == 0
+        assert len(read_csv(out / "error_curve.csv")) == 5
+        assert calls == {"target": 257, "lipschitz": 1}
 
     def test_measure_file_dataset(self, tmp_path):
         for i, v in enumerate((0.0, 1.0)):

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qasnets import measures
-from qasnets.measures import DiscreteMeasure, _merge_rows, measure_from_json, mixture
+from qasnets.measures import (DiscreteMeasure, MixtureAnchors, _merge_rows, measure_from_json,
+                              mixture)
 
-from oracles import canonical_measure_reference, merge_rows_reference
+from oracles import canonical_measure_reference, merge_rows_reference, mixture_reference
 
 
 def dyadic_with_duplicates(rng, d):
@@ -67,6 +68,38 @@ class TestCanonicalMeasure:
         mix = mixture([mu, nu], [0.5, 0.5])
         np.testing.assert_array_equal(mix.atoms, [[0.0], [1.0], [2.0]])
         np.testing.assert_array_equal(mix.weights, [0.5, 0.25, 0.25])
+
+
+class TestPreparedMixture:
+    @given(k=st.integers(1, 6), d=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_mixture(self, k, d, seed):
+        """Anchors stacked once and mixed at many weights give the bits of
+        ``mixture`` and of the per-component products: zero mixing weights
+        and zero atom weights drop their atoms, a vertex weight gives its
+        component's arrays, and atoms shared across anchors merge."""
+        rng = np.random.default_rng(seed)
+        points = []
+        for _ in range(k):
+            n = int(rng.integers(1, 5))
+            atoms = rng.integers(-2, 3, size=(n, d)).astype(float)  # a grid: shared atoms
+            weights = rng.dirichlet(np.ones(n))
+            weights[rng.random(n) < 0.2] = 0.0
+            points.append(DiscreteMeasure(atoms, weights / weights.sum() if weights.any()
+                                          else np.full(n, 1.0 / n)))
+        anchors = MixtureAnchors.of(points)
+        vertex = int(rng.integers(k))
+        draws = [np.eye(k)[vertex]]
+        for _ in range(4):
+            w = rng.dirichlet(np.ones(k))
+            w[rng.random(k) < 0.3] = 0.0
+            draws.append(w / w.sum() if w.any() else np.full(k, 1.0 / k))
+        for w in draws:
+            got = anchors.mix(w)
+            for want in (mixture(points, w), mixture_reference(points, w)):
+                assert got.atoms.tobytes() == want.atoms.tobytes()
+                assert got.weights.tobytes() == want.weights.tobytes()
+        at_vertex = anchors.mix(draws[0])
+        assert at_vertex.atoms.tobytes() == points[vertex].atoms[points[vertex].weights > 0].tobytes()
 
 
 class TestMergeRowsKernel:

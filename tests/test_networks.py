@@ -21,6 +21,7 @@ from qasnets.networks import (
     decode_params,
     encode_params,
     forward,
+    gradient_kernel,
     hypernetwork_size,
     init_theta,
     loss_and_grad,
@@ -304,20 +305,28 @@ class TestTraining:
         assert np.array_equal(t1, t2)
 
     def test_one_network_pass_per_epoch(self, monkeypatch):
+        """A run builds one kernel and makes one pass of it per epoch, plus
+        the pass that gives the first step's gradient."""
         from qasnets import networks
 
-        calls = []
+        builds, passes = [], []
 
-        def counted(*args):
-            calls.append(1)
-            return loss_and_grad(*args)
+        def counted_kernel(*args):
+            run = gradient_kernel(*args)
+            builds.append(1)
 
-        monkeypatch.setattr(networks, "loss_and_grad", counted)
+            def counted():
+                passes.append(1)
+                return run()
+            return counted
+
+        monkeypatch.setattr(networks, "gradient_kernel", counted_kernel)
         data = [([0.1], [0.2]), ([0.5], [0.9])]
         _, hist = train_regression(MultiIndex((1, 3, 1)), SMOOTH_SIGMOID, data,
                                    TrainConfig(lr=0.2, epochs=50, seed=4))
         assert len(hist) == 50
-        assert len(calls) == 51
+        assert len(builds) == 1
+        assert len(passes) == 51
 
     @pytest.mark.parametrize("spec, train_alpha, target_loss", [
         (SMOOTH_SIGMOID, True, 0.0),
@@ -326,22 +335,26 @@ class TestTraining:
         (SMOOTH_SIGMOID, True, 0.05),
     ])
     def test_bitwise_equal_to_two_pass_loop(self, spec, train_alpha, target_loss):
+        """Training over one kernel whose theta is updated in place, its
+        layers read through views, is bit for bit the reference loop that
+        builds a new theta each step, at depth J = 1 and J = 2."""
         rng = np.random.default_rng(21)
         X = rng.uniform(-1.0, 1.0, size=(12, 2))
         Y = np.stack([np.sin(X[:, 0]) + X[:, 1], X[:, 0] * X[:, 1]], axis=1)
-        md = MultiIndex((2, 5, 2))
-        theta0 = init_theta(md, spec, np.random.default_rng(3))
-        theta, hist = train_regression(
-            md, spec, list(zip(X, Y)),
-            TrainConfig(lr=0.3, epochs=120, target_loss=target_loss, train_alpha=train_alpha),
-            theta0=theta0,
-        )
-        frozen = None if train_alpha else alpha_mask(md)
-        ref_theta, ref_hist = train_regression_reference(md, spec, X, Y, theta0, 0.3, 120,
-                                                         target_loss, frozen)
-        assert np.array_equal(theta, ref_theta)
-        assert hist == ref_hist
-        assert (len(hist) < 120) == (target_loss > 0)
+        for dims in ((2, 5, 2), (2, 5, 4, 2)):
+            md = MultiIndex(dims)
+            theta0 = init_theta(md, spec, np.random.default_rng(3))
+            theta, hist = train_regression(
+                md, spec, list(zip(X, Y)),
+                TrainConfig(lr=0.3, epochs=120, target_loss=target_loss, train_alpha=train_alpha),
+                theta0=theta0,
+            )
+            frozen = None if train_alpha else alpha_mask(md)
+            ref_theta, ref_hist = train_regression_reference(md, spec, X, Y, theta0, 0.3, 120,
+                                                             target_loss, frozen)
+            assert np.array_equal(theta, ref_theta)
+            assert hist == ref_hist
+            assert (len(hist) < 120) == (target_loss > 0)
 
 
 class TestHypernetworkSize:

@@ -461,9 +461,25 @@ class TestFitEnd2End:
             {"activation": "smooth", "hidden": 32, "warm_train": {"epochs": 20},
              "train": {"lr": 0.05, "epochs": 3, "train_alpha": False}})
         assert rep.extras["epochs_run"] == 3
-        # the warm start's evaluation, three epochs, the final sup error
-        assert "".join(name for name, _ in events) == "f" + "fg" * 3 + "f"
+        # three epochs, then the final sup error: the warm start builds its
+        # model and evaluates nothing
+        assert "".join(name for name, _ in events) == "fg" * 3 + "f"
         assert all(rows == len(xs) for _, rows in events)
+
+    def test_quantizes_each_code_once(self, monkeypatch):
+        """The warm start quantizes the N codes, and the returned model
+        keeps its images: 16 ``quantize`` calls at N = 16."""
+        calls = []
+        real = WassersteinConvex.quantize
+        monkeypatch.setattr(WassersteinConvex, "quantize",
+                            lambda self, code: calls.append(code) or real(self, code))
+        xs = np.linspace(0, 1, 33).reshape(-1, 1)
+        gt, _ = fit_static_end2end(
+            symmetric_pair_target, xs, w1_space(), {"N": 16, "q": 8},
+            {"activation": "smooth", "hidden": 32, "warm_train": {"epochs": 20},
+             "train": {"lr": 0.05, "epochs": 3, "train_alpha": False}})
+        assert gt.n_anchors == 16
+        assert len(calls) == 16
 
     def test_zero_epochs_take_no_step(self):
         xs = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
@@ -527,8 +543,7 @@ class TestPartialTrainBlocks:
         partial = {"train": {"epochs": 2, "seed": 3}}
         warm = {"lr": 0.3, "epochs": 2000, "seed": 3, "target_loss": 0.0, "init_scale": 0.5,
                 "train_alpha": False}
-        refine = {"lr": 0.05, "epochs": 2, "seed": 3, "target_loss": 0.0, "init_scale": 0.5,
-                  "train_alpha": True}
+        refine = {"lr": 0.05, "epochs": 2, "seed": 3, "target_loss": 0.0, "train_alpha": True}
         want = theta(partial)
         np.testing.assert_array_equal(want, theta(dict(partial, warm_train=warm)))
         np.testing.assert_array_equal(want, theta({"train": refine}))
