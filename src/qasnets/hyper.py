@@ -48,22 +48,6 @@ from .spaces import QasSpace
 from .transformer import GeometricTransformer, StaticFitConfig, fit_static_constructive
 
 
-@dataclass(frozen=True)
-class AcMapSpec:
-    """Approximable-complexity map: a family eps -> finite-complexity map
-    plus its compression function c_AC(n, eps) >= 1."""
-
-    family: Callable[[float], FiniteComplexityMap]
-    c_ac: Callable[[int, float], float]
-
-    def at(self, eps: float) -> FiniteComplexityMap:
-        return self.family(eps)
-
-
-def constant_compression(n: int, eps: float) -> float:
-    return 1.0
-
-
 # ---------------------------------------------------------------------------
 # the model and its schedule
 # ---------------------------------------------------------------------------
@@ -168,17 +152,16 @@ def normalized_error(
     target,
     ght: Ght,
     paths: Sequence[PathWindow],
-    c_ac: Callable[[int, float], float],
     c_rate: Callable[[int], float],
     N_T: int,
     eps: float,
 ) -> dict:
     """sup over the evaluable window of distance / compression denominator.
 
-    The denominator at n is max(c_AC(n, eps), c_rate(n), self-compression),
-    where the self-compression factor participates only outside the
-    horizon (inside, the convention sets it to 1, so within-window scores
-    are plain sup distances whenever the other factors are 1 there).
+    The denominator at n is max(1, c_rate(n), self-compression), where
+    the self-compression factor participates only outside the horizon
+    (inside, the convention sets it to 1, so within-window scores are
+    plain sup distances wherever c_rate is at most 1).
     """
     lam = _SELF_COMPRESSION_SCALE / eps
     n_lo = max(p.first_index for p in paths) + ght.memory
@@ -186,8 +169,8 @@ def normalized_error(
     rows = []
     worst = 0.0
     for n in range(n_lo, n_hi + 1):
-        raw = _sup_distance(target, ght, paths, n, eps)
-        denom = max(float(c_ac(n, eps)), float(c_rate(n)))
+        raw = _sup_distance(target, ght, paths, n)
+        denom = max(1.0, float(c_rate(n)))
         if abs(n) > N_T:
             denom = max(denom, self_compression(ght, paths, N_T, lam, n))
         rows.append({"n": n, "raw_error": raw, "denominator": denom,
@@ -196,13 +179,12 @@ def normalized_error(
     return {"score": worst, "rows": rows}
 
 
-def _sup_distance(target, ght: Ght, paths: Sequence[PathWindow], n: int, eps: float) -> float:
+def _sup_distance(target, ght: Ght, paths: Sequence[PathWindow], n: int) -> float:
     """sup over paths of d_Y(target at n, model at n), each side evaluated
     once for all paths of step n."""
-    fcm = target.at(eps) if isinstance(target, AcMapSpec) else target
     space = ght.decoder.space
     raw = 0.0
-    for want, out in zip(fcm.evaluate(paths, n), ght_eval(ght, paths, n)):
+    for want, out in zip(target.evaluate(paths, n), ght_eval(ght, paths, n)):
         raw = max(raw, space.distance(want, out))
     return raw
 
@@ -326,7 +308,7 @@ class DynamicFitConfig(Config):
 
 
 def fit_dynamic(
-    target,
+    target: FiniteComplexityMap,
     paths: Sequence[PathWindow],
     N_T: int,
     space: QasSpace,
@@ -336,14 +318,13 @@ def fit_dynamic(
     """Dynamic fit: per-step encoders, shared decoder, memorized schedule.
 
     Stages: (i) fit an encoder per step n in [-N_T, N_T] against the
-    target's approximate encoding map at accuracy budget eps/4 on the
-    window states seen in the paths; (ii) all encoders share one
-    multi-index by construction (a common interpolation grid), which
-    realizes the padding step; (iii) perturb biases minimally so the
-    parameter vectors are pairwise distinct; (iv) fit one decoder on the
-    union of encoder outputs against the target's decoding map; (v)
-    memorize the parameter transitions in a ReLU hypernetwork sized by
-    the horizon formula.
+    target's encoding map on the window states seen in the paths; (ii)
+    all encoders share one multi-index by construction (a common
+    interpolation grid), which realizes the padding step; (iii) perturb
+    biases minimally so the parameter vectors are pairwise distinct; (iv)
+    fit one decoder on the union of encoder outputs against the target's
+    decoding map; (v) memorize the parameter transitions in a ReLU
+    hypernetwork sized by the horizon formula.
 
     Scalar windows ((m+1) d = 1) use an exact constructive interpolation
     encoder; wider windows require the "gradient" encoder.  The config
@@ -353,9 +334,8 @@ def fit_dynamic(
     config = from_json(DynamicFitConfig, config or {}, "config")
     if eps <= 0 or N_T < 1:
         raise DomainError("eps must be positive and N_T >= 1")
-    fcm = target.at(eps / 4.0) if isinstance(target, AcMapSpec) else target
-    m = fcm.memory
-    L = fcm.latent_dim
+    m = target.memory
+    L = target.latent_dim
     if not paths:
         raise DomainError("fit_dynamic needs at least one path")
     for p in paths:
@@ -382,7 +362,7 @@ def fit_dynamic(
         thetas = []
         md_enc = None
         for n in steps:
-            vals = fcm.encode(paths[0].grid.time_at(n), knots.reshape(-1, 1, 1))
+            vals = target.encode(paths[0].grid.time_at(n), knots.reshape(-1, 1, 1))
             md_enc, theta_n = grid_interpolation_encoder(knots, vals)
             thetas.append(theta_n)
         spec_enc = SINGULAR
@@ -393,7 +373,7 @@ def fit_dynamic(
         thetas = []
         for n in steps:
             windows = stack_windows(paths, n, m)
-            latents = fcm.encode(paths[0].grid.time_at(n), windows)
+            latents = target.encode(paths[0].grid.time_at(n), windows)
             data = list(zip(windows.reshape(len(paths), -1), latents))
             theta_n, _ = train_regression(md_enc, spec_enc, data, tc)
             thetas.append(theta_n)
@@ -404,7 +384,7 @@ def fit_dynamic(
         )
 
     # -- stage (iii): pairwise distinctness -------------------------------
-    step = perturbation_step(eps, _DECODER_LIPSCHITZ, float(fcm.alpha), L)
+    step = perturbation_step(eps, _DECODER_LIPSCHITZ, float(target.alpha), L)
     thetas, applied = make_distinct(thetas, md_enc, step)
 
     # -- stage (iv): shared decoder on the union of encoder outputs -------
@@ -415,7 +395,7 @@ def fit_dynamic(
 
     n_dec, q_dec = config.decoder_anchors, config.decoder_level
     decoder, dec_report = fit_static_constructive(
-        lambda latent: fcm.decoder(latent[None])[0], latent_cloud, space,
+        lambda latent: target.decoder(latent[None])[0], latent_cloud, space,
         {"N": n_dec, "q": q_dec}, config.decoder_config,
     )
 
@@ -450,14 +430,13 @@ def fit_dynamic(
 
     normalized = None
     if config.c_rate is not None:
-        c_ac = target.c_ac if isinstance(target, AcMapSpec) else constant_compression
-        normalized = normalized_error(target, ght, paths, c_ac, config.c_rate, N_T, eps)
+        normalized = normalized_error(target, ght, paths, config.c_rate, N_T, eps)
         # the coverage check puts every step inside the normalized window,
         # so its rows already hold the per-step sup distances
         raw_at = {row["n"]: row["raw_error"] for row in normalized["rows"]}
         per_step = [(n, raw_at[n]) for n in steps]
     else:
-        per_step = [(n, _sup_distance(target, ght, paths, n, eps)) for n in steps]
+        per_step = [(n, _sup_distance(target, ght, paths, n)) for n in steps]
     worst = max(raw for _, raw in per_step)
 
     report = DynamicFitReport(

@@ -174,29 +174,20 @@ class MixtureAnchors(NamedTuple):
 
     @staticmethod
     def of(components: list[DiscreteMeasure]) -> "MixtureAnchors":
-        dims = {m.dim for m in components}
-        if len(dims) != 1:  # none, or mixed
-            raise DomainError(f"components must share one dimension, got {sorted(dims)}")
+        """Stacks one or more components of one dimension (``QasSpace.mixer`` checks)."""
         return MixtureAnchors(np.concatenate([m.atoms for m in components], axis=0),
                               np.concatenate([m.weights for m in components]),
                               np.array([len(m) for m in components]))
 
-    def mix(self, mix_weights) -> DiscreteMeasure:
-        """sum_n w_n mu_n: atom k of component n gets w_n times its weight;
+    def mix(self, w: np.ndarray) -> DiscreteMeasure:
+        """sum_n w_n mu_n for a checked simplex weight w, one entry per
+        component: atom k of component n gets w_n times its weight;
         zero-weight atoms are dropped and the constructor merges duplicates."""
-        w = validate_simplex_weight(np.asarray(mix_weights, dtype=float))
-        if len(self.lengths) != w.size:
-            raise DomainError("component count != mixing weight count")
         atoms, weights = self.atoms, np.repeat(w, self.lengths) * self.weights
         keep = weights > 0.0
         if not keep.all():
             atoms, weights = atoms[keep], weights[keep]
         return DiscreteMeasure(atoms, weights)
-
-
-def mixture(components: list[DiscreteMeasure], mix_weights) -> DiscreteMeasure:
-    """Convex combination sum_n w_n mu_n (``MixtureAnchors.mix``)."""
-    return MixtureAnchors.of(components).mix(mix_weights)
 
 
 class TreeLevel(NamedTuple):

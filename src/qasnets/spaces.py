@@ -10,14 +10,18 @@ quantizers Q_q.  Geometric attention is the composition
 where ``images`` are the quantized codes Q(z_n) of a model, which a
 ``GeometricTransformer`` computes once, when it is built.
 
+Every mix goes through ``mixer(points)``, which checks and prepares a
+fixed point set once (``_prepare``) and returns w -> eta(w, points) to
+``mix``, ``attention`` and ``mixing_loss``.
+
 Six concrete variants are provided:
 
 * ``WassersteinConvex``  -- discrete measures under W_p, convex mixing
   (optionally the 1-D W2 barycenter mixer), uniform empirical quantizer.
 * ``AdaptedEmpirical``   -- path measures on [0,1]^(d*T) under the adapted
   W_p, convex mixing, grid-snapped uniform path quantizer.
-* ``LinearSchauder``     -- coefficient sequences over a basis with a Gram
-  inner product; truncation quantizer.
+* ``LinearSchauder``     -- coefficient sequences over an orthonormal
+  basis; truncation quantizer.
 * ``ForwardRateRkhs``    -- the Schauder variant specialized to the kernel
   K(t,s) = (1 - (min(t,s)+1)^(1-a)) / (a-1) on knot times.
 * ``GaussianSpd``        -- nondegenerate Gaussians; parameters mix linearly
@@ -42,7 +46,6 @@ from .measures import (
     MixtureAnchors,
     PathMeasure,
     mid_quantile_levels,
-    mixture,
     quantile_atoms,
     validate_simplex_weight,
 )
@@ -94,6 +97,9 @@ class QuantizationCode:
         object.__setattr__(self, "z", z)
 
 
+_FD_STEP = 1e-5  # the step of the default ``mixing_loss``'s finite differences
+
+
 class QasSpace:
     """Base interface; concrete variants implement the hooks below."""
 
@@ -112,22 +118,37 @@ class QasSpace:
                 f"{self.kind} points are {self.point_type.__name__}, got {type(y).__name__}")
 
     # -- mixing ------------------------------------------------------------
-    def _mix_impl(self, w: np.ndarray, points: list):
+    def _prepare(self, points: Sequence):
+        """The form of a checked point set that ``_mix_impl`` reads."""
+        return points
+
+    def _mix_impl(self, w: np.ndarray, prepared):
         raise NotImplementedError
 
-    def mix(self, w, points: list):
-        """eta(w, points): exact on simplex vertices."""
-        w = validate_simplex_weight(w)
+    def mixer(self, points: Sequence) -> Callable:
+        """w -> eta(w, points) over a fixed point set, checked and prepared
+        (``_prepare``) once, which the function's ``prepared`` attribute
+        holds.  Each call validates w, checks the count and returns
+        ``points[i]`` itself at a vertex e_i, with no mixing arithmetic."""
         if len(points) == 0:
             raise DomainError("points must be nonempty")
-        if w.size != len(points):
-            raise DomainError(f"weight count {w.size} != point count {len(points)}")
         for y in points:
             self.check_point(y)
-        i = _is_basis_vector(w)
-        if i is not None:
-            return points[i]
-        return self._mix_impl(w, points)
+        prepared = self._prepare(points)
+
+        def mix(w):
+            w = validate_simplex_weight(w)
+            if w.size != len(points):
+                raise DomainError(f"weight count {w.size} != point count {len(points)}")
+            i = _is_basis_vector(w)
+            return points[i] if i is not None else self._mix_impl(w, prepared)
+
+        mix.prepared = prepared
+        return mix
+
+    def mix(self, w, points: Sequence):
+        """eta(w, points): exact on simplex vertices (``mixer``)."""
+        return self.mixer(points)(w)
 
     # -- quantization --------------------------------------------------------
     def code_length(self, q: int) -> int:
@@ -157,51 +178,48 @@ class QasSpace:
         """eta(project_simplex(u), images), where ``images`` are the
         quantized codes of a model (``GeometricTransformer.images``).
 
-        At a simplex vertex e_i the result is ``images[i]`` itself, with no
-        mixing arithmetic.  A 2-D ``u`` holds one logit row per input and
-        gives the list of their outputs, with one projection for all rows;
-        a 1-D ``u`` is its one-row case.
+        At a simplex vertex e_i the result is ``images[i]`` itself; the
+        other rows share one ``mixer``.  A 2-D ``u`` holds one logit row
+        per input and gives the list of their outputs, with one projection
+        for all rows; a 1-D ``u`` is its one-row case.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.ndim > 2 or u.shape[-1] != len(images):
             raise DomainError(f"logit rows of shape {u.shape} for {len(images)} images")
 
-        def attend(w):
-            i = _is_basis_vector(w)
-            return images[i] if i is not None else self.mix(w, images)
-
-        outs = [attend(w) for w in np.atleast_2d(project_simplex(u))]
+        weights = np.atleast_2d(project_simplex(u))
+        picks = [_is_basis_vector(w) for w in weights]
+        mix = self.mixer(images) if None in picks else None  # only off a vertex
+        outs = [images[i] if i is not None else mix(w) for i, w in zip(picks, weights)]
         return outs if u.ndim == 2 else outs[0]
 
-    def mixing_loss_grad(self, y, w, points, exponent: float,
-                         fd_step: float = 1e-5) -> tuple[float, np.ndarray]:
-        """The loss d(y, eta(w, points))^exponent and its weight gradient.
+    def mixing_loss(self, points, exponent: float) -> Callable:
+        """(y, w) -> the loss d(y, eta(w, points))^exponent and its weight
+        gradient, mixed by one ``mixer`` for all calls.
 
         A weight vector is renormalized before it is mixed, so entry i of
         the gradient is the derivative along e_i - w.  This default takes
-        central finite differences of step ``fd_step``, one-sided where
+        central finite differences of step ``_FD_STEP``, one-sided where
         the step would leave the simplex: 2K + 1 mixes and distances for
         K points.  Variants with a closed form override it.
         """
+        mix = self.mixer(points)
 
-        def dist_of_w(wv):
-            mixed = self.mix(wv / wv.sum(), points)
-            return self.distance(y, mixed) ** exponent
+        def loss_grad(y, w):
+            def loss_at(wv):
+                return self.distance(y, mix(wv / wv.sum())) ** exponent
 
-        base = dist_of_w(w)
-        gw = np.zeros(w.size)
-        for i in range(w.size):
-            wp = w.copy()
-            wp[i] += fd_step
-            wm = np.maximum(w.copy(), 0.0)
-            wm[i] = max(wm[i] - fd_step, 0.0)
-            gw[i] = (dist_of_w(wp) - dist_of_w(wm)) / (fd_step + (w[i] - wm[i]))
-        return base, gw
+            base = loss_at(w)
+            gw = np.zeros(w.size)
+            for i in range(w.size):
+                wp = w.copy()
+                wp[i] += _FD_STEP
+                wm = np.maximum(w.copy(), 0.0)
+                wm[i] = max(wm[i] - _FD_STEP, 0.0)
+                gw[i] = (loss_at(wp) - loss_at(wm)) / (_FD_STEP + (w[i] - wm[i]))
+            return base, gw
 
-    def mixing_loss(self, points, exponent: float) -> Callable:
-        """(y, w) -> ``mixing_loss_grad(y, w, points, exponent)`` for many
-        calls over the same ``points``, with their preparation done once."""
-        return lambda y, w: self.mixing_loss_grad(y, w, points, exponent)
+        return loss_grad
 
     def simplicial_defect(self, w, points: list) -> float:
         """min_i [ C_eta (sum_j d(y_i,y_j)^p w_j)^(1/p) - d(eta(w,Y), y_i) ].
@@ -209,7 +227,6 @@ class QasSpace:
         Nonnegative (up to numerical slack) exactly when the mixing
         inequality holds with the declared constants.
         """
-        w = validate_simplex_weight(w)
         mixed = self.mix(w, points)
         p = self.mixing_exponent
         best = math.inf
@@ -283,43 +300,36 @@ class WassersteinConvex(QasSpace):
         if y.dim != self.d:
             raise DomainError(f"point dim {y.dim} != space dim {self.d}")
 
-    def _mix_impl(self, w, points):
-        if self.barycentric_mixing:
-            return wasserstein2_barycenter_1d(points, w)
-        return mixture(points, w)
+    def _prepare(self, points):
+        return points if self.barycentric_mixing else MixtureAnchors.of(points)
 
-    def mixing_loss_grad(self, y, w, points, exponent: float,
-                         fd_step: float = 1e-5) -> tuple[float, np.ndarray]:
-        """Envelope gradient of the loss W_p(y, m)^exponent at the convex
-        mixture m = sum_n w_n mu_n (Cuturi & Doucet, ICML 2014).
+    def _mix_impl(self, w, prepared):
+        if self.barycentric_mixing:
+            return wasserstein2_barycenter_1d(prepared, w)
+        return prepared.mix(w)
+
+    def mixing_loss(self, points, exponent: float) -> Callable:
+        """Convex mixing differentiates the loss W_p(y, m)^exponent at the
+        mixture m = sum_n w_n mu_n by its envelope gradient (Cuturi &
+        Doucet, ICML 2014); barycentric mixing keeps the finite differences.
 
         One optimal transport from y to m gives C = W_p(y, m)^p and a
         potential u on y's atoms (``metrics.transport_potential``); its
         c-transform phi is an optimal potential on every anchor atom, and
         d/dt C(m + t (mu_i - m)) = <phi, mu_i - m>.  The chain rule turns
         this into the derivative of C^(exponent/p).  At y = m the loss
-        attains its minimum 0, where zero is a subgradient.  Barycentric
-        mixing keeps the finite differences.
+        attains its minimum 0, where zero is a subgradient.  The mixture
+        and the anchor atoms come from one ``mixer``.
         """
         if self.barycentric_mixing:
-            return super().mixing_loss_grad(y, w, points, exponent, fd_step)
-        return self.mixing_loss(points, exponent)(y, w)
-
-    def mixing_loss(self, points, exponent: float) -> Callable:
-        """``mixing_loss_grad`` over fixed ``points``: they are checked and
-        stacked once (``MixtureAnchors``), and each call mixes as ``mix``."""
-        if self.barycentric_mixing:
             return super().mixing_loss(points, exponent)
-        for mu in points:
-            self.check_point(mu)
-        anchors = MixtureAnchors.of(points)  # raises on no points
+        mix = self.mixer(points)
+        anchors = mix.prepared
         starts = np.cumsum(anchors.lengths) - anchors.lengths
         ratio = exponent / self.p
 
         def loss_grad(y, w):
-            wn = validate_simplex_weight(w / w.sum())
-            i = _is_basis_vector(wn) if wn.size == len(points) else None  # else mix raises
-            mixed = points[i] if i is not None else anchors.mix(wn)
+            mixed = mix(w / w.sum())
             if y.equal_as_measure(mixed):
                 return 0.0, np.zeros(w.size)
             cost, u = transport_potential(y, mixed, self.p)
@@ -423,9 +433,11 @@ class AdaptedEmpirical(QasSpace):
                 f"point shape (d={y.step_dim}, T={y.horizon}) != space (d={self.d}, T={self.T})"
             )
 
-    def _mix_impl(self, w, points):
-        base = mixture([y.base for y in points], w)
-        return PathMeasure(base, self.T, self.d)
+    def _prepare(self, points):
+        return MixtureAnchors.of([y.base for y in points])
+
+    def _mix_impl(self, w, prepared):
+        return PathMeasure(prepared.mix(w), self.T, self.d)
 
     def code_length(self, q: int) -> int:
         return self.d * self.T * q
@@ -446,34 +458,24 @@ class AdaptedEmpirical(QasSpace):
 # linear spaces with a Schauder basis
 # ---------------------------------------------------------------------------
 
-@dataclass(init=False, eq=False)
+@dataclass(frozen=True)
 class LinearSchauder(QasSpace):
-    """Coefficient sequences over a countable basis with a Gram inner product.
+    """Coefficient sequences over an orthonormal countable basis.
 
-    Points are finite coefficient vectors (implicitly zero-padded); the
-    distance is the norm induced by the basis Gram matrix, which defaults
-    to orthonormal.  Quantization at level q truncates to the first q
-    coefficients.
+    Points are finite coefficient vectors (implicitly zero-padded) of at
+    most ``max_terms`` entries; the distance is the norm induced by the
+    basis Gram matrix (``gram``).  Quantization at level q truncates to
+    the first q coefficients.
     """
 
     kind = "linear_schauder"
     mixing_constant = 1.0
     mixing_exponent = 1.0
-
-    def __init__(self, gram: Callable[[int, int], float] | None = None, max_terms: int = 4096):
-        self._gram_fn = gram
-        self._max_terms = max_terms
-        self._gram_cache: dict[int, np.ndarray] = {}
+    max_terms = 4096
 
     def gram(self, n: int) -> np.ndarray:
-        if n not in self._gram_cache:
-            if self._gram_fn is None:
-                g = np.eye(n)
-            else:
-                g = np.array([[self._gram_fn(i, j) for j in range(n)] for i in range(n)])
-            g.setflags(write=False)
-            self._gram_cache[n] = g
-        return self._gram_cache[n]
+        """The Gram matrix of the first n basis elements."""
+        return np.eye(n)
 
     def distance(self, a, b) -> float:
         a = np.atleast_1d(np.asarray(a, float))
@@ -489,7 +491,7 @@ class LinearSchauder(QasSpace):
 
     def check_point(self, y) -> None:
         arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if arr.ndim != 1 or arr.size < 1 or arr.size > self._max_terms:
+        if arr.ndim != 1 or arr.size < 1 or arr.size > self.max_terms:
             raise DomainError("points are nonempty 1-D coefficient vectors")
 
     def _mix_impl(self, w, points):
@@ -526,13 +528,13 @@ def forward_rate_kernel(alpha: float, t: float, s: float) -> float:
 _KNOT_HORIZON = 30.0  # last time of the default knot grid
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ForwardRateRkhs(LinearSchauder):
     """Forward-rate-curve space: kernel sections at knot times as the basis.
 
     Knot times default to the geometric grid 0.1 * 2^n capped at
     ``_KNOT_HORIZON``; only a countable dense knot set is needed, and this
-    one is explicit.
+    one is explicit.  Their Gram matrix is built once.
     """
 
     alpha: float
@@ -550,12 +552,18 @@ class ForwardRateRkhs(LinearSchauder):
             while t <= _KNOT_HORIZON:
                 knots.append(t)
                 t *= 2.0
-        self.alpha = float(self.alpha)
-        self.knots = tuple(float(t) for t in knots)
-        if any(t < 0 for t in self.knots):
+        alpha, knots = float(self.alpha), tuple(float(t) for t in knots)
+        if any(t < 0 for t in knots):
             raise DomainError("knot times must be >= 0")
-        super().__init__(gram=lambda i, j: forward_rate_kernel(self.alpha, self.knots[i], self.knots[j]),
-                         max_terms=len(self.knots))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "max_terms", len(knots))
+        object.__setattr__(self, "_knot_gram", np.array(
+            [[forward_rate_kernel(alpha, s, t) for t in knots] for s in knots]))
+
+    def gram(self, n: int) -> np.ndarray:
+        # contiguous: a strided view could change how the product rounds
+        return np.ascontiguousarray(self._knot_gram[:n, :n])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ Besides evaluation, this module provides two fit procedures:
 * ``fit_static_end2end`` refines encoder logits by gradient descent on
   the output-space loss, differentiating through the simplex projection
   on its active set (ties resolved to the sorted-threshold branch) and
-  through the mixing distance by the space's ``mixing_loss_grad``.
+  through the mixing distance by the space's ``mixing_loss``.
 
 The complexity calculators evaluate the model-size bound formulas row by
 row; they are pure formula evaluations and bitwise reproducible.  The
@@ -490,10 +490,10 @@ def fit_static_end2end(
     The loss is sum_x d_Y(f(x), gt(x))^p.  Gradients flow analytically
     through the network, analytically through the simplex projection on
     its active set, and through the mixing distance as a function of the
-    simplex weights by the space's ``mixing_loss_grad``: for the
-    Wasserstein space with convex mixing that is the envelope gradient
-    from one optimal transport's dual potentials, elsewhere central
-    finite differences.  Requires a smooth or classical activation; the
+    simplex weights by the space's ``mixing_loss`` over the fixed codes:
+    for the Wasserstein space with convex mixing that is the envelope
+    gradient from one optimal transport's dual potentials, elsewhere
+    central finite differences.  Requires a smooth or classical activation; the
     constructive fit gives the codes, which stay fixed, and the initial
     encoder.  The config keys are the fields of ``End2EndFitConfig``;
     ``targets`` is as for ``fit_static_constructive``.

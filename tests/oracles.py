@@ -9,6 +9,10 @@ The ``*_reference`` kernels are the plain earlier forms of rewritten
 library kernels, kept so that tests can pin the rewrites bit for bit;
 among them the SDE kernel map builder as it evaluated one path at a time
 (``PerPathMapReference``).
+``mix_reference`` is ``QasSpace.mix`` with its six variant bodies as they
+were before one ``mixer`` prepared a point set for every mix, and
+``mixing_loss_fd_reference`` the finite-difference loss gradient that
+``QasSpace.mixing_loss`` takes, with its step as an argument.
 ``marginal_check`` checks a ``PathMeasure``'s conditional tree against its
 base measure.
 ``relu_theta`` is a shared test fixture.
@@ -568,7 +572,7 @@ def merge_rows_reference(atoms: np.ndarray, weights: np.ndarray):
 
 
 def mixture_reference(components, mix_weights):
-    """``measures.mixture`` as one product array per component: w_n times
+    """``MixtureAnchors.mix`` as one product array per component: w_n times
     the weights of component n, concatenated, zero weights dropped."""
     from qasnets.measures import DiscreteMeasure
 
@@ -577,6 +581,77 @@ def mixture_reference(components, mix_weights):
     weights = np.concatenate([wn * m.weights for wn, m in zip(w, components)])
     keep = weights > 0.0
     return DiscreteMeasure(atoms[keep], weights[keep])
+
+
+def mix_reference(space, w, points):
+    """``QasSpace.mix`` as it was before the one mixing path: every call
+    validates the weight, checks every point, picks a vertex, then mixes
+    by the body of the space's variant.  ``mixture_reference`` stands in
+    for the convex mixture those bodies called."""
+    from qasnets.errors import DomainError
+    from qasnets.measures import GaussianMeasure, PathMeasure, validate_simplex_weight
+    from qasnets.metrics import spd_log, sym_exp, wasserstein2_barycenter_1d
+    from qasnets.spaces import (AdaptedEmpirical, ExponentialFamily, GaussianSpd,
+                                LinearSchauder, WassersteinConvex)
+
+    w = validate_simplex_weight(w)
+    if len(points) == 0:
+        raise DomainError("points must be nonempty")
+    if w.size != len(points):
+        raise DomainError(f"weight count {w.size} != point count {len(points)}")
+    for y in points:
+        space.check_point(y)
+    hits = np.nonzero(w == 1.0)[0]
+    if hits.size == 1 and np.count_nonzero(w) == 1:
+        return points[int(hits[0])]
+    if isinstance(space, WassersteinConvex):
+        if space.barycentric_mixing:
+            return wasserstein2_barycenter_1d(points, w)
+        return mixture_reference(points, w)
+    if isinstance(space, AdaptedEmpirical):
+        base = mixture_reference([y.base for y in points], w)
+        return PathMeasure(base, space.T, space.d)
+    if isinstance(space, LinearSchauder):
+        n = max(np.atleast_1d(p).size for p in points)
+        out = np.zeros(n)
+        for wn, pt in zip(w, points):
+            pt = np.atleast_1d(np.asarray(pt, float))
+            out[: pt.size] += wn * pt
+        return out
+    if isinstance(space, GaussianSpd):
+        mean = np.zeros(space.d)
+        logs = np.zeros((space.d, space.d))
+        for wn, g in zip(w, points):
+            mean += wn * g.mean
+            logs += wn * spd_log(g.cov)
+        return GaussianMeasure(mean, sym_exp(logs))
+    if isinstance(space, ExponentialFamily):
+        out = np.zeros(space.d)
+        for wn, pt in zip(w, points):
+            out += wn * np.asarray(pt, float)
+        return np.clip(out, 0.0, 1.0)
+    raise TypeError(f"no mixing body for {type(space).__name__}")
+
+
+def mixing_loss_fd_reference(space, y, w, points, exponent: float, step: float):
+    """The loss d(y, eta(w, points))^exponent and its weight gradient by
+    central finite differences of step ``step``, one-sided where the step
+    would leave the simplex; the weight is renormalized before it is
+    mixed.  The body of ``QasSpace.mixing_loss``, with the step free."""
+
+    def dist_of_w(wv):
+        mixed = space.mix(wv / wv.sum(), points)
+        return space.distance(y, mixed) ** exponent
+
+    base = dist_of_w(w)
+    gw = np.zeros(w.size)
+    for i in range(w.size):
+        wp = w.copy()
+        wp[i] += step
+        wm = np.maximum(w.copy(), 0.0)
+        wm[i] = max(wm[i] - step, 0.0)
+        gw[i] = (dist_of_w(wp) - dist_of_w(wm)) / (step + (w[i] - wm[i]))
+    return base, gw
 
 
 def canonical_measure_reference(atoms, weights):

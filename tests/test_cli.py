@@ -572,6 +572,50 @@ class TestStaticFit:
         assert len(read_csv(out / "error_curve.csv")) == 5
         assert calls == {"target": 257, "lipschitz": 1}
 
+    def test_each_attention_and_loss_prepares_its_points_once(self, tmp_path, monkeypatch):
+        """An attention call checks and stacks its N images once, and so
+        does the end-to-end loss; a fit whose rows are all at vertices
+        builds no mixer.  Before, every row and every loss call did it
+        again: 35 stackings and 840 point checks for the four constructive
+        budgets, 32 stackings for the end-to-end fit."""
+        from qasnets.measures import MixtureAnchors
+        from qasnets.spaces import QasSpace, WassersteinConvex
+
+        counts = {}
+        stack, check, mixer = MixtureAnchors.of, WassersteinConvex.check_point, QasSpace.mixer
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(MixtureAnchors, "of", staticmethod(counted("stack", stack)))
+        monkeypatch.setattr(WassersteinConvex, "check_point", counted("check", check))
+        monkeypatch.setattr(QasSpace, "mixer", counted("mixer", mixer))
+        runs = {
+            "constructive": ("static-fit", {"seed": 0, "budgets": {"N": [4, 8, 16, 32], "q": [2]},
+                                            "train_points": 257}),
+            "end2end": ("static-fit", {
+                "seed": 0, "mode": "end2end", "budgets": {"N": [16], "q": [8]},
+                "train_points": 33, "fit": {"activation": "smooth", "hidden": 32, "train": {
+                    "lr": 0.05, "epochs": 10, "train_alpha": False}}}),
+            "dynamic": ("dynamic-fit", {"seed": 0, "N_T": 2, "eps": 0.4, "fit": {
+                "grid_points": 9, "domain_lo": -1.0, "domain_hi": 1.0,
+                "decoder_anchors": 16, "decoder_level": 16}}),
+        }
+        seen = {}
+        for name, (command, cfg) in runs.items():
+            counts.clear()
+            (tmp_path / name).mkdir()
+            assert run(tmp_path / name, command, cfg)[0] == 0
+            seen[name] = dict(counts)
+        # one mixer per budget; every image is checked once by its code's
+        # encoding and once by its model's mixer: 2 (4 + 8 + 16 + 32) = 120
+        assert seen["constructive"]["stack"] <= 4 and seen["constructive"]["check"] <= 120
+        assert seen["end2end"]["stack"] <= 3
+        assert "mixer" not in seen["dynamic"] and "stack" not in seen["dynamic"]
+
     def test_measure_file_dataset(self, tmp_path):
         for i, v in enumerate((0.0, 1.0)):
             (tmp_path / f"m{i}.json").write_text(json.dumps(dirac_json(v)))
@@ -621,6 +665,23 @@ class TestDynamicFit:
         assert len(rows) == 1 + 9
         norm_rows = read_csv(out / "normalized_errors.csv")
         assert norm_rows[0] == ["n", "raw_error", "denominator", "normalized"]
+
+
+    def test_readme_compression_block_divides_by_one(self, tmp_path):
+        """The README config's paths span [-N_T, N_T]: inside the horizon
+        the compression rate is 1 and self-compression does not apply, so
+        every denominator is 1.0 and the normalized errors are the raw ones."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = next(json.loads(body) for _, body, command, _ in README_RUN.findall(readme)
+                   if command == "dynamic-fit")
+        assert "compression" in cfg
+        code, out = run(tmp_path, "dynamic-fit", cfg)
+        assert code == 0
+        header, *rows = read_csv(out / "normalized_errors.csv")
+        assert header == ["n", "raw_error", "denominator", "normalized"]
+        assert [int(r[0]) for r in rows] == list(range(-cfg["N_T"], cfg["N_T"] + 1))
+        for _, raw, denominator, normalized in rows:
+            assert float(denominator) == 1.0 and normalized == raw
 
 
 class TestPaths:

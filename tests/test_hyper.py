@@ -19,9 +19,7 @@ from qasnets.dynamics import (
     uniform_grid,
 )
 from qasnets.hyper import (
-    AcMapSpec,
     Ght,
-    constant_compression,
     fit_dynamic,
     ght_eval,
     grid_interpolation_encoder,
@@ -207,7 +205,7 @@ class TestBatchedEvaluation:
             def evaluate(self, paths, n):
                 return [DiscreteMeasure.dirac(0.5)] * len(paths)
 
-        raw = hyper._sup_distance(Dirac(), ght, paths, 1, 0.4)
+        raw = hyper._sup_distance(Dirac(), ght, paths, 1)
         assert shapes == [(7, 1), (7, 2)]
         monkeypatch.undo()
         space = ght.decoder.space
@@ -217,7 +215,7 @@ class TestBatchedEvaluation:
         assert [space.distance(a, ght_eval(ght, p, 1)) for a, p in zip(outs, paths)] == [0.0] * 7
         # an empty path set has no outputs, so its sups keep their floors
         assert ght_eval(ght, [], 1) == []
-        assert hyper._sup_distance(Dirac(), ght, [], 1, 0.4) == 0.0
+        assert hyper._sup_distance(Dirac(), ght, [], 1) == 0.0
         assert self_compression(ght, [], 2, lam=4.0, n=3) == 1.0
 
 
@@ -439,13 +437,11 @@ class TestFitDynamic:
         with pytest.raises(DomainError):
             fit_dynamic(target, short, N_T=4, space=space, eps=0.4)
 
-    def test_ac_map_wrapper(self):
+    def test_k32_target_map_within_window(self):
         space = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)
-        spec = AcMapSpec(family=lambda eps: sin_drift_target(k=32),
-                         c_ac=constant_compression)
         paths = self.make_paths(n_vals=5, N_T=2)
         ght, report = fit_dynamic(
-            spec, paths, N_T=2, space=space, eps=0.4,
+            sin_drift_target(k=32), paths, N_T=2, space=space, eps=0.4,
             config={"grid_points": 9, "domain_lo": -1.0, "domain_hi": 1.0,
                     "decoder_anchors": 32, "decoder_level": 32},
         )
@@ -482,8 +478,7 @@ class TestNormalizedError:
                 return ght_eval(ght, paths, n)
 
         paths = [constant_path(0.4)]
-        out = normalized_error(SelfTarget(), ght, paths, constant_compression,
-                               lambda n: 1.0, N_T=2, eps=0.4)
+        out = normalized_error(SelfTarget(), ght, paths, lambda n: 1.0, N_T=2, eps=0.4)
         assert out["score"] == 0.0
 
     def test_denominators_at_least_one(self):
@@ -494,7 +489,6 @@ class TestNormalizedError:
                 return ght_eval(ght, paths, n)
 
         paths = [constant_path(0.3, n_past=6, n_future=6)]
-        out = normalized_error(SelfTarget(), ght, paths, constant_compression,
-                               lambda n: 0.5, N_T=2, eps=0.4)
+        out = normalized_error(SelfTarget(), ght, paths, lambda n: 0.5, N_T=2, eps=0.4)
         for row in out["rows"]:
             assert row["denominator"] >= 1.0

@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qasnets import measures
-from qasnets.measures import (DiscreteMeasure, MixtureAnchors, _merge_rows, measure_from_json,
-                              mixture)
+from qasnets.measures import DiscreteMeasure, MixtureAnchors, _merge_rows, measure_from_json
 
 from oracles import canonical_measure_reference, merge_rows_reference, mixture_reference
 
@@ -65,7 +64,7 @@ class TestCanonicalMeasure:
     def test_mixture_is_the_canonical_concatenation(self):
         mu = DiscreteMeasure(np.array([[2.0], [0.0]]), [0.5, 0.5])
         nu = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
-        mix = mixture([mu, nu], [0.5, 0.5])
+        mix = MixtureAnchors.of([mu, nu]).mix(np.array([0.5, 0.5]))
         np.testing.assert_array_equal(mix.atoms, [[0.0], [1.0], [2.0]])
         np.testing.assert_array_equal(mix.weights, [0.5, 0.25, 0.25])
 
@@ -74,7 +73,7 @@ class TestPreparedMixture:
     @given(k=st.integers(1, 6), d=st.integers(1, 2), seed=st.integers(0, 2**16))
     def test_bitwise_equal_to_mixture(self, k, d, seed):
         """Anchors stacked once and mixed at many weights give the bits of
-        ``mixture`` and of the per-component products: zero mixing weights
+        the per-component products: zero mixing weights
         and zero atom weights drop their atoms, a vertex weight gives its
         component's arrays, and atoms shared across anchors merge."""
         rng = np.random.default_rng(seed)
@@ -95,9 +94,9 @@ class TestPreparedMixture:
             draws.append(w / w.sum() if w.any() else np.full(k, 1.0 / k))
         for w in draws:
             got = anchors.mix(w)
-            for want in (mixture(points, w), mixture_reference(points, w)):
-                assert got.atoms.tobytes() == want.atoms.tobytes()
-                assert got.weights.tobytes() == want.weights.tobytes()
+            want = mixture_reference(points, w)
+            assert got.atoms.tobytes() == want.atoms.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
         at_vertex = anchors.mix(draws[0])
         assert at_vertex.atoms.tobytes() == points[vertex].atoms[points[vertex].weights > 0].tobytes()
 

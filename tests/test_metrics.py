@@ -14,8 +14,8 @@ from qasnets.measures import (
     WEIGHT_SUM_TOL,
     DiscreteMeasure,
     GaussianMeasure,
+    MixtureAnchors,
     PathMeasure,
-    mixture,
 )
 from qasnets.metrics import (
     adapted_wasserstein_p,
@@ -736,6 +736,6 @@ class TestMixture:
     def test_mixture_merges_duplicates(self):
         mu = DiscreteMeasure.dirac(0.0)
         nu = DiscreteMeasure.dirac(0.0)
-        mix = mixture([mu, nu], [0.5, 0.5])
+        mix = MixtureAnchors.of([mu, nu]).mix(np.array([0.5, 0.5]))
         assert len(mix) == 1
         assert mix.weights[0] == pytest.approx(1.0)

@@ -1,14 +1,17 @@
 """Tests for the output-space variants: mixing, quantizers, attention."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasnets.errors import DomainError
 from qasnets.measures import DiscreteMeasure, GaussianMeasure, PathMeasure
-from qasnets.metrics import wasserstein_p
+from qasnets.metrics import project_simplex, wasserstein_p
 from qasnets.spaces import (
     AdaptedEmpirical,
-    QasSpace,
     ExponentialFamily,
     ForwardRateRkhs,
     GaussianSpd,
@@ -21,7 +24,7 @@ from qasnets.spaces import (
     space_from_json,
 )
 
-from oracles import kcenter_code_reference
+from oracles import kcenter_code_reference, mix_reference, mixing_loss_fd_reference
 
 RNG = np.random.default_rng
 
@@ -128,8 +131,9 @@ class TestAttentionIdentity:
 
 
 class TestMixingLossGrad:
-    """The envelope gradient of the Wasserstein space against the central
-    finite differences of the base class (one-sided at zero weights).
+    """The envelope gradient of the Wasserstein space against central
+    finite differences (``mixing_loss_fd_reference``, the body of the base
+    class's loss, one-sided at zero weights).
 
     Continuous random draws put the weight points off the kinks of the
     loss almost surely; the finite-difference step is small so that the
@@ -153,8 +157,8 @@ class TestMixingLossGrad:
         space = w_space(d, p)
         for _ in range(3):
             y, w, points = self.problem(rng, d)
-            loss, grad = space.mixing_loss_grad(y, w, points, exponent)
-            fd_loss, fd_grad = QasSpace.mixing_loss_grad(space, y, w, points, exponent, 1e-7)
+            loss, grad = space.mixing_loss(points, exponent)(y, w)
+            fd_loss, fd_grad = mixing_loss_fd_reference(space, y, w, points, exponent, 1e-7)
             assert loss == fd_loss
             np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-6)
             assert np.abs(grad).max() > 1e-3
@@ -163,8 +167,8 @@ class TestMixingLossGrad:
         rng = RNG(6)
         space = WassersteinConvex(d=1, p=2.0, q_exponent=3.0, barycentric_mixing=True)
         y, w, points = self.problem(rng, 1)
-        got = space.mixing_loss_grad(y, w, points, 2.0)
-        want = QasSpace.mixing_loss_grad(space, y, w, points, 2.0)
+        got = space.mixing_loss(points, 2.0)(y, w)
+        want = mixing_loss_fd_reference(space, y, w, points, 2.0, 1e-5)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_zero_subgradient_where_target_equals_mixture(self):
@@ -174,9 +178,9 @@ class TestMixingLossGrad:
                   DiscreteMeasure.dirac(3.0)]
         y = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
         w = np.array([0.5, 0.5, 0.0])
-        loss, grad = space.mixing_loss_grad(y, w, points, 1.0)
+        loss, grad = space.mixing_loss(points, 1.0)(y, w)
         assert loss == 0.0 and np.array_equal(grad, np.zeros(3))
-        _, fd = QasSpace.mixing_loss_grad(space, y, w, points, 1.0)
+        _, fd = mixing_loss_fd_reference(space, y, w, points, 1.0, 1e-5)
         assert fd[2] > 0.0  # moving mass to the unused anchor only adds loss
 
 
@@ -205,6 +209,86 @@ class TestMixing:
         space = w_space(1)
         with pytest.raises(DomainError):
             space.mix([1.0], [DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0)])
+
+
+def grid_discrete(rng, d):
+    """A measure on the integer grid, so atoms repeat across anchors, with
+    some zero-weight atoms."""
+    n = int(rng.integers(1, 5))
+    weights = rng.dirichlet(np.ones(n))
+    weights[rng.random(n) < 0.2] = 0.0
+    return DiscreteMeasure(rng.integers(-2, 3, size=(n, d)).astype(float),
+                           weights / weights.sum() if weights.any() else np.full(n, 1.0 / n))
+
+
+MIXING_CASES = [
+    (w_space(1, 1.0), lambda rng: grid_discrete(rng, 1)),
+    (w_space(2, 2.0), lambda rng: grid_discrete(rng, 2)),
+    (WassersteinConvex(d=1, p=2.0, q_exponent=3.0, barycentric_mixing=True),
+     lambda rng: grid_discrete(rng, 1)),
+    (AdaptedEmpirical(d=1, T=2, p=1.0), random_path_measure),
+    (LinearSchauder(), lambda rng: rng.normal(size=int(rng.integers(1, 6)))),
+    (ForwardRateRkhs(alpha=4.0), lambda rng: rng.normal(size=int(rng.integers(1, 10)))),
+    (GaussianSpd(d=2), lambda rng: random_gaussian(rng, 2)),
+    (ExponentialFamily(d=3), lambda rng: rng.uniform(0.0, 1.0, size=3)),
+]
+MIXING_IDS = ["convex1", "convex2", "barycentric", "adapted", "schauder", "forward_rate",
+              "gaussian", "exponential"]
+
+
+def same_bits(got, want) -> bool:
+    if isinstance(want, PathMeasure):
+        return ((got.horizon, got.step_dim) == (want.horizon, want.step_dim)
+                and same_bits(got.base, want.base))
+    if isinstance(want, DiscreteMeasure):
+        return (got.atoms.tobytes() == want.atoms.tobytes()
+                and got.weights.tobytes() == want.weights.tobytes())
+    if isinstance(want, GaussianMeasure):
+        return (got.mean.tobytes() == want.mean.tobytes()
+                and got.cov.tobytes() == want.cov.tobytes())
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestOneMixingPath:
+    """``mix`` and ``attention`` give the bits of ``mix_reference``, the
+    mix that checked its points on every call, on all six variants."""
+
+    @pytest.mark.parametrize("space, sample", MIXING_CASES, ids=MIXING_IDS)
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**16))
+    def test_mix_and_attention_match_the_reference(self, space, sample, seed):
+        rng = RNG(seed)
+        k = int(rng.integers(1, 5))
+        points = [sample(rng) for _ in range(k)]
+        draws = [np.eye(k)[int(rng.integers(k))], np.full(k, 1.0 / k)]
+        for _ in range(3):
+            w = rng.dirichlet(np.ones(k))
+            w[rng.random(k) < 0.3] = 0.0  # zero-weight entries
+            draws.append(w / w.sum() if w.any() else np.full(k, 1.0 / k))
+        weights = np.stack(draws)
+        outs = space.attention(weights, points)
+        for w, w_projected, out in zip(weights, project_simplex(weights), outs):
+            for got, want in ((space.mix(w, points), mix_reference(space, w, points)),
+                              (out, mix_reference(space, w_projected, points))):
+                if any(want is y for y in points):  # a vertex gives the point itself
+                    assert got is want
+                else:
+                    assert same_bits(got, want)
+
+    @pytest.mark.parametrize("space, sample", MIXING_CASES, ids=MIXING_IDS)
+    def test_errors_match_the_reference(self, space, sample):
+        rng = RNG(3)
+        a, b = sample(rng), sample(rng)
+        wrong = np.zeros((2, 2))  # no variant's point
+        for w, points in (([1.0], []), ([0.5, 0.25, 0.25], [a, b]), ([0.5, 0.5], [a, wrong])):
+            with pytest.raises(DomainError) as want:
+                mix_reference(space, w, points)
+            with pytest.raises(DomainError, match=re.escape(str(want.value))):
+                space.mix(w, points)
+        with pytest.raises(DomainError, match=re.escape(str(want.value))):
+            space.attention([0.0, 0.0], [a, wrong])
+        with pytest.raises(DomainError, match="points must be nonempty"):
+            space.mixing_loss([], 1.0)
 
 
 class TestSimplicialDefect:
