@@ -259,7 +259,7 @@ class StaticTarget(Config):
 
 @dataclass(frozen=True)
 class Budgets(Config):
-    N: tuple[int, ...] = (32,)
+    N: tuple[int, ...] = (4, 8, 16, 32)
     q: tuple[int, ...] = (2,)
 
 
@@ -268,7 +268,7 @@ class StaticFitCommand(CommandConfig):
     target: StaticTarget = StaticTarget(kind="symmetric_pair")
     space: dict | None = None  # read by ``space_from_json``
     mode: str = "constructive"
-    budgets: Budgets = Budgets(N=(4, 8, 16, 32))
+    budgets: Budgets = Budgets()
     train_points: NonNegativeInt = 257
     fit: dict = field(default_factory=dict)  # read by the mode's fit config
     output: str = "error_curve.csv"
@@ -317,19 +317,20 @@ def cmd_static_fit(runner: Runner, base: Path):
         0.0, 1.0, cfg.train_points).reshape(-1, 1)
     if (cfg.mode == "end2end" or fit.activation != "singular") and cfg.seed is None:
         raise DomainError("randomized fits require an explicit seed")
-    if cfg.seed is not None:
-        fit = replace(fit, train=replace(fit.train, seed=cfg.seed))
 
     t0 = time.perf_counter()
     # the targets and the Lipschitz estimate are the same for every budget
     targets = [target(x) for x in xs]
+    for y in targets:
+        space.check_point(y)
     if cfg.mode == "constructive" and fit.lipschitz is None:
         fit = replace(fit, lipschitz=estimate_lipschitz(space, targets, xs, fit.holder_exponent))
     rows = []
     best = None
     for n_anchor in cfg.budgets.N:
         for q in cfg.budgets.q:
-            gt, rep = fit_fn(target, xs, space, {"N": n_anchor, "q": q}, fit, targets)
+            gt, rep = fit_fn(target, xs, space, {"N": n_anchor, "q": q}, fit, targets,
+                             cfg.seed or 0)
             rows.append([n_anchor, q, rep.sup_error, rep.covering_radius,
                          max(rep.quantization_errors) if rep.quantization_errors else None,
                          rep.error_bound])
@@ -406,7 +407,7 @@ def cmd_dynamic_fit(runner: Runner, base: Path):
     n_t, eps = cfg.N_T, cfg.eps
     if cfg.seed is None:
         raise DomainError("dynamic fits use seeded projections; an explicit seed is required")
-    fit = cfg.fit if cfg.fit.seed is not None else replace(cfg.fit, seed=cfg.seed)
+    fit = cfg.fit
 
     comp = cfg.compression
     if comp is not None:
@@ -424,7 +425,7 @@ def cmd_dynamic_fit(runner: Runner, base: Path):
         for v in np.linspace(-1.0, 1.0, cfg.eval_points)
     ]
     t0 = time.perf_counter()
-    ght, report = fit_dynamic(target, paths, n_t, space, eps, fit)
+    ght, report = fit_dynamic(target, paths, n_t, space, eps, fit, cfg.seed)
     runner.wall["dynamic_fit"] = time.perf_counter() - t0
 
     runner.emit_json(cfg.output, report.to_json())

@@ -1,16 +1,18 @@
 """Typed JSON configs: each config value is declared once, as a dataclass field.
 
 ``from_json(cls, obj, where)`` builds ``cls`` from a JSON object by its field
-annotations, with the field defaults for absent keys.  An unknown or missing
-key, or a value of the wrong type, raises ``DomainError`` naming ``where`` and
-the key, at any depth.  ``int`` takes a JSON integer only (not a bool, not
-2.0), ``PositiveInt`` one >= 1, ``NonNegativeInt`` one >= 0, ``float`` a
-finite number, ``bool`` true or false, ``str`` a string, ``dict`` an object,
-``tuple[T, ...]`` an array of T, ``tuple[A, B]`` one of length 2, a ``Config``
-subclass a nested object, and null only an ``X | None`` field.  Any other
-class, and a callable, takes only an instance: JSON cannot produce one.  A
-field ``class_`` reads the key ``class``.  ``coerce(value, hint, path)`` applies
-the same rules to one value outside a dataclass.
+annotations, with the field defaults for absent keys.  A nested block sits on
+top of its field's default, so ``{}`` is that default and a stage's defaults
+are declared once; a key its class requires must still be given.  An unknown
+or missing key, or a value of the wrong type, raises ``DomainError`` naming
+``where`` and the key, at any depth.  ``int`` takes a JSON integer only (not a
+bool, not 2.0), ``PositiveInt`` one >= 1, ``NonNegativeInt`` one >= 0,
+``float`` a finite number, ``bool`` true or false, ``str`` a string, ``dict``
+an object, ``tuple[T, ...]`` an array of T, ``tuple[A, B]`` one of length 2, a
+``Config`` subclass a nested object, and null only an ``X | None`` field.  Any
+other class, and a callable, takes only an instance: JSON cannot produce one.
+A field ``class_`` reads the key ``class``.  ``coerce(value, hint, path)``
+applies the same rules to one value outside a dataclass.
 """
 
 from __future__ import annotations
@@ -84,17 +86,17 @@ def _schema(cls) -> dict:
             for f in dataclasses.fields(cls) if f.init}
 
 
-def coerce(value, hint, path: str):
+def coerce(value, hint, path: str, base=None):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         options = [a for a in args if a is not type(None)]
         if value is None and len(options) < len(args):
             return None
         if len(options) == 1:
-            return coerce(value, options[0], path)
+            return coerce(value, options[0], path, base)
         for option in options:
             try:
-                return coerce(value, option, path)
+                return coerce(value, option, path, base)
             except DomainError:
                 pass
         raise _mismatch(path, " or ".join(map(_noun, options)), value)
@@ -111,7 +113,7 @@ def coerce(value, hint, path: str):
     elif origin is collections.abc.Callable:
         ok = callable(value)
     elif issubclass(hint, Config) and isinstance(value, dict):
-        return from_json(hint, value, path)
+        return from_json(hint, value, path, base if isinstance(base, hint) else None)
     else:
         ok = isinstance(value, hint)
     if not ok:
@@ -119,8 +121,8 @@ def coerce(value, hint, path: str):
     return _SCALARS[hint][2](value) if hint in _SCALARS else value
 
 
-def from_json(cls, obj, where: str):
-    """``cls`` built from the JSON object ``obj``; an instance passes as is."""
+def from_json(cls, obj, where: str, base=None):
+    """``cls`` from the JSON object ``obj``, on top of ``base`` if given; an instance passes."""
     if isinstance(obj, cls):
         return obj
     if not isinstance(obj, dict):
@@ -131,12 +133,12 @@ def from_json(cls, obj, where: str):
         raise DomainError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
     values = {}
     for key, (name, hint, required) in schema.items():
-        if key in obj:
-            values[name] = coerce(obj[key], hint, f"{where}.{key}")
+        if key in obj:  # a field's plain default is a class attribute
+            values[name] = coerce(obj[key], hint, f"{where}.{key}", getattr(base or cls, name, None))
         elif required:
             raise DomainError(f"{where} is missing the key {key!r}")
     try:
-        return cls(**values)
+        return cls(**values) if base is None else dataclasses.replace(base, **values)
     except DomainError as exc:
         raise DomainError(f"{where}: {exc}") from exc
 

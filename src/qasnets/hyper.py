@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import Config, NonNegativeInt, fields_to_json, from_json
+from .config import Config, fields_to_json, from_json
 from .errors import DomainError, FitFailure
 from .dynamics import FiniteComplexityMap, PathWindow, stack_windows
 from .networks import (
@@ -291,7 +291,7 @@ class DynamicFitReport:
 
 @dataclass(frozen=True)
 class DynamicFitConfig(Config):
-    """The config of ``fit_dynamic``."""
+    """The config of ``fit_dynamic``, whose ``seed`` argument seeds every stage."""
 
     encoder: str = "grid"  # exact interpolation (scalar windows only), or "gradient"
     encoder_activation: str = "smooth"  # of the gradient encoder
@@ -299,11 +299,10 @@ class DynamicFitConfig(Config):
     domain_lo: float | None = None  # grid range; by default the range the paths visit
     domain_hi: float | None = None
     hidden: int = 16  # width of the gradient encoder
-    train: TrainConfig | None = None  # of the gradient encoder; lr 0.1, 1500 epochs if absent
+    train: TrainConfig = TrainConfig(lr=0.1, epochs=1500, train_alpha=False)  # gradient encoder
     decoder_anchors: int = 64
     decoder_level: int = 64
     decoder_config: StaticFitConfig = StaticFitConfig()
-    seed: NonNegativeInt | None = None  # of the memorization; 0 if absent
     c_rate: Callable[[int], float] | None = None  # when given, adds normalized-error scoring
 
 
@@ -314,6 +313,7 @@ def fit_dynamic(
     space: QasSpace,
     eps: float,
     config: dict | DynamicFitConfig | None = None,
+    seed: int = 0,
 ) -> tuple[Ght, DynamicFitReport]:
     """Dynamic fit: per-step encoders, shared decoder, memorized schedule.
 
@@ -328,7 +328,8 @@ def fit_dynamic(
 
     Scalar windows ((m+1) d = 1) use an exact constructive interpolation
     encoder; wider windows require the "gradient" encoder.  The config
-    keys are the fields of ``DynamicFitConfig``.
+    keys are the fields of ``DynamicFitConfig``; ``seed`` seeds the
+    gradient encoders, a trained decoder classifier and the memorization.
     """
     t0 = time.perf_counter()
     config = from_json(DynamicFitConfig, config or {}, "config")
@@ -369,13 +370,12 @@ def fit_dynamic(
     elif config.encoder == "gradient":
         spec_enc = ActivationSpec(config.encoder_activation)
         md_enc = MultiIndex((window_dim, config.hidden, L))
-        tc = config.train or TrainConfig(lr=0.1, epochs=1500, train_alpha=False)
         thetas = []
         for n in steps:
             windows = stack_windows(paths, n, m)
             latents = target.encode(paths[0].grid.time_at(n), windows)
             data = list(zip(windows.reshape(len(paths), -1), latents))
-            theta_n, _ = train_regression(md_enc, spec_enc, data, tc)
+            theta_n, _ = train_regression(md_enc, spec_enc, data, config.train, seed)
             thetas.append(theta_n)
     else:
         raise DomainError(
@@ -396,15 +396,13 @@ def fit_dynamic(
     n_dec, q_dec = config.decoder_anchors, config.decoder_level
     decoder, dec_report = fit_static_constructive(
         lambda latent: target.decoder(latent[None])[0], latent_cloud, space,
-        {"N": n_dec, "q": q_dec}, config.decoder_config,
+        {"N": n_dec, "q": q_dec}, config.decoder_config, seed=seed,
     )
 
     # -- stage (v): memorize the parameter transitions --------------------
     P = param_count(md_enc)
     pairs = [(thetas[i], thetas[i + 1]) for i in range(len(thetas) - 1)]
-    hyper_md, hyper_theta, _ = memorize_sequence(
-        pairs, P, N_T, seed=config.seed if config.seed is not None else 0
-    )
+    hyper_md, hyper_theta, _ = memorize_sequence(pairs, P, N_T, seed)
     # h at every visited parameter vector, one row each
     h_thetas = forward(hyper_md, SINGULAR, hyper_theta, np.stack(thetas))
     replay_residual = max(float(np.max(np.abs(ha - b))) for ha, (_, b) in zip(h_thetas, pairs))

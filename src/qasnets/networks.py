@@ -314,7 +314,6 @@ class DescentConfig(Config):
 
     lr: float = 0.05
     epochs: NonNegativeInt = 2000  # 0 takes no step
-    seed: NonNegativeInt = 0
     target_loss: float = 0.0
     train_alpha: bool = True
 
@@ -345,11 +344,11 @@ def init_theta(md: MultiIndex, spec: ActivationSpec, rng, scale=0.5) -> np.ndarr
     return encode_params(md, layers)
 
 
-def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: TrainConfig | None = None,
-                     theta0=None):
+def train_regression(md: MultiIndex, spec: ActivationSpec, dataset,
+                     config: TrainConfig = TrainConfig(), seed: int = 0, theta0=None):
     """Plain full-batch gradient descent with a fixed step.
 
-    Deterministic given the seed.  Returns (theta, history of epoch losses).
+    Deterministic given ``seed``.  Returns (theta, history of epoch losses).
     No adaptive optimizers: determinism and a minimal surface matter more
     here than convergence speed.  One ``gradient_kernel`` is built per
     run, over a theta that each step updates in place, and one pass of it
@@ -358,7 +357,6 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
     raises ``FitFailure`` naming its epoch; the overflow on the way there
     is not also reported as a numpy warning.
     """
-    config = config or TrainConfig()
     if not spec.gradient_trainable:
         raise UnsupportedError(
             "singular activations are not gradient-trainable; use "
@@ -368,7 +366,7 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset, config: Trai
     Y = np.atleast_2d(np.asarray([p[1] for p in dataset], float))
     if len(X) == 0:
         raise DomainError("dataset must be nonempty")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     theta = init_theta(md, spec, rng, config.init_scale) if theta0 is None else np.array(theta0, float)
     history = []
     run = gradient_kernel(md, spec, theta, X, Y, config.train_alpha)

@@ -64,6 +64,14 @@ from .metrics import (
 )
 
 
+def _float_vector(y) -> np.ndarray | None:
+    """``y`` as a float array of at least one dimension; None if not numeric."""
+    try:
+        return np.atleast_1d(np.asarray(y, dtype=float))
+    except (TypeError, ValueError):  # a measure, a string, a ragged nesting
+        return None
+
+
 def _is_basis_vector(w: np.ndarray) -> int | None:
     """Index i if w is exactly e_i, else None."""
     hits = np.nonzero(w == 1.0)[0]
@@ -481,6 +489,8 @@ class LinearSchauder(QasSpace):
         a = np.atleast_1d(np.asarray(a, float))
         b = np.atleast_1d(np.asarray(b, float))
         n = max(a.size, b.size)
+        if n > self.max_terms:
+            raise DomainError(f"{self.kind} points have at most {self.max_terms} terms, got {n}")
         diff = np.zeros(n)
         diff[: a.size] = a
         diff[: b.size] -= b
@@ -490,9 +500,9 @@ class LinearSchauder(QasSpace):
         return math.sqrt(max(val, 0.0))
 
     def check_point(self, y) -> None:
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if arr.ndim != 1 or arr.size < 1 or arr.size > self.max_terms:
-            raise DomainError("points are nonempty 1-D coefficient vectors")
+        arr = _float_vector(y)
+        if arr is None or arr.ndim != 1 or arr.size < 1 or arr.size > self.max_terms:
+            raise DomainError(f"{self.kind} points are vectors of 1 to {self.max_terms} numbers")
 
     def _mix_impl(self, w, points):
         n = max(np.atleast_1d(p).size for p in points)
@@ -676,9 +686,9 @@ class ExponentialFamily(QasSpace):
         return float(np.linalg.norm(a - b))
 
     def check_point(self, y) -> None:
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if arr.shape != (self.d,):
-            raise DomainError(f"points are parameter vectors of length {self.d}")
+        arr = _float_vector(y)
+        if arr is None or arr.shape != (self.d,):
+            raise DomainError(f"{self.kind} points are numeric vectors of length {self.d}")
         if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
             raise DomainError("natural parameters must lie in [0,1]^d")
 

@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import (Config, NonNegativeInt, _is_int, _is_number, _mismatch, fields_to_json,
-                     from_json)
+from .config import Config, _is_int, _is_number, _mismatch, fields_to_json, from_json
 from .errors import DomainError, FitFailure, UnsupportedError
 from .networks import (
     FORWARD_CHUNK_ELEMENTS,
@@ -307,22 +306,13 @@ class FitReport:
 
 
 @dataclass(frozen=True)
-class ClassifierTrainConfig(TrainConfig):
-    """``train`` of the constructive stage's classifier, with its own defaults."""
-
-    lr: float = 0.2
-    epochs: NonNegativeInt = 1500
-    train_alpha: bool = False
-
-
-@dataclass(frozen=True)
 class StaticFitConfig(Config):
     """The config of ``fit_static_constructive``."""
 
     activation: str = "singular"  # exact classifier; "smooth"/"classical" are trained
     hidden: int | None = None  # width of a trained classifier
     label_amplitude: float = 3.0  # scale of its one-hot labels
-    train: ClassifierTrainConfig = ClassifierTrainConfig()
+    train: TrainConfig = TrainConfig(lr=0.2, epochs=1500, train_alpha=False)
     holder_exponent: float = 1.0  # with lipschitz, enters the reported bound
     lipschitz: float | None = None  # estimated from data when absent
 
@@ -331,14 +321,14 @@ class StaticFitConfig(Config):
 class End2EndFitConfig(Config):
     """The config of ``fit_static_end2end``: ``activation``, ``hidden``,
     ``label_amplitude`` and ``warm_train`` configure the warm start's
-    classifier, as in ``StaticFitConfig``; ``train`` drives the refinement,
-    which starts from the classifier's weights and takes no ``init_scale``."""
+    classifier as in ``StaticFitConfig``, at defaults of its own; ``train``
+    drives the refinement, which starts from its weights (no ``init_scale``)."""
 
     activation: str = "smooth"
     hidden: int | None = None
     label_amplitude: float = 3.0
     train: DescentConfig = DescentConfig()
-    warm_train: ClassifierTrainConfig | None = None  # the warm start's classifier
+    warm_train: TrainConfig = TrainConfig(lr=0.3, epochs=2000, train_alpha=False)
 
 
 def _sup_error(space, targets, xs, gt):
@@ -355,6 +345,7 @@ def fit_static_constructive(
     budget: dict,
     config: dict | StaticFitConfig | None = None,
     targets: list | None = None,
+    seed: int = 0,
 ) -> tuple[GeometricTransformer, FitReport]:
     """Net-and-quantize fit of x -> f(x) in the output space.
 
@@ -362,10 +353,10 @@ def fit_static_constructive(
     at most N; (ii) codes for the target values at the net points at
     level q; (iii) an encoder that classifies inputs to the one-hot of
     their nearest center, built exactly for singular activations and
-    trained on soft one-hot labels with squared loss otherwise.  The
-    config keys are the fields of ``StaticFitConfig``.  A caller fitting
-    several budgets gives ``targets`` (f at the training inputs) and
-    ``lipschitz`` (``estimate_lipschitz``) once for all of them.
+    trained from ``seed`` on soft one-hot labels with squared loss
+    otherwise.  The config keys are the fields of ``StaticFitConfig``.  A
+    caller fitting several budgets gives ``targets`` (f at the training
+    inputs) and ``lipschitz`` (``estimate_lipschitz``) once for all of them.
     """
     t0 = time.perf_counter()
     config = from_json(StaticFitConfig, config or {}, "config")
@@ -374,7 +365,7 @@ def fit_static_constructive(
     targets = [f(x) for x in xs] if targets is None else targets
     gt, idx, radius, labels = _constructive_model(
         targets, xs, space, n_budget, q, config.activation, config.hidden,
-        config.label_amplitude, config.train)
+        config.label_amplitude, config.train, seed)
     qerrs = [space.distance(image, targets[i]) for image, i in zip(gt.images, idx)]
 
     # classification defect: distance between the model output and the
@@ -416,10 +407,10 @@ def _checked_budget(xs: np.ndarray, budget: dict) -> tuple[int, int]:
 
 def _constructive_model(targets: list, xs: np.ndarray, space: QasSpace, n_budget: int, q: int,
                         activation: str, hidden: int | None, label_amplitude: float,
-                        train: TrainConfig):
+                        train: TrainConfig, seed: int):
     """The constructive fit's model, its net's center indices and covering
-    radius, and each input's nearest-center label; the last four arguments
-    are the ``StaticFitConfig`` keys."""
+    radius, and each input's nearest-center label; ``activation`` to
+    ``train`` are the ``StaticFitConfig`` keys."""
     idx, radius = farthest_point_net(xs, n_budget)
     centers = xs[idx]
     codes = [space.encode_point(targets[i], q) for i in idx]
@@ -436,7 +427,7 @@ def _constructive_model(targets: list, xs: np.ndarray, space: QasSpace, n_budget
         onehot = label_amplitude * np.eye(len(centers))[labels]
         hidden = hidden if hidden is not None else max(8, 2 * len(centers))
         md = MultiIndex((xs.shape[1], hidden, len(centers)))
-        theta, _ = train_regression(md, spec, list(zip(xs, onehot)), train)
+        theta, _ = train_regression(md, spec, list(zip(xs, onehot)), train, seed)
     return GeometricTransformer(space, md, spec, theta, codes), idx, radius, labels
 
 
@@ -484,6 +475,7 @@ def fit_static_end2end(
     budget: dict,
     config: dict | End2EndFitConfig | None = None,
     targets: list | None = None,
+    seed: int = 0,
 ) -> tuple[GeometricTransformer, FitReport]:
     """Gradient refinement of the encoder against the output-space loss.
 
@@ -495,8 +487,8 @@ def fit_static_end2end(
     gradient from one optimal transport's dual potentials, elsewhere
     central finite differences.  Requires a smooth or classical activation; the
     constructive fit gives the codes, which stay fixed, and the initial
-    encoder.  The config keys are the fields of ``End2EndFitConfig``;
-    ``targets`` is as for ``fit_static_constructive``.
+    encoder, trained from ``seed``.  The config keys are the fields of
+    ``End2EndFitConfig``; ``targets`` is as for ``fit_static_constructive``.
     """
     t0 = time.perf_counter()
     config = from_json(End2EndFitConfig, config or {}, "config")
@@ -511,9 +503,8 @@ def fit_static_end2end(
     # constructive warm start, the model alone: same activation kind, so
     # its classifier doubles as the initial encoder; the classifier gets
     # its own training budget, the "train" block only drives the refinement
-    warm_train = config.warm_train or ClassifierTrainConfig(lr=0.3, epochs=2000, seed=tc.seed)
     gt0 = _constructive_model(targets, xs, space, n_budget, q, config.activation, config.hidden,
-                              config.label_amplitude, warm_train)[0]
+                              config.label_amplitude, config.warm_train, seed)[0]
     points, md, theta = gt0.images, gt0.md, gt0.theta
 
     p = float(getattr(space, "p", 2.0))

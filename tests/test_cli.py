@@ -386,15 +386,14 @@ class TestTypedValues:
          "unknown keys in static-fit.fit: ['fd_step', 'warm_start']"),
         ("static-fit", {"mode": "end2end", "fit": {"loss_exponent": 1.0}},
          "unknown keys in static-fit.fit: ['loss_exponent']"),
-        # every seed is a non-negative integer
+        # every seed is a non-negative integer, and only a command takes one
         ("metric", {"seed": -1}, "metric.seed must be a non-negative integer, got -1"),
         ("complexity", {"seed": -1}, "complexity.seed must be a non-negative integer, got -1"),
         ("static-fit", {"seed": -1}, "static-fit.seed must be a non-negative integer, got -1"),
-        ("static-fit", {"fit": {"train": {"seed": -1}}},
-         "static-fit.fit.train.seed must be a non-negative integer, got -1"),
+        ("static-fit", {"fit": {"train": {"seed": 0}}},
+         "unknown keys in static-fit.fit.train: ['seed']"),
         ("dynamic-fit", {"seed": -1}, "dynamic-fit.seed must be a non-negative integer, got -1"),
-        ("dynamic-fit", {"fit": {"seed": -1}},
-         "dynamic-fit.fit.seed must be a non-negative integer, got -1"),
+        ("dynamic-fit", {"fit": {"seed": 0}}, "unknown keys in dynamic-fit.fit: ['seed']"),
         ("paths", {"seed": -1}, "paths.seed must be a non-negative integer, got -1"),
         # the end2end refinement starts from the warm start's weights and
         # reports no bound
@@ -402,6 +401,19 @@ class TestTypedValues:
          "unknown keys in static-fit.fit.train: ['init_scale']"),
         ("static-fit", {"mode": "end2end", "fit": {"holder_exponent": 0.5, "lipschitz": 2.0}},
          "unknown keys in static-fit.fit: ['holder_exponent', 'lipschitz']"),
+        # a block with defaults is not optional
+        ("static-fit", {"mode": "end2end", "fit": {"warm_train": None}},
+         "static-fit.fit.warm_train must be an object, got None"),
+        ("dynamic-fit", {"fit": {"train": None}}, "dynamic-fit.fit.train must be an object"),
+        # the other nested seeds: the command's seed seeds every stage
+        ("static-fit", {"mode": "end2end", "fit": {"train": {"seed": 0}}},
+         "unknown keys in static-fit.fit.train: ['seed']"),
+        ("static-fit", {"mode": "end2end", "fit": {"warm_train": {"seed": 0}}},
+         "unknown keys in static-fit.fit.warm_train: ['seed']"),
+        ("dynamic-fit", {"fit": {"train": {"seed": 0}}},
+         "unknown keys in dynamic-fit.fit.train: ['seed']"),
+        ("dynamic-fit", {"fit": {"decoder_config": {"train": {"seed": 0}}}},
+         "unknown keys in dynamic-fit.fit.decoder_config.train: ['seed']"),
     ])
     def test_bad_value_names_block_and_key(self, tmp_path, capsys, command, override, message):
         code, _ = run(tmp_path, command, dict(self.BASE[command], **override))
@@ -611,8 +623,10 @@ class TestStaticFit:
             assert run(tmp_path / name, command, cfg)[0] == 0
             seen[name] = dict(counts)
         # one mixer per budget; every image is checked once by its code's
-        # encoding and once by its model's mixer: 2 (4 + 8 + 16 + 32) = 120
-        assert seen["constructive"]["stack"] <= 4 and seen["constructive"]["check"] <= 120
+        # encoding and once by its model's mixer: 2 (4 + 8 + 16 + 32) = 120,
+        # after the command's own check of each of the 257 targets
+        assert seen["constructive"]["stack"] <= 4
+        assert seen["constructive"]["check"] <= 257 + 120
         assert seen["end2end"]["stack"] <= 3
         assert "mixer" not in seen["dynamic"] and "stack" not in seen["dynamic"]
 
@@ -638,6 +652,34 @@ class TestStaticFit:
         code, _ = run(tmp_path, "static-fit", cfg)
         assert code == 2
         assert "measure-file points" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("space", ["linear_schauder", "forward_rate_rkhs",
+                                       "exponential_family", "gaussian_spd",
+                                       "adapted_empirical"])
+    @pytest.mark.parametrize("command", ["static-fit", "dynamic-fit"])
+    def test_space_that_cannot_hold_the_targets_exits_2(self, tmp_path, capsys, command, space):
+        """The targets of both commands are discrete measures, which these
+        spaces do not hold: a config error, named in one line."""
+        fields = {"forward_rate_rkhs": {"alpha": 4.0}, "adapted_empirical": {"d": 1, "T": 1},
+                  "exponential_family": {"d": 1}, "gaussian_spd": {"d": 1}}
+        cfg = dict(TestTypedValues.BASE[command], space=dict(fields.get(space, {}), kind=space))
+        code, _ = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(rf"config error: {space} points are [^\n]*\n", err), err
+
+    @pytest.mark.parametrize("space, files", [
+        ({"kind": "gaussian_spd", "d": 1},
+         [{"mean": [0.0], "cov": [[1.0]]}, {"mean": [1.0], "cov": [[2.0]]}]),
+        ({"kind": "adapted_empirical", "d": 1, "T": 2},
+         [{"atoms": [[0.0, 0.5], [0.5, 1.0]], "weights": [0.5, 0.5], "horizon": 2},
+          {"atoms": [[0.25, 0.25]], "weights": [1.0], "horizon": 2}]),
+    ], ids=["gaussians", "path_measures"])
+    def test_measure_files_of_the_space_kind(self, tmp_path, space, files):
+        cfg = {"target": {"kind": "measure_files", "points": [0.0, 1.0], "files": files},
+               "space": space, "budgets": {"N": [2], "q": [2]}}
+        assert run(tmp_path, "static-fit", cfg)[0] == 0
 
 
 class TestDynamicFit:
@@ -756,6 +798,35 @@ class TestSeedOverride:
         h2 = json.loads((out2 / "manifest.json").read_text())["config_sha256"]
         assert code == 0
         assert h1 != h2
+
+
+class TestOneSeedOneDefault:
+    """The command ``seed`` seeds every stage, and a nested block is laid
+    over its field's default, so an empty block runs as no block does."""
+
+    END2END = {"mode": "end2end", "budgets": {"N": [2], "q": [2]}, "train_points": 5,
+               "fit": {"activation": "smooth", "hidden": 4, "train": {"epochs": 2}}}
+
+    def outputs(self, tmp_path, name, cfg, seed=0):
+        (tmp_path / name).mkdir()
+        code, out = run(tmp_path / name, "static-fit", dict(cfg, seed=seed))
+        assert code == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        return (out / "error_curve.csv").read_bytes(), _without_wall_times(report)
+
+    def test_seed_reaches_a_given_warm_start(self, tmp_path):
+        cfg = dict(self.END2END, fit=dict(self.END2END["fit"], warm_train={"epochs": 20}))
+        assert self.outputs(tmp_path, "a", cfg, seed=0) != self.outputs(tmp_path, "b", cfg, seed=5)
+
+    def test_empty_warm_train_is_no_warm_train(self, tmp_path):
+        cfg = dict(self.END2END, fit=dict(self.END2END["fit"], warm_train={}))
+        assert self.outputs(tmp_path, "a", cfg) == self.outputs(tmp_path, "b", self.END2END)
+
+    def test_partial_budgets_keep_the_default_anchor_counts(self, tmp_path):
+        code, out = run(tmp_path, "static-fit", {"budgets": {"q": [2]}, "train_points": 9})
+        assert code == 0
+        assert [row[:2] for row in read_csv(out / "error_curve.csv")[1:]] == [
+            ["4", "2"], ["8", "2"], ["16", "2"], ["32", "2"]]
 
 
 README_RUN = re.compile(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\nqasnets (\S+) --config \1 --out (\S+)",

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasnets.config import Config, PositiveInt, fields_to_json, from_json
+from qasnets.cli import CommandConfig
+from qasnets.config import Config, PositiveInt, coerce, fields_to_json, from_json
 from qasnets.errors import DomainError
 from qasnets.hyper import DynamicFitConfig, fit_dynamic
-from qasnets.networks import MultiIndex, TrainConfig
+from qasnets.networks import MultiIndex, TrainConfig, train_regression
 from qasnets.transformer import (
     End2EndFitConfig,
     StaticFitConfig,
@@ -158,10 +159,92 @@ def test_fields_to_json_round_trips():
     (StaticFitConfig, fit_static_constructive),
     (End2EndFitConfig, fit_static_end2end),
     (DynamicFitConfig, fit_dynamic),
-], ids=["constructive", "end2end", "dynamic"])
+    (TrainConfig, train_regression),
+], ids=["constructive", "end2end", "dynamic", "train"])
 def test_every_fit_key_is_read(config_cls, fit):
     # a field the fit never reads is a config key that silently does nothing
     source = inspect.getsource(fit)
     unread = [f.name for f in dataclasses.fields(config_cls)
               if not re.search(rf"\bconfig\.{f.name}\b", source)]
     assert unread == [], f"{fit.__name__} never reads {unread}"
+
+
+def _qasnets_config_classes() -> list:
+    found, todo = [], [Config]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("qasnets."):
+                found.append(sub)
+    return found
+
+
+CONFIG_CLASSES = _qasnets_config_classes()
+
+
+def _block_class(hint):
+    """The config class a field holds, None or not; None for other fields."""
+    options = [a for a in typing.get_args(hint) if a is not type(None)] or [hint]
+    cls = options[0]
+    return cls if len(options) == 1 and isinstance(cls, type) and issubclass(cls, Config) else None
+
+
+def _has_required_key(cls) -> bool:
+    return any(f.default is f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(cls))
+
+
+# (outer block, key, inner block) for every nested block whose class has
+# no required key, inside an outer block that can be built from {}
+NESTED = [(outer, f.name, _block_class(hint))
+          for outer in CONFIG_CLASSES if not _has_required_key(outer)
+          for f, hint in ((f, typing.get_type_hints(outer)[f.name])
+                          for f in dataclasses.fields(outer))
+          if _block_class(hint) is not None and not _has_required_key(_block_class(hint))]
+
+
+def _other_json(value, hint):
+    """A JSON value that ``hint`` reads as something other than ``value``,
+    or None where JSON holds none (a callable)."""
+    if value is None:
+        args = typing.get_args(hint)
+        return 1 if int in args else 1.0 if float in args else None
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return [_other_json(v, None) for v in value[:1]]
+    return None
+
+
+@pytest.mark.parametrize("outer, key, inner", NESTED,
+                         ids=[f"{o.__name__}.{k}" for o, k, _ in NESTED])
+def test_nested_block_sits_on_its_default(outer, key, inner):
+    """``{}`` is a missing block, and a one-key block is the missing
+    block's value with that one key replaced."""
+    missing = getattr(from_json(outer, {}, "block"), key)
+    assert getattr(from_json(outer, {key: {}}, "block"), key) == missing
+    hints = typing.get_type_hints(inner)
+    for f in dataclasses.fields(inner):
+        value = _other_json(getattr(missing, f.name), hints[f.name])
+        if value is None or isinstance(getattr(missing, f.name), Config):
+            continue  # a callable, or a nested block: its own row
+        got = getattr(from_json(outer, {key: {f.name.rstrip("_"): value}}, "block"), key)
+        want = dataclasses.replace(missing, **{f.name: coerce(value, hints[f.name], "v")})
+        assert got == want, f.name
+
+
+def test_blocks_with_defaults_are_found():
+    assert {(o.__name__, k) for o, k, _ in NESTED} >= {
+        ("End2EndFitConfig", "warm_train"), ("DynamicFitConfig", "train"),
+        ("StaticFitCommand", "budgets"), ("DynamicFitConfig", "decoder_config"),
+        ("StaticFitConfig", "train"), ("End2EndFitConfig", "train")}
+
+
+def test_only_the_command_config_declares_seed():
+    # a seed inside a block could disagree with the command's
+    declared = [c for c in CONFIG_CLASSES if "seed" in vars(c).get("__annotations__", {})]
+    assert declared == [CommandConfig]

@@ -453,20 +453,24 @@ class TestFitDynamic:
         target = sin_drift_target(k=8)
         paths = self.make_paths(n_vals=3, N_T=1)
 
-        def thetas(extra):
+        def thetas(extra, seed=0):
             ght, _ = fit_dynamic(target, paths, N_T=1, space=space, eps=0.4, config=dict(
                 {"encoder": "gradient", "hidden": 4, "decoder_anchors": 4, "decoder_level": 4},
-                **extra))
+                **extra), seed=seed)
             return np.concatenate([ght.stored_thetas[n] for n in (-1, 0, 1)])
 
-        # without a train block the encoders train at lr 0.1 for 1500 epochs; a
-        # given block is laid over the plain TrainConfig defaults
-        np.testing.assert_array_equal(thetas({}), thetas({"train": {
-            "lr": 0.1, "epochs": 1500, "seed": 0, "target_loss": 0.0, "init_scale": 0.5,
-            "train_alpha": False}}))
-        np.testing.assert_array_equal(thetas({"train": {"epochs": 20}}), thetas({"train": {
-            "lr": 0.05, "epochs": 20, "seed": 0, "target_loss": 0.0, "init_scale": 0.5,
-            "train_alpha": True}}))
+        # without a train block, and with an empty one, the encoders train at
+        # lr 0.1 for 1500 epochs with fixed activation parameters; a given
+        # block is laid over those defaults
+        full = {"lr": 0.1, "epochs": 1500, "target_loss": 0.0, "init_scale": 0.5,
+                "train_alpha": False}
+        want = thetas({"train": full})
+        np.testing.assert_array_equal(thetas({}), want)
+        np.testing.assert_array_equal(thetas({"train": {}}), want)
+        short = thetas({"train": {"epochs": 20}})
+        np.testing.assert_array_equal(short, thetas({"train": dict(full, epochs=20)}))
+        # the fit's seed draws the encoders' initial weights
+        assert not np.array_equal(short, thetas({"train": {"epochs": 20}}, seed=5))
 
 
 class TestNormalizedError:

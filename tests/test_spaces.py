@@ -1,5 +1,6 @@
 """Tests for the output-space variants: mixing, quantizers, attention."""
 
+import math
 import re
 
 import numpy as np
@@ -498,6 +499,23 @@ class TestForwardRateKernel:
         for t, s in [(1.0, 2.0), (0.3, 0.3), (5.0, 1.5)]:
             want, _ = quad(lambda u: (1 + u) ** (-alpha), 0, min(t, s))
             assert forward_rate_kernel(alpha, t, s) == pytest.approx(want, abs=1e-10)
+
+
+class TestPointChecks:
+    @pytest.mark.parametrize("space", [LinearSchauder(), ForwardRateRkhs(alpha=4.0),
+                                       ExponentialFamily(d=1)], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("point", [DiscreteMeasure.dirac(0.0), "ab", [[1.0], [2.0, 3.0]]],
+                             ids=["measure", "string", "ragged"])
+    def test_non_numeric_point_is_a_domain_error(self, space, point):
+        with pytest.raises(DomainError, match=f"^{space.kind} points are "):
+            space.check_point(point)
+
+    def test_distance_beyond_the_knots_is_a_domain_error(self):
+        space = ForwardRateRkhs(alpha=4.0, knots=[1.0, 2.0])
+        with pytest.raises(DomainError, match="at most 2 terms, got 3$"):
+            space.distance([1.0, 2.0, 3.0], [0.0])
+        diff = np.array([1.0, 2.0])
+        assert space.distance([1.0, 2.0], [0.0]) == math.sqrt(float(diff @ space.gram(2) @ diff))
 
 
 class TestSerialization:

@@ -333,7 +333,7 @@ class TestFitConstructive:
         xs = np.linspace(0, 1, 33).reshape(-1, 1)
         gt, rep = fit_static_constructive(
             symmetric_pair_target, xs, space, {"N": 3, "q": 2},
-            {"activation": "smooth", "train": {"lr": 0.4, "epochs": 800, "seed": 0},
+            {"activation": "smooth", "train": {"lr": 0.4, "epochs": 800},
              "hidden": 12},
         )
         assert gt.activation.kind == "smooth"
@@ -378,7 +378,7 @@ class TestFitEnd2End:
         xs = np.linspace(0, 1, 9).reshape(-1, 1)
         gt, rep = fit_static_end2end(
             symmetric_pair_target, xs, space, {"N": 1, "q": 2},
-            {"activation": "smooth", "train": {"lr": 0.1, "epochs": 5, "seed": 0}},
+            {"activation": "smooth", "train": {"lr": 0.1, "epochs": 5}},
         )
         # constant model: output always equals the single quantized code
         outs = [gt(x) for x in xs]
@@ -392,11 +392,11 @@ class TestFitEnd2End:
         # the warm start is this constructive classifier
         warm, _ = fit_static_constructive(symmetric_pair_target, xs, w1_space(), budget,
                                           {"activation": "smooth", "hidden": 4,
-                                           "train": {"epochs": 20}})
+                                           "train": {"lr": 0.3, "epochs": 20}})
         gt, rep = fit_static_end2end(
             symmetric_pair_target, xs, w1_space(), budget,
             {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20},
-             "train": {"lr": 0.2, "epochs": 5, "seed": 0, "train_alpha": train_alpha}})
+             "train": {"lr": 0.2, "epochs": 5, "train_alpha": train_alpha}})
         alpha = alpha_mask(gt.md)
         assert not np.array_equal(gt.theta[~alpha], warm.theta[~alpha])
         assert np.array_equal(gt.theta[alpha], warm.theta[alpha]) == (not train_alpha)
@@ -427,7 +427,7 @@ class TestFitEnd2End:
             _, rep = fit_static_end2end(
                 symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
                 {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20},
-                 "train": {"lr": 0.1, "epochs": epochs, "seed": 0}})
+                 "train": {"lr": 0.1, "epochs": epochs}})
             return dict(counts), rep.extras["epochs_run"]
 
         warm, _ = fit(0)
@@ -489,7 +489,7 @@ class TestFitEnd2End:
         # the warm start's classifier, trained by the constructive fit
         warm, _ = fit_static_constructive(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
                                           {"activation": "smooth", "hidden": 4,
-                                           "train": {"epochs": 20}})
+                                           "train": {"lr": 0.3, "epochs": 20}})
         assert rep.extras["epochs_run"] == 0 and rep.final_loss is None
         np.testing.assert_array_equal(gt.theta, warm.theta)
 
@@ -511,47 +511,48 @@ class TestFitEnd2End:
         gt, rep = fit_static_end2end(
             symmetric_pair_target, xs, space, {"N": 16, "q": 8},
             {"activation": "smooth", "hidden": 32, "label_amplitude": 3.0,
-             "train": {"lr": 0.05, "epochs": 30, "seed": 2, "train_alpha": False}},
+             "train": {"lr": 0.05, "epochs": 30, "train_alpha": False}}, seed=2,
         )
         assert rep.sup_error <= 0.1
 
 
 class TestPartialTrainBlocks:
     """A partial ``train`` block is laid over its own stage's defaults, so it
-    fits the same parameters as the full block it abbreviates."""
+    fits the same parameters as the full block it abbreviates, and ``{}``
+    fits what no block does."""
 
     XS = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
 
     def test_constructive_classifier(self):
-        def theta(train):
+        def theta(config):
             gt, _ = fit_static_constructive(symmetric_pair_target, self.XS, w1_space(),
-                                            {"N": 2, "q": 2}, {"activation": "smooth",
-                                                               "train": train})
+                                            {"N": 2, "q": 2}, dict(config, activation="smooth"))
             return gt.theta
 
-        full = {"lr": 0.2, "epochs": 1500, "seed": 0, "target_loss": 0.0, "init_scale": 0.5,
+        full = {"lr": 0.2, "epochs": 1500, "target_loss": 0.0, "init_scale": 0.5,
                 "train_alpha": False}
-        np.testing.assert_array_equal(theta({}), theta(full))
-        np.testing.assert_array_equal(theta({"epochs": 20}), theta(dict(full, epochs=20)))
+        np.testing.assert_array_equal(theta({}), theta({"train": full}))
+        np.testing.assert_array_equal(theta({"train": {}}), theta({"train": full}))
+        np.testing.assert_array_equal(theta({"train": {"epochs": 20}}),
+                                      theta({"train": dict(full, epochs=20)}))
 
     def test_end2end_warm_start_and_refinement(self):
         def theta(config):
             gt, _ = fit_static_end2end(symmetric_pair_target, self.XS, w1_space(),
-                                       {"N": 2, "q": 2}, config)
+                                       {"N": 2, "q": 2}, config, seed=3)
             return gt.theta
 
-        partial = {"train": {"epochs": 2, "seed": 3}}
-        warm = {"lr": 0.3, "epochs": 2000, "seed": 3, "target_loss": 0.0, "init_scale": 0.5,
+        partial = {"train": {"epochs": 2}}
+        warm = {"lr": 0.3, "epochs": 2000, "target_loss": 0.0, "init_scale": 0.5,
                 "train_alpha": False}
-        refine = {"lr": 0.05, "epochs": 2, "seed": 3, "target_loss": 0.0, "train_alpha": True}
+        refine = {"lr": 0.05, "epochs": 2, "target_loss": 0.0, "train_alpha": True}
         want = theta(partial)
         np.testing.assert_array_equal(want, theta(dict(partial, warm_train=warm)))
+        np.testing.assert_array_equal(want, theta(dict(partial, warm_train={})))
         np.testing.assert_array_equal(want, theta({"train": refine}))
-        # a given warm_train block is laid over the constructive classifier's defaults
-        np.testing.assert_array_equal(
-            theta(dict(partial, warm_train={"epochs": 30})),
-            theta(dict(partial, warm_train={"lr": 0.2, "epochs": 30, "seed": 0,
-                                            "train_alpha": False})))
+        # a given warm_train block is laid over the warm start's own defaults
+        np.testing.assert_array_equal(theta(dict(partial, warm_train={"epochs": 30})),
+                                      theta(dict(partial, warm_train=dict(warm, epochs=30))))
 
 
 class TestComplexityCalculators:
