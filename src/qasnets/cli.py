@@ -54,7 +54,6 @@ from .transformer import (
     StaticFitConfig,
     complexity_ffnn,
     complexity_static,
-    estimate_lipschitz,
     fit_static_constructive,
     fit_static_end2end,
 )
@@ -319,12 +318,10 @@ def cmd_static_fit(runner: Runner, base: Path):
         raise DomainError("randomized fits require an explicit seed")
 
     t0 = time.perf_counter()
-    # the targets and the Lipschitz estimate are the same for every budget
+    # the targets are the same for every budget
     targets = [target(x) for x in xs]
     for y in targets:
         space.check_point(y)
-    if cfg.mode == "constructive" and fit.lipschitz is None:
-        fit = replace(fit, lipschitz=estimate_lipschitz(space, targets, xs, fit.holder_exponent))
     rows = []
     best = None
     for n_anchor in cfg.budgets.N:
@@ -351,10 +348,10 @@ def cmd_static_fit(runner: Runner, base: Path):
 
 @dataclass(frozen=True)
 class DynamicTarget(Config):
-    kind: str  # "sin_drift" or "zero_drift"
+    kind: str  # only "sin_drift"
     amplitude: float = 0.1
-    sigma: float | None = None  # 0.2 for sin_drift, 0.3 for zero_drift
-    quantiles: int | None = None  # 64 for sin_drift, 32 for zero_drift
+    sigma: float = 0.2
+    quantiles: int = 64
 
 
 @dataclass(frozen=True)
@@ -381,23 +378,14 @@ class DynamicFitCommand(CommandConfig):
 
 
 def build_dynamic_target(spec: DynamicTarget):
-    if spec.kind == "sin_drift":
-        amp = spec.amplitude
-        sig = spec.sigma if spec.sigma is not None else 0.2
-        quantiles = spec.quantiles if spec.quantiles is not None else 64
-        return sde_kernel_map(
-            lambda t, x: amp * np.sin(t + np.atleast_1d(x)),
-            lambda t, x: np.full((1, 1), sig), 1.0,
-            DiscreteMeasure.dirac(0.0), k=quantiles,
-        )
-    if spec.kind == "zero_drift":
-        sig = spec.sigma if spec.sigma is not None else 0.3
-        quantiles = spec.quantiles if spec.quantiles is not None else 32
-        return sde_kernel_map(
-            lambda t, x: np.zeros(1), lambda t, x: np.full((1, 1), sig), 1.0,
-            DiscreteMeasure.dirac(0.0), k=quantiles,
-        )
-    raise DomainError(f"unknown dynamic target kind {spec.kind!r}")
+    if spec.kind != "sin_drift":
+        raise DomainError(f"unknown dynamic target kind {spec.kind!r}")
+    amp, sig = spec.amplitude, spec.sigma
+    return sde_kernel_map(
+        lambda t, x: amp * np.sin(t + np.atleast_1d(x)),
+        lambda t, x: np.full((1, 1), sig), 1.0,
+        DiscreteMeasure.dirac(0.0), k=spec.quantiles,
+    )
 
 
 def cmd_dynamic_fit(runner: Runner, base: Path):

@@ -132,47 +132,29 @@ def ght_eval(ght: Ght, paths: PathWindow | Sequence[PathWindow], n: int):
     return outs[0] if one else outs
 
 
-def self_compression(ght: Ght, paths: Sequence[PathWindow], N_T: int, lam: float, n: int) -> float:
-    """sup over paths of max(1, lam * d_Y(F(x)_{t_n}, F(x)_{t_{sgn(n) N_T}}))."""
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
-    anchor = N_T if n >= 0 else -N_T
-    space = ght.decoder.space
-    worst = 1.0
-    for a, b in zip(ght_eval(ght, paths, n), ght_eval(ght, paths, anchor)):
-        worst = max(worst, lam * space.distance(a, b))
-    return worst
-
-
-# the self-compression factor's lambda is this over eps
-_SELF_COMPRESSION_SCALE = 8.0
-
-
 def normalized_error(
     target,
     ght: Ght,
     paths: Sequence[PathWindow],
     c_rate: Callable[[int], float],
     N_T: int,
-    eps: float,
 ) -> dict:
     """sup over the evaluable window of distance / compression denominator.
 
-    The denominator at n is max(1, c_rate(n), self-compression), where
-    the self-compression factor participates only outside the horizon
-    (inside, the convention sets it to 1, so within-window scores are
-    plain sup distances wherever c_rate is at most 1).
+    The denominator at n is max(1, c_rate(n)), so scores are plain sup
+    distances wherever c_rate is at most 1.  The window must lie inside
+    the horizon [-N_T, N_T]; one that leaves it is a ``DomainError``.
     """
-    lam = _SELF_COMPRESSION_SCALE / eps
     n_lo = max(p.first_index for p in paths) + ght.memory
     n_hi = min(p.last_index for p in paths)
+    if n_lo < -N_T or n_hi > N_T:
+        raise DomainError(f"the normalized-error window [{n_lo}, {n_hi}] leaves the "
+                          f"horizon [{-N_T}, {N_T}]")
     rows = []
     worst = 0.0
     for n in range(n_lo, n_hi + 1):
         raw = _sup_distance(target, ght, paths, n)
         denom = max(1.0, float(c_rate(n)))
-        if abs(n) > N_T:
-            denom = max(denom, self_compression(ght, paths, N_T, lam, n))
         rows.append({"n": n, "raw_error": raw, "denominator": denom,
                      "normalized": raw / denom})
         worst = max(worst, raw / denom)
@@ -428,7 +410,7 @@ def fit_dynamic(
 
     normalized = None
     if config.c_rate is not None:
-        normalized = normalized_error(target, ght, paths, config.c_rate, N_T, eps)
+        normalized = normalized_error(target, ght, paths, config.c_rate, N_T)
         # the coverage check puts every step inside the normalized window,
         # so its rows already hold the per-step sup distances
         raw_at = {row["n"]: row["raw_error"] for row in normalized["rows"]}

@@ -120,6 +120,8 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        if atoms.ndim != 2:
+            raise DomainError(f"atoms must be an (n, d) array, got shape {atoms.shape}")
         weights = validate_simplex_weight(self.weights)
         if atoms.shape[0] != weights.shape[0]:
             raise DomainError(

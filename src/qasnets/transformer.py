@@ -313,8 +313,6 @@ class StaticFitConfig(Config):
     hidden: int | None = None  # width of a trained classifier
     label_amplitude: float = 3.0  # scale of its one-hot labels
     train: TrainConfig = TrainConfig(lr=0.2, epochs=1500, train_alpha=False)
-    holder_exponent: float = 1.0  # with lipschitz, enters the reported bound
-    lipschitz: float | None = None  # estimated from data when absent
 
 
 @dataclass(frozen=True)
@@ -356,7 +354,14 @@ def fit_static_constructive(
     trained from ``seed`` on soft one-hot labels with squared loss
     otherwise.  The config keys are the fields of ``StaticFitConfig``.  A
     caller fitting several budgets gives ``targets`` (f at the training
-    inputs) and ``lipschitz`` (``estimate_lipschitz``) once for all of them.
+    inputs) once for all of them.
+
+    The report's ``error_bound`` certifies the sup error on the training
+    inputs, and on nothing off them.  With c(x) the center of input x, the
+    triangle inequality gives d(f(x), model(x)) <= d(f(x), f(c(x))) +
+    d(f(c(x)), image of c(x)) + d(image of c(x), model(x)), so the bound is
+    the largest target distance from an input to its center, plus the
+    largest quantization error, plus the classification defect.
     """
     t0 = time.perf_counter()
     config = from_json(StaticFitConfig, config or {}, "config")
@@ -373,14 +378,12 @@ def fit_static_constructive(
     # gives the sup error
     defect = 0.0
     sup = 0.0
+    cover = 0.0
     for out, y, lab in zip(gt.evaluate(xs), targets, labels):
         defect = max(defect, space.distance(out, gt.images[lab]))
         sup = max(sup, space.distance(y, out))
-    alpha = config.holder_exponent
-    lip = config.lipschitz
-    if lip is None:
-        lip = estimate_lipschitz(space, targets, xs, alpha)
-    bound = lip * radius**alpha + max(qerrs) + defect
+        cover = max(cover, space.distance(y, targets[idx[lab]]))
+    bound = cover + max(qerrs) + defect
     report = FitReport(
         sup_error=sup,
         center_indices=[int(i) for i in idx],
@@ -390,7 +393,6 @@ def fit_static_constructive(
         budget={"N": n_budget, "q": q},
         wall_time=time.perf_counter() - t0,
         error_bound=bound,
-        extras={"lipschitz_estimate": float(lip), "holder_exponent": alpha},
     )
     return gt, report
 
@@ -429,28 +431,6 @@ def _constructive_model(targets: list, xs: np.ndarray, space: QasSpace, n_budget
         md = MultiIndex((xs.shape[1], hidden, len(centers)))
         theta, _ = train_regression(md, spec, list(zip(xs, onehot)), train, seed)
     return GeometricTransformer(space, md, spec, theta, codes), idx, radius, labels
-
-
-_LIPSCHITZ_PAIRS = 200  # random input pairs of the Lipschitz estimate
-
-
-def estimate_lipschitz(space, targets, xs, alpha) -> float:
-    """The largest d(f(x_i), f(x_j)) / |x_i - x_j|^alpha over up to
-    ``_LIPSCHITZ_PAIRS`` input pairs drawn with a fixed seed."""
-    rng = np.random.default_rng(0)
-    n = len(xs)
-    if n < 2:
-        return 0.0
-    best = 0.0
-    pairs = min(_LIPSCHITZ_PAIRS, n * (n - 1) // 2)
-    for _ in range(pairs):
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        dx = float(np.linalg.norm(xs[i] - xs[j])) ** alpha
-        if dx > 1e-12:
-            best = max(best, space.distance(targets[i], targets[j]) / dx)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +580,12 @@ class _Inputs(dict):
     def get(self, key, default=None):
         return default if dict.get(self, key) is None else self[key]
 
-    def integer(self, key) -> int:
+    def integer(self, key, least: int | None = None) -> int:
         value = super().__getitem__(key)
         if not _is_int(value):
             raise _mismatch(f"complexity input {key!r}", "an integer", value)
+        if least is not None and value < least:
+            raise _mismatch(f"complexity input {key!r}", f"an integer >= {least}", value)
         return int(value)
 
 
@@ -689,7 +671,7 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
     ``q``, when given, is reported as the quantization level.
     """
     inputs = _Inputs(inputs)
-    n = inputs.integer("n")
+    n = inputs.integer("n", least=1)  # the input dimension
     alpha = float(inputs["alpha"])
     ln_n = ln_anchor_count(alpha, inputs["L_f"], inputs["diam"], inputs["kappa"],
                            inputs["C_eta"], inputs["c"], inputs["eps_A"])
@@ -721,7 +703,7 @@ def encoder_constant(c: float, m: int, alpha: float, kappa: float, diam: float) 
 def complexity_ffnn(activation: str, inputs: dict) -> ComplexityReport:
     """Model-size bounds for the feedforward encoder, plus the constant C_K."""
     inputs = _Inputs(inputs)
-    n = inputs.integer("n")
+    n = inputs.integer("n", least=1)  # the input dimension
     m = inputs.integer("m")
     alpha = float(inputs["alpha"])
     implicit = {}

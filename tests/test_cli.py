@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qasnets.cli import main, write_csv, write_membership
 
@@ -304,6 +305,23 @@ class TestMalformedBlocks:
         assert code == 2
         assert f"malformed measure entry: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("atoms, weights, shape", [
+        ([[[0]]], [1.0], "(1, 1, 1)"),
+        ([[[0.0]], [[2.0]]], [0.5, 0.5], "(2, 1, 1)"),
+    ], ids=["one_atom", "two_atoms"])
+    def test_atoms_nested_too_deep(self, tmp_path, capsys, atoms, weights, shape):
+        """The README metric config with its first input's atoms one level
+        too deep: atoms are an (n, d) array."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = next(json.loads(body) for _, body, command, _ in README_RUN.findall(readme)
+                   if command == "metric")
+        cfg["inputs"][0].update(atoms=atoms, weights=weights)
+        code, _ = run(tmp_path, "metric", cfg)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: malformed measure entry: atoms must be an (n, d) array, "
+            f"got shape {shape}\n")
+
     @pytest.mark.parametrize("entry, message", [
         ({"kind": "path", "dim": 2, "atoms": [[0.0, 1.0]], "weights": [1.0]}, "'horizon'"),
         ({"dim": 3, "atoms": [[0.0, 1.0, 2.0]], "weights": [1.0], "horizon": 2},
@@ -333,7 +351,7 @@ class TestTypedValues:
             "c": 1.0, "eps_A": 0.5, "depth": 3.0}},
         "static-fit": {"seed": 0, "budgets": {"N": [2], "q": [1]}, "train_points": 9},
         "dynamic-fit": {"seed": 0, "N_T": 1, "eval_points": 3,
-                        "target": {"kind": "zero_drift", "quantiles": 4},
+                        "target": {"kind": "sin_drift", "quantiles": 4},
                         "fit": {"grid_points": 3, "decoder_anchors": 2, "decoder_level": 2}},
         "paths": {"seed": 1, "sde": {"kind": "zero"}, "n_paths": 2, "steps": 3, "eps": 0.5},
     }
@@ -414,6 +432,13 @@ class TestTypedValues:
          "unknown keys in dynamic-fit.fit.train: ['seed']"),
         ("dynamic-fit", {"fit": {"decoder_config": {"train": {"seed": 0}}}},
          "unknown keys in dynamic-fit.fit.decoder_config.train: ['seed']"),
+        # as in end2end mode above, the constructive bound takes no Lipschitz
+        # constant or Holder exponent: it is certified from the fit's own
+        # distances
+        ("static-fit", {"fit": {"holder_exponent": 0.5, "lipschitz": 2.0}},
+         "unknown keys in static-fit.fit: ['holder_exponent', 'lipschitz']"),
+        ("dynamic-fit", {"target": {"kind": "zero_drift"}},
+         "unknown dynamic target kind 'zero_drift'"),
     ])
     def test_bad_value_names_block_and_key(self, tmp_path, capsys, command, override, message):
         code, _ = run(tmp_path, command, dict(self.BASE[command], **override))
@@ -535,6 +560,17 @@ class TestComplexity:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table", ["transformer", "ffnn"])
+    @pytest.mark.parametrize("activation, n", [("singular", -1), ("singular", 0),
+                                               ("classical", -1)])
+    def test_input_dimension_below_one(self, tmp_path, capsys, table, activation, n):
+        inputs = dict(self.BASE, c=1.0, depth=3.0, m=2, eps=0.5, n=n)
+        code, _ = run(tmp_path, "complexity",
+                      {"table": table, "activation": activation, "inputs": inputs})
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: complexity input 'n' must be an integer >= 1, got {n}\n")
+
     def test_unread_inputs_stay_open(self, tmp_path):
         inputs = {"n": 2, "m": 2, "alpha": 1.0, "W": 3.0, "eps": 0.5, "note": "any value"}
         code, _ = run(tmp_path, "complexity", {"table": "ffnn", "inputs": inputs})
@@ -555,13 +591,13 @@ class TestStaticFit:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["sup_error"] <= 0.05
 
-    def test_target_and_lipschitz_estimate_once_per_command(self, tmp_path, monkeypatch):
+    def test_target_once_per_command(self, tmp_path, monkeypatch):
         """Four budgets share one evaluation of the target at the 257
-        training points and one Lipschitz estimate."""
-        from qasnets import cli, transformer
+        training points."""
+        from qasnets import cli
 
-        calls = {"target": 0, "lipschitz": 0}
-        build, estimate = cli.build_static_target, transformer.estimate_lipschitz
+        calls = {"target": 0}
+        build = cli.build_static_target
 
         def counted_build(spec, base):
             target, xs = build(spec, base)
@@ -571,18 +607,49 @@ class TestStaticFit:
                 return target(x)
             return counted, xs
 
-        def counted_estimate(*args):
-            calls["lipschitz"] += 1
-            return estimate(*args)
-
         monkeypatch.setattr(cli, "build_static_target", counted_build)
-        monkeypatch.setattr(cli, "estimate_lipschitz", counted_estimate)
-        monkeypatch.setattr(transformer, "estimate_lipschitz", counted_estimate)
         code, out = run(tmp_path, "static-fit", {"budgets": {"N": [4, 8, 16, 32], "q": [2]},
                                                   "train_points": 257})
         assert code == 0
         assert len(read_csv(out / "error_curve.csv")) == 5
-        assert calls == {"target": 257, "lipschitz": 1}
+        assert calls == {"target": 257}
+
+    def test_error_bound_covers_a_spike_between_close_inputs(self, tmp_path):
+        """A spike between two close inputs: a sampled Lipschitz constant
+        gave bounds 2.146 and 1.967 below the sup error 5.0; the
+        certificate from the fit's own distances is 5.0."""
+        points = [0.017, 0.041, 0.27, 0.637, 0.813, 0.913]
+        cfg = {"seed": 0, "budgets": {"N": [2, 3], "q": [2]},
+               "target": {"kind": "measure_files", "points": points,
+                          "files": [dirac_json(v) for v in (0.0, 0.0, 5.0, 0.0, 0.0, 0.0)]}}
+        code, out = run(tmp_path, "static-fit", cfg)
+        assert code == 0
+        rows = read_csv(out / "error_curve.csv")[1:]
+        assert [(r[0], r[2], r[5]) for r in rows] == [("2", "5.0", "5.0"), ("3", "5.0", "5.0")]
+        report = json.loads((out / "fit_report.json").read_text())
+        assert "extras" not in report
+
+    @given(data=st.data())
+    def test_error_bound_holds_on_training_inputs(self, tmp_path_factory, data):
+        """On every row, ``sup_error <= error_bound`` up to the rounding of
+        the bound's three distances, whatever the target's values."""
+        count = data.draw(st.integers(2, 8))
+        points = data.draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count,
+                                    unique=True))
+        atom = st.floats(-5.0, 5.0)
+        files = [data.draw(st.one_of(
+            st.builds(dirac_json, atom),
+            st.builds(lambda a, b, w: {"dim": 1, "atoms": [[a], [b]], "weights": [w, 1.0 - w]},
+                      atom, atom, st.floats(0.05, 0.95)))) for _ in points]
+        n_budgets = st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True)
+        budgets = {"N": data.draw(n_budgets), "q": [data.draw(st.integers(1, 3))]}
+        cfg = {"seed": 0, "budgets": budgets,
+               "target": {"kind": "measure_files", "points": points, "files": files}}
+        code, out = run(tmp_path_factory.mktemp("fit"), "static-fit", cfg)
+        assert code == 0
+        for row in read_csv(out / "error_curve.csv")[1:]:
+            sup, bound = float(row[2]), float(row[5])
+            assert sup <= bound * (1 + 1e-12), row
 
     def test_each_attention_and_loss_prepares_its_points_once(self, tmp_path, monkeypatch):
         """An attention call checks and stacks its N images once, and so
@@ -711,8 +778,8 @@ class TestDynamicFit:
 
     def test_readme_compression_block_divides_by_one(self, tmp_path):
         """The README config's paths span [-N_T, N_T]: inside the horizon
-        the compression rate is 1 and self-compression does not apply, so
-        every denominator is 1.0 and the normalized errors are the raw ones."""
+        the compression rate is 1, so every denominator is 1.0 and the
+        normalized errors are the raw ones."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         cfg = next(json.loads(body) for _, body, command, _ in README_RUN.findall(readme)
                    if command == "dynamic-fit")
@@ -842,9 +909,9 @@ README_DIGESTS = {
     "out_complexity/complexity.csv": "8a8645625895eb7d4ac5354357c555d29cc2f57bf576e89953f7733f0f350bac",
     "out_complexity/manifest.json": "ecba2e4ef2ba909b702d03d46d3f3394e98fba1ae67708fa1983195a25750dca",
     "out_static/error_curve.csv": "be48350c7b48982bf12d4e2efdc6ceb2808836e5b480f18e4a30ce4d379a2885",
-    "out_static/fit_report.json": "ad4572efa8725fab50e741ac928dce609f14eede208fe35aa42cb00bcca12df4",
+    "out_static/fit_report.json": "232eead99d56620264cba14fc31678cf03dc89b64517f38f0302045c1f5421b1",
     "out_static/manifest.json": "64d677434bdf2c36765e5cf57eac95de4fbb20cc9c0d93f5285299ce1dc7334f",
-    "out_dynamic/dynamic_report.json": "fd74a83690610fcb952cf60cf3307ef9fd80b937011d13bfaaa514660b7ad486",
+    "out_dynamic/dynamic_report.json": "1063bf8fc60968a3ddba3d4ce9160b798f1a40c258000495c8529263ae367905",
     "out_dynamic/manifest.json": "41815ac01b7ddeeaae6af34df64df0f68aebdfa29e7f89563275934a091b6186",
     "out_dynamic/normalized_errors.csv": "56e5539d610af8f0594e9c8ea5efb8209dd063bb79b7d5e9752c91c0a6db5df5",
     "out_dynamic/per_step_errors.csv": "1760e8398795117fd659422f2c3f4cb580a9cd5f54f48b3eeafe43b4d9bc9a26",

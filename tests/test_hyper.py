@@ -1,6 +1,7 @@
 """Tests for the dynamic model: schedule, evaluation, and the fit pipeline."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from qasnets.hyper import (
     make_distinct,
     normalized_error,
     perturbation_step,
-    self_compression,
     theta_unroll,
 )
 from qasnets.networks import (
@@ -216,33 +216,6 @@ class TestBatchedEvaluation:
         # an empty path set has no outputs, so its sups keep their floors
         assert ght_eval(ght, [], 1) == []
         assert hyper._sup_distance(Dirac(), ght, [], 1) == 0.0
-        assert self_compression(ght, [], 2, lam=4.0, n=3) == 1.0
-
-
-class TestSelfCompression:
-    def test_at_horizon_equals_one(self):
-        ght = toy_ght(hyper="shift")
-        paths = [constant_path(v) for v in (-1.0, 0.2, 2.0)]
-        assert self_compression(ght, paths, 2, lam=4.0, n=2) == 1.0
-        assert self_compression(ght, paths, 2, lam=4.0, n=-2) == 1.0
-
-    def test_frozen_constant_setting_is_one(self):
-        ght = toy_ght(hyper="identity")
-        paths = [constant_path(v, n_past=7, n_future=7) for v in (-1.0, 0.5)]
-        for n in (-6, -3, 3, 7):
-            assert self_compression(ght, paths, 2, lam=8.0, n=n) == 1.0
-
-    def test_matches_two_evaluation_oracle(self):
-        ght = toy_ght(hyper="shift", delta=0.8)
-        paths = [constant_path(v, n_past=6, n_future=6) for v in (0.1, -0.4)]
-        space = ght.decoder.space
-        n = 5
-        want = max(
-            1.0,
-            max(3.0 * space.distance(ght_eval(ght, p, n), ght_eval(ght, p, 2))
-                for p in paths),
-        )
-        assert self_compression(ght, paths, 2, lam=3.0, n=n) == pytest.approx(want)
 
 
 class TestConstructiveEncoders:
@@ -481,8 +454,8 @@ class TestNormalizedError:
             def evaluate(self, paths, n):
                 return ght_eval(ght, paths, n)
 
-        paths = [constant_path(0.4)]
-        out = normalized_error(SelfTarget(), ght, paths, lambda n: 1.0, N_T=2, eps=0.4)
+        paths = [constant_path(0.4, n_past=2, n_future=2)]
+        out = normalized_error(SelfTarget(), ght, paths, lambda n: 1.0, N_T=2)
         assert out["score"] == 0.0
 
     def test_denominators_at_least_one(self):
@@ -492,7 +465,17 @@ class TestNormalizedError:
             def evaluate(self, paths, n):
                 return ght_eval(ght, paths, n)
 
-        paths = [constant_path(0.3, n_past=6, n_future=6)]
-        out = normalized_error(SelfTarget(), ght, paths, lambda n: 0.5, N_T=2, eps=0.4)
+        paths = [constant_path(0.3, n_past=2, n_future=2)]
+        out = normalized_error(SelfTarget(), ght, paths, lambda n: 0.5, N_T=2)
+        assert [row["n"] for row in out["rows"]] == [-2, -1, 0, 1, 2]
         for row in out["rows"]:
             assert row["denominator"] >= 1.0
+
+    @pytest.mark.parametrize("n_past, n_future, window", [
+        (6, 6, "[-6, 6]"), (2, 3, "[-2, 3]"), (3, 2, "[-3, 2]")])
+    def test_window_outside_horizon_raises(self, n_past, n_future, window):
+        ght = toy_ght(hyper="shift", delta=0.6)
+        paths = [constant_path(0.3, n_past=n_past, n_future=n_future)]
+        message = f"window {window} leaves the horizon [-2, 2]"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            normalized_error(None, ght, paths, lambda n: 1.0, N_T=2)
