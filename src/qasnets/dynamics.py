@@ -495,7 +495,7 @@ def sde_kernel_map(mu: Callable, sigma: Callable, delta: float, nu: DiscreteMeas
     def decoder(latents):
         clouds = gaussian_quantile_cloud(latents[:, :d], latents[:, d:].reshape(-1, d, d), k)
         atoms = (clouds[:, :, None, :] + nu.atoms[None, None, :, :]).reshape(len(latents), -1, d)
-        return [DiscreteMeasure(a, weights) for a in atoms]
+        return DiscreteMeasure.stack(atoms, weights)
 
     return FiniteComplexityMap(
         memory=0, latent_dim=d + d * d, alpha=1.0, encoder=encoder, decoder=decoder,

@@ -164,11 +164,7 @@ def normalized_error(
 def _sup_distance(target, ght: Ght, paths: Sequence[PathWindow], n: int) -> float:
     """sup over paths of d_Y(target at n, model at n), each side evaluated
     once for all paths of step n."""
-    space = ght.decoder.space
-    raw = 0.0
-    for want, out in zip(target.evaluate(paths, n), ght_eval(ght, paths, n)):
-        raw = max(raw, space.distance(want, out))
-    return raw
+    return ght.decoder.space.sup_distance(target.evaluate(paths, n), ght_eval(ght, paths, n))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +373,8 @@ def fit_dynamic(
 
     n_dec, q_dec = config.decoder_anchors, config.decoder_level
     decoder, dec_report = fit_static_constructive(
-        lambda latent: target.decoder(latent[None])[0], latent_cloud, space,
-        {"N": n_dec, "q": q_dec}, config.decoder_config, seed=seed,
+        None, latent_cloud, space, {"N": n_dec, "q": q_dec}, config.decoder_config,
+        targets=target.decoder(latent_cloud), seed=seed,
     )
 
     # -- stage (v): memorize the parameter transitions --------------------

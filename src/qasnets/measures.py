@@ -111,7 +111,8 @@ class DiscreteMeasure:
     sorts the support (``_merge_rows``); every later use reads the
     canonical arrays.  Input whose rows are already strictly increasing
     is canonical as given: the measure keeps a copy of its atoms and its
-    weights plus 0.0, the bits ``_merge_rows`` would give.
+    weights plus 0.0, the bits ``_merge_rows`` would give.  ``stack``
+    builds many measures on one weight vector, checked once.
     """
 
     atoms: np.ndarray
@@ -132,6 +133,11 @@ class DiscreteMeasure:
         dim = atoms.shape[1]
         if self.dim >= 0 and self.dim != dim:
             raise DomainError(f"declared dim {self.dim} != atom dim {dim}")
+        self._canonicalize(atoms, weights)
+
+    def _canonicalize(self, atoms: np.ndarray, weights: np.ndarray) -> None:
+        """Store checked (n, d) finite atoms and simplex weights in canonical
+        form, read-only."""
         if _strictly_increasing(atoms):
             # each group is one row, which bincount sums from +0.0
             atoms, weights = atoms.copy(), weights + 0.0
@@ -141,7 +147,30 @@ class DiscreteMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", atoms.shape[1])
+
+    @staticmethod
+    def stack(atoms, weights) -> list["DiscreteMeasure"]:
+        """One measure per row of a (P, n, d) atom stack, all on the n
+        weights: the weights are checked once and the atoms' finiteness
+        once, and measure i is bit for bit ``DiscreteMeasure(atoms[i],
+        weights)``."""
+        atoms = np.asarray(atoms, dtype=float)
+        if atoms.ndim != 3:
+            raise DomainError(f"atoms must be a (P, n, d) stack, got shape {atoms.shape}")
+        weights = validate_simplex_weight(weights)
+        if atoms.shape[1] != weights.shape[0]:
+            raise DomainError(
+                f"atom count {atoms.shape[1]} != weight count {weights.shape[0]}"
+            )
+        if not np.isfinite(atoms).all():
+            raise DomainError("atoms must be finite")
+        out = []
+        for rows in atoms:
+            measure = object.__new__(DiscreteMeasure)
+            measure._canonicalize(rows, weights)
+            out.append(measure)
+        return out
 
     def __len__(self) -> int:
         return self.atoms.shape[0]

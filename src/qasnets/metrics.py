@@ -189,15 +189,17 @@ def _quantile_potentials(x: list, wx: list, y: list, wy: list, p: float) -> tupl
     return cost, u
 
 
-def _diagonal_cost(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    """``_quantile_cost`` at p = 1 for equal weight vectors w, bit for bit.
+def _equal_weight_costs(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``_quantile_cost`` at p = 1 for each row pair of the (P, n) sorted
+    supports x and y, all on the one weight vector w, bit for bit.
 
     Both lines run out together at every arc, so the coupling is the
-    diagonal; a cumulative sum adds its costs one at a time, in arc order,
-    as the walk does.  The walk starts from 0.0 and the sum from the first
-    cost, which is the same value: a canonical weight is never -0.0.
+    diagonal; a cumulative sum along each row adds its costs one at a time,
+    in arc order, as the walk does, and never mixes rows.  The walk starts
+    from 0.0 and the sum from the first cost, which is the same value: a
+    canonical weight is never -0.0.
     """
-    return float(np.cumsum(w * np.abs(x - y))[-1])
+    return np.cumsum(w * np.abs(x - y), axis=1)[:, -1]
 
 
 def ground_cost(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
@@ -502,7 +504,8 @@ def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> f
     Returns the optimal transport cost with ground cost |x-y|^p, raised to
     1/p.  Zero exactly when the (canonical) weighted atom sets coincide.
     In one dimension only the coupling's cost is walked, or summed along
-    the diagonal for equal weights at p = 1.
+    the diagonal for equal weights at p = 1 (``_equal_weight_costs``, one
+    row).
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
@@ -512,12 +515,49 @@ def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> f
         return 0.0
     if mu.dim > 1:
         cost = transport_cost(mu.weights, nu.weights, ground_cost(mu.atoms, nu.atoms, p)).value
-    elif p == 1.0 and len(mu) == len(nu) and (mu.weights == nu.weights).all():
-        cost = _diagonal_cost(mu.atoms[:, 0], nu.atoms[:, 0], mu.weights)
+    elif _on_the_diagonal(mu, nu, p):
+        cost = float(_equal_weight_costs(mu.atoms.T, nu.atoms.T, mu.weights)[0])
     else:
         cost = _quantile_cost(mu.atoms[:, 0].tolist(), mu.weights.tolist(),
                               nu.atoms[:, 0].tolist(), nu.weights.tolist(), p)
     return max(cost, 0.0) ** (1.0 / p)
+
+
+def _on_the_diagonal(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:
+    """Whether W_p(mu, nu) is a diagonal sum: 1-D measures of equal weight
+    vectors at p = 1."""
+    return (p == 1.0 and mu.dim == nu.dim == 1 and len(mu) == len(nu)
+            and (mu.weights == nu.weights).all())
+
+
+def wasserstein_p_pairs(mus: list, nus: list, p: float = 1.0) -> list[float]:
+    """``wasserstein_p(mu, nu, p)`` for each pair of ``mus`` and ``nus``, in
+    order, bit for bit.
+
+    The pairs on the diagonal (``_on_the_diagonal``) are grouped by the
+    bytes of their weight vector, and each group is costed by one
+    ``_equal_weight_costs`` call; equal measures in a group cost exactly
+    0.0, as ``wasserstein_p`` returns.  Every other pair goes through
+    ``wasserstein_p``.
+    """
+    if p < 1.0:
+        raise DomainError(f"p must be >= 1, got {p}")
+    if len(mus) != len(nus):
+        raise DomainError(f"{len(mus)} measures paired with {len(nus)}")
+    out = [0.0] * len(mus)
+    groups: dict[bytes, list[int]] = {}
+    for i, (mu, nu) in enumerate(zip(mus, nus)):
+        if _on_the_diagonal(mu, nu, p):
+            groups.setdefault(mu.weights.tobytes(), []).append(i)
+        else:
+            out[i] = wasserstein_p(mu, nu, p)
+    for members in groups.values():
+        x = np.concatenate([mus[i].atoms.T for i in members])
+        y = np.concatenate([nus[i].atoms.T for i in members])
+        costs = _equal_weight_costs(x, y, mus[members[0]].weights)
+        for i, cost in zip(members, costs.tolist()):
+            out[i] = max(cost, 0.0)  # the root 1/p is 1
+    return out
 
 
 def transport_potential(mu: DiscreteMeasure, nu: DiscreteMeasure,

@@ -12,7 +12,10 @@ where ``images`` are the quantized codes Q(z_n) of a model, which a
 
 Every mix goes through ``mixer(points)``, which checks and prepares a
 fixed point set once (``_prepare``) and returns w -> eta(w, points) to
-``mix``, ``attention`` and ``mixing_loss``.
+``mix``, ``attention`` and ``mixing_loss``.  A fit measures its errors by
+``distances(as_, bs)`` over all its pairs at once (``sup_distance`` for
+their largest), which the Wasserstein variant costs together
+(``metrics.wasserstein_p_pairs``), bit for bit the one-pair distances.
 
 Six concrete variants are provided:
 
@@ -61,6 +64,7 @@ from .metrics import (
     transport_potential,
     wasserstein2_barycenter_1d,
     wasserstein_p,
+    wasserstein_p_pairs,
 )
 
 
@@ -119,6 +123,17 @@ class QasSpace:
     # -- metric ------------------------------------------------------------
     def distance(self, a, b) -> float:
         raise NotImplementedError
+
+    def distances(self, as_: Sequence, bs: Sequence) -> list[float]:
+        """``distance(a, b)`` for each pair of ``as_`` and ``bs``, in order.
+        A variant may cost the pairs together, bit for bit these calls."""
+        if len(as_) != len(bs):
+            raise DomainError(f"{len(as_)} points paired with {len(bs)}")
+        return [self.distance(a, b) for a, b in zip(as_, bs)]
+
+    def sup_distance(self, as_: Sequence, bs: Sequence) -> float:
+        """The largest of ``distances(as_, bs)``, and 0.0 for no pairs."""
+        return max([0.0, *self.distances(as_, bs)])
 
     def check_point(self, y) -> None:
         if not isinstance(y, self.point_type):
@@ -302,6 +317,9 @@ class WassersteinConvex(QasSpace):
 
     def distance(self, a, b) -> float:
         return wasserstein_p(a, b, self.p)
+
+    def distances(self, as_, bs) -> list[float]:
+        return wasserstein_p_pairs(as_, bs, self.p)
 
     def check_point(self, y) -> None:
         super().check_point(y)

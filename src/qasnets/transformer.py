@@ -329,15 +329,8 @@ class End2EndFitConfig(Config):
     warm_train: TrainConfig = TrainConfig(lr=0.3, epochs=2000, train_alpha=False)
 
 
-def _sup_error(space, targets, xs, gt):
-    worst = 0.0
-    for y, out in zip(targets, gt.evaluate(xs)):
-        worst = max(worst, space.distance(y, out))
-    return worst
-
-
 def fit_static_constructive(
-    f: Callable,
+    f: Callable | None,
     train_x,
     space: QasSpace,
     budget: dict,
@@ -354,7 +347,7 @@ def fit_static_constructive(
     trained from ``seed`` on soft one-hot labels with squared loss
     otherwise.  The config keys are the fields of ``StaticFitConfig``.  A
     caller fitting several budgets gives ``targets`` (f at the training
-    inputs) once for all of them.
+    inputs) once for all of them; ``f`` is then not called.
 
     The report's ``error_bound`` certifies the sup error on the training
     inputs, and on nothing off them.  With c(x) the center of input x, the
@@ -371,18 +364,15 @@ def fit_static_constructive(
     gt, idx, radius, labels = _constructive_model(
         targets, xs, space, n_budget, q, config.activation, config.hidden,
         config.label_amplitude, config.train, seed)
-    qerrs = [space.distance(image, targets[i]) for image, i in zip(gt.images, idx)]
+    qerrs = space.distances(gt.images, [targets[i] for i in idx])
 
     # classification defect: distance between the model output and the
     # nearest-center code image it should have selected; the same output
     # gives the sup error
-    defect = 0.0
-    sup = 0.0
-    cover = 0.0
-    for out, y, lab in zip(gt.evaluate(xs), targets, labels):
-        defect = max(defect, space.distance(out, gt.images[lab]))
-        sup = max(sup, space.distance(y, out))
-        cover = max(cover, space.distance(y, targets[idx[lab]]))
+    outs = gt.evaluate(xs)
+    defect = space.sup_distance(outs, [gt.images[lab] for lab in labels])
+    sup = space.sup_distance(targets, outs)
+    cover = space.sup_distance(targets, [targets[idx[lab]] for lab in labels])
     bound = cover + max(qerrs) + defect
     report = FitReport(
         sup_error=sup,
@@ -525,7 +515,7 @@ def fit_static_end2end(
     theta = best_theta
 
     gt = GeometricTransformer(space, md, spec, theta, gt0.codes, gt0.images)
-    sup = _sup_error(space, targets, xs, gt)
+    sup = space.sup_distance(targets, gt.evaluate(xs))
     report = FitReport(
         sup_error=sup,
         center_indices=[],
@@ -685,7 +675,7 @@ def complexity_static(activation: str, inputs: dict) -> ComplexityReport:
                                                 n_anchors=N)
         implicit["D"] = D
     depth, width, params = _complexity_rows(activation, n, N - 1, inputs, D)
-    q = None if inputs.get("q") is None else inputs.integer("q")
+    q = None if inputs.get("q") is None else inputs.integer("q", least=1)
     return ComplexityReport(
         activation=activation, depth=depth, width=width,
         n_params=params, ln_n_anchors=ln_n, n_anchors=N,
@@ -704,7 +694,9 @@ def complexity_ffnn(activation: str, inputs: dict) -> ComplexityReport:
     """Model-size bounds for the feedforward encoder, plus the constant C_K."""
     inputs = _Inputs(inputs)
     n = inputs.integer("n", least=1)  # the input dimension
-    m = inputs.integer("m")
+    # the number of blocks; the static table's rows are these at m = N - 1,
+    # so one anchor gives m = 0
+    m = inputs.integer("m", least=0)
     alpha = float(inputs["alpha"])
     implicit = {}
     D = None

@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment harness."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -571,6 +572,20 @@ class TestComplexity:
         assert capsys.readouterr().err == (
             f"config error: complexity input 'n' must be an integer >= 1, got {n}\n")
 
+    @pytest.mark.parametrize("table, key, value, least", [
+        ("ffnn", "m", -1, 0), ("ffnn", "m", -5, 0),
+        ("transformer", "q", -3, 1), ("transformer", "q", 0, 1)])
+    def test_negative_block_count_or_level_below_one(self, tmp_path, capsys, table, key,
+                                                      value, least):
+        inputs = dict(self.BASE, c=1.0, m=2, eps=0.5)
+        inputs[key] = value
+        code, _ = run(tmp_path, "complexity",
+                      {"table": table, "activation": "singular", "inputs": inputs})
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: complexity input '{key}' must be an integer >= {least}, "
+            f"got {value}\n")
+
     def test_unread_inputs_stay_open(self, tmp_path):
         inputs = {"n": 2, "m": 2, "alpha": 1.0, "W": 3.0, "eps": 0.5, "note": "any value"}
         code, _ = run(tmp_path, "complexity", {"table": "ffnn", "inputs": inputs})
@@ -750,6 +765,47 @@ class TestStaticFit:
 
 
 class TestDynamicFit:
+    # the benchmark's dynamic-fit config at seed 0
+    BENCHMARK = {
+        "seed": 0, "N_T": 16, "eps": 0.4, "eval_points": 33,
+        "target": {"kind": "sin_drift", "amplitude": 0.1, "sigma": 0.2, "quantiles": 64},
+        "fit": {"grid_points": 17, "domain_lo": -1.0, "domain_hi": 1.0,
+                "decoder_anchors": 64, "decoder_level": 64},
+        "compression": {"class": "kz", "lo": -1.0, "hi": 1.0, "L_f": 1.1},
+    }
+
+    def test_one_weight_check_per_decoder_batch(self, tmp_path, monkeypatch):
+        """The SDE decoder builds a batch's measures on one weight vector,
+        checked once per batch: one batch for the decoder fit's 33 x 33
+        latents, then one per step for the 33 per-step errors."""
+        import qasnets.cli
+        from qasnets import measures
+
+        checks = [0]
+        batches = []
+        real_check, real_map = measures.validate_simplex_weight, qasnets.cli.sde_kernel_map
+
+        def counted_check(entries):
+            checks[0] += 1
+            return real_check(entries)
+
+        def counted_map(*args, **kwargs):
+            target = real_map(*args, **kwargs)
+
+            def decoder(latents):
+                before = checks[0]
+                out = target.decoder(latents)
+                batches.append((len(out), checks[0] - before))
+                return out
+
+            return dataclasses.replace(target, decoder=decoder)
+
+        monkeypatch.setattr(measures, "validate_simplex_weight", counted_check)
+        monkeypatch.setattr(qasnets.cli, "sde_kernel_map", counted_map)
+        code, _ = run(tmp_path, "dynamic-fit", self.BENCHMARK)
+        assert code == 0
+        assert batches == [(33 * 33, 1)] + [(33, 1)] * 33
+
     def test_no_paths_exits_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "dynamic-fit", {"seed": 0, "eval_points": 0})
         assert code == 2

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qasnets import measures
+from qasnets.errors import DomainError
 from qasnets.measures import DiscreteMeasure, MixtureAnchors, _merge_rows, measure_from_json
 
 from oracles import canonical_measure_reference, merge_rows_reference, mixture_reference
@@ -203,3 +204,51 @@ class TestCanonicalInput:
         assert calls == ([3] if merged else [])
         monkeypatch.undo()
         assert_reference_bits(mu, atoms, weights)
+
+
+class TestStack:
+    """``DiscreteMeasure.stack`` gives, row by row, the constructor's
+    measures bit for bit, with one weight check for the whole stack."""
+
+    @given(count=st.integers(0, 8), n=st.integers(1, 12), d=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_constructor(self, count, n, d, seed):
+        rng = np.random.default_rng(seed)
+        # a small grid gives duplicate, unsorted and -0.0 rows, which take
+        # the merge path; spread rows are usually canonical as drawn
+        atoms = rng.integers(-2, 3, size=(count, n, d)).astype(float)
+        atoms[atoms == 0.0] = rng.choice([0.0, -0.0], size=int((atoms == 0.0).sum()))
+        spread = rng.random(count) < 0.5
+        atoms[spread] = np.sort(rng.normal(size=(int(spread.sum()), n, d)), axis=1)
+        weights = rng.choice([0.0, -0.0, 0.125, 0.25], size=n)
+        weights[rng.integers(n)] = 1.0
+        weights = weights / weights.sum()
+        stacked = DiscreteMeasure.stack(atoms, weights)
+        assert len(stacked) == count
+        for mu, rows in zip(stacked, atoms):
+            want = DiscreteMeasure(rows, weights)
+            assert mu.atoms.tobytes() == want.atoms.tobytes()
+            assert mu.weights.tobytes() == want.weights.tobytes()
+            assert mu.atoms.shape == want.atoms.shape and mu.dim == want.dim == d
+            assert not mu.atoms.flags.writeable and not mu.weights.flags.writeable
+            assert not np.shares_memory(mu.atoms, atoms)
+
+    def test_one_weight_check_per_stack(self, monkeypatch):
+        calls = []
+        real = measures.validate_simplex_weight
+        monkeypatch.setattr(measures, "validate_simplex_weight",
+                            lambda w: calls.append(1) or real(w))
+        stacked = DiscreteMeasure.stack(np.zeros((5, 2, 1)) + [[0.0], [1.0]], [0.5, 0.5])
+        assert calls == [1] and len(stacked) == 5
+
+    @pytest.mark.parametrize("atoms, weights, message", [
+        (np.zeros((2, 2, 1)), [0.5, 0.6], "must sum to 1"),
+        (np.zeros((2, 2, 1)), [1.5, -0.5], "must be nonnegative"),
+        (np.zeros((2, 2, 1)), [0.5, 0.5, 0.0], "atom count 2 != weight count 3"),
+        (np.array([[[0.0], [1.0]], [[0.0], [np.inf]]]), [0.5, 0.5], "atoms must be finite"),
+        (np.array([[[np.nan], [1.0]]]), [0.5, 0.5], "atoms must be finite"),
+        (np.zeros((2, 1)), [1.0], r"must be a \(P, n, d\) stack"),
+    ])
+    def test_bad_input_is_one_domain_error(self, atoms, weights, message):
+        with pytest.raises(DomainError, match=message):
+            DiscreteMeasure.stack(atoms, weights)

@@ -270,7 +270,8 @@ class TestQuantileCouplingKernel:
         want_cost, want_arcs = quantile_coupling_reference(x.tolist(), wx, y.tolist(), wy, p)
         assert want_arcs == [(i, i) for i in range(n)]
         if p == 1.0:
-            assert metrics._diagonal_cost(x, y, mu.weights).hex() == want_cost.hex()
+            got = metrics._equal_weight_costs(x[None], y[None], mu.weights)
+            assert float(got[0]).hex() == want_cost.hex()
         assert wasserstein_p(mu, nu, p) == max(want_cost, 0.0) ** (1.0 / p)
 
     def test_distance_walks_cost_only(self, monkeypatch):
@@ -286,6 +287,84 @@ class TestQuantileCouplingKernel:
         assert metrics.wasserstein_p(mu, nu, 1.5) == want == cost ** (1.0 / 1.5)
         with pytest.raises(AssertionError, match="the potential walk ran"):
             metrics.transport_potential(mu, nu, 1.5)
+
+
+class TestDistancePairs:
+    """``wasserstein_p_pairs`` is bit for bit ``wasserstein_p`` per pair,
+    with one ``_equal_weight_costs`` call per distinct weight vector."""
+
+    @staticmethod
+    def random_pairs(rng, count, d):
+        """``count`` pairs over a few shared weight vectors: equal measures,
+        equal weights in their own arrays (+0.0 against -0.0 entries
+        included), different weights, and different atom counts."""
+        shared = [tie_heavy_simplex(rng, n, kind)
+                  for n, kind in [(1, "equal"), (3, "ties"), (3, "equal"), (5, "spread")]]
+        mus, nus = [], []
+        for _ in range(count):
+            w = shared[rng.integers(len(shared))]
+            # a small grid, so some atoms coincide and merge
+            atoms = rng.integers(-4, 5, size=(len(w), d)) / 2.0
+            mu = DiscreteMeasure(atoms, np.array(w))
+            kind = rng.integers(4)
+            if kind == 0:
+                nu = DiscreteMeasure(atoms.copy(), np.negative(np.negative(w)))
+            elif kind == 1:
+                nu = DiscreteMeasure(rng.normal(size=atoms.shape), np.array(w))
+            elif kind == 2:
+                nu = DiscreteMeasure(rng.normal(size=atoms.shape),
+                                     np.array(tie_heavy_simplex(rng, len(w), "spread")))
+            else:
+                nu = DiscreteMeasure(rng.normal(size=(2, d)), [0.5, 0.5])
+            mus.append(mu)
+            nus.append(nu)
+        return mus, nus
+
+    @given(count=st.integers(0, 12), d=st.sampled_from([1, 2]),
+           p=st.sampled_from([1.0, 1.5, 2.0]), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_one_pair_calls(self, count, d, p, seed):
+        mus, nus = self.random_pairs(np.random.default_rng(seed), count, d)
+        want = [wasserstein_p(mu, nu, p) for mu, nu in zip(mus, nus)]
+        assert hexes(metrics.wasserstein_p_pairs(mus, nus, p)) == hexes(want)
+        assert hexes(metrics.wasserstein_p_pairs(nus, mus, p)) == hexes(
+            [wasserstein_p(nu, mu, p) for mu, nu in zip(mus, nus)])
+
+    def test_one_kernel_call_per_weight_vector(self, monkeypatch):
+        calls = []
+        kernel = metrics._equal_weight_costs
+
+        def counted(x, y, w):
+            calls.append(len(x))
+            return kernel(x, y, w)
+
+        monkeypatch.setattr(metrics, "_equal_weight_costs", counted)
+        rng = np.random.default_rng(0)
+        # three weight vectors, each pair's measures in arrays of their own;
+        # sorted atoms keep the weights in their given order
+        vectors = [[0.25] * 4, [0.5, 0.25, 0.25], [1.0]]
+        pairs = [(vectors[k], np.sort(rng.normal(size=(len(vectors[k]), 1)), axis=0),
+                  np.sort(rng.normal(size=(len(vectors[k]), 1)), axis=0))
+                 for k in [0, 1, 0, 2, 0, 1]]
+        mus = [DiscreteMeasure(x, np.array(w)) for w, x, _ in pairs]
+        nus = [DiscreteMeasure(y, np.array(w)) for w, _, y in pairs]
+        got = metrics.wasserstein_p_pairs(mus, nus, 1.0)
+        assert sorted(calls) == [1, 2, 3]
+        assert hexes(got) == hexes(wasserstein_p(mu, nu) for mu, nu in zip(mus, nus))
+
+    def test_equal_measures_and_empty_input(self):
+        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
+        twin = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        assert hexes(metrics.wasserstein_p_pairs([mu, twin], [twin, mu])) == hexes([0.0, 0.0])
+        assert metrics.wasserstein_p_pairs([], [], 1.5) == []
+
+    def test_bad_input_is_a_domain_error(self):
+        mu = DiscreteMeasure.dirac(0.0)
+        with pytest.raises(DomainError, match="1 measures paired with 2"):
+            metrics.wasserstein_p_pairs([mu], [mu, mu])
+        with pytest.raises(DomainError, match="p must be >= 1"):
+            metrics.wasserstein_p_pairs([mu], [mu], 0.5)
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            metrics.wasserstein_p_pairs([mu], [DiscreteMeasure.dirac([0.0, 1.0])])
 
 
 def rounding_bound(cost, u, v):
