@@ -76,16 +76,17 @@ def numeric_array(obj: dict, key: str) -> np.ndarray:
     return array.astype(float)
 
 
-def _strictly_increasing(atoms: np.ndarray) -> bool:
-    """Whether each row is lexicographically greater than the one before.
+def _strictly_increasing(atoms: np.ndarray) -> np.ndarray:
+    """Whether each row is lexicographically greater than the one before,
+    for an (n, d) array or for each (n, d) array of a stack.
 
     Equal coordinates compare equal, so -0.0 next to 0.0 is a tie.
     """
-    prev, nxt = atoms[:-1], atoms[1:]
-    greater = nxt[:, -1] > prev[:, -1]
-    for c in range(atoms.shape[1] - 2, -1, -1):
-        greater = (nxt[:, c] > prev[:, c]) | ((nxt[:, c] == prev[:, c]) & greater)
-    return bool(greater.all())
+    prev, nxt = atoms[..., :-1, :], atoms[..., 1:, :]
+    greater = nxt[..., -1] > prev[..., -1]
+    for c in range(atoms.shape[-1] - 2, -1, -1):
+        greater = (nxt[..., c] > prev[..., c]) | ((nxt[..., c] == prev[..., c]) & greater)
+    return greater.all(axis=-1)
 
 
 def _merge_rows(atoms: np.ndarray, *weights: np.ndarray) -> tuple:
@@ -133,12 +134,12 @@ class DiscreteMeasure:
         dim = atoms.shape[1]
         if self.dim >= 0 and self.dim != dim:
             raise DomainError(f"declared dim {self.dim} != atom dim {dim}")
-        self._canonicalize(atoms, weights)
+        self._canonicalize(atoms, weights, bool(_strictly_increasing(atoms)))
 
-    def _canonicalize(self, atoms: np.ndarray, weights: np.ndarray) -> None:
+    def _canonicalize(self, atoms: np.ndarray, weights: np.ndarray, increasing: bool) -> None:
         """Store checked (n, d) finite atoms and simplex weights in canonical
-        form, read-only."""
-        if _strictly_increasing(atoms):
+        form, read-only; ``increasing`` is ``_strictly_increasing(atoms)``."""
+        if increasing:
             # each group is one row, which bincount sums from +0.0
             atoms, weights = atoms.copy(), weights + 0.0
         else:
@@ -152,9 +153,9 @@ class DiscreteMeasure:
     @staticmethod
     def stack(atoms, weights) -> list["DiscreteMeasure"]:
         """One measure per row of a (P, n, d) atom stack, all on the n
-        weights: the weights are checked once and the atoms' finiteness
-        once, and measure i is bit for bit ``DiscreteMeasure(atoms[i],
-        weights)``."""
+        weights: the weights are checked once, and the atoms' finiteness
+        and order once, and measure i is bit for bit
+        ``DiscreteMeasure(atoms[i], weights)``."""
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim != 3:
             raise DomainError(f"atoms must be a (P, n, d) stack, got shape {atoms.shape}")
@@ -166,9 +167,9 @@ class DiscreteMeasure:
         if not np.isfinite(atoms).all():
             raise DomainError("atoms must be finite")
         out = []
-        for rows in atoms:
+        for rows, increasing in zip(atoms, _strictly_increasing(atoms).tolist()):
             measure = object.__new__(DiscreteMeasure)
-            measure._canonicalize(rows, weights)
+            measure._canonicalize(rows, weights, increasing)
             out.append(measure)
         return out
 

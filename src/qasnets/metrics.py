@@ -515,7 +515,7 @@ def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> f
         return 0.0
     if mu.dim > 1:
         cost = transport_cost(mu.weights, nu.weights, ground_cost(mu.atoms, nu.atoms, p)).value
-    elif _on_the_diagonal(mu, nu, p):
+    elif _diagonal_key(mu, nu, p) is not None:
         cost = float(_equal_weight_costs(mu.atoms.T, nu.atoms.T, mu.weights)[0])
     else:
         cost = _quantile_cost(mu.atoms[:, 0].tolist(), mu.weights.tolist(),
@@ -523,19 +523,25 @@ def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> f
     return max(cost, 0.0) ** (1.0 / p)
 
 
-def _on_the_diagonal(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bool:
-    """Whether W_p(mu, nu) is a diagonal sum: 1-D measures of equal weight
-    vectors at p = 1."""
-    return (p == 1.0 and mu.dim == nu.dim == 1 and len(mu) == len(nu)
-            and (mu.weights == nu.weights).all())
+def _diagonal_key(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> bytes | None:
+    """The bytes of the weight vector of mu and nu if W_p(mu, nu) is a
+    diagonal sum, 1-D measures of equal weight vectors at p = 1; else None.
+
+    Canonical weights are finite and never -0.0, so two are equal exactly
+    when their bytes are.
+    """
+    if p != 1.0 or mu.dim != 1 or nu.dim != 1:
+        return None
+    key = mu.weights.tobytes()
+    return key if key == nu.weights.tobytes() else None
 
 
 def wasserstein_p_pairs(mus: list, nus: list, p: float = 1.0) -> list[float]:
     """``wasserstein_p(mu, nu, p)`` for each pair of ``mus`` and ``nus``, in
     order, bit for bit.
 
-    The pairs on the diagonal (``_on_the_diagonal``) are grouped by the
-    bytes of their weight vector, and each group is costed by one
+    The pairs on the diagonal are grouped by the bytes of their weight
+    vector (``_diagonal_key``), and each group is costed by one
     ``_equal_weight_costs`` call; equal measures in a group cost exactly
     0.0, as ``wasserstein_p`` returns.  Every other pair goes through
     ``wasserstein_p``.
@@ -547,10 +553,11 @@ def wasserstein_p_pairs(mus: list, nus: list, p: float = 1.0) -> list[float]:
     out = [0.0] * len(mus)
     groups: dict[bytes, list[int]] = {}
     for i, (mu, nu) in enumerate(zip(mus, nus)):
-        if _on_the_diagonal(mu, nu, p):
-            groups.setdefault(mu.weights.tobytes(), []).append(i)
-        else:
+        key = _diagonal_key(mu, nu, p)
+        if key is None:
             out[i] = wasserstein_p(mu, nu, p)
+        else:
+            groups.setdefault(key, []).append(i)
     for members in groups.values():
         x = np.concatenate([mus[i].atoms.T for i in members])
         y = np.concatenate([nus[i].atoms.T for i in members])

@@ -76,12 +76,12 @@ def _float_vector(y) -> np.ndarray | None:
         return None
 
 
-def _is_basis_vector(w: np.ndarray) -> int | None:
-    """Index i if w is exactly e_i, else None."""
-    hits = np.nonzero(w == 1.0)[0]
-    if hits.size == 1 and np.count_nonzero(w) == 1:
-        return int(hits[0])
-    return None
+def _vertex_indices(weights: np.ndarray) -> list[int | None]:
+    """For each row of a (P, n) weight stack, index i if the row is exactly
+    e_i, else None."""
+    ones = weights == 1.0
+    vertex = (np.count_nonzero(ones, axis=1) == 1) & (np.count_nonzero(weights, axis=1) == 1)
+    return [i if at else None for i, at in zip(np.argmax(ones, axis=1).tolist(), vertex.tolist())]
 
 
 def _replicate(rows: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
@@ -163,7 +163,7 @@ class QasSpace:
             w = validate_simplex_weight(w)
             if w.size != len(points):
                 raise DomainError(f"weight count {w.size} != point count {len(points)}")
-            i = _is_basis_vector(w)
+            i = _vertex_indices(w[None])[0]
             return points[i] if i is not None else self._mix_impl(w, prepared)
 
         mix.prepared = prepared
@@ -211,7 +211,7 @@ class QasSpace:
             raise DomainError(f"logit rows of shape {u.shape} for {len(images)} images")
 
         weights = np.atleast_2d(project_simplex(u))
-        picks = [_is_basis_vector(w) for w in weights]
+        picks = _vertex_indices(weights)
         mix = self.mixer(images) if None in picks else None  # only off a vertex
         outs = [images[i] if i is not None else mix(w) for i, w in zip(picks, weights)]
         return outs if u.ndim == 2 else outs[0]
