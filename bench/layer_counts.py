@@ -6,7 +6,7 @@ Imports ``qasnets`` from ``<checkout>/src`` and the workload's configs from
 ``<checkout>/perfbench/workloads.py``, then runs each CLI command of the
 workload in this process:
 
-* ``cpu_s``: process CPU per command, the median of ``--rounds`` runs after
+* ``cpu_s``: process CPU per command, the median of ``ROUNDS`` runs after
   one warm-up run, with nothing wrapped;
 * ``counts``: one more run with counters wrapped around the 1-D and LP
   transport kernels, ``wasserstein_p``, measure canonicalization and
@@ -29,6 +29,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+# runs per command whose median CPU is reported
+ROUNDS = 9
 
 # (module, function or Class.method, key): the counted calls; a row kernel
 # also counts the rows it is given
@@ -87,7 +90,6 @@ def main() -> int:
     parser.add_argument("--checkout", type=Path, default=Path("."))
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -112,10 +114,10 @@ def main() -> int:
             return seconds
 
         result = {"checkout": str(root), "workload": args.workload, "seed": args.seed,
-                  "rounds": args.rounds, "cpu_s": {}, "counts": {}}
+                  "rounds": ROUNDS, "cpu_s": {}, "counts": {}}
         for c in commands:
             run(c)
-            result["cpu_s"][c.name] = statistics.median(run(c) for _ in range(args.rounds))
+            result["cpu_s"][c.name] = statistics.median(run(c) for _ in range(ROUNDS))
         for c in commands:
             counts: dict = {}
             undo = wrap_counters(qasnets, counts)

@@ -373,7 +373,8 @@ def fit_dynamic(
 
     n_dec, q_dec = config.decoder_anchors, config.decoder_level
     decoder, dec_report = fit_static_constructive(
-        None, latent_cloud, space, {"N": n_dec, "q": q_dec}, config.decoder_config,
+        lambda latent: target.decoder(latent[None])[0], latent_cloud, space,
+        {"N": n_dec, "q": q_dec}, config.decoder_config,
         targets=target.decoder(latent_cloud), seed=seed,
     )
 

@@ -76,6 +76,20 @@ def numeric_array(obj: dict, key: str) -> np.ndarray:
     return array.astype(float)
 
 
+def _check_atoms(atoms: np.ndarray, weights) -> np.ndarray:
+    """Checks the simplex weights, then that an (n, d) array, or each (n, d)
+    array of a stack, has one finite atom per weight; returns the checked
+    weights."""
+    weights = validate_simplex_weight(weights)
+    if atoms.shape[-2] != weights.shape[0]:
+        raise DomainError(
+            f"atom count {atoms.shape[-2]} != weight count {weights.shape[0]}"
+        )
+    if not np.isfinite(atoms).all():
+        raise DomainError("atoms must be finite")
+    return weights
+
+
 def _strictly_increasing(atoms: np.ndarray) -> np.ndarray:
     """Whether each row is lexicographically greater than the one before,
     for an (n, d) array or for each (n, d) array of a stack.
@@ -124,13 +138,7 @@ class DiscreteMeasure:
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
         if atoms.ndim != 2:
             raise DomainError(f"atoms must be an (n, d) array, got shape {atoms.shape}")
-        weights = validate_simplex_weight(self.weights)
-        if atoms.shape[0] != weights.shape[0]:
-            raise DomainError(
-                f"atom count {atoms.shape[0]} != weight count {weights.shape[0]}"
-            )
-        if not np.isfinite(atoms).all():
-            raise DomainError("atoms must be finite")
+        weights = _check_atoms(atoms, self.weights)
         dim = atoms.shape[1]
         if self.dim >= 0 and self.dim != dim:
             raise DomainError(f"declared dim {self.dim} != atom dim {dim}")
@@ -159,13 +167,7 @@ class DiscreteMeasure:
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim != 3:
             raise DomainError(f"atoms must be a (P, n, d) stack, got shape {atoms.shape}")
-        weights = validate_simplex_weight(weights)
-        if atoms.shape[1] != weights.shape[0]:
-            raise DomainError(
-                f"atom count {atoms.shape[1]} != weight count {weights.shape[0]}"
-            )
-        if not np.isfinite(atoms).all():
-            raise DomainError("atoms must be finite")
+        weights = _check_atoms(atoms, weights)
         out = []
         for rows, increasing in zip(atoms, _strictly_increasing(atoms).tolist()):
             measure = object.__new__(DiscreteMeasure)

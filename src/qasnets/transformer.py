@@ -330,7 +330,7 @@ class End2EndFitConfig(Config):
 
 
 def fit_static_constructive(
-    f: Callable | None,
+    f: Callable,
     train_x,
     space: QasSpace,
     budget: dict,

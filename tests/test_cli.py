@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -764,20 +765,21 @@ class TestStaticFit:
         assert run(tmp_path, "static-fit", cfg)[0] == 0
 
 
-class TestDynamicFit:
-    # the benchmark's dynamic-fit config at seed 0
-    BENCHMARK = {
-        "seed": 0, "N_T": 16, "eps": 0.4, "eval_points": 33,
-        "target": {"kind": "sin_drift", "amplitude": 0.1, "sigma": 0.2, "quantiles": 64},
-        "fit": {"grid_points": 17, "domain_lo": -1.0, "domain_hi": 1.0,
-                "decoder_anchors": 64, "decoder_level": 64},
-        "compression": {"class": "kz", "lo": -1.0, "hi": 1.0, "L_f": 1.1},
-    }
+def benchmark_command(workload, name, seed=0):
+    """The config of command ``name`` in a benchmark workload, as the
+    benchmark's generator in ``perfbench/workloads.py`` builds it."""
+    workloads = runpy.run_path(
+        str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
+    (command,) = [c for c in workloads["GENERATORS"][workload](seed) if c.name == name]
+    return command.config
 
+
+class TestDynamicFit:
     def test_one_weight_check_per_decoder_batch(self, tmp_path, monkeypatch):
         """The SDE decoder builds a batch's measures on one weight vector,
-        checked once per batch: one batch for the decoder fit's 33 x 33
-        latents, then one per step for the 33 per-step errors."""
+        checked once per batch: one batch for the decoder fit's latents
+        (one per path and step), then one per step for its per-step error.
+        The config is the benchmark's dynamic-fit command at seed 0."""
         import qasnets.cli
         from qasnets import measures
 
@@ -802,9 +804,11 @@ class TestDynamicFit:
 
         monkeypatch.setattr(measures, "validate_simplex_weight", counted_check)
         monkeypatch.setattr(qasnets.cli, "sde_kernel_map", counted_map)
-        code, _ = run(tmp_path, "dynamic-fit", self.BENCHMARK)
+        config = benchmark_command("dynamic", "fit")
+        code, _ = run(tmp_path, "dynamic-fit", config)
         assert code == 0
-        assert batches == [(33 * 33, 1)] + [(33, 1)] * 33
+        paths, steps = config["eval_points"], 2 * config["N_T"] + 1
+        assert batches == [(steps * paths, 1)] + [(paths, 1)] * steps
 
     def test_no_paths_exits_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "dynamic-fit", {"seed": 0, "eval_points": 0})
