@@ -98,14 +98,12 @@ def write_json(path: Path, obj):
 
 
 class Runner:
-    def __init__(self, config: dict, out_dir: Path, strict: bool, config_bytes: bytes):
+    def __init__(self, config: dict, out_dir: Path, config_bytes: bytes):
         self.config = config
         self.out = out_dir
-        self.strict = strict
         self.config_hash = hashlib.sha256(config_bytes).hexdigest()
         self.outputs: list[str] = []
         self.wall: dict[str, float] = {}
-        self.filled_defaults: dict = {}
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def emit_csv(self, name: str, header, rows):
@@ -117,15 +115,12 @@ class Runner:
         self.outputs.append(name)
 
     def finish(self):
-        manifest = {
+        write_json(self.out / "manifest.json", {
             "config_sha256": self.config_hash,
             "library_version": __version__,
             "outputs": sorted(self.outputs),
             "wall_times_s": self.wall,
-        }
-        if self.filled_defaults:
-            manifest["filled_defaults"] = self.filled_defaults
-        write_json(self.out / "manifest.json", manifest)
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +220,11 @@ def cmd_complexity(runner: Runner, base: Path):
     cfg = from_json(ComplexityCommand, runner.config, "complexity")
     if cfg.table not in ("transformer", "ffnn"):
         raise DomainError("table must be 'transformer' or 'ffnn'")
-    base_inputs = dict(cfg.inputs)
     batch = cfg.batch or ({},)
-    if cfg.table == "transformer" and "c" not in base_inputs and not any("c" in b for b in batch):
-        if runner.strict:
-            raise DomainError(
-                "the absolute constant c is unspecified; strict mode refuses to default it"
-            )
-        base_inputs["c"] = 1.0
-        runner.filled_defaults["c"] = 1.0
     t0 = time.perf_counter()
     rows = []
     for override in batch:
-        inputs = dict(base_inputs, **override)
+        inputs = dict(cfg.inputs, **override)
         calc = complexity_static if cfg.table == "transformer" else complexity_ffnn
         rep = calc(cfg.activation, inputs)
         rows.append(rep.csv_row() + [json.dumps(rep.implicit, sort_keys=True)])
@@ -273,31 +260,28 @@ class StaticFitCommand(CommandConfig):
     output: str = "error_curve.csv"
 
 
-def build_static_target(spec: StaticTarget, base: Path):
+def symmetric_pair(x) -> DiscreteMeasure:
+    """The default target: (δ_{-v} + δ_v)/2 at v = x[0], δ_0 at v = 0."""
+    v = float(np.atleast_1d(x)[0])
+    if v == 0.0:
+        return DiscreteMeasure.dirac(0.0)
+    return DiscreteMeasure(np.array([[-v], [v]]), [0.5, 0.5])
+
+
+def build_static_target(spec: StaticTarget, base: Path, train_points: int):
+    """The dataset (xs, targets): ``train_points`` points on [0, 1] with
+    ``symmetric_pair`` at each, or ``files[i]`` at ``points[i]``."""
     if spec.kind == "symmetric_pair":
-        def target(x):
-            v = float(np.atleast_1d(x)[0])
-            if v == 0.0:
-                return DiscreteMeasure.dirac(0.0)
-            return DiscreteMeasure(np.array([[-v], [v]]), [0.5, 0.5])
-        return target, None
+        xs = np.linspace(0.0, 1.0, train_points).reshape(-1, 1)
+        return xs, [symmetric_pair(x) for x in xs]
     if spec.kind == "measure_files":
         points, files = spec.points, spec.files
         if not points or not files or len(points) != len(files):
             raise DomainError("measure-file datasets need 'points' and 'files' of equal length")
         if len({np.shape(pt) for pt in points}) != 1:
             raise DomainError("measure-file points must all be numbers or all arrays of one length")
-        table = {}
-        for pt, entry in zip(points, files):
-            key = tuple(np.atleast_1d(np.asarray(pt, float)))
-            table[key] = load_measure(entry, base)
-
-        def target(x):
-            key = tuple(np.atleast_1d(np.asarray(x, float)))
-            if key not in table:
-                raise DomainError(f"no measure attached to training point {key}")
-            return table[key]
-        return target, np.asarray(points, float).reshape(len(points), -1)
+        xs = np.asarray(points, float).reshape(len(points), -1)
+        return xs, [load_measure(entry, base) for entry in files]
     raise DomainError(f"unknown static target kind {spec.kind!r}")
 
 
@@ -310,24 +294,19 @@ def cmd_static_fit(runner: Runner, base: Path):
     else:
         raise DomainError("mode must be 'constructive' or 'end2end'")
     fit = from_json(fit_cls, cfg.fit, "static-fit.fit")
-    target, fixed_xs = build_static_target(cfg.target, base)
+    xs, targets = build_static_target(cfg.target, base, cfg.train_points)  # one for every budget
     space = space_from_json(cfg.space, "static-fit.space") if cfg.space is not None else W1_SPACE
-    xs = fixed_xs if fixed_xs is not None else np.linspace(
-        0.0, 1.0, cfg.train_points).reshape(-1, 1)
     if (cfg.mode == "end2end" or fit.activation != "singular") and cfg.seed is None:
         raise DomainError("randomized fits require an explicit seed")
 
     t0 = time.perf_counter()
-    # the targets are the same for every budget
-    targets = [target(x) for x in xs]
     for y in targets:
         space.check_point(y)
     rows = []
     best = None
     for n_anchor in cfg.budgets.N:
         for q in cfg.budgets.q:
-            gt, rep = fit_fn(target, xs, space, {"N": n_anchor, "q": q}, fit, targets,
-                             cfg.seed or 0)
+            gt, rep = fit_fn(xs, targets, space, {"N": n_anchor, "q": q}, fit, cfg.seed or 0)
             rows.append([n_anchor, q, rep.sup_error, rep.covering_radius,
                          max(rep.quantization_errors) if rep.quantization_errors else None,
                          rep.error_bound])
@@ -555,8 +534,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="overrides config seed")
-    parser.add_argument("--strict", action="store_true",
-                        help="refuse to default unspecified constants")
     args = parser.parse_args(argv)
 
     try:
@@ -568,7 +545,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
             raw = json.dumps(config, sort_keys=True).encode()
-        runner = Runner(config, Path(args.out), args.strict, raw)
+        runner = Runner(config, Path(args.out), raw)
         COMMANDS[args.command](runner, config_path.parent)
         runner.finish()
     except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -43,10 +43,6 @@ class TimeGrid:
     def delta_minus(self) -> float:
         return float(np.min(np.diff(self.times)))
 
-    @property
-    def delta_plus(self) -> float:
-        return float(np.max(np.diff(self.times)))
-
     def time_at(self, n: int) -> float:
         i = n + self.zero_index
         if not 0 <= i < len(self.times):
@@ -568,42 +564,31 @@ def _stacked_diffusion(diff, n_paths: int, dim: int) -> np.ndarray:
     return diff
 
 
-def euler_simulate(alpha_fn: Callable, beta_fn: Callable, x0_spec, grid: TimeGrid,
+def euler_simulate(alpha_fn: Callable, beta_fn: Callable, x0, grid: TimeGrid,
                    n_paths: int, seed: int) -> list[PathWindow]:
     """Seeded Euler-Maruyama paths over the full grid window.
 
-    The state dimension dim is the size of the initial state: of x0_spec,
-    or of a Gaussian spec's mean.  All paths advance together: at each step
-    the coefficients are called once, as alpha_fn(t, X) and beta_fn(t, X),
-    on the stacked states X of shape (n_paths, dim).  The drift must
-    broadcast to (n_paths, dim), one
-    row per path.  The diffusion is one (dim, r) matrix shared by every
-    path, or an (n_paths, dim, r) stack of per-path matrices; a (1, 1)
-    matrix stands for that multiple of the identity, and r must not change
-    between steps.
+    The state dimension dim is the size of the constant initial state x0,
+    placed at the leftmost grid time.  All paths advance together: at each
+    step the coefficients are called once, as alpha_fn(t, X) and
+    beta_fn(t, X), on the stacked states X of shape (n_paths, dim).  The
+    drift must broadcast to (n_paths, dim), one row per path.  The
+    diffusion is one (dim, r) matrix shared by every path, or an
+    (n_paths, dim, r) stack of per-path matrices; a (1, 1) matrix stands
+    for that multiple of the identity, and r must not change between
+    steps.
 
     Each path uses an independent substream derived from (seed, path
     index), so path i does not depend on n_paths or on evaluation order:
-    it draws its initial state first (for a Gaussian start), then its
-    whole (steps, r) noise block.  The initial state is placed at the
-    leftmost grid time; x0_spec is a constant vector or
-    {"kind": "gaussian", "mean": ..., "std": ...}.
+    it draws its whole (steps, r) noise block.
     """
     if n_paths <= 0:
         return []
     times = grid.times
     steps = len(times) - 1
     streams = (np.random.default_rng([seed, i]) for i in range(n_paths))
-    if isinstance(x0_spec, dict):
-        if x0_spec.get("kind") != "gaussian":
-            raise DomainError(f"unknown initial-state spec {x0_spec.get('kind')!r}")
-        dim = np.size(x0_spec["mean"])
-        streams = list(streams)  # each stream draws its start before its noise
-        draws = np.array([rng.normal(size=dim) for rng in streams])
-        state = np.asarray(x0_spec["mean"], float) + float(x0_spec["std"]) * draws
-    else:
-        dim = np.size(x0_spec)
-        state = np.broadcast_to(np.asarray(x0_spec, float), (n_paths, dim)).copy()
+    dim = np.size(x0)
+    state = np.broadcast_to(np.asarray(x0, float), (n_paths, dim)).copy()
     values = np.empty((n_paths, steps + 1, dim))
     values[:, 0] = state
     noise = None

@@ -300,9 +300,9 @@ def fit_dynamic(
     all encoders share one multi-index by construction (a common
     interpolation grid), which realizes the padding step; (iii) perturb
     biases minimally so the parameter vectors are pairwise distinct; (iv)
-    fit one decoder on the union of encoder outputs against the target's
-    decoding map; (v) memorize the parameter transitions in a ReLU
-    hypernetwork sized by the horizon formula.
+    fit one decoder on the dataset of encoder outputs and the target's
+    decoding map at them, decoded in one call; (v) memorize the parameter
+    transitions in a ReLU hypernetwork sized by the horizon formula.
 
     Scalar windows ((m+1) d = 1) use an exact constructive interpolation
     encoder; wider windows require the "gradient" encoder.  The config
@@ -373,9 +373,8 @@ def fit_dynamic(
 
     n_dec, q_dec = config.decoder_anchors, config.decoder_level
     decoder, dec_report = fit_static_constructive(
-        lambda latent: target.decoder(latent[None])[0], latent_cloud, space,
-        {"N": n_dec, "q": q_dec}, config.decoder_config,
-        targets=target.decoder(latent_cloud), seed=seed,
+        latent_cloud, target.decoder(latent_cloud), space,
+        {"N": n_dec, "q": q_dec}, config.decoder_config, seed,
     )
 
     # -- stage (v): memorize the parameter transitions --------------------

@@ -49,10 +49,6 @@ class MultiIndex:
         object.__setattr__(self, "dims", dims)
 
     @property
-    def depth(self) -> int:  # number of activated layers J
-        return len(self.dims) - 2
-
-    @property
     def in_dim(self) -> int:
         return self.dims[0]
 

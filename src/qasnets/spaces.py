@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import fields_to_json, from_json
+from .config import from_json
 from .errors import DomainError
 from .measures import (
     DiscreteMeasure,
@@ -260,11 +260,6 @@ class QasSpace:
             lhs = self.distance(mixed, yi)
             best = min(best, rhs - lhs)
         return best
-
-    # -- serialization ---------------------------------------------------------
-    def to_json(self) -> dict:
-        """``kind`` plus every dataclass field: the form ``space_from_json`` reads."""
-        return {"kind": self.kind, **fields_to_json(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +730,8 @@ SPACES = {cls.kind: cls for cls in (WassersteinConvex, AdaptedEmpirical, LinearS
 
 
 def space_from_json(obj: dict, where: str = "space") -> QasSpace:
-    """The space a ``to_json`` object describes: ``kind`` picks the class,
-    the other keys are its fields, read by ``config.from_json``."""
+    """The space a JSON object describes: ``kind`` picks the class, the
+    other keys are its fields, read by ``config.from_json``."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in SPACES:
         raise DomainError(f"unknown space kind {kind!r} in {where}")

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -88,14 +87,6 @@ class GeometricTransformer:
         if self.images is None:  # ``quantize`` checks each code's length against the space
             object.__setattr__(self, "images", tuple(self.space.quantize(c) for c in self.codes))
         object.__setattr__(self, "blocks", assignment_blocks(self.md, self.activation, self.theta))
-
-    @property
-    def n_anchors(self) -> int:
-        return len(self.codes)
-
-    @property
-    def level(self) -> int:
-        return self.codes[0].q
 
     def logits(self, x) -> np.ndarray:
         if self.blocks is not None:
@@ -330,24 +321,22 @@ class End2EndFitConfig(Config):
 
 
 def fit_static_constructive(
-    f: Callable,
     train_x,
+    targets: list,
     space: QasSpace,
     budget: dict,
     config: dict | StaticFitConfig | None = None,
-    targets: list | None = None,
     seed: int = 0,
 ) -> tuple[GeometricTransformer, FitReport]:
-    """Net-and-quantize fit of x -> f(x) in the output space.
+    """Net-and-quantize fit of the dataset (x_i, targets[i]) in the output
+    space, ``targets[i]`` the target value f(x_i) at ``train_x[i]``.
 
     Steps: (i) a greedy farthest-point net of the training inputs of size
     at most N; (ii) codes for the target values at the net points at
     level q; (iii) an encoder that classifies inputs to the one-hot of
     their nearest center, built exactly for singular activations and
     trained from ``seed`` on soft one-hot labels with squared loss
-    otherwise.  The config keys are the fields of ``StaticFitConfig``.  A
-    caller fitting several budgets gives ``targets`` (f at the training
-    inputs) once for all of them; ``f`` is then not called.
+    otherwise.  The config keys are the fields of ``StaticFitConfig``.
 
     The report's ``error_bound`` certifies the sup error on the training
     inputs, and on nothing off them.  With c(x) the center of input x, the
@@ -359,8 +348,7 @@ def fit_static_constructive(
     t0 = time.perf_counter()
     config = from_json(StaticFitConfig, config or {}, "config")
     xs = np.atleast_2d(np.asarray(train_x, float))
-    n_budget, q = _checked_budget(xs, budget)
-    targets = [f(x) for x in xs] if targets is None else targets
+    n_budget, q = _checked_budget(xs, targets, budget)
     gt, idx, radius, labels = _constructive_model(
         targets, xs, space, n_budget, q, config.activation, config.hidden,
         config.label_amplitude, config.train, seed)
@@ -387,9 +375,11 @@ def fit_static_constructive(
     return gt, report
 
 
-def _checked_budget(xs: np.ndarray, budget: dict) -> tuple[int, int]:
+def _checked_budget(xs: np.ndarray, targets: list, budget: dict) -> tuple[int, int]:
     if len(xs) == 0:
         raise DomainError("train_x must be nonempty")
+    if len(targets) != len(xs):
+        raise DomainError(f"{len(targets)} targets for {len(xs)} training inputs")
     n_budget = int(budget["N"])
     q = int(budget["q"])
     if n_budget < 1 or q < 1:
@@ -439,26 +429,26 @@ def _projection_cotangent(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def fit_static_end2end(
-    f: Callable,
     train_x,
+    targets: list,
     space: QasSpace,
     budget: dict,
     config: dict | End2EndFitConfig | None = None,
-    targets: list | None = None,
     seed: int = 0,
 ) -> tuple[GeometricTransformer, FitReport]:
-    """Gradient refinement of the encoder against the output-space loss.
+    """Gradient refinement of the encoder against the output-space loss on
+    the dataset (x_i, targets[i]), as in ``fit_static_constructive``.
 
-    The loss is sum_x d_Y(f(x), gt(x))^p.  Gradients flow analytically
-    through the network, analytically through the simplex projection on
-    its active set, and through the mixing distance as a function of the
-    simplex weights by the space's ``mixing_loss`` over the fixed codes:
-    for the Wasserstein space with convex mixing that is the envelope
-    gradient from one optimal transport's dual potentials, elsewhere
-    central finite differences.  Requires a smooth or classical activation; the
-    constructive fit gives the codes, which stay fixed, and the initial
-    encoder, trained from ``seed``.  The config keys are the fields of
-    ``End2EndFitConfig``; ``targets`` is as for ``fit_static_constructive``.
+    The loss is sum_i d_Y(targets[i], gt(x_i))^p.  Gradients flow
+    analytically through the network, analytically through the simplex
+    projection on its active set, and through the mixing distance as a
+    function of the simplex weights by the space's ``mixing_loss`` over
+    the fixed codes: for the Wasserstein space with convex mixing that is
+    the envelope gradient from one optimal transport's dual potentials,
+    elsewhere central finite differences.  Requires a smooth or classical
+    activation; the constructive fit gives the codes, which stay fixed,
+    and the initial encoder, trained from ``seed``.  The config keys are
+    the fields of ``End2EndFitConfig``.
     """
     t0 = time.perf_counter()
     config = from_json(End2EndFitConfig, config or {}, "config")
@@ -466,8 +456,7 @@ def fit_static_end2end(
         raise UnsupportedError("end-to-end gradient fitting needs a smooth or classical activation")
     spec = ActivationSpec(config.activation)
     xs = np.atleast_2d(np.asarray(train_x, float))
-    n_budget, q = _checked_budget(xs, budget)
-    targets = [f(x) for x in xs] if targets is None else targets
+    n_budget, q = _checked_budget(xs, targets, budget)
 
     tc = config.train
     # constructive warm start, the model alone: same activation kind, so
@@ -650,7 +639,7 @@ def _complexity_rows(activation: str, n: int, m: float, inputs: dict, D) -> tupl
         params = (n + m + 2) ** 2 * (depth + 1)
     else:
         raise DomainError(f"unknown activation kind {activation!r}")
-    return float(depth), float(width), float(params)
+    return float(depth), float(width), float(params) + 0.0  # no -0.0 at m = 0
 
 
 def complexity_static(activation: str, inputs: dict) -> ComplexityReport:

@@ -225,7 +225,7 @@ def relu_reference_forward(x, layers):
     return A @ h + c
 
 
-def euler_reference(alpha_fn, beta_fn, x0_spec, times, n_paths: int, seed: int,
+def euler_reference(alpha_fn, beta_fn, x0, times, n_paths: int, seed: int,
                     dim: int = 1) -> list[np.ndarray]:
     """Euler-Maruyama one path at a time, one noise draw per step.
 
@@ -239,12 +239,8 @@ def euler_reference(alpha_fn, beta_fn, x0_spec, times, n_paths: int, seed: int,
     out = []
     for i in range(n_paths):
         rng = np.random.default_rng([seed, i])
-        if isinstance(x0_spec, dict):
-            x = np.asarray(x0_spec["mean"], float) + float(x0_spec["std"]) * rng.normal(size=dim)
-        else:
-            x = np.broadcast_to(np.asarray(x0_spec, float), (dim,)).copy()
         values = np.empty((len(times), dim))
-        values[0] = x
+        values[0] = np.broadcast_to(np.asarray(x0, float), (dim,))
         for j in range(1, len(times)):
             t_prev = times[j - 1]
             dt = times[j] - times[j - 1]

@@ -296,9 +296,10 @@ def test_09_static_fit_experiment():
     t0 = time.perf_counter()
     space = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)
     xs = np.linspace(0.0, 1.0, 257).reshape(-1, 1)
+    targets = [symmetric_pair(x) for x in xs]
     errors = []
     for n in (4, 8, 16, 32):
-        _, rep = fit_static_constructive(symmetric_pair, xs, space, {"N": n, "q": 2})
+        _, rep = fit_static_constructive(xs, targets, space, {"N": n, "q": 2})
         errors.append(rep.sup_error)
     elapsed = time.perf_counter() - t0
     mono = all(b <= a * 1.1 + 1e-12 for a, b in zip(errors, errors[1:]))

@@ -504,19 +504,12 @@ class TestComplexity:
     BASE = {"n": 2, "alpha": 1.0, "L_f": 1.0, "diam": 1.0, "kappa": 2.0,
             "C_eta": 1.0, "eps_A": 0.5, "W": 3.0}
 
-    def test_strict_requires_c(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "complexity",
-                      {"activation": "singular", "inputs": self.BASE},
-                      extra=("--strict",))
+    def test_missing_c_is_a_config_error(self, tmp_path, capsys):
+        """The absolute constant c is an input like any other: never defaulted."""
+        code, out = run(tmp_path, "complexity", {"activation": "singular", "inputs": self.BASE})
         assert code == 2
-        assert "absolute constant c" in capsys.readouterr().err
-
-    def test_permissive_fills_and_stamps(self, tmp_path):
-        code, out = run(tmp_path, "complexity",
-                        {"activation": "singular", "inputs": self.BASE})
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["filled_defaults"] == {"c": 1.0}
+        assert capsys.readouterr().err == "config error: complexity input 'c' is missing\n"
+        assert not (out / "manifest.json").exists()
 
     def test_batch_monotone_ln_n(self, tmp_path):
         cfg = {
@@ -613,22 +606,30 @@ class TestStaticFit:
         from qasnets import cli
 
         calls = {"target": 0}
-        build = cli.build_static_target
+        pair = cli.symmetric_pair
 
-        def counted_build(spec, base):
-            target, xs = build(spec, base)
+        def counted(x):
+            calls["target"] += 1
+            return pair(x)
 
-            def counted(x):
-                calls["target"] += 1
-                return target(x)
-            return counted, xs
-
-        monkeypatch.setattr(cli, "build_static_target", counted_build)
+        monkeypatch.setattr(cli, "symmetric_pair", counted)
         code, out = run(tmp_path, "static-fit", {"budgets": {"N": [4, 8, 16, 32], "q": [2]},
                                                   "train_points": 257})
         assert code == 0
         assert len(read_csv(out / "error_curve.csv")) == 5
         assert calls == {"target": 257}
+
+    def test_repeated_point_keeps_each_file(self, tmp_path):
+        """files[i] is the target at points[i], also where a point repeats:
+        the Dirac at 5 on the center 0.0 is 5 away from the Dirac at 0 on
+        the second 0.0, which the center's image stands for."""
+        cfg = {"seed": 0, "budgets": {"N": [2], "q": [2]},
+               "target": {"kind": "measure_files", "points": [0.0, 0.0, 1.0],
+                          "files": [dirac_json(v) for v in (5.0, 0.0, 1.0)]}}
+        code, out = run(tmp_path, "static-fit", cfg)
+        assert code == 0
+        (row,) = read_csv(out / "error_curve.csv")[1:]
+        assert (row[2], row[5]) == ("5.0", "5.0")  # sup_error, error_bound
 
     def test_error_bound_covers_a_spike_between_close_inputs(self, tmp_path):
         """A spike between two close inputs: a sampled Lipschitz constant

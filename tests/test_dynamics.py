@@ -36,12 +36,13 @@ from qasnets.dynamics import (
 class TestGrid:
     def test_integer_window(self):
         g = grid_validate(np.arange(-5, 6))
-        assert g.delta_minus == 1.0 and g.delta_plus == 1.0
+        assert g.delta_minus == 1.0
         assert g.time_at(0) == 0.0 and g.time_at(-5) == -5.0
 
     def test_uneven_window(self):
         g = grid_validate([-1.0, 0.0, 0.5, 2.0])
-        assert g.delta_minus == 0.5 and g.delta_plus == 1.5
+        assert g.delta_minus == 0.5
+        assert g.index_range == (-1, 2) and g.time_at(2) == 2.0
 
     def test_rejects_duplicates(self):
         with pytest.raises(DomainError):
@@ -439,14 +440,13 @@ class TestEuler:
         # name: (drift on stacked states, diffusion on stacked states,
         #        the same diffusion for one path, x0, dim)
         "constant_x0": (lambda t, x: -x, lambda t, x: 0.5 * np.eye(1), None, np.ones(1), 1),
-        "gaussian_x0": (lambda t, x: 0.1 * np.sin(t + x), lambda t, x: np.full((1, 1), 0.3),
-                        None, {"kind": "gaussian", "mean": [0.2], "std": 0.7}, 1),
+        "sin_drift": (lambda t, x: 0.1 * np.sin(t + x), lambda t, x: np.full((1, 1), 0.3),
+                      None, np.array([0.2]), 1),
         "zero_sde": (lambda t, x: 0.0 * x, lambda t, x: 0.0 * np.eye(1), None, np.zeros(1), 1),
         "dim2_broadcast": (lambda t, x: -0.5 * x, lambda t, x: 0.3 * np.eye(1), None,
                            np.array([1.0, -2.0]), 2),
-        "dim2_gaussian_full": (lambda t, x: 0.3 - x, lambda t, x: np.array([[0.3, -0.2],
-                                                                           [0.1, 0.45]]),
-                               None, {"kind": "gaussian", "mean": [0.1, 0.2], "std": 1.3}, 2),
+        "dim2_full": (lambda t, x: 0.3 - x, lambda t, x: np.array([[0.3, -0.2], [0.1, 0.45]]),
+                      None, np.array([0.1, 0.2]), 2),
         "dim2_three_noises": (lambda t, x: -x, lambda t, x: np.array([[0.7, 0.2, -0.3],
                                                                       [0.05, 0.4, 0.6]]),
                               None, np.array([0.5, 0.5]), 2),
@@ -467,7 +467,7 @@ class TestEuler:
 
     def test_path_prefix_independent_of_n_paths(self):
         g = uniform_grid(0, 6)
-        x0 = {"kind": "gaussian", "mean": [0.0], "std": 1.0}
+        x0 = np.ones(1)
         few = euler_simulate(lambda t, x: -x, lambda t, x: 0.5 * np.eye(1), x0, g, 4, seed=9)
         many = euler_simulate(lambda t, x: -x, lambda t, x: 0.5 * np.eye(1), x0, g, 31, seed=9)
         for a, b in zip(few, many):

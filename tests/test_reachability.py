@@ -5,7 +5,9 @@ experiment uses it to check a statement of the paper.  This is a
 name-based scan with ``ast``: each non-dunder name that a ``def`` or
 ``class`` statement in the package binds must occur as a name or an
 attribute somewhere in the package or in ``test_acceptance.py``, outside
-its own ``def``/``class`` line.  ``__init__.py`` re-exports names for
+its own ``def``/``class`` line.  A definition in a class body is reached
+only as an attribute, ``.name``: a local or a parameter of the same
+spelling does not use it.  ``__init__.py`` re-exports names for
 users and does not count as a use, and neither does a type that an
 ``isinstance`` call tests for: no value of a class that nothing builds
 reaches the test.  Code that only unit tests reach then
@@ -21,10 +23,11 @@ ROOT = Path(__file__).resolve().parents[1]
 def unreached(package: Path, acceptance: Path) -> list[str]:
     """``file:line name`` of each definition in ``package`` whose name
     nothing in the package or in ``acceptance`` uses."""
-    definitions, uses = [], {}
+    definitions, names, attributes = [], {}, {}
     sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     for path in sources + [acceptance]:
         type_tests = set()  # ids of the nodes in isinstance's second argument
+        members = set()  # ids of the definitions in a class body
         # ast.walk yields a node before its children
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if id(node) in type_tests:
@@ -33,15 +36,21 @@ def unreached(package: Path, acceptance: Path) -> list[str]:
                     and node.func.id == "isinstance" and len(node.args) == 2):
                 type_tests.update(map(id, ast.walk(node.args[1])))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if isinstance(node, ast.ClassDef):
+                    members.update(map(id, node.body))
                 dunder = node.name.startswith("__") and node.name.endswith("__")
                 if path != acceptance and not dunder:
-                    definitions.append((path.name, node.lineno, node.name))
+                    definitions.append((path.name, node.lineno, node.name, id(node) in members))
             elif isinstance(node, ast.Name):
-                uses.setdefault(node.id, set()).add((path.name, node.lineno))
+                names.setdefault(node.id, set()).add((path.name, node.lineno))
             elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, set()).add((path.name, node.end_lineno))
-    return [f"{file}:{line} {name}" for file, line, name in definitions
-            if not uses.get(name, set()) - {(file, line)}]
+                attributes.setdefault(node.attr, set()).add((path.name, node.end_lineno))
+    unused = []
+    for file, line, name, member in definitions:
+        uses = attributes.get(name, set()) | (set() if member else names.get(name, set()))
+        if not uses - {(file, line)}:
+            unused.append(f"{file}:{line} {name}")
+    return unused
 
 
 def test_every_definition_is_used():

@@ -43,6 +43,11 @@ def symmetric_pair_target(x):
     return DiscreteMeasure(np.array([[-v], [v]]), [0.5, 0.5])
 
 
+def pair_targets(xs) -> list:
+    """``symmetric_pair_target`` at each row of xs."""
+    return [symmetric_pair_target(x) for x in xs]
+
+
 class TestGtEval:
     def test_hand_set_basis_output(self):
         space = w1_space()
@@ -251,7 +256,7 @@ class TestFitConstructive:
         monkeypatch.setattr(transformer.GeometricTransformer, "logits", counting)
         monkeypatch.setattr(transformer, "forward", counting_forward)
         xs = np.linspace(0.0, 1.0, 65).reshape(-1, 1)
-        gt, rep = fit_static_constructive(symmetric_pair_target, xs, w1_space(), {"N": 8, "q": 2})
+        gt, rep = fit_static_constructive(xs, pair_targets(xs), w1_space(), {"N": 8, "q": 2})
         # the defect and the sup error share one pass over the 65 inputs, and
         # the exact assignment network runs by win-count blocks
         assert shapes == [(65, 1)]
@@ -264,13 +269,13 @@ class TestFitConstructive:
         space = w1_space()
         target = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), [0.25, 0.5, 0.25])
         xs = np.linspace(0, 1, 40).reshape(-1, 1)
-        gt, rep = fit_static_constructive(lambda x: target, xs, space, {"N": 8, "q": 4})
+        gt, rep = fit_static_constructive(xs, [target] * len(xs), space, {"N": 8, "q": 4})
         assert rep.sup_error == pytest.approx(max(rep.quantization_errors), abs=1e-12)
 
     def test_symmetric_pair_toy_meets_bound(self):
         space = w1_space()
         xs = np.linspace(0.0, 1.0, 257).reshape(-1, 1)
-        gt, rep = fit_static_constructive(symmetric_pair_target, xs, space, {"N": 32, "q": 2})
+        gt, rep = fit_static_constructive(xs, pair_targets(xs), space, {"N": 32, "q": 2})
         # greedy farthest-point nets reach covering radius 1/N on a line
         assert rep.covering_radius <= 1 / 32 + 1e-9
         assert max(rep.quantization_errors) == 0.0  # two atoms fit exactly at q = 2
@@ -282,7 +287,7 @@ class TestFitConstructive:
         xs = np.linspace(0.0, 1.0, 257).reshape(-1, 1)
         errors = []
         for n in (4, 8, 16, 32):
-            _, rep = fit_static_constructive(symmetric_pair_target, xs, space, {"N": n, "q": 2})
+            _, rep = fit_static_constructive(xs, pair_targets(xs), space, {"N": n, "q": 2})
             errors.append(rep.sup_error)
         for a, b in zip(errors, errors[1:]):
             assert b <= a * 1.1 + 1e-12
@@ -291,31 +296,30 @@ class TestFitConstructive:
         space = w1_space()
         rng = np.random.default_rng(9)
         xs = rng.uniform(0, 1, size=(50, 1))
-        gt, rep = fit_static_constructive(symmetric_pair_target, xs, space, {"N": 6, "q": 2})
+        gt, rep = fit_static_constructive(xs, pair_targets(xs), space, {"N": 6, "q": 2})
         for rank, i in enumerate(rep.center_indices):
             err = space.distance(symmetric_pair_target(xs[i]), gt(xs[i]))
             assert err == pytest.approx(rep.quantization_errors[rank], abs=1e-12)
 
+    def test_one_target_per_input(self):
+        xs = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+        for fit in (fit_static_constructive, fit_static_end2end):
+            with pytest.raises(DomainError, match="^4 targets for 5 training inputs$"):
+                fit(xs, pair_targets(xs[:4]), w1_space(), {"N": 2, "q": 2})
+
     def test_quantizes_only_the_code_images(self, monkeypatch):
         space = w1_space()
         xs = np.linspace(0.0, 1.0, 65).reshape(-1, 1)
-        calls, evaluated = [], []
+        calls = []
         real = WassersteinConvex.quantize
         monkeypatch.setattr(WassersteinConvex, "quantize",
                             lambda self, code: calls.append(code) or real(self, code))
-
-        def target(x):
-            evaluated.append(float(x[0]))
-            return symmetric_pair_target(x)
-
-        gt, rep = fit_static_constructive(target, xs, space, {"N": 6, "q": 2})
+        gt, rep = fit_static_constructive(xs, pair_targets(xs), space, {"N": 6, "q": 2})
         # one quantization per code, for the model's images; the reported
         # quantization errors read those images
         assert len(gt.codes) == 6
         assert len(calls) == len(gt.codes)
         assert all(any(c is code for code in gt.codes) for c in calls)
-        # the target is evaluated once per training input, Lipschitz pairs included
-        assert sorted(evaluated) == sorted(xs[:, 0].tolist())
         assert rep.sup_error <= rep.error_bound
 
     def test_net_separation(self):
@@ -332,7 +336,7 @@ class TestFitConstructive:
         space = w1_space()
         xs = np.linspace(0, 1, 33).reshape(-1, 1)
         gt, rep = fit_static_constructive(
-            symmetric_pair_target, xs, space, {"N": 3, "q": 2},
+            xs, pair_targets(xs), space, {"N": 3, "q": 2},
             {"activation": "smooth", "train": {"lr": 0.4, "epochs": 800},
              "hidden": 12},
         )
@@ -377,7 +381,7 @@ class TestFitEnd2End:
         space = w1_space()
         xs = np.linspace(0, 1, 9).reshape(-1, 1)
         gt, rep = fit_static_end2end(
-            symmetric_pair_target, xs, space, {"N": 1, "q": 2},
+            xs, pair_targets(xs), space, {"N": 1, "q": 2},
             {"activation": "smooth", "train": {"lr": 0.1, "epochs": 5}},
         )
         # constant model: output always equals the single quantized code
@@ -390,11 +394,11 @@ class TestFitEnd2End:
         xs = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
         budget = {"N": 3, "q": 2}
         # the warm start is this constructive classifier
-        warm, _ = fit_static_constructive(symmetric_pair_target, xs, w1_space(), budget,
+        warm, _ = fit_static_constructive(xs, pair_targets(xs), w1_space(), budget,
                                           {"activation": "smooth", "hidden": 4,
                                            "train": {"lr": 0.3, "epochs": 20}})
         gt, rep = fit_static_end2end(
-            symmetric_pair_target, xs, w1_space(), budget,
+            xs, pair_targets(xs), w1_space(), budget,
             {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20},
              "train": {"lr": 0.2, "epochs": 5, "train_alpha": train_alpha}})
         alpha = alpha_mask(gt.md)
@@ -403,7 +407,7 @@ class TestFitEnd2End:
 
     def test_singular_rejected(self):
         with pytest.raises(UnsupportedError):
-            fit_static_end2end(symmetric_pair_target, np.zeros((2, 1)), w1_space(),
+            fit_static_end2end(np.zeros((2, 1)), pair_targets(np.zeros((2, 1))), w1_space(),
                                {"N": 2, "q": 1}, {"activation": "singular"})
 
     def test_one_transport_per_sample_and_epoch(self, monkeypatch):
@@ -425,7 +429,7 @@ class TestFitEnd2End:
         def fit(epochs):
             counts.update(transport=0, distance=0)
             _, rep = fit_static_end2end(
-                symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
+                xs, pair_targets(xs), w1_space(), {"N": 3, "q": 2},
                 {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20},
                  "train": {"lr": 0.1, "epochs": epochs}})
             return dict(counts), rep.extras["epochs_run"]
@@ -457,7 +461,7 @@ class TestFitEnd2End:
                             counting("g", transformer.loss_and_grad))
         xs = np.linspace(0, 1, 33).reshape(-1, 1)
         _, rep = fit_static_end2end(
-            symmetric_pair_target, xs, w1_space(), {"N": 16, "q": 8},
+            xs, pair_targets(xs), w1_space(), {"N": 16, "q": 8},
             {"activation": "smooth", "hidden": 32, "warm_train": {"epochs": 20},
              "train": {"lr": 0.05, "epochs": 3, "train_alpha": False}})
         assert rep.extras["epochs_run"] == 3
@@ -475,19 +479,19 @@ class TestFitEnd2End:
                             lambda self, code: calls.append(code) or real(self, code))
         xs = np.linspace(0, 1, 33).reshape(-1, 1)
         gt, _ = fit_static_end2end(
-            symmetric_pair_target, xs, w1_space(), {"N": 16, "q": 8},
+            xs, pair_targets(xs), w1_space(), {"N": 16, "q": 8},
             {"activation": "smooth", "hidden": 32, "warm_train": {"epochs": 20},
              "train": {"lr": 0.05, "epochs": 3, "train_alpha": False}})
-        assert gt.n_anchors == 16
+        assert len(gt.codes) == 16
         assert len(calls) == 16
 
     def test_zero_epochs_take_no_step(self):
         xs = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
         config = {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20}}
-        gt, rep = fit_static_end2end(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
+        gt, rep = fit_static_end2end(xs, pair_targets(xs), w1_space(), {"N": 3, "q": 2},
                                      dict(config, train={"epochs": 0}))
         # the warm start's classifier, trained by the constructive fit
-        warm, _ = fit_static_constructive(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
+        warm, _ = fit_static_constructive(xs, pair_targets(xs), w1_space(), {"N": 3, "q": 2},
                                           {"activation": "smooth", "hidden": 4,
                                            "train": {"lr": 0.3, "epochs": 20}})
         assert rep.extras["epochs_run"] == 0 and rep.final_loss is None
@@ -495,13 +499,13 @@ class TestFitEnd2End:
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(DomainError, match="config.train.epochs must be a non-negative"):
-            fit_static_end2end(symmetric_pair_target, np.zeros((2, 1)), w1_space(),
+            fit_static_end2end(np.zeros((2, 1)), pair_targets(np.zeros((2, 1))), w1_space(),
                                {"N": 2, "q": 1}, {"train": {"epochs": -3}})
 
     def test_diverging_refinement_is_a_fit_failure(self):
         xs = np.linspace(0.0, 1.0, 9).reshape(-1, 1)
         with pytest.raises(FitFailure, match="diverged.*at epoch 2"), np.errstate(all="ignore"):
-            fit_static_end2end(symmetric_pair_target, xs, w1_space(), {"N": 3, "q": 2},
+            fit_static_end2end(xs, pair_targets(xs), w1_space(), {"N": 3, "q": 2},
                                {"activation": "smooth", "hidden": 4, "warm_train": {"epochs": 20},
                                 "train": {"lr": 1e300, "epochs": 5}})
 
@@ -509,7 +513,7 @@ class TestFitEnd2End:
         space = w1_space()
         xs = np.linspace(0, 1, 33).reshape(-1, 1)
         gt, rep = fit_static_end2end(
-            symmetric_pair_target, xs, space, {"N": 16, "q": 8},
+            xs, pair_targets(xs), space, {"N": 16, "q": 8},
             {"activation": "smooth", "hidden": 32, "label_amplitude": 3.0,
              "train": {"lr": 0.05, "epochs": 30, "train_alpha": False}}, seed=2,
         )
@@ -525,7 +529,7 @@ class TestPartialTrainBlocks:
 
     def test_constructive_classifier(self):
         def theta(config):
-            gt, _ = fit_static_constructive(symmetric_pair_target, self.XS, w1_space(),
+            gt, _ = fit_static_constructive(self.XS, pair_targets(self.XS), w1_space(),
                                             {"N": 2, "q": 2}, dict(config, activation="smooth"))
             return gt.theta
 
@@ -538,7 +542,7 @@ class TestPartialTrainBlocks:
 
     def test_end2end_warm_start_and_refinement(self):
         def theta(config):
-            gt, _ = fit_static_end2end(symmetric_pair_target, self.XS, w1_space(),
+            gt, _ = fit_static_end2end(self.XS, pair_targets(self.XS), w1_space(),
                                        {"N": 2, "q": 2}, config, seed=3)
             return gt.theta
 
@@ -637,6 +641,18 @@ class TestComplexityCalculators:
             s = complexity_static(activation, dict(self.BASE, **row_inputs, eps_A=eps_A))
             f = complexity_ffnn(activation, dict(row_inputs, m=int(s.n_anchors) - 1))
             assert (s.depth, s.width, s.n_params) == (f.depth, f.width, f.n_params)
+
+    @pytest.mark.parametrize("activation, inputs", [("singular", dict(W=3.0, D=0.7)),
+                                                    ("smooth", dict(eps_tilde=0.9))],
+                             ids=["singular", "smooth"])
+    def test_parameter_count_at_one_anchor_is_positive_zero(self, activation, inputs):
+        """At m = 0 the count's factor (11/4 n^2 m^2 - 1) m is -1 * 0; the
+        rows write 0.0, not -0.0, in the ffnn table and at N = 1 in the
+        static one."""
+        f = complexity_ffnn(activation, dict(inputs, n=2, m=0, alpha=1.0, L_f=1.0))
+        s = complexity_static(activation, dict(self.BASE, **inputs, eps_A=6.0))
+        assert s.n_anchors == 1.0
+        assert repr(f.n_params) == repr(s.n_params) == "0.0"
 
     def test_csv_row_shape(self):
         r = complexity_static("smooth", dict(self.BASE, eps_tilde=0.9))
