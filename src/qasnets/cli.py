@@ -21,7 +21,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from .dynamics import (
     sde_kernel_map,
     uniform_grid,
 )
-from .hyper import DynamicFitConfig, fit_dynamic
+from .hyper import DynamicFitConfig, fit_dynamic, normalized_error
 from .spaces import WassersteinConvex, space_from_json
 from .transformer import (
     ComplexityReport,
@@ -374,17 +374,17 @@ def cmd_dynamic_fit(runner: Runner, base: Path):
     n_t, eps = cfg.N_T, cfg.eps
     if cfg.seed is None:
         raise DomainError("dynamic fits use seeded projections; an explicit seed is required")
-    fit = cfg.fit
 
     comp = cfg.compression
+    rate = None
     if comp is not None:
         if comp.class_ != "kz":
             raise DomainError("only the bounded-set compression row is wired to the CLI")
         box = BoxSet([comp.lo], [comp.hi])
-        fit = replace(fit, c_rate=lambda n: compression_rate(
+        rate = lambda n: compression_rate(
             KZ(box), n, eps=eps, L_rho=comp.L_rho, L_f=comp.L_f, alpha=comp.alpha,
             m_eps4=comp.m_eps4, d=1, delta_plus=1.0, N_T=n_t,
-        ))
+        )
 
     grid = uniform_grid(n_t, n_t)
     paths = [
@@ -392,18 +392,19 @@ def cmd_dynamic_fit(runner: Runner, base: Path):
         for v in np.linspace(-1.0, 1.0, cfg.eval_points)
     ]
     t0 = time.perf_counter()
-    ght, report = fit_dynamic(target, paths, n_t, space, eps, fit, cfg.seed)
+    _, report = fit_dynamic(target, paths, n_t, space, eps, cfg.fit, cfg.seed)
     runner.wall["dynamic_fit"] = time.perf_counter() - t0
 
-    runner.emit_json(cfg.output, report.to_json())
+    normalized = None if rate is None else normalized_error(report.per_step_errors, rate)
+    runner.emit_json(cfg.output, dict(report.to_json(), normalized=normalized))
     rows = [[n, e] for n, e in report.per_step_errors]
     runner.emit_csv("per_step_errors.csv", ["n", "sup_error"], rows)
-    if report.normalized is not None:
+    if normalized is not None:
         runner.emit_csv(
             "normalized_errors.csv",
             ["n", "raw_error", "denominator", "normalized"],
             [[r["n"], r["raw_error"], r["denominator"], r["normalized"]]
-             for r in report.normalized["rows"]],
+             for r in normalized["rows"]],
         )
 
 
@@ -413,7 +414,7 @@ def cmd_dynamic_fit(runner: Runner, base: Path):
 
 @dataclass(frozen=True)
 class Sde(Config):
-    kind: str = "ou"  # drift -rate x and volatility vol, or "zero"
+    kind: str = "ou"  # only "ou": drift -rate x and volatility vol
     rate: float = 1.0
     vol: float = 0.5
     x0: float | tuple[float] = (0.0,)
@@ -441,12 +442,10 @@ class PathsCommand(CommandConfig):
 
 
 def build_sde(spec: Sde):
-    if spec.kind == "ou":
-        rate, vol = spec.rate, spec.vol
-        return (lambda t, x: -rate * x), (lambda t, x: vol * np.eye(1)), spec.x0
-    if spec.kind == "zero":
-        return (lambda t, x: 0.0 * x), (lambda t, x: 0.0 * np.eye(1)), spec.x0
-    raise DomainError(f"unknown sde kind {spec.kind!r}")
+    if spec.kind != "ou":
+        raise DomainError(f"unknown sde kind {spec.kind!r}")
+    rate, vol = spec.rate, spec.vol
+    return (lambda t, x: -rate * x), (lambda t, x: vol * np.eye(1)), spec.x0
 
 
 def build_class(spec: PathClass, fitted_envelope):

@@ -10,14 +10,13 @@ bool, not 2.0), ``PositiveInt`` one >= 1, ``NonNegativeInt`` one >= 0,
 ``float`` a finite number, ``bool`` true or false, ``str`` a string, ``dict``
 an object, ``tuple[T, ...]`` an array of T, ``tuple[A, B]`` one of length 2, a
 ``Config`` subclass a nested object, and null only an ``X | None`` field.  Any
-other class, and a callable, takes only an instance: JSON cannot produce one.
+other class takes only an instance: JSON cannot produce one.
 A field ``class_`` reads the key ``class``.  ``coerce(value, hint, path)``
 applies the same rules to one value outside a dataclass.
 """
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import functools
 import keyword
@@ -67,8 +66,6 @@ def _noun(hint) -> str:
         return _SCALARS[hint][0]
     if typing.get_origin(hint) is tuple:
         return "an array"
-    if typing.get_origin(hint) is collections.abc.Callable:
-        return "a callable"
     return "an object" if issubclass(hint, Config) else f"a {hint.__name__}"
 
 
@@ -110,8 +107,6 @@ def coerce(value, hint, path: str, base=None):
         return tuple(coerce(v, a, f"{path}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
     if hint in _SCALARS:
         ok = _SCALARS[hint][1](value)
-    elif origin is collections.abc.Callable:
-        ok = callable(value)
     elif issubclass(hint, Config) and isinstance(value, dict):
         return from_json(hint, value, path, base if isinstance(base, hint) else None)
     else:

@@ -318,7 +318,6 @@ class FiniteComplexityMap:
     alpha: float
     encoder: Callable[[float, np.ndarray], np.ndarray]
     decoder: Callable[[np.ndarray], list]
-    meta: dict = field(default_factory=dict)
 
     def evaluate(self, paths: PathWindow | list[PathWindow], n: int):
         """The outputs at step n of a list of paths, or of one path alone."""
@@ -493,10 +492,8 @@ def sde_kernel_map(mu: Callable, sigma: Callable, delta: float, nu: DiscreteMeas
         atoms = (clouds[:, :, None, :] + nu.atoms[None, None, :, :]).reshape(len(latents), -1, d)
         return DiscreteMeasure.stack(atoms, weights)
 
-    return FiniteComplexityMap(
-        memory=0, latent_dim=d + d * d, alpha=1.0, encoder=encoder, decoder=decoder,
-        meta={"kind": "sde_kernel", "delta": delta, "k": k},
-    )
+    return FiniteComplexityMap(memory=0, latent_dim=d + d * d, alpha=1.0, encoder=encoder,
+                               decoder=decoder)
 
 
 # ---------------------------------------------------------------------------

@@ -132,28 +132,15 @@ def ght_eval(ght: Ght, paths: PathWindow | Sequence[PathWindow], n: int):
     return outs[0] if one else outs
 
 
-def normalized_error(
-    target,
-    ght: Ght,
-    paths: Sequence[PathWindow],
-    c_rate: Callable[[int], float],
-    N_T: int,
-) -> dict:
-    """sup over the evaluable window of distance / compression denominator.
-
-    The denominator at n is max(1, c_rate(n)), so scores are plain sup
-    distances wherever c_rate is at most 1.  The window must lie inside
-    the horizon [-N_T, N_T]; one that leaves it is a ``DomainError``.
-    """
-    n_lo = max(p.first_index for p in paths) + ght.memory
-    n_hi = min(p.last_index for p in paths)
-    if n_lo < -N_T or n_hi > N_T:
-        raise DomainError(f"the normalized-error window [{n_lo}, {n_hi}] leaves the "
-                          f"horizon [{-N_T}, {N_T}]")
+def normalized_error(per_step_errors: Sequence[tuple[int, float]],
+                     c_rate: Callable[[int], float]) -> dict:
+    """The sup over steps of each step's error over its compression
+    denominator max(1, c_rate(n)), with one row per (n, error) pair of
+    ``per_step_errors``: scores are plain sup errors wherever c_rate is at
+    most 1."""
     rows = []
     worst = 0.0
-    for n in range(n_lo, n_hi + 1):
-        raw = _sup_distance(target, ght, paths, n)
+    for n, raw in per_step_errors:
         denom = max(1.0, float(c_rate(n)))
         rows.append({"n": n, "raw_error": raw, "denominator": denom,
                      "normalized": raw / denom})
@@ -259,7 +246,6 @@ class DynamicFitReport:
     replay_residual: float
     perturbation_applied: float
     decoder_report: dict
-    normalized: dict | None
     wall_time: float
     sizes: dict
 
@@ -281,7 +267,6 @@ class DynamicFitConfig(Config):
     decoder_anchors: int = 64
     decoder_level: int = 64
     decoder_config: StaticFitConfig = StaticFitConfig()
-    c_rate: Callable[[int], float] | None = None  # when given, adds normalized-error scoring
 
 
 def fit_dynamic(
@@ -404,15 +389,7 @@ def fit_dynamic(
         stored_thetas={n: t for n, t in zip(steps, thetas)},
     )
 
-    normalized = None
-    if config.c_rate is not None:
-        normalized = normalized_error(target, ght, paths, config.c_rate, N_T)
-        # the coverage check puts every step inside the normalized window,
-        # so its rows already hold the per-step sup distances
-        raw_at = {row["n"]: row["raw_error"] for row in normalized["rows"]}
-        per_step = [(n, raw_at[n]) for n in steps]
-    else:
-        per_step = [(n, _sup_distance(target, ght, paths, n)) for n in steps]
+    per_step = [(n, _sup_distance(target, ght, paths, n)) for n in steps]
     worst = max(raw for _, raw in per_step)
 
     report = DynamicFitReport(
@@ -421,7 +398,6 @@ def fit_dynamic(
         replay_residual=replay_residual,
         perturbation_applied=applied,
         decoder_report=dec_report.to_json(),
-        normalized=normalized,
         wall_time=time.perf_counter() - t0,
         sizes={"P": P, "M": hyper_md.dims[1], "encoder_dims": list(md_enc.dims),
                "decoder_anchors": n_dec, "decoder_level": q_dec,

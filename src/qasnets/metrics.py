@@ -107,6 +107,21 @@ def farthest_point_order(points: np.ndarray, first: int, count: int) -> tuple[li
 _LINE_EXHAUSTED = 1e-17
 
 
+_COST_RANGE = ("the ground cost |x - y|^p at p = {!r} leaves the float range: it overflows, "
+               "or is 0.0 between distinct atoms")
+
+
+def _line_power(gap: float, p: float) -> float:
+    """gap ** p in a 1-D walk, checked as ``ground_cost`` checks its costs."""
+    try:
+        cost = gap ** p
+    except OverflowError:
+        cost = math.inf
+    if cost == math.inf or cost == 0.0 < gap:
+        raise DomainError(_COST_RANGE.format(p))
+    return cost
+
+
 def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
     """The cost of the monotone quantile coupling of two sorted 1-D supports.
 
@@ -116,7 +131,7 @@ def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
     a line counts as used up once at most ``_LINE_EXHAUSTED`` of its mass
     is left.  Optimal on the line for every p >= 1, because |x - y|^p is
     convex in x - y.  At p = 1 the power is skipped: |d| ** 1.0 is |d|
-    exactly.
+    exactly; any other p goes through ``_line_power``.
     """
     cost = 0.0
     unit = p == 1.0
@@ -126,7 +141,7 @@ def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
     while True:
         m = bj if bj < ai else ai
         gap = abs(x[i] - y[j])
-        cost += m * (gap if unit else gap ** p)
+        cost += m * (gap if unit else _line_power(gap, p))
         ai -= m
         bj -= m
         if ai <= _LINE_EXHAUSTED:
@@ -152,14 +167,15 @@ def _quantile_potentials(x: list, wx: list, y: list, wy: list, p: float) -> tupl
     line, so that u_i + v_j = |x_i - y_j|^p on every tree arc, rooted at
     u_0 = 0: the rule ``transport_cost`` applies to its final tree.  A
     staircase is a north-west corner basis and |x - y|^p is a Monge cost,
-    so these potentials are dual feasible, hence optimal.
+    so these potentials are dual feasible, hence optimal.  Each cost goes
+    through ``_line_power``.
     """
     u = [0.0] * len(x)
     cost = 0.0
     i = j = 0
     nx, ny = len(wx), len(wy)
     ai, bj = wx[0], wy[0]
-    c = abs(x[0] - y[0]) ** p
+    c = _line_power(abs(x[0] - y[0]), p)
     v = c  # v_j of the current column
     while True:
         m = bj if bj < ai else ai
@@ -176,15 +192,15 @@ def _quantile_potentials(x: list, wx: list, y: list, wy: list, p: float) -> tupl
             j += 1
             if j == ny:
                 for k in range(i if row_done else i + 1, nx):
-                    u[k] = abs(x[k] - y[j - 1]) ** p - v
+                    u[k] = _line_power(abs(x[k] - y[j - 1]), p) - v
                 break
             bj = wy[j]
             if row_done:
-                u[i] = abs(x[i] - y[j - 1]) ** p - v
-            c = abs(x[i] - y[j]) ** p
+                u[i] = _line_power(abs(x[i] - y[j - 1]), p) - v
+            c = _line_power(abs(x[i] - y[j]), p)
             v = c - u[i]
         else:
-            c = abs(x[i] - y[j]) ** p
+            c = _line_power(abs(x[i] - y[j]), p)
             u[i] = c - v
     return cost, u
 
@@ -204,8 +220,14 @@ def _equal_weight_costs(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarr
 
 def ground_cost(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     """The matrix |x_i - y_j|^p of Euclidean distances between the rows of
-    ``x`` and ``y``, each raised to the power p."""
-    return np.linalg.norm(x[:, None] - y[None], axis=2) ** p
+    ``x`` and ``y``, each raised to the power p; ``DomainError`` where one
+    overflows or is 0.0 between distinct rows."""
+    with np.errstate(over="ignore", under="ignore"):
+        gaps = x[:, None] - y[None]
+        cost = np.linalg.norm(gaps, axis=2) ** p
+    if not np.isfinite(cost).all() or gaps[cost == 0.0].any():
+        raise DomainError(_COST_RANGE.format(p))
+    return cost
 
 
 _EPS = float(np.finfo(float).eps)

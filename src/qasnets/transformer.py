@@ -375,9 +375,17 @@ def fit_static_constructive(
     return gt, report
 
 
+# the largest training-input coordinate magnitude: below it the net's and the assignment
+# network's squared distances stay finite for inputs of up to 10^6 coordinates
+_INPUT_BOUND = 2.0 ** 500
+
+
 def _checked_budget(xs: np.ndarray, targets: list, budget: dict) -> tuple[int, int]:
     if len(xs) == 0:
         raise DomainError("train_x must be nonempty")
+    if not np.all(np.abs(xs) <= _INPUT_BOUND):
+        raise DomainError(f"training inputs must be finite with coordinates of magnitude "
+                          f"at most {_INPUT_BOUND!r}")
     if len(targets) != len(xs):
         raise DomainError(f"{len(targets)} targets for {len(xs)} training inputs")
     n_budget = int(budget["N"])

@@ -47,8 +47,20 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def benchmark_command(workload, name, seed=0):
+    """The config of command ``name`` in a benchmark workload, as the
+    benchmark's generator in ``perfbench/workloads.py`` builds it."""
+    workloads = runpy.run_path(
+        str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
+    (command,) = [c for c in workloads["GENERATORS"][workload](seed) if c.name == name]
+    return command.config
+
+
 def dirac_json(v):
     return {"dim": 1, "atoms": [[v]], "weights": [1.0]}
+
+
+ZERO_SDE = {"kind": "ou", "rate": 0.0, "vol": 0.0}  # every path stays at x0
 
 
 class TestMetric:
@@ -355,9 +367,11 @@ class TestTypedValues:
         "dynamic-fit": {"seed": 0, "N_T": 1, "eval_points": 3,
                         "target": {"kind": "sin_drift", "quantiles": 4},
                         "fit": {"grid_points": 3, "decoder_anchors": 2, "decoder_level": 2}},
-        "paths": {"seed": 1, "sde": {"kind": "zero"}, "n_paths": 2, "steps": 3, "eps": 0.5},
+        "paths": {"seed": 1, "sde": ZERO_SDE, "n_paths": 2, "steps": 3, "eps": 0.5},
     }
     W = {"kind": "wasserstein_convex", "d": 1, "p": 2.0, "q_exponent": 3.0}
+    RANGE = ("config error: the ground cost |x - y|^p at p = %r leaves the float range: it "
+             "overflows, or is 0.0 between distinct atoms")
 
     @pytest.mark.parametrize("command, override, message", [
         ("static-fit", {"space": dict(W, d=1.7)}, "static-fit.space.d must be an integer"),
@@ -441,6 +455,10 @@ class TestTypedValues:
          "unknown keys in static-fit.fit: ['holder_exponent', 'lipschitz']"),
         ("dynamic-fit", {"target": {"kind": "zero_drift"}},
          "unknown dynamic target kind 'zero_drift'"),
+        # an Ornstein-Uhlenbeck process of rate and volatility 0 is the zero SDE
+        ("paths", {"sde": {"kind": "zero"}}, "unknown sde kind 'zero'"),
+        # the command scores with its compression block after the fit
+        ("dynamic-fit", {"fit": {"c_rate": None}}, "unknown keys in dynamic-fit.fit: ['c_rate']"),
     ])
     def test_bad_value_names_block_and_key(self, tmp_path, capsys, command, override, message):
         code, _ = run(tmp_path, command, dict(self.BASE[command], **override))
@@ -461,6 +479,23 @@ class TestTypedValues:
         ("dynamic-fit", {"fit": dict(BASE["dynamic-fit"]["fit"], domain_hi=1e300)}, 3,
          "numeric failure: no projection separates the keys: in each of 64 tries two "
          "projected keys are within 1e-12 * max(1, max |projection|)"),
+        # a cost or an input geometry that leaves the float range, rather
+        # than a numpy warning and a wrong value
+        ("dynamic-fit", {"target": {"kind": "sin_drift", "amplitude": 1e300}}, 2,
+         "config error: training inputs must be finite with coordinates of magnitude at "
+         "most 3.273390607896142e+150"),
+        ("metric", {"inputs": [{"atoms": [[0.0, 0.0]], "weights": [1.0]},
+                               {"atoms": [[1e-200, 0.0]], "weights": [1.0]}]}, 2, RANGE % 1.0),
+        ("metric", {"p": 2.0, "inputs": [dirac_json(0.0), dirac_json(1e-200)]}, 2,
+         RANGE % 2.0),
+        ("metric", {"p": 2000.0, "inputs": [dirac_json(0.0), dirac_json(0.5)]}, 2,
+         RANGE % 2000.0),
+        ("metric", {"inputs": [{"atoms": [[1e200, 1e200]], "weights": [1.0]},
+                               {"atoms": [[-1e200, 0.0]], "weights": [1.0]}]}, 2, RANGE % 1.0),
+        ("metric", {"p": 1e300, "inputs": [
+            {"atoms": [[0.0], [10.0]], "weights": [0.5, 0.5]},
+            {"atoms": [[3.0], [14.0]], "weights": [0.5, 0.5]}]}, 2, RANGE % 1e300),
+        ("metric", dict(benchmark_command("transport", "adapted"), p=1e300), 2, RANGE % 1e300),
     ])
     def test_typed_exit_prints_one_line(self, tmp_path, command, override, code, line):
         proc = run_cli_fresh(tmp_path, command, dict(self.BASE[command], **override))
@@ -766,15 +801,6 @@ class TestStaticFit:
         assert run(tmp_path, "static-fit", cfg)[0] == 0
 
 
-def benchmark_command(workload, name, seed=0):
-    """The config of command ``name`` in a benchmark workload, as the
-    benchmark's generator in ``perfbench/workloads.py`` builds it."""
-    workloads = runpy.run_path(
-        str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
-    (command,) = [c for c in workloads["GENERATORS"][workload](seed) if c.name == name]
-    return command.config
-
-
 class TestDynamicFit:
     def test_one_weight_check_per_decoder_batch(self, tmp_path, monkeypatch):
         """The SDE decoder builds a batch's measures on one weight vector,
@@ -856,7 +882,7 @@ class TestDynamicFit:
 
 class TestPaths:
     def test_zero_sde_full_containment(self, tmp_path):
-        cfg = {"seed": 1, "sde": {"kind": "zero", "x0": [0.0]}, "n_paths": 50,
+        cfg = {"seed": 1, "sde": dict(ZERO_SDE, x0=[0.0]), "n_paths": 50,
                "steps": 10, "eps": 0.1}
         code, out = run(tmp_path, "paths", cfg)
         assert code == 0
@@ -901,13 +927,13 @@ class TestPaths:
 
 class TestSeedRequired:
     def test_paths_without_seed(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "paths", {"sde": {"kind": "zero"}, "n_paths": 2,
+        code, _ = run(tmp_path, "paths", {"sde": ZERO_SDE, "n_paths": 2,
                                           "steps": 3, "eps": 0.5})
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
     def test_seed_flag_satisfies_requirement(self, tmp_path):
-        code, _ = run(tmp_path, "paths", {"sde": {"kind": "zero"}, "n_paths": 2,
+        code, _ = run(tmp_path, "paths", {"sde": ZERO_SDE, "n_paths": 2,
                                           "steps": 3, "eps": 0.5}, extra=("--seed", "4"))
         assert code == 0
 
@@ -919,7 +945,7 @@ class TestSeedRequired:
 
 class TestSeedOverride:
     def test_seed_flag_changes_hash(self, tmp_path):
-        cfg = {"seed": 1, "sde": {"kind": "zero"}, "n_paths": 3, "steps": 4, "eps": 0.5}
+        cfg = {"seed": 1, "sde": ZERO_SDE, "n_paths": 3, "steps": 4, "eps": 0.5}
         _, out1 = run(tmp_path, "paths", cfg)
         h1 = json.loads((out1 / "manifest.json").read_text())["config_sha256"]
         code, out2 = run(tmp_path, "paths", cfg, name="cfg2.json", extra=("--seed", "9"))

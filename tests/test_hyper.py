@@ -1,7 +1,6 @@
 """Tests for the dynamic model: schedule, evaluation, and the fit pipeline."""
 
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -338,11 +337,12 @@ class TestFitDynamic:
         ght, report = fit_dynamic(
             target, paths, N_T=4, space=space, eps=0.4,
             config={"grid_points": 17, "domain_lo": -1.0, "domain_hi": 1.0,
-                    "decoder_anchors": 64, "decoder_level": 64, "c_rate": c_rate},
+                    "decoder_anchors": 64, "decoder_level": 64},
         )
-        assert report.normalized is not None
-        assert report.normalized["score"] < 0.4
-        for row in report.normalized["rows"]:
+        normalized = normalized_error(report.per_step_errors, c_rate)
+        assert normalized["score"] < 0.4
+        assert [row["n"] for row in normalized["rows"]] == list(range(-4, 5))
+        for row in normalized["rows"]:
             assert row["denominator"] >= 1.0
             assert row["normalized"] <= row["raw_error"] + 1e-15
 
@@ -353,12 +353,6 @@ class TestFitDynamic:
         paths = self.make_paths(n_vals=5, N_T=3)
         config = {"grid_points": 9, "domain_lo": -1.0, "domain_hi": 1.0,
                   "decoder_anchors": 16, "decoder_level": 16}
-        if with_c_rate:
-            box = BoxSet([-1.0], [1.0])
-            config["c_rate"] = lambda n: compression_rate(
-                KZ(box), n, eps=0.4, L_rho=1.0, L_f=1.1, alpha=1.0,
-                m_eps4=0, d=1, delta_plus=1.0, N_T=3,
-            )
         target_calls, model_calls = [], []
         real_evaluate, real_ght_eval = FiniteComplexityMap.evaluate, hyper.ght_eval
 
@@ -375,13 +369,19 @@ class TestFitDynamic:
         monkeypatch.setattr(FiniteComplexityMap, "evaluate", evaluate)
         monkeypatch.setattr(hyper, "ght_eval", ght_eval)
         _, report = fit_dynamic(target, paths, N_T=3, space=space, eps=0.4, config=config)
+        if with_c_rate:
+            # normalized scores are read off the per-step errors: no evaluation
+            box = BoxSet([-1.0], [1.0])
+            normalized = normalized_error(report.per_step_errors, lambda n: compression_rate(
+                KZ(box), n, eps=0.4, L_rho=1.0, L_f=1.1, alpha=1.0,
+                m_eps4=0, d=1, delta_plus=1.0, N_T=3,
+            ))
+            raw = {row["n"]: row["raw_error"] for row in normalized["rows"]}
+            assert report.per_step_errors == [(n, raw[n]) for n in range(-3, 4)]
         want = sorted((id(p), n) for p in paths for n in range(-3, 4))
         assert sorted(target_calls) == want
         assert sorted(model_calls) == want
         assert [n for n, _ in report.per_step_errors] == list(range(-3, 4))
-        if with_c_rate:
-            raw = {row["n"]: row["raw_error"] for row in report.normalized["rows"]}
-            assert report.per_step_errors == [(n, raw[n]) for n in range(-3, 4)]
 
     def test_constant_target_needs_perturbation(self):
         space = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)
@@ -402,6 +402,13 @@ class TestFitDynamic:
         assert len({t.tobytes() for t in thetas}) == len(thetas)
         assert report.within_window_error <= 0.1
         assert report.replay_residual <= 1e-6
+
+    def test_config_takes_no_rate(self):
+        # normalized scores are computed from the report's per-step errors
+        with pytest.raises(DomainError, match=r"unknown keys in config: \['c_rate'\]"):
+            fit_dynamic(sin_drift_target(k=8), self.make_paths(n_vals=3, N_T=1), N_T=1,
+                        space=WassersteinConvex(d=1, p=1.0, q_exponent=2.0), eps=0.4,
+                        config={"c_rate": lambda n: 1.0})
 
     def test_path_coverage_validated(self):
         space = WassersteinConvex(d=1, p=1.0, q_exponent=2.0)
@@ -448,34 +455,20 @@ class TestFitDynamic:
 
 class TestNormalizedError:
     def test_target_equals_model_scores_zero(self):
-        ght = toy_ght(hyper="identity")
-
-        class SelfTarget:
-            def evaluate(self, paths, n):
-                return ght_eval(ght, paths, n)
-
-        paths = [constant_path(0.4, n_past=2, n_future=2)]
-        out = normalized_error(SelfTarget(), ght, paths, lambda n: 1.0, N_T=2)
+        out = normalized_error([(n, 0.0) for n in range(-2, 3)], lambda n: 1.0)
         assert out["score"] == 0.0
 
     def test_denominators_at_least_one(self):
-        ght = toy_ght(hyper="shift", delta=0.6)
-
-        class SelfTarget:
-            def evaluate(self, paths, n):
-                return ght_eval(ght, paths, n)
-
-        paths = [constant_path(0.3, n_past=2, n_future=2)]
-        out = normalized_error(SelfTarget(), ght, paths, lambda n: 0.5, N_T=2)
+        errors = [(-2, 0.3), (-1, 0.1), (0, 0.25), (1, 0.0), (2, 0.2)]
+        out = normalized_error(errors, lambda n: 0.5)
         assert [row["n"] for row in out["rows"]] == [-2, -1, 0, 1, 2]
-        for row in out["rows"]:
-            assert row["denominator"] >= 1.0
+        for row, (_, raw) in zip(out["rows"], errors):
+            assert row["denominator"] == 1.0
+            assert row["raw_error"] == row["normalized"] == raw
+        assert out["score"] == 0.3
 
-    @pytest.mark.parametrize("n_past, n_future, window", [
-        (6, 6, "[-6, 6]"), (2, 3, "[-2, 3]"), (3, 2, "[-3, 2]")])
-    def test_window_outside_horizon_raises(self, n_past, n_future, window):
-        ght = toy_ght(hyper="shift", delta=0.6)
-        paths = [constant_path(0.3, n_past=n_past, n_future=n_future)]
-        message = f"window {window} leaves the horizon [-2, 2]"
-        with pytest.raises(DomainError, match=re.escape(message)):
-            normalized_error(None, ght, paths, lambda n: 1.0, N_T=2)
+    def test_rate_above_one_divides(self):
+        out = normalized_error([(0, 0.3), (1, 0.5)], lambda n: 2.0 + n)
+        assert [row["denominator"] for row in out["rows"]] == [2.0, 3.0]
+        assert [row["normalized"] for row in out["rows"]] == [0.3 / 2.0, 0.5 / 3.0]
+        assert out["score"] == 0.5 / 3.0
