@@ -24,8 +24,8 @@ from qasnets.config import (
 )
 from qasnets.errors import DomainError
 from qasnets.hyper import DynamicFitConfig, fit_dynamic
-from qasnets.spaces import SPACES
 from qasnets.networks import MultiIndex, TrainConfig, train_regression
+from qasnets.spaces import SPACES
 from qasnets.transformer import (
     End2EndFitConfig,
     StaticFitConfig,
@@ -209,7 +209,7 @@ NESTED = [(outer, f.name, _block_class(hint))
 
 def _other_json(value, hint):
     """A JSON value that ``hint`` reads as something other than ``value``,
-    or None for a nested block."""
+    or None where it finds none (a nested block, or null of another type)."""
     if value is None:
         args = typing.get_args(hint)
         return 1 if int in args else 1.0 if float in args else None
@@ -235,7 +235,7 @@ def test_nested_block_sits_on_its_default(outer, key, inner):
     for f in dataclasses.fields(inner):
         value = _other_json(getattr(missing, f.name), hints[f.name])
         if value is None:
-            continue  # a nested block: its own row
+            continue  # a nested block has its own row
         got = getattr(from_json(outer, {key: {f.name.rstrip("_"): value}}, "block"), key)
         want = dataclasses.replace(missing, **{f.name: coerce(value, hints[f.name], "v")})
         assert got == want, f.name
