@@ -7,10 +7,15 @@ Imports ``qasnets`` from ``<checkout>/src`` and the workload's configs from
 workload in this process:
 
 * ``cpu_s``: process CPU per command, the median of ``ROUNDS`` runs after
-  one warm-up run, with nothing wrapped;
+  one warm-up run, with only the ``TIMED`` functions wrapped;
+* ``layer_cpu_s``: per command, the process CPU spent inside each ``TIMED``
+  function, the median over the same runs (the static fits' network
+  training, such as the end-to-end fit's warm start);
 * ``counts``: one more run with counters wrapped around the 1-D and LP
-  transport kernels, ``wasserstein_p``, measure canonicalization and
-  ``validate_simplex_weight`` (in every module that binds it).  A counter
+  transport kernels, ``wasserstein_p``, ``ground_cost``, measure
+  canonicalization (``_merge_rows`` is the one lexsort of a measure's
+  atoms), mixture stacking and mixing, ``gradient_kernel`` builds and
+  ``validate_simplex_weight`` (each in every module that binds it).  A counter
   whose function a checkout does not define is left out, so the same
   script reads a checkout from before and after a kernel was renamed.
 
@@ -47,9 +52,21 @@ COUNTED = [
     ("measures", "DiscreteMeasure.__post_init__", "constructor"),
     ("measures", "DiscreteMeasure.stack", "stack"),
     ("measures", "DiscreteMeasure._canonicalize", "canonical_forms"),
+    ("metrics", "ground_cost", "ground_costs"),
+    ("spaces", "ground_cost", "ground_costs"),
+    ("measures", "_merge_rows", "merge_rows"),
+    ("measures", "MixtureAnchors.of", "mixture_stacks"),
+    ("measures", "MixtureAnchors.mix", "mixtures"),
+    ("networks", "gradient_kernel", "kernel_builds"),
     ("measures", "validate_simplex_weight", "weight_checks"),
     ("spaces", "validate_simplex_weight", "weight_checks"),
     ("metrics", "validate_simplex_weight", "weight_checks"),
+]
+
+
+# (module, function, key): the functions whose CPU is measured per command
+TIMED = [
+    ("transformer", "train_regression", "train_regression"),
 ]
 
 
@@ -65,10 +82,22 @@ def _counting(fn, key: str, counts: dict):
     return wrapper
 
 
-def wrap_counters(package, counts: dict) -> list:
-    """Wraps every ``COUNTED`` target the package defines; returns the undo list."""
+def _timing(fn, key: str, spent: dict):
+    def wrapper(*args, **kwargs):
+        start = time.process_time()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[key] = spent.get(key, 0.0) + time.process_time() - start
+
+    return wrapper
+
+
+def wrap_counters(package, counts: dict, targets=COUNTED, wrap=_counting) -> list:
+    """Wraps every target the package defines (``COUNTED`` by ``_counting``,
+    unless told otherwise); returns the undo list."""
     undo = []
-    for module_name, path, key in COUNTED:
+    for module_name, path, key in targets:
         owner = getattr(package, module_name)
         *outer, name = path.split(".")
         for part in outer:
@@ -77,9 +106,9 @@ def wrap_counters(package, counts: dict) -> list:
         if fn is None:
             continue
         if isinstance(fn, staticmethod):
-            wrapped = staticmethod(_counting(fn.__func__, key, counts))
+            wrapped = staticmethod(wrap(fn.__func__, key, counts))
         else:
-            wrapped = _counting(fn, key, counts)
+            wrapped = wrap(fn, key, counts)
         setattr(owner, name, wrapped)
         undo.append((owner, name, fn))
     return undo
@@ -113,11 +142,24 @@ def main() -> int:
             command.check(out)
             return seconds
 
+        def timed_run(command) -> tuple[float, dict]:
+            spent: dict = {}
+            undo = wrap_counters(qasnets, spent, TIMED, _timing)
+            try:
+                return run(command), spent
+            finally:
+                for owner, name, fn in reversed(undo):
+                    setattr(owner, name, fn)
+
         result = {"checkout": str(root), "workload": args.workload, "seed": args.seed,
-                  "rounds": ROUNDS, "cpu_s": {}, "counts": {}}
+                  "rounds": ROUNDS, "cpu_s": {}, "layer_cpu_s": {}, "counts": {}}
         for c in commands:
             run(c)
-            result["cpu_s"][c.name] = statistics.median(run(c) for _ in range(ROUNDS))
+            runs = [timed_run(c) for _ in range(ROUNDS)]
+            result["cpu_s"][c.name] = statistics.median(seconds for seconds, _ in runs)
+            keys = sorted({key for _, spent in runs for key in spent})
+            result["layer_cpu_s"][c.name] = {
+                key: statistics.median(spent.get(key, 0.0) for _, spent in runs) for key in keys}
         for c in commands:
             counts: dict = {}
             undo = wrap_counters(qasnets, counts)

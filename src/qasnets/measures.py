@@ -56,10 +56,15 @@ def validate_simplex_weight(entries: np.ndarray) -> np.ndarray:
         raise DomainError("simplex weight entries must be finite")
     if (w < -WEIGHT_SUM_TOL).any():
         raise DomainError(f"simplex weight entries must be nonnegative, got min {w.min()}")
+    _check_unit_sum(w)
+    return w
+
+
+def _check_unit_sum(w: np.ndarray) -> None:
+    """The sum rule of ``validate_simplex_weight``."""
     s = float(w.sum())
     if abs(s - 1.0) > WEIGHT_SUM_TOL * w.size:
         raise DomainError(f"simplex weight entries must sum to 1, got {s!r}")
-    return w
 
 
 def numeric_array(obj: dict, key: str) -> np.ndarray:
@@ -103,6 +108,16 @@ def _strictly_increasing(atoms: np.ndarray) -> np.ndarray:
     return greater.all(axis=-1)
 
 
+def _row_groups(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows, and along it which
+    rows start a group of exactly-equal rows and each row's group index."""
+    order = np.lexsort(atoms.T[::-1])
+    atoms = atoms[order]
+    starts = np.ones(len(atoms), dtype=bool)
+    starts[1:] = (atoms[1:] != atoms[:-1]).any(axis=1)
+    return order, starts, np.cumsum(starts) - 1
+
+
 def _merge_rows(atoms: np.ndarray, *weights: np.ndarray) -> tuple:
     """Sum weights of exactly-equal rows; rows ordered lexicographically.
 
@@ -110,12 +125,8 @@ def _merge_rows(atoms: np.ndarray, *weights: np.ndarray) -> tuple:
     given: each ``np.bincount`` adds a group's weights in row order, from
     +0.0.
     """
-    order = np.lexsort(atoms.T[::-1])
-    atoms = atoms[order]
-    starts = np.ones(len(atoms), dtype=bool)
-    starts[1:] = (atoms[1:] != atoms[:-1]).any(axis=1)
-    group = np.cumsum(starts) - 1
-    return (atoms[starts], *(np.bincount(group, w[order]) for w in weights))
+    order, starts, group = _row_groups(atoms)
+    return (atoms[order[starts]], *(np.bincount(group, w[order]) for w in weights))
 
 
 @dataclass(frozen=True)
@@ -200,28 +211,54 @@ class DiscreteMeasure:
 
 class MixtureAnchors(NamedTuple):
     """The components of convex mixtures, stacked once: their atoms, their
-    weights, and each component's atom count."""
+    weights and each component's atom count, then the stacked atoms'
+    stable lexicographic order and, along it, each row's group of
+    exactly-equal atoms (``_row_groups``)."""
 
     atoms: np.ndarray
     weights: np.ndarray
     lengths: np.ndarray
+    order: np.ndarray
+    group: np.ndarray
 
     @staticmethod
     def of(components: list[DiscreteMeasure]) -> "MixtureAnchors":
         """Stacks one or more components of one dimension (``QasSpace.mixer`` checks)."""
-        return MixtureAnchors(np.concatenate([m.atoms for m in components], axis=0),
-                              np.concatenate([m.weights for m in components]),
-                              np.array([len(m) for m in components]))
+        atoms = np.concatenate([m.atoms for m in components], axis=0)
+        order, _, group = _row_groups(atoms)
+        return MixtureAnchors(atoms, np.concatenate([m.weights for m in components]),
+                              np.array([len(m) for m in components]), order, group)
 
     def mix(self, w: np.ndarray) -> DiscreteMeasure:
         """sum_n w_n mu_n for a checked simplex weight w, one entry per
-        component: atom k of component n gets w_n times its weight;
-        zero-weight atoms are dropped and the constructor merges duplicates."""
-        atoms, weights = self.atoms, np.repeat(w, self.lengths) * self.weights
-        keep = weights > 0.0
-        if not keep.all():
-            atoms, weights = atoms[keep], weights[keep]
-        return DiscreteMeasure(atoms, weights)
+        component: atom k of component n gets w_n times its weight, bit for
+        bit the measure the constructor builds from the stacked atoms and
+        these product weights with the ones that are not positive dropped.
+
+        The kept products' sum is checked as the constructor checks it, the
+        one rule of its checks that can fail here: a product of a checked w
+        entry and a canonical weight is finite; only positive ones are
+        kept; one is kept, because w's largest entry is positive and so is
+        the largest weight of that entry's component; and canonical atoms
+        are finite.  The products that are not positive become +0.0, which
+        leaves every group sum as it was, so one ``np.bincount`` along the
+        stacked atoms' order sums each group in the constructor's row
+        order.  The groups with a positive product are kept, the ones of
+        nonzero sum, each with the atom of its first such row: equal rows
+        may differ in the sign of a zero.
+        """
+        products = np.repeat(w, self.lengths) * self.weights
+        positive = products > 0.0
+        _check_unit_sum(products[positive])
+        products[~positive] = 0.0
+        sums = np.bincount(self.group, products[self.order])
+        rows = np.flatnonzero(positive[self.order])  # along the order
+        groups = self.group[rows]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = groups[1:] != groups[:-1]
+        mixture = object.__new__(DiscreteMeasure)
+        mixture._canonicalize(self.atoms[self.order[rows[first]]], sums[groups[first]], True)
+        return mixture
 
 
 class TreeLevel(NamedTuple):

@@ -131,7 +131,8 @@ def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
     a line counts as used up once at most ``_LINE_EXHAUSTED`` of its mass
     is left.  Optimal on the line for every p >= 1, because |x - y|^p is
     convex in x - y.  At p = 1 the power is skipped: |d| ** 1.0 is |d|
-    exactly; any other p goes through ``_line_power``.
+    exactly, and a gap that overflows is caught once, in the total; any
+    other p goes through ``_line_power``.
     """
     cost = 0.0
     unit = p == 1.0
@@ -154,6 +155,8 @@ def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
             if j == ny:
                 break
             bj = wy[j]
+    if not cost < math.inf:  # a gap overflowed: inf, or nan at a mass of 0.0
+        raise DomainError(_COST_RANGE.format(p))
     return cost
 
 
@@ -213,9 +216,14 @@ def _equal_weight_costs(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarr
     diagonal; a cumulative sum along each row adds its costs one at a time,
     in arc order, as the walk does, and never mixes rows.  The walk starts
     from 0.0 and the sum from the first cost, which is the same value: a
-    canonical weight is never -0.0.
+    canonical weight is never -0.0.  A gap that overflows raises
+    ``DomainError``, checked once over all rows.
     """
-    return np.cumsum(w * np.abs(x - y), axis=1)[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = np.cumsum(w * np.abs(x - y), axis=1)[:, -1]
+    if not np.isfinite(costs).all():
+        raise DomainError(_COST_RANGE.format(1.0))
+    return costs
 
 
 def ground_cost(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:

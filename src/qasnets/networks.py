@@ -119,13 +119,29 @@ def encode_params(md: MultiIndex, layers: list[LayerParams]) -> np.ndarray:
 # activations
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x):
-    # np.minimum(np.maximum(...)) is np.clip without its Python-level dispatch
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
+_clip = np._core.umath.clip  # the ufunc behind np.clip, without its Python-level dispatch
 
 
-def _sigmoid_deriv(x, s):
-    return s * (1.0 - s)
+def _sigmoid(x, out=None):
+    """1 / (1 + exp(-clip(x, -500, 500))), written into ``out`` if given."""
+    out = _clip(x, -500.0, 500.0, out=np.empty(np.shape(x)) if out is None else out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _sigmoid_deriv(x, s, out=None):
+    return np.multiply(s, np.subtract(1.0, s, out=out), out=out)
+
+
+def _writing(f: Callable) -> Callable:
+    """``f`` with an ``out`` argument that its value is copied into."""
+    def into(*args, out):
+        out[...] = f(*args)
+        return out
+
+    return into
 
 
 def _leaky_relu(x):
@@ -244,10 +260,16 @@ def gradient_kernel(md: MultiIndex, spec: ActivationSpec, theta, X, Y, train_alp
     no arguments, built once per training run: it reads the layers through
     views, so the next pass sees an update of ``theta`` in place.
 
-    A pass evaluates each layer's base function and a2 * z once and reuses
-    them in the backward pass.  With ``train_alpha`` false the activation
-    parameters get no gradient, their entries exactly 0.0 as for the
-    classical kind, which ignores alpha, and (a1, a2, 1 - a1) are fixed.
+    The kernel owns its arrays: each layer's pre-activation, base value,
+    a2 * z, output, branch mask and backward terms, and the gradient, are
+    allocated when it is built, and every elementwise op of a pass writes
+    into them (a base function other than the default sigmoid is copied
+    in).  So each pass returns the same gradient array, and the next pass
+    overwrites it: a caller that keeps a gradient across passes copies it.
+    With ``train_alpha`` false the activation parameters get no gradient,
+    their entries exactly 0.0 as for the classical kind, which ignores
+    alpha; they are taken to stay fixed, and (1 - a1, a1 * a2) are
+    computed once.
     """
     if not spec.gradient_trainable:
         raise UnsupportedError(
@@ -258,47 +280,84 @@ def gradient_kernel(md: MultiIndex, spec: ActivationSpec, theta, X, Y, train_alp
     Y = np.atleast_2d(np.asarray(Y, float))
     n = X.shape[0]
     layers = decode_params(md, theta)
-    layout = _layout(md)
+    hidden, final = layers[:-1], layers[-1]
     classical = spec.kind == "classical"
+    base = spec.base if spec.base is _sigmoid else _writing(spec.base)
+    deriv = spec.base_deriv if spec.base_deriv is _sigmoid_deriv else _writing(spec.base_deriv)
 
-    def alpha_terms():  # (a1, a2, 1 - a1) per layer: two views of theta, one new array
-        return [(lp.alpha[:, 0], lp.alpha[:, 1], 1.0 - lp.alpha[:, 0]) for lp in layers[:-1]]
+    grad = np.zeros(_layout(md)[-1][2].stop)
+    grad_layers = decode_params(md, grad)  # views: writes land in grad
+    widths = md.dims[1:-1]
+    # per activated layer: z, base(z), a2 * z, output, a scratch term, dh
+    z, s, a2z, h, term, dh = ([np.empty((n, d)) for d in widths] for _ in range(6))
+    take = [np.empty((n, d), dtype=bool) for d in widths]  # the max's x branch
+    inputs = [X, *(s if classical else h)]  # the input of each layer, then of the final map
+    diff = np.empty((n, md.out_dim))
+    square, row_sums = np.empty_like(diff), np.empty(n)
+    # (a1, 1 - a1, a1 * a2) per layer
+    terms = [(lp.alpha[:, 0], np.empty(d), np.empty(d)) for lp, d in zip(hidden, widths)]
 
-    frozen = alpha_terms() if classical or not train_alpha else None
+    def alpha_terms():
+        for lp, (a1, one_minus_a1, a1a2) in zip(hidden, terms):
+            np.subtract(1.0, a1, out=one_minus_a1)
+            np.multiply(a1, lp.alpha[:, 1], out=a1a2)
+
+    fixed_alpha = classical or not train_alpha
+    if fixed_alpha:
+        alpha_terms()
 
     def run():
-        terms = alpha_terms() if frozen is None else frozen
-        cache = []  # (input, pre-activation, base value, a2 * z) per activated layer
-        h = X
-        for lp, (a1, a2, one_minus_a1) in zip(layers[:-1], terms):
-            z = h @ lp.weight.T + lp.bias
-            s = spec.base(z)
-            a2z = None if classical else a2 * z
-            cache.append((h, z, s, a2z))
-            h = s if classical else a1 * np.maximum(z, a2z) + one_minus_a1 * s
-        diff = h @ layers[-1].weight.T + layers[-1].bias - Y
-        value = 0.5 * (float(np.sum(diff**2, axis=1).sum()) / n)  # the mean, bit for bit
+        if not fixed_alpha:
+            alpha_terms()
+        for j, lp in enumerate(hidden):
+            np.matmul(inputs[j], lp.weight.T, out=z[j])
+            np.add(z[j], lp.bias, out=z[j])
+            base(z[j], out=s[j])
+            if not classical:
+                a1, one_minus_a1, _ = terms[j]
+                np.multiply(lp.alpha[:, 1], z[j], out=a2z[j])
+                np.maximum(z[j], a2z[j], out=h[j])
+                np.multiply(a1, h[j], out=h[j])
+                np.multiply(one_minus_a1, s[j], out=term[j])
+                np.add(h[j], term[j], out=h[j])
+        np.matmul(inputs[-1], final.weight.T, out=diff)
+        np.add(diff, final.bias, out=diff)
+        np.subtract(diff, Y, out=diff)
+        np.multiply(diff, diff, out=square)
+        np.add.reduce(square, axis=1, out=row_sums)
+        value = 0.5 * (float(np.add.reduce(row_sums)) / n)  # the mean, bit for bit
 
-        grad = np.zeros(layout[-1][2].stop)
-        dz = diff / n
-        grad[layout[-1][0]] = (dz.T @ h).reshape(-1)
-        grad[layout[-1][2]] = dz.sum(axis=0)
-        for j in range(len(cache) - 1, -1, -1):
-            dh = dz @ layers[j + 1].weight
-            h, z, s, a2z = cache[j]
-            w, _, b, a = layout[j]
-            if classical:
-                dz = dh * spec.base_deriv(z, s)
-            else:
-                a1, a2, one_minus_a1 = terms[j]
-                take_x = z >= a2z  # max branch, ties resolved toward the x branch
-                dz = dh * (a1 * np.where(take_x, 1.0, a2) + one_minus_a1 * spec.base_deriv(z, s))
-                if train_alpha:
-                    galpha = grad[a].reshape(-1, 2)  # a view: writes land in grad
-                    galpha[:, 0] = (dh * (np.where(take_x, z, a2z) - s)).sum(axis=0)
-                    galpha[:, 1] = (dh * (a1 * np.where(take_x, 0.0, z))).sum(axis=0)
-            grad[w] = (dz.T @ h).reshape(-1)
-            grad[b] = dz.sum(axis=0)
+        dz = np.divide(diff, n, out=diff)
+        np.matmul(dz.T, inputs[-1], out=grad_layers[-1].weight)
+        np.add.reduce(dz, axis=0, out=grad_layers[-1].bias)
+        for j in range(len(hidden) - 1, -1, -1):
+            np.matmul(dz, layers[j + 1].weight, out=dh[j])
+            dz = deriv(z[j], s[j], out=term[j])
+            if not classical:
+                a1, one_minus_a1, a1a2 = terms[j]
+                np.greater_equal(z[j], a2z[j], out=take[j])  # ties resolved toward the x branch
+                np.multiply(one_minus_a1, dz, out=dz)
+                # a1 * where(take, 1, a2) + (1 - a1) * base', in the scratch of h
+                np.copyto(h[j], a1a2)
+                np.copyto(h[j], a1, where=take[j])
+                np.add(h[j], dz, out=dz)
+            np.multiply(dh[j], dz, out=dz)
+            if train_alpha and not classical:
+                galpha = grad_layers[j].alpha
+                # d/da1: where(take, z, a2 z) - base, in the scratch of h
+                np.copyto(h[j], a2z[j])
+                np.copyto(h[j], z[j], where=take[j])
+                np.subtract(h[j], s[j], out=h[j])
+                np.multiply(dh[j], h[j], out=h[j])
+                np.add.reduce(h[j], axis=0, out=galpha[:, 0])
+                # d/da2: a1 * where(take, 0, z)
+                np.copyto(h[j], z[j])
+                np.copyto(h[j], 0.0, where=take[j])
+                np.multiply(a1, h[j], out=h[j])
+                np.multiply(dh[j], h[j], out=h[j])
+                np.add.reduce(h[j], axis=0, out=galpha[:, 1])
+            np.matmul(dz.T, inputs[j], out=grad_layers[j].weight)
+            np.add.reduce(dz, axis=0, out=grad_layers[j].bias)
         return value, grad
 
     return run
@@ -367,9 +426,10 @@ def train_regression(md: MultiIndex, spec: ActivationSpec, dataset,
     history = []
     run = gradient_kernel(md, spec, theta, X, Y, config.train_alpha)
     _, g = run()
+    step = np.empty_like(theta)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            theta -= config.lr * g  # bit for bit theta - lr * g
+            np.subtract(theta, np.multiply(config.lr, g, out=step), out=theta)  # theta - lr * g
             value, g = run()
             if not math.isfinite(value):
                 raise FitFailure(f"training diverged: the loss is {value} at epoch {epoch + 1} "
@@ -407,6 +467,14 @@ def slope_increments(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 _MEMORIZE_TRIES = 64  # random projections tried by memorize_sequence
+# a projection separates the keys when every gap between projected keys
+# exceeds this times max(1, max |projection|): a smaller gap would make a
+# bump's slope (a value difference over the gap) blow up, and at scale
+# the gap could be rounding
+_KEY_GAP = 1e-12
+# the largest residual max |net(key) - value| accepted as memorized; the
+# construction is exact up to rounding in the bumps
+_MEMORIZE_RESIDUAL = 1e-6
 
 
 def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_horizon: int,
@@ -445,7 +513,7 @@ def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_hori
         order = np.argsort(s, kind="stable")
         s_sorted = s[order]
         gaps = np.diff(s_sorted)
-        if n > 1 and gaps.min() <= 1e-12 * max(1.0, np.abs(s_sorted).max()):
+        if n > 1 and gaps.min() <= _KEY_GAP * max(1.0, np.abs(s_sorted).max()):
             continue
         v_sorted = vals[order]
 
@@ -475,15 +543,16 @@ def memorize_sequence(pairs: list[tuple[np.ndarray, np.ndarray]], P: int, n_hori
         residual = float(np.max(np.abs(out - vals)))
         if best is None or residual < best[0]:
             best = (residual, md, theta)
-        if residual <= 1e-6:
+        if residual <= _MEMORIZE_RESIDUAL:
             return md, theta, SINGULAR
     if best is None:
         raise FitFailure(
             f"no projection separates the keys: in each of {_MEMORIZE_TRIES} tries two "
-            f"projected keys are within 1e-12 * max(1, max |projection|)",
+            f"projected keys are within {_KEY_GAP!r} * max(1, max |projection|)",
             {"tries": _MEMORIZE_TRIES},
         )
     raise FitFailure(
-        f"memorization residual {best[0]:.3g} above 1e-6 after {_MEMORIZE_TRIES} projections",
+        f"memorization residual {best[0]:.3g} above {_MEMORIZE_RESIDUAL!r} after "
+        f"{_MEMORIZE_TRIES} projections",
         {"residual": best[0]},
     )

@@ -217,8 +217,9 @@ class QasSpace:
         return outs if u.ndim == 2 else outs[0]
 
     def mixing_loss(self, points, exponent: float) -> Callable:
-        """(y, w) -> the loss d(y, eta(w, points))^exponent and its weight
-        gradient, mixed by one ``mixer`` for all calls.
+        """y -> the function w -> (the loss d(y, eta(w, points))^exponent,
+        its weight gradient), all mixed by one ``mixer``: a fit builds the
+        loss of each target once and calls it once per epoch.
 
         A weight vector is renormalized before it is mixed, so entry i of
         the gradient is the derivative along e_i - w.  This default takes
@@ -228,21 +229,24 @@ class QasSpace:
         """
         mix = self.mixer(points)
 
-        def loss_grad(y, w):
+        def loss_of(y):
             def loss_at(wv):
                 return self.distance(y, mix(wv / wv.sum())) ** exponent
 
-            base = loss_at(w)
-            gw = np.zeros(w.size)
-            for i in range(w.size):
-                wp = w.copy()
-                wp[i] += _FD_STEP
-                wm = np.maximum(w.copy(), 0.0)
-                wm[i] = max(wm[i] - _FD_STEP, 0.0)
-                gw[i] = (loss_at(wp) - loss_at(wm)) / (_FD_STEP + (w[i] - wm[i]))
-            return base, gw
+            def loss_grad(w):
+                base = loss_at(w)
+                gw = np.zeros(w.size)
+                for i in range(w.size):
+                    wp = w.copy()
+                    wp[i] += _FD_STEP
+                    wm = np.maximum(w.copy(), 0.0)
+                    wm[i] = max(wm[i] - _FD_STEP, 0.0)
+                    gw[i] = (loss_at(wp) - loss_at(wm)) / (_FD_STEP + (w[i] - wm[i]))
+                return base, gw
 
-        return loss_grad
+            return loss_grad
+
+        return loss_of
 
     def simplicial_defect(self, w, points: list) -> float:
         """min_i [ C_eta (sum_j d(y_i,y_j)^p w_j)^(1/p) - d(eta(w,Y), y_i) ].
@@ -340,7 +344,9 @@ class WassersteinConvex(QasSpace):
         d/dt C(m + t (mu_i - m)) = <phi, mu_i - m>.  The chain rule turns
         this into the derivative of C^(exponent/p).  At y = m the loss
         attains its minimum 0, where zero is a subgradient.  The mixture
-        and the anchor atoms come from one ``mixer``.
+        and the anchor atoms come from one ``mixer``, and the costs from
+        the anchor atoms to y's are computed once per target, at its first
+        loss away from its minimum.
         """
         if self.barycentric_mixing:
             return super().mixing_loss(points, exponent)
@@ -349,17 +355,25 @@ class WassersteinConvex(QasSpace):
         starts = np.cumsum(anchors.lengths) - anchors.lengths
         ratio = exponent / self.p
 
-        def loss_grad(y, w):
-            mixed = mix(w / w.sum())
-            if y.equal_as_measure(mixed):
-                return 0.0, np.zeros(w.size)
-            cost, u = transport_potential(y, mixed, self.p)
-            phi = (ground_cost(anchors.atoms, y.atoms, self.p) - u).min(axis=1)
-            per_point = np.add.reduceat(anchors.weights * phi, starts)
-            dcost = per_point - float(w @ per_point) / float(w.sum())
-            return (cost ** (1.0 / self.p)) ** exponent, ratio * cost ** (ratio - 1.0) * dcost
+        def loss_of(y):
+            ground = None
 
-        return loss_grad
+            def loss_grad(w):
+                nonlocal ground
+                mixed = mix(w / w.sum())
+                if y.equal_as_measure(mixed):
+                    return 0.0, np.zeros(w.size)
+                cost, u = transport_potential(y, mixed, self.p)
+                if ground is None:
+                    ground = ground_cost(anchors.atoms, y.atoms, self.p)
+                phi = (ground - u).min(axis=1)
+                per_point = np.add.reduceat(anchors.weights * phi, starts)
+                dcost = per_point - float(w @ per_point) / float(w.sum())
+                return (cost ** (1.0 / self.p)) ** exponent, ratio * cost ** (ratio - 1.0) * dcost
+
+            return loss_grad
+
+        return loss_of
 
     def code_length(self, q: int) -> int:
         return self.d * q

@@ -475,7 +475,8 @@ def fit_static_end2end(
     points, md, theta = gt0.images, gt0.md, gt0.theta
 
     p = float(getattr(space, "p", 2.0))
-    loss_grad = space.mixing_loss(points, p)
+    loss_of = space.mixing_loss(points, p)
+    losses = [loss_of(y) for y in targets]
     history = []
 
     n = len(xs)
@@ -495,8 +496,8 @@ def fit_static_end2end(
                                  {"epoch": epoch + 1}) from exc
             total = 0.0
             gw = np.empty_like(logits)
-            for i, (y, w) in enumerate(zip(targets, weights)):
-                val, gw[i] = loss_grad(y, w)
+            for i, (loss_grad, w) in enumerate(zip(losses, weights)):
+                val, gw[i] = loss_grad(w)
                 total += val
             gu = _projection_cotangent(weights, gw)
             history.append(total / n)

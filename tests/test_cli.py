@@ -496,6 +496,10 @@ class TestTypedValues:
             {"atoms": [[0.0], [10.0]], "weights": [0.5, 0.5]},
             {"atoms": [[3.0], [14.0]], "weights": [0.5, 0.5]}]}, 2, RANGE % 1e300),
         ("metric", dict(benchmark_command("transport", "adapted"), p=1e300), 2, RANGE % 1e300),
+        # a 1-D gap that overflows at p = 1: on the diagonal, and in the walk
+        ("metric", {"inputs": [dirac_json(-1e308), dirac_json(1e308)]}, 2, RANGE % 1.0),
+        ("metric", {"inputs": [{"atoms": [[-1e308], [0.0]], "weights": [0.5, 0.5]},
+                               dirac_json(1e308)]}, 2, RANGE % 1.0),
     ])
     def test_typed_exit_prints_one_line(self, tmp_path, command, override, code, line):
         proc = run_cli_fresh(tmp_path, command, dict(self.BASE[command], **override))
@@ -748,6 +752,48 @@ class TestStaticFit:
         assert seen["constructive"]["check"] <= 257 + 120
         assert seen["end2end"]["stack"] <= 3
         assert "mixer" not in seen["dynamic"] and "stack" not in seen["dynamic"]
+
+    def test_one_weight_check_per_mixture(self, tmp_path, monkeypatch):
+        """The end-to-end fit checks each mixture's weights once: the
+        ``mixer`` checks w, and ``MixtureAnchors.mix`` builds the measure
+        from the product weights with no second ``validate_simplex_weight``
+        (before, the constructor ran one per mixture: 754 checks).  Every
+        other check is a measure constructor's.  The config is the
+        benchmark's end2end command at seed 0."""
+        from qasnets import measures, spaces
+        from qasnets.measures import DiscreteMeasure, MixtureAnchors
+
+        checks = {"measures": 0, "spaces": 0}
+        mixes = []
+        constructions = [0]
+        real_mix, real_init = MixtureAnchors.mix, DiscreteMeasure.__post_init__
+
+        def counted_check(module, real):
+            def check(entries):
+                checks[module] += 1
+                return real(entries)
+            return check
+
+        def counted_mix(anchors, w):
+            before = dict(checks)
+            out = real_mix(anchors, w)
+            mixes.append(checks == before)
+            return out
+
+        def counted_init(measure):
+            constructions[0] += 1
+            real_init(measure)
+
+        for module in (measures, spaces):
+            monkeypatch.setattr(module, "validate_simplex_weight",
+                                counted_check(module.__name__.split(".")[-1],
+                                              module.validate_simplex_weight))
+        monkeypatch.setattr(MixtureAnchors, "mix", counted_mix)
+        monkeypatch.setattr(DiscreteMeasure, "__post_init__", counted_init)
+        assert run(tmp_path, "static-fit", benchmark_command("static_fit", "end2end"))[0] == 0
+        assert all(mixes)
+        assert checks["measures"] == constructions[0]
+        assert (len(mixes), checks["spaces"], checks["measures"]) == (344, 361, 49)
 
     def test_measure_file_dataset(self, tmp_path):
         for i, v in enumerate((0.0, 1.0)):

@@ -102,6 +102,59 @@ class TestPreparedMixture:
         assert at_vertex.atoms.tobytes() == points[vertex].atoms[points[vertex].weights > 0].tobytes()
 
 
+class TestMixtureSortedOnce:
+    @given(k=st.integers(1, 5), d=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_constructor(self, k, d, seed):
+        """``mix`` gives the bits of the constructor on the stacked atoms
+        and the positive product weights.  Atoms on a small grid are shared
+        across components, w has zero entries, and the first component
+        holds -0.0 at weight 0.0, ahead of the 0.0 twins of later
+        components: the survivor is the first twin of positive weight."""
+        rng = np.random.default_rng(seed)
+        points = [DiscreteMeasure(np.array([[-0.0] * d, [1.0] * d]), [0.0, 1.0])]
+        for _ in range(k):
+            n = int(rng.integers(1, 5))
+            atoms = rng.integers(-1, 2, size=(n, d)).astype(float)
+            atoms[rng.random((n, d)) < 0.3] *= -1.0  # -0.0 where the grid gives 0.0
+            weights = rng.dirichlet(np.ones(n))
+            weights[rng.random(n) < 0.2] = 0.0
+            points.append(DiscreteMeasure(atoms, weights / weights.sum() if weights.any()
+                                          else np.full(n, 1.0 / n)))
+        anchors = MixtureAnchors.of(points)
+        stacked = np.concatenate([m.atoms for m in points])
+        for _ in range(4):
+            w = rng.dirichlet(np.ones(k + 1))
+            w[rng.random(k + 1) < 0.3] = 0.0
+            w = w / w.sum() if w.any() else np.full(k + 1, 1.0 / (k + 1))
+            products = np.concatenate([wn * m.weights for wn, m in zip(w, points)])
+            keep = products > 0.0
+            want = DiscreteMeasure(stacked[keep], products[keep])
+            got = anchors.mix(w)
+            assert got.atoms.tobytes() == want.atoms.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert not got.atoms.flags.writeable and not got.weights.flags.writeable
+
+    def test_mix_sorts_nothing(self, monkeypatch):
+        points = [DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5]),
+                  DiscreteMeasure(np.array([[-0.0], [2.0]]), [0.25, 0.75])]
+        anchors = MixtureAnchors.of(points)
+        diracs = MixtureAnchors.of([DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0)])
+
+        def fail(*args):
+            raise AssertionError("mix sorted its atoms")
+
+        monkeypatch.setattr(measures, "_row_groups", fail)
+        monkeypatch.setattr(measures, "_merge_rows", fail)
+        mix = anchors.mix(np.array([0.5, 0.5]))
+        assert mix.atoms.tolist() == [[0.0], [1.0], [2.0]]
+        assert not np.signbit(mix.atoms[0, 0])
+        assert mix.weights.tolist() == [0.25 + 0.125, 0.25, 0.375]
+        # the product weights' sum is still checked: here w passes its own
+        # check (2 entries) and the one product (1 atom) fails
+        with pytest.raises(DomainError, match="must sum to 1"):
+            diracs.mix(np.array([1.0 - 1.5e-12, 0.0]))
+
+
 class TestMergeRowsKernel:
     """``_merge_rows`` is bit for bit the searchsorted / ``np.add.at`` form,
     one weight vector at a time or several as the columns of one matrix."""

@@ -243,6 +243,50 @@ class TestGradients:
         assert grad.tobytes() == ref_grad.tobytes()
 
 
+    @given(kind=st.sampled_from(["smooth", "classical"]),
+           dims=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+           rows=st.integers(1, 40), train_alpha=st.booleans(), seed=st.integers(0, 2**16))
+    def test_passes_over_a_theta_updated_in_place(self, kind, dims, rows, train_alpha, seed):
+        """One kernel, whose arrays are reused by every pass, gives at each
+        pass the reference kernel's bits at the theta of that pass (whose
+        alpha stays put unless it is trained, as in training)."""
+        rng = np.random.default_rng(seed)
+        md = MultiIndex(tuple(dims))  # depth 0-3
+        theta = rng.normal(scale=1.5, size=param_count(md))
+        theta[rng.random(theta.size) < 0.2] = 0.0
+        X = rng.normal(scale=2.0, size=(rows, md.in_dim))
+        X[rng.random(rows) < 0.2] = 0.0
+        Y = rng.normal(size=(rows, md.out_dim))
+        spec = ActivationSpec(kind)
+        run = gradient_kernel(md, spec, theta, X, Y, train_alpha)
+        alpha = alpha_mask(md)
+        moved = np.ones(theta.size, dtype=bool) if train_alpha else ~alpha
+        for _ in range(4):
+            value, grad = run()
+            ref_value, ref_grad = loss_and_grad_reference(md, spec, theta, X, Y)
+            if not (train_alpha and kind == "smooth"):
+                ref_grad = np.where(alpha, 0.0, ref_grad)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+            theta[moved] += rng.normal(scale=0.5, size=int(moved.sum()))
+
+    @pytest.mark.parametrize("spec", [SMOOTH_SIGMOID, CLASSICAL_LEAKY], ids=["smooth", "classical"])
+    def test_next_pass_overwrites_the_returned_gradient(self, spec):
+        """Every pass returns the kernel's one gradient array, so a gradient
+        kept across passes must be copied."""
+        md = MultiIndex((2, 4, 3))
+        theta = init_theta(md, spec, np.random.default_rng(0))
+        X, Y = np.eye(2), np.ones((2, 3))
+        run = gradient_kernel(md, spec, theta, X, Y)
+        _, first = run()
+        kept = first.copy()
+        theta -= 0.5 * kept
+        _, second = run()
+        assert second is first
+        assert not np.array_equal(second, kept)
+        assert second.tobytes() == loss_and_grad(md, spec, theta, X, Y)[1].tobytes()
+
+
 class TestTraining:
     def test_single_point_interpolation(self):
         md = MultiIndex((1, 3, 1))
@@ -394,6 +438,33 @@ class TestMemorization:
         v = np.array([1.0])
         with pytest.raises(FitFailure, match="no projection separates the keys.* 64 tries"):
             memorize_sequence([(v, v + 1), (np.nextafter(v, 2.0), v + 2)], 1, 2)
+
+    def test_key_gap_boundary(self):
+        """In R^1 every projection is +-1, so the projected gap is the key
+        gap: a gap of exactly ``_KEY_GAP`` (at scale 1) never separates
+        the keys, and the next float up does."""
+        gap = networks._KEY_GAP
+        at = [(np.array([0.0]), np.array([0.0])), (np.array([gap]), np.array([gap]))]
+        with pytest.raises(FitFailure, match="no projection separates the keys"):
+            memorize_sequence(at, 1, 2)
+        past = np.nextafter(gap, 1.0)
+        keys = [np.array([0.0]), np.array([past])]
+        md, theta, spec = memorize_sequence([(k, k) for k in keys], 1, 2)
+        assert forward(md, spec, theta, np.stack(keys)).tolist() == [[0.0], [past]]
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_residual_boundary(self, above):
+        """A residual of exactly ``_MEMORIZE_RESIDUAL`` is accepted at the
+        first projection; one a float above it is not accepted at any."""
+        limit = networks._MEMORIZE_RESIDUAL
+        off = np.nextafter(limit, 1.0) if above else limit
+        pairs = [(np.array([0.0]), np.array([0.0])), (np.array([1.0]), np.array([0.0]))]
+        with mock.patch.object(networks, "forward", lambda md, spec, theta, x: np.full((2, 1), off)):
+            if above:
+                with pytest.raises(FitFailure, match=f"residual .* above {limit!r} after 64"):
+                    memorize_sequence(pairs, 1, 2)
+            else:
+                assert memorize_sequence(pairs, 1, 2)[2] is SINGULAR
 
     def test_five_pairs_in_r3(self):
         rng = np.random.default_rng(13)

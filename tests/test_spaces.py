@@ -159,7 +159,7 @@ class TestMixingLossGrad:
         space = w_space(d, p)
         for _ in range(3):
             y, w, points = self.problem(rng, d)
-            loss, grad = space.mixing_loss(points, exponent)(y, w)
+            loss, grad = space.mixing_loss(points, exponent)(y)(w)
             fd_loss, fd_grad = mixing_loss_fd_reference(space, y, w, points, exponent, 1e-7)
             assert loss == fd_loss
             np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-6)
@@ -169,7 +169,7 @@ class TestMixingLossGrad:
         rng = RNG(6)
         space = WassersteinConvex(d=1, p=2.0, q_exponent=3.0, barycentric_mixing=True)
         y, w, points = self.problem(rng, 1)
-        got = space.mixing_loss(points, 2.0)(y, w)
+        got = space.mixing_loss(points, 2.0)(y)(w)
         want = mixing_loss_fd_reference(space, y, w, points, 2.0, 1e-5)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
@@ -180,7 +180,7 @@ class TestMixingLossGrad:
                   DiscreteMeasure.dirac(3.0)]
         y = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
         w = np.array([0.5, 0.5, 0.0])
-        loss, grad = space.mixing_loss(points, 1.0)(y, w)
+        loss, grad = space.mixing_loss(points, 1.0)(y)(w)
         assert loss == 0.0 and np.array_equal(grad, np.zeros(3))
         _, fd = mixing_loss_fd_reference(space, y, w, points, 1.0, 1e-5)
         assert fd[2] > 0.0  # moving mass to the unused anchor only adds loss
