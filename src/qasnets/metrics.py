@@ -132,7 +132,9 @@ def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
     is left.  Optimal on the line for every p >= 1, because |x - y|^p is
     convex in x - y.  At p = 1 the power is skipped: |d| ** 1.0 is |d|
     exactly, and a gap that overflows is caught once, in the total; any
-    other p goes through ``_line_power``.
+    other p goes through ``_line_power``.  A total that overflows raises
+    at every p: costs within an ulp of the float range, on weights that
+    sum to 1 within ``WEIGHT_SUM_TOL``, can add up past it.
     """
     cost = 0.0
     unit = p == 1.0
@@ -155,7 +157,7 @@ def _quantile_cost(x: list, wx: list, y: list, wy: list, p: float) -> float:
             if j == ny:
                 break
             bj = wy[j]
-    if not cost < math.inf:  # a gap overflowed: inf, or nan at a mass of 0.0
+    if not cost < math.inf:  # a gap or the total overflowed: inf, or nan at a mass of 0.0
         raise DomainError(_COST_RANGE.format(p))
     return cost
 

@@ -119,12 +119,10 @@ def encode_params(md: MultiIndex, layers: list[LayerParams]) -> np.ndarray:
 # activations
 # ---------------------------------------------------------------------------
 
-_clip = np._core.umath.clip  # the ufunc behind np.clip, without its Python-level dispatch
-
-
 def _sigmoid(x, out=None):
     """1 / (1 + exp(-clip(x, -500, 500))), written into ``out`` if given."""
-    out = _clip(x, -500.0, 500.0, out=np.empty(np.shape(x)) if out is None else out)
+    out = np.maximum(x, -500.0, out=np.empty(np.shape(x)) if out is None else out)
+    np.minimum(out, 500.0, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.add(1.0, out, out=out)

@@ -500,6 +500,12 @@ class TestTypedValues:
         ("metric", {"inputs": [dirac_json(-1e308), dirac_json(1e308)]}, 2, RANGE % 1.0),
         ("metric", {"inputs": [{"atoms": [[-1e308], [0.0]], "weights": [0.5, 0.5]},
                                dirac_json(1e308)]}, 2, RANGE % 1.0),
+        # p = 2: each arc's cost is finite, within an ulp of the float range,
+        # and their total overflows on weights that sum to 1 + 1e-12
+        ("metric", {"p": 2.0, "inputs": [
+            {"atoms": [[0.0], [1e-300]], "weights": [0.5 + 5e-13, 0.5 + 5e-13]},
+            {"atoms": [[1.3407807929942594e154], [1.3407807929942596e154]],
+             "weights": [0.5 + 5e-13, 0.5 + 5e-13]}]}, 2, RANGE % 2.0),
     ])
     def test_typed_exit_prints_one_line(self, tmp_path, command, override, code, line):
         proc = run_cli_fresh(tmp_path, command, dict(self.BASE[command], **override))

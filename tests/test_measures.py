@@ -143,16 +143,21 @@ class TestMixtureSortedOnce:
         def fail(*args):
             raise AssertionError("mix sorted its atoms")
 
+        checked = []
+        check = measures._check_unit_sum
         monkeypatch.setattr(measures, "_row_groups", fail)
         monkeypatch.setattr(measures, "_merge_rows", fail)
+        monkeypatch.setattr(measures, "_check_unit_sum", lambda w: checked.append(w) or check(w))
         mix = anchors.mix(np.array([0.5, 0.5]))
         assert mix.atoms.tolist() == [[0.0], [1.0], [2.0]]
         assert not np.signbit(mix.atoms[0, 0])
         assert mix.weights.tolist() == [0.25 + 0.125, 0.25, 0.375]
-        # the product weights' sum is still checked: here w passes its own
-        # check (2 entries) and the one product (1 atom) fails
+        # the kept product weights' sum is checked, once per mix
+        assert [c.tolist() for c in checked] == [[0.25, 0.25, 0.125, 0.375]]
+        diracs.mix(np.array([1.0, 0.0]))
+        assert [c.tolist() for c in checked[1:]] == [[1.0]]
         with pytest.raises(DomainError, match="must sum to 1"):
-            diracs.mix(np.array([1.0 - 1.5e-12, 0.0]))
+            diracs.mix(np.array([0.5, 0.5 + 1e-9]))
 
 
 class TestMergeRowsKernel:
