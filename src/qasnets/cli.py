@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import Config, NonNegativeInt, PositiveInt, from_json
 from .errors import DomainError, FitFailure, UnsupportedError
-from .measures import DiscreteMeasure, measure_from_json, numeric_array
+from .measures import DiscreteMeasure, measure_from_json
 from .metrics import adapted_wasserstein_p, gaussian_distance, total_variation, wasserstein_p
 from .dynamics import (
     BoxSet,
@@ -128,36 +128,20 @@ class Runner:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Tolerances(Config):
-    weight_sum: float = 0.0
-
-
-@dataclass(frozen=True)
 class MetricCommand(CommandConfig):
     inputs: tuple[str | dict, ...] = ()  # measure file paths or inline measures
     p: float = 1.0
-    tolerances: Tolerances = Tolerances()
     output: str = "distances.csv"
 
 
-def load_measure(entry, base: Path, weight_sum_tol: float = 0.0):
-    """Load a measure from a file path or inline object.
-
-    ``weight_sum_tol`` lets configs accept weight vectors whose sum drifts
-    from 1 by up to that amount; such inputs are renormalized on load, so
-    the tolerance is a config key rather than a constant.
-    """
+def load_measure(entry, base: Path):
+    """Load a measure from a file path or inline object."""
     if isinstance(entry, str):
         with open(base / entry) as fh:
             entry = json.load(fh)
     if not isinstance(entry, dict):
         raise DomainError("measure entries must be file paths or JSON objects")
     try:
-        if weight_sum_tol > 0 and "weights" in entry:
-            w = numeric_array(entry, "weights")
-            s = float(w.sum())
-            if s > 0 and abs(s - 1.0) <= weight_sum_tol:
-                entry = dict(entry, weights=(w / s).tolist())
         return measure_from_json(entry)
     except (KeyError, DomainError) as exc:
         raise DomainError(f"malformed measure entry: {exc}") from exc
@@ -165,7 +149,7 @@ def load_measure(entry, base: Path, weight_sum_tol: float = 0.0):
 
 def cmd_metric(runner: Runner, base: Path):
     cfg = from_json(MetricCommand, runner.config, "metric")
-    measures = [load_measure(e, base, cfg.tolerances.weight_sum) for e in cfg.inputs]
+    measures = [load_measure(e, base) for e in cfg.inputs]
     if len(measures) < 2:
         raise DomainError("need at least two measures")
     kinds = {type(m).__name__ for m in measures}

@@ -589,24 +589,27 @@ def euler_simulate(alpha_fn: Callable, beta_fn: Callable, x0, grid: TimeGrid,
     values = np.empty((n_paths, steps + 1, dim))
     values[:, 0] = state
     noise = None
-    for j in range(1, steps + 1):
-        t_prev = times[j - 1]
-        dt = times[j] - times[j - 1]
-        drift = np.asarray(alpha_fn(t_prev, state), float)
-        diff = _stacked_diffusion(beta_fn(t_prev, state), n_paths, dim)
-        if noise is None:
-            noise = np.empty((steps, n_paths, diff.shape[-1]))
-            for i, rng in enumerate(streams):
-                noise[:, i] = rng.normal(size=(steps, diff.shape[-1]))
-        elif diff.shape[-1] != noise.shape[-1]:
-            raise DomainError("the diffusion's column count must not change between steps")
-        # (sqrt(dt) S) @ z per path, the same matrix-vector kernel call as
-        # for a single path, so each path's values match it bit for bit
-        kick = np.matmul(math.sqrt(dt) * diff, noise[j - 1][:, :, None])[:, :, 0]
-        state = state + drift * dt + kick
-        if state.shape != (n_paths, dim):
-            raise DomainError(f"drift of shape {drift.shape} does not give one state per path")
-        values[:, j] = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, steps + 1):
+            t_prev = times[j - 1]
+            dt = times[j] - times[j - 1]
+            drift = np.asarray(alpha_fn(t_prev, state), float)
+            diff = _stacked_diffusion(beta_fn(t_prev, state), n_paths, dim)
+            if noise is None:
+                noise = np.empty((steps, n_paths, diff.shape[-1]))
+                for i, rng in enumerate(streams):
+                    noise[:, i] = rng.normal(size=(steps, diff.shape[-1]))
+            elif diff.shape[-1] != noise.shape[-1]:
+                raise DomainError("the diffusion's column count must not change between steps")
+            # (sqrt(dt) S) @ z per path, the same matrix-vector kernel call as
+            # for a single path, so each path's values match it bit for bit
+            kick = np.matmul(math.sqrt(dt) * diff, noise[j - 1][:, :, None])[:, :, 0]
+            state = state + drift * dt + kick
+            if state.shape != (n_paths, dim):
+                raise DomainError(f"drift of shape {drift.shape} does not give one state per path")
+            values[:, j] = state
+    if not np.isfinite(values).all():
+        raise DomainError("the Euler states leave the float range")
     lo = grid.index_range[0]
     return [PathWindow(grid, v, lo) for v in values]
 
@@ -632,10 +635,13 @@ def fit_exponential_envelope(paths: list[PathWindow], eps: float) -> KExp:
     delta_minus = grid.delta_minus
     n_max = min(p.last_index for p in paths)
     steps = n_max + 1
-    norms = _row_norms(np.stack([p.segment(0, n_max) for p in paths]))
-    m2 = np.mean(norms**2, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _row_norms(np.stack([p.segment(0, n_max) for p in paths]))
+        targets = np.sqrt(np.mean(norms**2, axis=0) * steps / eps)
+    if not np.isfinite(targets).all():
+        raise DomainError("the paths' second moments leave the float range")
     # a tiny floor keeps the constants solvable for degenerate (all-zero) data
-    targets = np.maximum(np.sqrt(m2 * steps / eps), 1e-9)
+    targets = np.maximum(targets, 1e-9)
     c0 = max(float(targets[0]), float(norms[:, 0].max()) * _ENVELOPE_SAFETY, 1e-12)
     if n_max == 0:
         return KExp(C0=c0, Cstar=1.0, Cn=lambda n: 1.0, eps=eps, delta_minus=delta_minus)

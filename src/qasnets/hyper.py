@@ -369,13 +369,6 @@ def fit_dynamic(
     # h at every visited parameter vector, one row each
     h_thetas = forward(hyper_md, SINGULAR, hyper_theta, np.stack(thetas))
     replay_residual = max(float(np.max(np.abs(ha - b))) for ha, (_, b) in zip(h_thetas, pairs))
-    # measured local Lipschitz bound of h along the visited segment: replay
-    # deviations compound at most linearly in steps times this factor
-    seg_lipschitz = 0.0
-    for (a, b), ha, hb in zip(pairs, h_thetas, h_thetas[1:]):
-        gap = float(np.linalg.norm(b - a))
-        if gap > 1e-14:
-            seg_lipschitz = max(seg_lipschitz, float(np.linalg.norm(hb - ha)) / gap)
 
     ght = Ght(
         decoder=decoder,
@@ -400,7 +393,6 @@ def fit_dynamic(
         decoder_report=dec_report.to_json(),
         wall_time=time.perf_counter() - t0,
         sizes={"P": P, "M": hyper_md.dims[1], "encoder_dims": list(md_enc.dims),
-               "decoder_anchors": n_dec, "decoder_level": q_dec,
-               "hyper_segment_lipschitz": seg_lipschitz},
+               "decoder_anchors": n_dec, "decoder_level": q_dec},
     )
     return ght, report

@@ -27,6 +27,10 @@ import numpy as np
 from .config import PositiveInt, _mismatch, coerce
 from .errors import DomainError
 
+# relative sum tolerance of ``check_weights``, for any entry count: numpy's
+# pairwise sum of n nonnegative floats errs by about log2(n) * u of the total
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2),
+# under 1e-14 for n < 2^40, so no correctly rounded weight vector is refused
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -43,28 +47,34 @@ def quantile_atoms(xs: np.ndarray, weights: np.ndarray, levels: np.ndarray) -> n
     return xs[np.minimum(idx, len(xs) - 1)]
 
 
+def check_weights(w: np.ndarray, total: float | None = 1.0,
+                  what: str = "simplex weight entries") -> float:
+    """The one weight rule, for simplex weights, mixture products and
+    transport marginals: each entry of the finite ``w`` is >= 0 (-0.0
+    counts as 0), and its sum, returned, is within ``WEIGHT_SUM_TOL *
+    total`` of ``total`` unless that is None."""
+    if (w < 0.0).any():
+        raise DomainError(f"{what} must be nonnegative, got min {float(w.min())!r}")
+    s = float(w.sum())
+    if total is not None and not abs(s - total) <= WEIGHT_SUM_TOL * total:
+        raise DomainError(f"{what} must sum to {total!r}, got {s!r}")
+    return s
+
+
 def validate_simplex_weight(entries: np.ndarray) -> np.ndarray:
     """Check that ``entries`` is a point of the simplex and return it as an array.
 
-    Entries must be nonnegative and sum to 1 within absolute tolerance
-    ``WEIGHT_SUM_TOL``; the vector must be nonempty.
+    The vector must be nonempty and finite, with every entry >= 0 (-0.0
+    counts as 0) and a sum within ``WEIGHT_SUM_TOL`` of 1, whatever its
+    length (``check_weights``).
     """
     w = np.asarray(entries, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise DomainError("simplex weight must be a nonempty vector")
     if not np.isfinite(w).all():
         raise DomainError("simplex weight entries must be finite")
-    if (w < -WEIGHT_SUM_TOL).any():
-        raise DomainError(f"simplex weight entries must be nonnegative, got min {w.min()}")
-    _check_unit_sum(w)
+    check_weights(w)
     return w
-
-
-def _check_unit_sum(w: np.ndarray) -> None:
-    """The sum rule of ``validate_simplex_weight``."""
-    s = float(w.sum())
-    if abs(s - 1.0) > WEIGHT_SUM_TOL * w.size:
-        raise DomainError(f"simplex weight entries must sum to 1, got {s!r}")
 
 
 def numeric_array(obj: dict, key: str) -> np.ndarray:
@@ -235,21 +245,23 @@ class MixtureAnchors(NamedTuple):
         bit the measure the constructor builds from the stacked atoms and
         these product weights with the ones that are not positive dropped.
 
-        The kept products' sum is checked as the constructor checks it, the
-        one rule of its checks that can fail here: a product of a checked w
-        entry and a canonical weight is finite; only positive ones are
-        kept; one is kept, because w's largest entry is positive and so is
-        the largest weight of that entry's component; and canonical atoms
-        are finite.  The products that are not positive become +0.0, which
-        leaves every group sum as it was, so one ``np.bincount`` along the
-        stacked atoms' order sums each group in the constructor's row
-        order.  The groups with a positive product are kept, the ones of
-        nonzero sum, each with the atom of its first such row: equal rows
-        may differ in the sign of a zero.
+        The kept products' sum is checked by the one weight rule, with no
+        wider tolerance, so a w and components each at the rule's edge,
+        whose products can sum to 1 +- about 2 * ``WEIGHT_SUM_TOL``, are
+        refused (exit 2).  The constructor's other checks cannot fail here:
+        a product of a checked w entry and a canonical weight is finite;
+        one is positive, as w's largest entry and the largest weight of
+        that entry's component are; and canonical atoms are finite.  The
+        products that are not positive become +0.0, which leaves every
+        group sum as it was, so one ``np.bincount`` along the stacked
+        atoms' order sums each group in the constructor's row order.  The
+        groups with a positive product are kept, the ones of nonzero sum,
+        each with the atom of its first such row: equal rows may differ in
+        the sign of a zero.
         """
         products = np.repeat(w, self.lengths) * self.weights
         positive = products > 0.0
-        _check_unit_sum(products[positive])
+        check_weights(products[positive])
         products[~positive] = 0.0
         sums = np.bincount(self.group, products[self.order])
         rows = np.flatnonzero(positive[self.order])  # along the order

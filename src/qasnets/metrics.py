@@ -26,11 +26,11 @@ import numpy as np
 
 from .errors import DomainError, SolverNonTermination, UnsupportedError
 from .measures import (
-    WEIGHT_SUM_TOL,
     DiscreteMeasure,
     GaussianMeasure,
     PathMeasure,
     _merge_rows,
+    check_weights,
     quantile_atoms,
     validate_simplex_weight,
 )
@@ -334,12 +334,10 @@ def _transport_input(a, b, cost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DomainError(f"cost shape {cost.shape} != marginal sizes ({a.size}, {b.size})")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(cost))):
         raise DomainError("transport inputs must be finite")
-    sa, sb = float(a.sum()), float(b.sum())
-    tol = WEIGHT_SUM_TOL * (a.size + b.size) * max(sa, sb)
-    if sa <= 0.0 or sb <= 0.0 or min(a.min(), b.min()) < -tol:
-        raise DomainError("transport marginals must be nonnegative with positive mass")
-    if abs(sa - sb) > tol:
-        raise DomainError(f"transport marginals carry different mass: {sa!r} != {sb!r}")
+    mass = check_weights(a, None, "transport marginal entries")
+    if not mass > 0.0:
+        raise DomainError("transport marginals must carry positive mass")
+    check_weights(b, mass, "transport marginal entries")
     return a, b, cost
 
 

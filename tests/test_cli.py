@@ -133,16 +133,6 @@ class TestMetric:
                        "fit": {"no_such_option": 1}})
         assert code == 2
 
-    def test_weight_sum_tolerance_is_config_key(self, tmp_path):
-        sloppy = {"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5005]}
-        code, _ = run(tmp_path, "metric", {"inputs": [sloppy, dirac_json(0.0)]})
-        assert code == 2  # rejected without an explicit tolerance
-        code, out = run(tmp_path, "metric",
-                        {"inputs": [sloppy, dirac_json(0.0)],
-                         "tolerances": {"weight_sum": 1e-2}},
-                        name="tolerant.json")
-        assert code == 0
-
     def test_transport_non_termination_exits_3(self, tmp_path, monkeypatch, capsys):
         from qasnets import metrics
 
@@ -285,19 +275,17 @@ class TestMalformedBlocks:
         assert re.fullmatch(r"numeric failure: training diverged: .* at epoch \d+ "
                             r"\(lr 1000000000000\.0\)\n", proc.stderr), proc.stderr
 
-    @pytest.mark.parametrize("entry, tolerance, key", [
-        ({"atoms": "x", "weights": [1.0]}, 0.0, "atoms"),
-        ({"atoms": [[0.0], [1.0, 2.0]], "weights": [0.5, 0.5]}, 0.0, "atoms"),
-        ({"atoms": [[0.0]], "weights": ["a"]}, 0.0, "weights"),
-        ({"atoms": [[0.0]], "weights": ["a"]}, 1e-6, "weights"),
-        ({"atoms": [[0.0]], "weights": [True]}, 0.0, "weights"),
-        ({"atoms": [[0.0], ["b"]], "weights": [0.5, 0.5], "horizon": 1}, 0.0, "atoms"),
-        ({"mean": "x", "cov": [[1.0]]}, 0.0, "mean"),
-    ], ids=["atoms_string", "atoms_ragged", "weights_string", "weights_string_renormalized",
-            "weights_bool", "path_atoms_string", "gaussian_mean_string"])
-    def test_non_numeric_measure_entry(self, tmp_path, capsys, entry, tolerance, key):
-        cfg = {"inputs": [entry, entry], "tolerances": {"weight_sum": tolerance}}
-        code, _ = run(tmp_path, "metric", cfg)
+    @pytest.mark.parametrize("entry, key", [
+        ({"atoms": "x", "weights": [1.0]}, "atoms"),
+        ({"atoms": [[0.0], [1.0, 2.0]], "weights": [0.5, 0.5]}, "atoms"),
+        ({"atoms": [[0.0]], "weights": ["a"]}, "weights"),
+        ({"atoms": [[0.0]], "weights": [True]}, "weights"),
+        ({"atoms": [[0.0], ["b"]], "weights": [0.5, 0.5], "horizon": 1}, "atoms"),
+        ({"mean": "x", "cov": [[1.0]]}, "mean"),
+    ], ids=["atoms_string", "atoms_ragged", "weights_string", "weights_bool",
+            "path_atoms_string", "gaussian_mean_string"])
+    def test_non_numeric_measure_entry(self, tmp_path, capsys, entry, key):
+        code, _ = run(tmp_path, "metric", {"inputs": [entry, entry]})
         assert code == 2
         assert f"malformed measure entry: {key} must be" in capsys.readouterr().err
 
@@ -401,7 +389,8 @@ class TestTypedValues:
          "unknown keys in static-fit.fit: ['codes']"),
         ("paths", {"sde": [1]}, "paths.sde must be an object, got [1]"),
         ("dynamic-fit", {"compression": 5}, "dynamic-fit.compression must be an object, got 5"),
-        ("metric", {"tolerances": 5}, "metric.tolerances must be an object, got 5"),
+        # weights are checked by one rule, with no tolerance to set
+        ("metric", {"tolerances": 5}, "unknown keys in metric: ['tolerances']"),
         ("metric", {"p": "x"}, "metric.p must be a finite number, got 'x'"),
         ("complexity", {"batch": 5}, "complexity.batch must be an array, got 5"),
         ("paths", {"output": 5}, "paths.output must be a string, got 5"),
@@ -501,11 +490,18 @@ class TestTypedValues:
         ("metric", {"inputs": [{"atoms": [[-1e308], [0.0]], "weights": [0.5, 0.5]},
                                dirac_json(1e308)]}, 2, RANGE % 1.0),
         # p = 2: each arc's cost is finite, within an ulp of the float range,
-        # and their total overflows on weights that sum to 1 + 1e-12
+        # and their total overflows on weights that sum to 1 + 5e-13, within
+        # the one weight rule
         ("metric", {"p": 2.0, "inputs": [
-            {"atoms": [[0.0], [1e-300]], "weights": [0.5 + 5e-13, 0.5 + 5e-13]},
+            {"atoms": [[0.0], [1e-300]], "weights": [0.5 + 2.5e-13, 0.5 + 2.5e-13]},
             {"atoms": [[1.3407807929942594e154], [1.3407807929942596e154]],
-             "weights": [0.5 + 5e-13, 0.5 + 5e-13]}]}, 2, RANGE % 2.0),
+             "weights": [0.5 + 2.5e-13, 0.5 + 2.5e-13]}]}, 2, RANGE % 2.0),
+        # Euler states that overflow, and finite states whose second
+        # moments do, rather than numpy warnings and inf or nan slacks
+        ("paths", {"sde": {"kind": "ou", "rate": 1e300}}, 2,
+         "config error: the Euler states leave the float range"),
+        ("paths", {"sde": {"kind": "ou", "vol": 1e300}}, 2,
+         "config error: the paths' second moments leave the float range"),
     ])
     def test_typed_exit_prints_one_line(self, tmp_path, command, override, code, line):
         proc = run_cli_fresh(tmp_path, command, dict(self.BASE[command], **override))
@@ -968,6 +964,36 @@ class TestPaths:
         assert sorted(manifest["wall_times_s"]) == ["classes", "envelope_fit", "membership",
                                                     "simulate", "write"]
 
+    def test_kalpha_and_kw_rows_are_path_membership(self, tmp_path):
+        """``build_class``'s ``kalpha`` and ``kw`` branches: each row of
+        ``class_membership.csv`` is ``path_membership`` of the class built
+        from the same fields, on the same seeded paths."""
+        from qasnets.dynamics import (KW, BoxSet, KAlpha, euler_simulate, path_membership,
+                                      uniform_grid)
+
+        cfg = {"seed": 5, "sde": {"kind": "ou", "rate": 1.0, "vol": 0.5, "x0": [0.3]},
+               "n_paths": 120, "steps": 6, "eps": 0.2,
+               "classes": [{"kind": "kalpha", "lo": -2.0, "hi": 2.0, "C": 1.5, "p": 2.5,
+                            "alpha": -2.0},
+                           {"kind": "kw", "lo": -0.5, "hi": 0.5, "slope": 0.2}]}
+        code, out = run(tmp_path, "paths", cfg)
+        assert code == 0
+        paths = euler_simulate(lambda t, x: -1.0 * x, lambda t, x: 0.5 * np.eye(1),
+                               np.array([0.3]), uniform_grid(0, 6), 120, 5)
+        classes = [("kalpha", KAlpha(BoxSet([-2.0], [2.0]), 1.5, 2.5, -2.0)),
+                   ("kw", KW(BoxSet([-0.5], [0.5]), lambda i: 0.2 * i))]
+        want = [["class", "path", "worst_index", "worst_slack", "member"]]
+        for tag, cls in classes:
+            for pid, path in enumerate(paths[:100]):
+                rep = path_membership(cls, path)
+                want.append([tag, str(pid), str(rep.worst_index), repr(rep.worst_slack),
+                             str(int(rep.member))])
+        rows = read_csv(out / "class_membership.csv")
+        assert rows == want
+        # both classes hold for some paths and fail for others
+        for tag, _ in classes:
+            assert {r[4] for r in rows[1:] if r[0] == tag} == {"0", "1"}, tag
+
     def test_paths_reproducible(self, tmp_path):
         cfg = {"seed": 3, "sde": {"kind": "ou"}, "n_paths": 20, "steps": 8, "eps": 0.2}
         _, out1 = run(tmp_path, "paths", cfg)
@@ -1041,7 +1067,8 @@ WALL_KEYS = {"wall_time", "wall_times_s"}
 
 # SHA-256 of every README example output, wall-time keys removed, recorded
 # at commit 41a7266, before the repeated-construction folds; refactors must
-# not change one byte.
+# not change one byte.  ``dynamic_report.json`` was re-recorded when its
+# sampled ``hyper_segment_lipschitz`` size left the report.
 README_DIGESTS = {
     "out_metric/distances.csv": "02d7935bf0689836b4c136bc9b5f03a5bb58dce228f4c60222ac54e3f4238e78",
     "out_metric/manifest.json": "81f533837932725121b41a636a084951899246c809a83f2a142ba2bfefdb186d",
@@ -1050,7 +1077,7 @@ README_DIGESTS = {
     "out_static/error_curve.csv": "be48350c7b48982bf12d4e2efdc6ceb2808836e5b480f18e4a30ce4d379a2885",
     "out_static/fit_report.json": "232eead99d56620264cba14fc31678cf03dc89b64517f38f0302045c1f5421b1",
     "out_static/manifest.json": "64d677434bdf2c36765e5cf57eac95de4fbb20cc9c0d93f5285299ce1dc7334f",
-    "out_dynamic/dynamic_report.json": "1063bf8fc60968a3ddba3d4ce9160b798f1a40c258000495c8529263ae367905",
+    "out_dynamic/dynamic_report.json": "53467e1be29cc8ff8b30c20b6ef8e37cbcb69cba385ae5eceec7781c482f795e",
     "out_dynamic/manifest.json": "41815ac01b7ddeeaae6af34df64df0f68aebdfa29e7f89563275934a091b6186",
     "out_dynamic/normalized_errors.csv": "56e5539d610af8f0594e9c8ea5efb8209dd063bb79b7d5e9752c91c0a6db5df5",
     "out_dynamic/per_step_errors.csv": "1760e8398795117fd659422f2c3f4cb580a9cd5f54f48b3eeafe43b4d9bc9a26",

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from qasnets import measures
 from qasnets.errors import DomainError
-from qasnets.measures import DiscreteMeasure, MixtureAnchors, _merge_rows, measure_from_json
+from qasnets.measures import (
+    WEIGHT_SUM_TOL,
+    DiscreteMeasure,
+    MixtureAnchors,
+    _merge_rows,
+    measure_from_json,
+    validate_simplex_weight,
+)
+from qasnets.spaces import WassersteinConvex
 
 from oracles import canonical_measure_reference, merge_rows_reference, mixture_reference
 
@@ -144,10 +152,10 @@ class TestMixtureSortedOnce:
             raise AssertionError("mix sorted its atoms")
 
         checked = []
-        check = measures._check_unit_sum
+        check = measures.check_weights
         monkeypatch.setattr(measures, "_row_groups", fail)
         monkeypatch.setattr(measures, "_merge_rows", fail)
-        monkeypatch.setattr(measures, "_check_unit_sum", lambda w: checked.append(w) or check(w))
+        monkeypatch.setattr(measures, "check_weights", lambda w: checked.append(w) or check(w))
         mix = anchors.mix(np.array([0.5, 0.5]))
         assert mix.atoms.tolist() == [[0.0], [1.0], [2.0]]
         assert not np.signbit(mix.atoms[0, 0])
@@ -310,3 +318,38 @@ class TestStack:
     def test_bad_input_is_one_domain_error(self, atoms, weights, message):
         with pytest.raises(DomainError, match=message):
             DiscreteMeasure.stack(atoms, weights)
+
+
+class TestOneWeightRule:
+    """Simplex weights, mixture products and transport marginals share one
+    rule: every entry >= 0 (-0.0 counts as 0), and a sum within
+    ``WEIGHT_SUM_TOL`` of its target, whatever the entry count."""
+
+    def test_negative_weight_is_refused(self):
+        with pytest.raises(DomainError, match="must be nonnegative, got min -1e-13"):
+            DiscreteMeasure([[0.0], [1.0]], [1 + 1e-13, -1e-13])
+        assert DiscreteMeasure([[0.0], [1.0]], [1.0, -0.0]).weights.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_sum_tolerance_takes_no_entry_count(self, n):
+        w = np.full(n, 1.0 / n)
+        w[0] += 0.5 * WEIGHT_SUM_TOL
+        validate_simplex_weight(w)
+        w[0] += 2.0 * WEIGHT_SUM_TOL
+        with pytest.raises(DomainError, match="must sum to 1"):
+            validate_simplex_weight(w)
+
+    @pytest.mark.parametrize("w", [[1 - 1.5e-12, 0.0], [1 - 0.5e-12, 0.0],
+                                   [0.5, 0.5 + 1.5e-12], [0.5, 0.5 - 0.5e-12]])
+    def test_mix_is_refused_exactly_where_its_weight_is(self, w):
+        """A mix of Diracs keeps one product per nonzero entry of w, so the
+        products' check gives the verdict of w's own check, whatever the
+        count of products kept."""
+        diracs = [DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0)]
+        try:
+            validate_simplex_weight(w)
+        except DomainError:
+            with pytest.raises(DomainError, match="must sum to 1"):
+                WassersteinConvex(d=1).mix(w, diracs)
+        else:
+            assert WassersteinConvex(d=1).mix(w, diracs).weights.sum() == sum(w)

@@ -466,6 +466,17 @@ class TestTransportCost:
         with pytest.raises(DomainError):
             transport_cost(a, b, np.asarray(cost, dtype=float))
 
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_mass_gap_verdict_does_not_depend_on_size(self, n):
+        """The marginals' totals are compared by the one weight rule, whose
+        tolerance takes no entry count: a relative gap of 5e-11 is refused
+        at 2x2 and at 50x50, and one of 5e-13 is taken at both."""
+        a = np.full(n, 1.0 / n)
+        cost = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        with pytest.raises(DomainError, match="transport marginal entries must sum to"):
+            transport_cost(a, a * (1.0 + 5e-11), cost)
+        assert transport_cost(a, a * (1.0 + 5e-13), cost).value == pytest.approx(0.0, abs=1e-9)
+
     def test_pivot_limit_raises_arithmetic_error(self, monkeypatch):
         # the least-cost tree of this instance is not optimal, so it needs a pivot
         a, b = np.array([0.4, 0.6]), np.array([0.5, 0.5])
