@@ -328,7 +328,6 @@ class TestOneWeightRule:
     def test_negative_weight_is_refused(self):
         with pytest.raises(DomainError, match="must be nonnegative, got min -1e-13"):
             DiscreteMeasure([[0.0], [1.0]], [1 + 1e-13, -1e-13])
-        assert DiscreteMeasure([[0.0], [1.0]], [1.0, -0.0]).weights.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("n", [1, 2, 1000])
     def test_sum_tolerance_takes_no_entry_count(self, n):
